@@ -13,6 +13,8 @@ relu'(0) is defined as 0.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 _FINITE_CHECKS = True
@@ -31,10 +33,12 @@ class Tensor:
 
     Leaves have no parents. `_vjps[i]` maps the upstream gradient node to the
     gradient node for `_parents[i]`; both sides of the mapping live on the
-    same tape.
+    same tape. A rule that needs the node's own output holds it through a
+    weak reference: a strong one would make every graph a reference cycle
+    that lives until the cyclic collector runs.
     """
 
-    __slots__ = ("data", "_parents", "_vjps")
+    __slots__ = ("data", "_parents", "_vjps", "__weakref__")
 
     def __init__(self, data, parents=(), vjps=()):
         arr = np.asarray(data, dtype=np.float64)
@@ -136,7 +140,8 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data, (a, b))
     out._vjps = (
         lambda g, o=b, s=a.data.shape: _sum_to(div(g, o), s),
-        lambda g, o=b, s=b.data.shape: _sum_to(neg(div(mul(g, out), o)), s),
+        lambda g, o=b, s=b.data.shape, ref=weakref.ref(out):
+            _sum_to(neg(div(mul(g, ref()), o)), s),
     )
     return out
 
@@ -190,6 +195,17 @@ def broadcast_to(a, shape) -> Tensor:
     )
 
 
+def tile_rows(a, times: int) -> Tensor:
+    """Stack `times` copies of a[b, d] into [times*b, d]; row t*b + i is a[i].
+
+    A composite of reshape and broadcast_to, so its gradient sums the copies.
+    """
+    a = as_tensor(a)
+    rows, cols = a.data.shape
+    stacked = broadcast_to(reshape(a, (1, rows, cols)), (times, rows, cols))
+    return reshape(stacked, (times * rows, cols))
+
+
 def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     in_shape = a.data.shape
@@ -232,14 +248,14 @@ def relu(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.tanh(a.data), (a,))
-    out._vjps = (lambda g: mul(g, sub(1.0, mul(out, out))),)
+    out._vjps = (lambda g, ref=weakref.ref(out): mul(g, sub(1.0, square(ref()))),)
     return out
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.exp(a.data), (a,))
-    out._vjps = (lambda g: mul(g, out),)
+    out._vjps = (lambda g, ref=weakref.ref(out): mul(g, ref()),)
     return out
 
 
@@ -287,8 +303,8 @@ def log_softmax(logits) -> Tensor:
     out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = Tensor(out_data, (x,))
 
-    def vjp(g):
-        soft = exp(out)
+    def vjp(g, ref=weakref.ref(out)):
+        soft = exp(ref())
         return sub(g, mul(soft, sum_axis(g, 1, keepdims=True)))
 
     out._vjps = (vjp,)

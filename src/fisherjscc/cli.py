@@ -255,7 +255,10 @@ def _load_checkpoint_checked(path, config: dict):
         raise ConfigError("[experiment] checkpoint path is required")
     if not Path(path).exists():
         raise DataError(f"checkpoint not found: {path}")
-    encoder, decoder, normalizer_doc, meta = load_checkpoint(path)
+    try:
+        encoder, decoder, normalizer_doc, meta = load_checkpoint(path)
+    except (ValueError, KeyError) as exc:
+        raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
     model = config["model"]
     declared = {
         "repr_dim": model["repr_dim"],
@@ -370,11 +373,11 @@ def _experiment_dataset(config: dict):
 
 def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = None,
              threads: int = 1) -> int:
-    out_dir = _prepare_out(config["run"]["out"], force)
     section = config["experiment"]
     kind = kind_override or section["kind"]
     encoder, decoder, _, _ = _load_checkpoint_checked(section["checkpoint"], config)
     test_set, _ = _experiment_dataset(config)
+    out_dir = _prepare_out(config["run"]["out"], force)
     family = config["channel"]["family"].lower()
     eval_seed = derive_seed(seed, "eval")
 
@@ -422,11 +425,11 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
 
 
 def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
-    out_dir = _prepare_out(config["run"]["out"], force)
     section = config["experiment"]
     encoder_a, decoder_a, _, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
     encoder_b, decoder_b, _, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
     test_set, _ = _experiment_dataset(config)
+    out_dir = _prepare_out(config["run"]["out"], force)
     family = config["channel"]["family"].lower()
     rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
                                       test_set, section["psnr_grid"], family,

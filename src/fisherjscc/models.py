@@ -190,7 +190,11 @@ def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (encoder, decoder, normalizer_dict, meta)."""
+    """Read a checkpoint; returns (encoder, decoder, normalizer_dict, meta).
+
+    Raises ValueError for a document that is not a checkpoint of this version
+    or that holds a non-finite parameter.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -207,8 +211,11 @@ def load_checkpoint(path):
                            hidden=dec_sizes[1:-1], seed=dec_doc["seed"])
     for model, section in ((encoder, enc_doc), (decoder, dec_doc)):
         state = {
-            name: np.array(entry["data"]).reshape(entry["shape"])
+            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             for name, entry in section["params"].items()
         }
+        for name, value in state.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"non-finite values in parameter {name!r}")
         model.params.load_state(state)
     return encoder, decoder, doc.get("normalizer"), doc.get("meta", {})

@@ -101,8 +101,3 @@ class CounterRng:
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of a uniform block."""
         return np.argsort(self.uniforms(n), kind="stable")
-
-    def choice_index(self, cumulative: np.ndarray) -> int:
-        """Index drawn from the distribution with the given cumulative sums."""
-        u = float(self.uniforms(1)[0]) * float(cumulative[-1])
-        return int(np.searchsorted(cumulative, u, side="right").clip(0, len(cumulative) - 1))

@@ -10,20 +10,18 @@ expected KL divergence between the noise-free posterior q(.|z) and the noisy
 posterior q(.|z_hat) to second order. That scaled trace is the closed-form
 training penalty; the Monte-Carlo expected KL here is its independent check.
 
-The trace is computed exactly, one backward pass per class, and the
-computation is recorded on the tape: the per-class input-gradients are tape
-nodes and the posterior weights q(y|z) are kept differentiable, so the trace
-can sit inside a training loss and be differentiated once more. A
-sampled-class estimator is available for large class counts; it is cheaper
-but approximate, and its gradient ignores the dependence of the class
-distribution on the parameters.
+The trace is computed exactly and recorded on the tape. The batch of
+representations is tiled once per class, so one decoder forward and one
+backward pass give every per-class input-gradient as a tape node; with the
+posterior weights q(y|z) kept differentiable, the trace can sit inside a
+training loss and be differentiated once more. `fisher_trace`,
+`fisher_matrix` and `fisher_trace_node` all read the same stacked pass.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,101 +65,49 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-@dataclass
-class FisherResult:
-    """Fisher information summary at a single representation."""
+def _class_terms(decoder: DecoderModel, z_node: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    """q(y|z_i) as a [C, b] node and grad_z log q(y|z_i) as a [C, b, k] node.
 
-    trace: float
-    class_grad_norms: list[float]
-    matrix: np.ndarray | None = None
-
-
-def _class_gradient_nodes(decoder: DecoderModel, z_node: ad.Tensor):
-    """Per-class input-gradient nodes of the log posterior, one backward pass each.
-
-    Returns (log_posteriors[b,C] node, list over classes of [b,k] gradient
-    nodes). All returned nodes stay attached to the graph that produced
-    z_node, so downstream expressions remain differentiable.
+    z is tiled once per class on the tape, so one decoder forward and one
+    backward pass cover every class: row y*b + i of the tiled batch asks for
+    class y at z_i, and the decoder treats rows independently. Both returned
+    nodes stay attached to the graph that produced z_node, so expressions of
+    them remain differentiable.
     """
-    logq = decoder.log_posterior_all(z_node)
-    batch = z_node.data.shape[0]
-    grads = []
-    for y in range(decoder.num_classes):
-        labels = np.full(batch, y, dtype=np.int64)
-        root = ad.sum_all(ad.gather_labels(logq, labels))
-        grads.append(ad.backward(root, [z_node])[z_node])
-    return logq, grads
+    batch, k = z_node.data.shape
+    classes = decoder.num_classes
+    tiled = ad.tile_rows(z_node, classes)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), batch)
+    logq = ad.gather_labels(decoder.log_posterior_all(tiled), labels)
+    grads = ad.backward(ad.sum_all(logq), [tiled])[tiled]
+    return (ad.reshape(ad.exp(logq), (classes, batch)),
+            ad.reshape(grads, (classes, batch, k)))
 
 
-def _sampled_class_labels(probs: np.ndarray, draws: int, rng: CounterRng) -> np.ndarray:
-    """draws class labels per row, sampled from each row's distribution."""
-    cumulative = np.cumsum(probs, axis=1)
-    u = rng.uniforms(probs.shape[0] * draws).reshape(draws, probs.shape[0])
-    u = u * cumulative[:, -1]
-    labels = np.empty((draws, probs.shape[0]), dtype=np.int64)
-    for i in range(probs.shape[0]):
-        labels[:, i] = np.searchsorted(cumulative[i], u[:, i], side="right")
-    return np.minimum(labels, probs.shape[1] - 1)
+def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor) -> ad.Tensor:
+    """Per-sample Tr(I(z)) = sum_y q(y|z) ||grad_z log q(y|z)||^2 as a node, shape [b]."""
+    probs, grads = _class_terms(decoder, z_node)
+    return ad.sum_axis(ad.mul(probs, ad.sum_axis(ad.square(grads), 2)), 0)
 
 
-def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor,
-                      class_sample: int | None = None,
-                      rng: CounterRng | None = None) -> ad.Tensor:
-    """Per-sample Tr(I(z)) as a differentiable node, shape [b].
-
-    Exact mode (class_sample None) evaluates sum_y q(y|z) ||grad_z log q||^2
-    with one backward pass per class. Sampled mode averages ||grad_z log q||^2
-    over class_sample labels drawn from q(.|z); approximate, for large C.
-    """
-    if class_sample is None:
-        logq, grads = _class_gradient_nodes(decoder, z_node)
-        batch = z_node.data.shape[0]
-        trace = None
-        for y, g in enumerate(grads):
-            labels = np.full(batch, y, dtype=np.int64)
-            weight = ad.exp(ad.gather_labels(logq, labels))
-            term = ad.mul(weight, ad.sum_axis(ad.square(g), 1))
-            trace = term if trace is None else ad.add(trace, term)
-        return trace
-
-    if class_sample < 1:
-        raise ValueError("class_sample must be >= 1")
-    if rng is None:
-        raise ValueError("sampled-class mode needs a generator")
-    logq = decoder.log_posterior_all(z_node)
-    probs = np.exp(logq.data)
-    labels = _sampled_class_labels(probs, class_sample, rng)
-    trace = None
-    for m in range(class_sample):
-        root = ad.sum_all(ad.gather_labels(logq, labels[m]))
-        g = ad.backward(root, [z_node])[z_node]
-        term = ad.sum_axis(ad.square(g), 1)
-        trace = term if trace is None else ad.add(trace, term)
-    return ad.scale(trace, 1.0 / class_sample)
-
-
-def fisher_trace(decoder: DecoderModel, z: np.ndarray,
-                 want_matrix: bool = False) -> FisherResult:
-    """Exact Fisher information summary at a single representation z[k]."""
+def _single_point(z: np.ndarray) -> ad.Tensor:
+    """A single representation z[k] as a [1, k] leaf."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
-        raise ValueError("fisher_trace takes a single representation vector")
-    z_node = ad.Tensor(z.reshape(1, -1))
-    logq, grads = _class_gradient_nodes(decoder, z_node)
-    probs = np.exp(logq.data[0])
-    gradients = np.stack([g.data[0] for g in grads])          # [C, k]
-    norms = np.sqrt((gradients**2).sum(axis=1))
-    trace = float(np.sum(probs * norms**2))
-    matrix = None
-    if want_matrix:
-        matrix = np.einsum("c,ci,cj->ij", probs, gradients, gradients)
-    return FisherResult(trace=trace, class_grad_norms=[float(v) for v in norms],
-                        matrix=matrix)
+        raise ValueError("expected a single representation vector z[k]")
+    return ad.Tensor(z.reshape(1, -1))
+
+
+def fisher_trace(decoder: DecoderModel, z: np.ndarray) -> float:
+    """Exact Tr(I(z)) at a single representation z[k]."""
+    return float(fisher_trace_node(decoder, _single_point(z)).data[0])
 
 
 def fisher_matrix(decoder: DecoderModel, z: np.ndarray) -> np.ndarray:
-    """Full k x k Fisher information matrix at z."""
-    return fisher_trace(decoder, z, want_matrix=True).matrix
+    """Full k x k Fisher information matrix at a single representation z[k]."""
+    probs, grads = _class_terms(decoder, _single_point(z))
+    gradients = grads.data[:, 0, :]                              # [C, k]
+    return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)
 
 
 def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray,
@@ -268,7 +214,7 @@ def regularizer(decoder: DecoderModel, z: np.ndarray, sigma2: float,
         raise ValueError(f"unknown channel family {family!r}")
     if family == "rayleigh" and h is None:
         raise ValueError("the Rayleigh penalty is conditional on h; pass it")
-    trace = fisher_trace(decoder, z).trace
+    trace = fisher_trace(decoder, z)
     if family == "awgn":
         return 0.5 * sigma2 * trace
     magnitude = float(equalization_gains(np.array([h]))[0])

@@ -59,7 +59,6 @@ class TrainConfig:
     psnr: FixedPsnr | UniformPsnr = FixedPsnr(20.0)
     family: str = "awgn"
     omit_sigma2: bool = False       # fixed-PSNR simplification: penalty lambda * Tr(I)
-    fisher_class_sample: int | None = None
 
     def __post_init__(self):
         if self.lam < 0.0:
@@ -135,12 +134,14 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
                      encoder: EncoderModel, decoder: DecoderModel,
                      sigma2: float, lam: float, noise_draws: int,
                      rng: CounterRng, family: str = "awgn",
-                     reg_coeff: float | None = None,
-                     fisher_class_sample: int | None = None) -> LossParts:
+                     reg_coeff: float | None = None) -> LossParts:
     """Noise-averaged cross-entropy plus the Fisher-trace penalty at noise-free z.
 
-    reg_coeff overrides the default lambda * sigma2 / 2 multiplier on the
-    mean trace (used for the fixed-PSNR simplification).
+    The L noise draws go through one decoder pass over z tiled L times; draw
+    l fills rows l*b .. (l+1)*b - 1 and is drawn in the same order as a
+    per-draw loop would draw it. reg_coeff overrides the default
+    lambda * sigma2 / 2 multiplier on the mean trace (used for the fixed-PSNR
+    simplification).
     """
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
@@ -150,19 +151,17 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     batch = labels.shape[0]
 
     z = encoder.forward_node(features)
-    ce_sum = None
-    for _ in range(noise_draws):
-        noise = _channel_noise(z.data.shape, sigma2, family, rng)
-        z_hat = ad.add(z, ad.Tensor(noise))
-        term = ad.sum_all(decoder.log_posterior_batch(z_hat, labels))
-        ce_sum = term if ce_sum is None else ad.add(ce_sum, term)
-    ce = ad.scale(ce_sum, -1.0 / (batch * noise_draws))
+    noise = np.concatenate([_channel_noise(z.data.shape, sigma2, family, rng)
+                            for _ in range(noise_draws)])
+    z_hat = ad.add(ad.tile_rows(z, noise_draws), ad.Tensor(noise))
+    log_likelihood = decoder.log_posterior_batch(z_hat, np.tile(labels, noise_draws))
+    ce = ad.scale(ad.sum_all(log_likelihood), -1.0 / (batch * noise_draws))
 
     coeff = 0.5 * lam * sigma2 if reg_coeff is None else float(reg_coeff)
     if coeff == 0.0:
         return LossParts(total=ce, cross_entropy=ce.item(), fisher_penalty=0.0)
 
-    trace = fisher_trace_node(decoder, z, class_sample=fisher_class_sample, rng=rng)
+    trace = fisher_trace_node(decoder, z)
     penalty = ad.scale(ad.sum_all(trace), coeff / batch)
     return LossParts(total=ad.add(ce, penalty), cross_entropy=ce.item(),
                      fisher_penalty=penalty.item())
@@ -240,8 +239,7 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
             parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
                                      sigma2, config.lam, config.noise_draws,
                                      noise_rng, family=config.family,
-                                     reg_coeff=reg_coeff,
-                                     fisher_class_sample=config.fisher_class_sample)
+                                     reg_coeff=reg_coeff)
             loss_value = parts.total.item()
             if not math.isfinite(loss_value):
                 raise TrainDivergenceError({
@@ -271,11 +269,3 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
             save_checkpoint(f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.json",
                             encoder, decoder)
     return encoder, decoder, log
-
-
-def lambda_grid(psnr: FixedPsnr | UniformPsnr) -> list[float]:
-    """Search grids for the penalty weight: raw-trace weight at fixed PSNR,
-    effective sigma2-folded weight under a sampled-PSNR regime."""
-    if isinstance(psnr, FixedPsnr):
-        return [0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
-    return [0.5, 0.75, 1.0, 1.25, 1.5]

@@ -4,6 +4,9 @@ These deliberately avoid the library's own differentiation paths: gradients
 come from central finite differences on plain float evaluations, Hessians
 from second differences, and high-precision reference values from fsum or
 mpmath. Expected values asserted in tests were computed with these oracles.
+The one exception is the per-class Fisher reference, which runs the tape one
+class at a time so the library's stacked pass has a structurally different
+path to be compared with.
 """
 
 from __future__ import annotations
@@ -74,6 +77,37 @@ def softmax_reference(logits, dps: int = 50) -> np.ndarray:
         exps = [mpmath.exp(mpmath.mpf(float(v))) for v in logits]
         total = mpmath.fsum(exps)
         return np.array([float(e / total) for e in exps])
+
+
+def per_class_fisher(decoder, z_node):
+    """Tr(I(z)) node [b] and the per-class input-gradients, one backward per class.
+
+    The gradients come back as a list over classes of [b, k] nodes next to the
+    [b, C] log-posterior node; the trace sums q(y|z) ||grad||^2 class by class.
+    """
+    from fisherjscc import autodiff as ad
+
+    logq = decoder.log_posterior_all(z_node)
+    batch = z_node.data.shape[0]
+    trace, grads = None, []
+    for y in range(decoder.num_classes):
+        labels = np.full(batch, y, dtype=np.int64)
+        picked = ad.gather_labels(logq, labels)
+        g = ad.backward(ad.sum_all(picked), [z_node])[z_node]
+        grads.append(g)
+        term = ad.mul(ad.exp(picked), ad.sum_axis(ad.square(g), 1))
+        trace = term if trace is None else ad.add(trace, term)
+    return trace, logq, grads
+
+
+def per_class_fisher_matrix(decoder, z: np.ndarray) -> np.ndarray:
+    """k x k Fisher matrix at a single z from the per-class gradients."""
+    from fisherjscc import autodiff as ad
+
+    _, logq, grads = per_class_fisher(decoder, ad.Tensor(np.asarray(z).reshape(1, -1)))
+    probs = np.exp(logq.data[0])
+    gradients = np.stack([g.data[0] for g in grads])
+    return np.einsum("c,ci,cj->ij", probs, gradients, gradients)
 
 
 def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> float:

@@ -1,6 +1,8 @@
 """Differentiation-core tests: op semantics, gradient oracles, graph rules."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,6 +185,7 @@ class TestOpGradientSweep:
         "reshape": lambda t: ad.reshape(t, (3, 2)),
         "sum_axis": lambda t: ad.sum_axis(ad.reshape(t, (2, 3)), 1),
         "log": lambda t: ad.log(ad.add(ad.square(t), 1.0)),
+        "tile_rows": lambda t: ad.tile_rows(ad.reshape(t, (2, 3)), 3),
     }
 
     @pytest.mark.parametrize("name", sorted(UNARY))
@@ -223,6 +226,31 @@ class TestOpGradientSweep:
         b = ad.Tensor(np.array([1.0, 2.0]))
         grads = ad.backward(ad.sum_all(ad.add(a, b)), [a, b])
         np.testing.assert_array_equal(grads[b].data, [3.0, 3.0])
+
+
+class TestGraphLifetime:
+    """Ops whose backward rule reads their own output hold it weakly."""
+
+    OWN_OUTPUT_OPS = {
+        "tanh": ad.tanh,
+        "exp": ad.exp,
+        "div": lambda x: ad.div(x, ad.add(ad.square(x), 1.0)),
+        "log_softmax": ad.log_softmax,
+    }
+
+    @pytest.mark.parametrize("name", sorted(OWN_OUTPUT_OPS))
+    def test_node_freed_without_cyclic_collector(self, name):
+        x = ad.Tensor(CounterRng(7).normals(6).reshape(2, 3))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = self.OWN_OUTPUT_OPS[name](x)
+            ref = weakref.ref(out)
+            del out
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestFiniteChecks:

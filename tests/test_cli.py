@@ -244,6 +244,24 @@ class TestEvalCommand:
             error = float(row.split(",")[3])
             assert abs(error - (1.0 - 1.0 / 3.0)) <= 0.02
 
+    @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format"])
+    def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
+                                            capsys, defect):
+        doc = json.loads(checkpoint.read_text())
+        if defect == "nan_weight":
+            doc["decoder"]["params"]["W0"]["data"][0] = float("nan")
+        else:
+            doc["format"] = "something-else"
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        config = tmp_path / "eval.ini"
+        out = tmp_path / "eval_bad"
+        write_config(config, out, data_dir, extra=f"checkpoint = {bad}")
+        assert main(["eval", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint):
         config = tmp_path / "eval.ini"
         outputs = []

@@ -13,7 +13,8 @@ from fisherjscc.robustness import (expected_kl_mc, fisher_matrix,
                                    kl_quadratic, penalty_from_covariance, regularizer)
 from fisherjscc.rng import CounterRng
 
-from _oracles import finite_diff_grad, finite_diff_hessian, kl_reference, max_rel_err
+from _oracles import (finite_diff_grad, finite_diff_hessian, kl_reference, max_rel_err,
+                      per_class_fisher, per_class_fisher_matrix)
 
 
 def random_decoder(seed: int, repr_dim: int = 4, classes: int = 3,
@@ -69,9 +70,9 @@ class TestFisherTrace:
         decoder = DecoderModel(4, 3, hidden=(8,), seed=0)
         for name, tensor in decoder.params.items():
             tensor.data[:] = 0.0
-        result = fisher_trace(decoder, np.array([0.5, -1.0, 2.0, 0.1]))
-        assert result.trace == 0.0
-        assert all(n == 0.0 for n in result.class_grad_norms)
+        z = np.array([0.5, -1.0, 2.0, 0.1])
+        assert fisher_trace(decoder, z) == 0.0
+        assert not fisher_matrix(decoder, z).any()
 
     def test_linear_softmax_analytic_formula(self):
         """Tr(I) for a linear decoder equals sum_y q_y ||W_y - W q||^2."""
@@ -84,7 +85,7 @@ class TestFisherTrace:
         q = decoder.decode(z)[0]
         mean_column = weight @ q
         expected = sum(q[y] * np.sum((weight[:, y] - mean_column) ** 2) for y in range(4))
-        assert fisher_trace(decoder, z).trace == pytest.approx(expected, rel=1e-12)
+        assert fisher_trace(decoder, z) == pytest.approx(expected, rel=1e-12)
 
     def test_trace_equals_negative_laplacian_of_expected_log_posterior(self):
         """Expected negative Hessian identity, finite-difference oracle."""
@@ -98,23 +99,24 @@ class TestFisherTrace:
 
         hessian = finite_diff_hessian(expected_log_posterior, z.copy(), step=1e-4)
         laplacian = -float(np.trace(hessian))
-        trace = fisher_trace(decoder, z).trace
+        trace = fisher_trace(decoder, z)
         assert abs(trace - laplacian) / max(abs(laplacian), 1e-12) <= 1e-3
 
     def test_trace_nonnegative_and_matches_matrix_diagonal(self):
         for seed in range(8):
             decoder = random_decoder(seed + 10)
             z = CounterRng(seed).normals(4)
-            result = fisher_trace(decoder, z, want_matrix=True)
-            assert result.trace >= 0.0
-            assert abs(result.trace - np.trace(result.matrix)) <= 1e-10
+            trace = fisher_trace(decoder, z)
+            assert trace >= 0.0
+            assert abs(trace - np.trace(fisher_matrix(decoder, z))) <= 1e-10
 
     def test_trace_node_value_matches_single_point(self):
         decoder = random_decoder(33)
         z = CounterRng(44).normals(8).reshape(2, 4)
         node = fisher_trace_node(decoder, ad.Tensor(z))
         for i in range(2):
-            assert node.data[i] == pytest.approx(fisher_trace(decoder, z[i]).trace, rel=1e-12)
+            reference, _, _ = per_class_fisher(decoder, ad.Tensor(z[i:i + 1]))
+            assert node.data[i] == pytest.approx(reference.data[0], rel=1e-12)
 
     def test_trace_gradient_wrt_parameters(self):
         """d Tr(I)/d theta via the recorded graph vs finite differences."""
@@ -130,27 +132,56 @@ class TestFisherTrace:
             fd = finite_diff_grad(trace_value, tensor.data, step=1e-4)
             assert max_rel_err(grads[tensor].data, fd) <= 1e-4
 
-    def test_sampled_class_variant_converges(self):
-        decoder = random_decoder(14)
-        z = CounterRng(31).normals(4).reshape(1, 4)
-        exact = fisher_trace(decoder, z[0]).trace
-        approx = fisher_trace_node(decoder, ad.Tensor(z), class_sample=4000,
-                                   rng=CounterRng(3)).data[0]
-        assert approx == pytest.approx(exact, rel=0.1)
 
-    def test_sampled_class_needs_rng(self):
-        decoder = random_decoder(14)
-        with pytest.raises(ValueError):
-            fisher_trace_node(decoder, ad.Tensor(np.zeros((1, 4))), class_sample=4)
+# (repr_dim k, classes C, hidden): C < k, C > k, k = 1, and the 8-64-3
+# decoder of the CLI defaults.
+STACKED_SHAPES = [(4, 3, (8,)), (2, 5, (6,)), (1, 3, (6,)), (3, 4, (5, 7)), (8, 3, (64,))]
+
+
+class TestStackedAgainstPerClass:
+    """The stacked pass against one backward per class, at rel 1e-12."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k,classes,hidden", STACKED_SHAPES)
+    def test_trace_values(self, seed, k, classes, hidden):
+        decoder = random_decoder(100 + seed, repr_dim=k, classes=classes, hidden=hidden)
+        z = CounterRng(200 + seed).normals(5 * k).reshape(5, k)
+        stacked = fisher_trace_node(decoder, ad.Tensor(z)).data
+        reference, _, _ = per_class_fisher(decoder, ad.Tensor(z))
+        assert max_rel_err(stacked, reference.data, floor=1e-300) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k,classes,hidden", STACKED_SHAPES)
+    def test_parameter_gradients_of_summed_trace(self, seed, k, classes, hidden):
+        decoder = random_decoder(300 + seed, repr_dim=k, classes=classes, hidden=hidden)
+        z = CounterRng(400 + seed).normals(5 * k).reshape(5, k)
+        wrt = decoder.params.tensors()
+        stacked = ad.backward(ad.sum_all(fisher_trace_node(decoder, ad.Tensor(z))), wrt)
+        reference_trace, _, _ = per_class_fisher(decoder, ad.Tensor(z))
+        reference = ad.backward(ad.sum_all(reference_trace), wrt)
+        for tensor in wrt:
+            expected = reference[tensor].data
+            # Relative to the largest entry: small entries carry cancellation.
+            assert max_rel_err(stacked[tensor].data, expected,
+                               floor=np.abs(expected).max()) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k,classes,hidden", STACKED_SHAPES)
+    def test_fisher_matrix(self, seed, k, classes, hidden):
+        decoder = random_decoder(500 + seed, repr_dim=k, classes=classes, hidden=hidden)
+        z = CounterRng(600 + seed).normals(k)
+        expected = per_class_fisher_matrix(decoder, z)
+        assert max_rel_err(fisher_matrix(decoder, z), expected,
+                           floor=np.abs(expected).max()) <= 1e-12
 
 
 class TestFisherMatrix:
     def test_k_equals_one_matrix_is_trace(self):
         decoder = random_decoder(9, repr_dim=1, classes=3, hidden=(6,))
         z = np.array([0.4])
-        result = fisher_trace(decoder, z, want_matrix=True)
-        assert result.matrix.shape == (1, 1)
-        assert result.matrix[0, 0] == pytest.approx(result.trace, rel=1e-15)
+        matrix = fisher_matrix(decoder, z)
+        assert matrix.shape == (1, 1)
+        assert matrix[0, 0] == pytest.approx(fisher_trace(decoder, z), rel=1e-15)
 
     def test_symmetry(self):
         decoder = random_decoder(12)
@@ -241,7 +272,7 @@ class TestExpectedKlMc:
         sigma2 = 1e-4
         spec = ChannelSpec(family="awgn", power=1.0, psnr_db=0.0, sigma2=sigma2)
         mean, stderr = expected_kl_mc(decoder, z, spec, samples=10_000, rng=CounterRng(40))
-        predicted = 0.5 * sigma2 * fisher_trace(decoder, z).trace
+        predicted = 0.5 * sigma2 * fisher_trace(decoder, z)
         assert abs(mean - predicted) <= max(3.0 * stderr, 1e-12)
 
     def test_same_seed_reproducible(self):
