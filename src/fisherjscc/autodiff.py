@@ -230,11 +230,6 @@ def sum_all(a) -> Tensor:
     return Tensor(a.data.sum(), (a,), (vjp,))
 
 
-def mean_all(a) -> Tensor:
-    a = as_tensor(a)
-    return scale(sum_all(a), 1.0 / a.data.size)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
 

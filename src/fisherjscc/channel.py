@@ -6,13 +6,15 @@ perfect channel estimation and equalization the received representation is
 z_hat = z + n / |h| with a single complex coefficient h ~ CN(0, 1) per
 transmission. Channel quality is tracked as PSNR = 10 log10(P / sigma2)
 where P is the per-symbol peak power budget.
+
+`channel_noise` is the one implementation of the effective noise n or n/|h|;
+training, the Monte-Carlo KL and the error sweep all draw through it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +25,8 @@ logger = logging.getLogger(__name__)
 FAMILIES = ("awgn", "rayleigh")
 
 # |h| is floored here when dividing, to keep simulated noise amplification
-# finite; draws that hit the floor are flagged on the ChannelDraw and counted
-# to the module logger in the vectorized paths.
+# finite; `equalization_gains` counts the draws that hit the floor to the
+# module logger.
 H_FLOOR = 1e-6
 
 
@@ -33,42 +35,6 @@ def psnr_to_sigma2(psnr_db: float, power: float) -> float:
     if power <= 0.0:
         raise ValueError("power must be positive")
     return power * 10.0 ** (-psnr_db / 10.0)
-
-
-def sigma2_to_psnr(sigma2: float, power: float) -> float:
-    if power <= 0.0:
-        raise ValueError("power must be positive")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive to express a finite PSNR")
-    return 10.0 * math.log10(power / sigma2)
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Channel family plus the (power, PSNR, sigma2) triple that defines it."""
-
-    family: str
-    power: float
-    psnr_db: float
-    sigma2: float
-
-    @classmethod
-    def make(cls, family: str, power: float, psnr_db: float) -> "ChannelSpec":
-        family = family.lower()
-        if family not in FAMILIES:
-            raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
-        return cls(family=family, power=float(power), psnr_db=float(psnr_db),
-                   sigma2=psnr_to_sigma2(psnr_db, power))
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the channel applied to a batch of representations."""
-
-    z_hat: np.ndarray
-    noise: np.ndarray          # z_hat - z exactly (already scaled by 1/|h| for fading)
-    h: complex | None = None   # fading coefficient, None for AWGN
-    h_floored: bool = False    # True when |h| hit the simulation floor
 
 
 def gaussian_noise(shape, sigma2: float, rng: CounterRng) -> np.ndarray:
@@ -94,41 +60,18 @@ def equalization_gains(h: np.ndarray) -> np.ndarray:
     return np.maximum(magnitude, H_FLOOR)
 
 
-def transmit_awgn(z: np.ndarray, sigma2: float, rng: CounterRng) -> ChannelDraw:
-    """z + n with n i.i.d. N(0, sigma2); sigma2 = 0 returns z unchanged."""
-    z = np.asarray(z, dtype=np.float64)
-    if sigma2 == 0.0:
-        return ChannelDraw(z_hat=z.copy(), noise=np.zeros_like(z))
-    z_hat = z + gaussian_noise(z.shape, sigma2, rng)
-    # Stored as the representable difference, so z_hat - z == noise exactly.
-    return ChannelDraw(z_hat=z_hat, noise=z_hat - z)
+def channel_noise(shape, sigma2: float, family: str, rng: CounterRng) -> np.ndarray:
+    """Effective additive channel noise of the given shape.
 
-
-def transmit_rayleigh(z: np.ndarray, sigma2: float, rng: CounterRng,
-                      h: complex | None = None) -> ChannelDraw:
-    """Slow fading: one h for the whole call, z_hat = z + n / |h|.
-
-    Passing h conditions on a known coefficient and consumes no h draw, so a
-    conditioned call shares its noise stream with an AWGN call on the same
-    generator state.
+    All Gaussian noise is drawn first, over the whole shape. Under Rayleigh
+    fading (and sigma2 > 0) one h per row of shape[:-1] follows on the same
+    generator, and each row is divided by its floored |h|.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if h is None:
-        h = complex(draw_fading_coefficients(1, rng)[0])
-    magnitude = abs(h)
-    floored = magnitude < H_FLOOR
-    magnitude = max(magnitude, H_FLOOR)
-    if sigma2 == 0.0:
-        return ChannelDraw(z_hat=z.copy(), noise=np.zeros_like(z), h=h, h_floored=floored)
-    z_hat = z + gaussian_noise(z.shape, sigma2, rng) / magnitude
-    return ChannelDraw(z_hat=z_hat, noise=z_hat - z, h=h, h_floored=floored)
-
-
-def noise_covariance(spec: ChannelSpec, repr_dim: int, h: complex | None = None) -> np.ndarray:
-    """Covariance of the effective additive noise, as a repr_dim x repr_dim matrix."""
-    if spec.family == "awgn":
-        return spec.sigma2 * np.eye(repr_dim)
-    if h is None:
-        raise ValueError("the Rayleigh noise covariance is conditional on h; pass it")
-    magnitude = max(abs(h), H_FLOOR)
-    return (spec.sigma2 / magnitude**2) * np.eye(repr_dim)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
+    noise = gaussian_noise(shape, sigma2, rng)
+    if family == "rayleigh" and sigma2 > 0.0:
+        rows = shape[:-1]
+        h = draw_fading_coefficients(int(np.prod(rows)), rng).reshape(rows)
+        noise = noise / equalization_gains(h)[..., None]
+    return noise

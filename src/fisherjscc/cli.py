@@ -64,13 +64,23 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _choice(options, fold_case: bool = False):
+    """Parser accepting only the listed values (lower-cased first if fold_case)."""
+    def parse(text: str) -> str:
+        value = text.lower() if fold_case else text
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return value
+    return parse
+
+
 _SCHEMA = {
     "run": {
         "seed": (int, 0),
         "out": (str, _REQUIRED),
     },
     "data": {
-        "kind": (str, "rings"),                 # rings | blobs | table
+        "kind": (_choice(("rings", "blobs", "table")), "rings"),
         "classes": (int, 3),
         "per_class_train": (int, 200),
         "per_class_test": (int, 200),
@@ -90,7 +100,7 @@ _SCHEMA = {
         "decoder_hidden": (_parse_int_list, [64]),
     },
     "channel": {
-        "family": (str, "awgn"),
+        "family": (_choice(FAMILIES, fold_case=True), "awgn"),
         "psnr_db": (float, 20.0),
     },
     "train": {
@@ -99,14 +109,14 @@ _SCHEMA = {
         "epochs": (int, 100),
         "batch_size": (int, 64),
         "learning_rate": (float, 1e-3),
-        "psnr_mode": (str, "fixed"),            # fixed | uniform
+        "psnr_mode": (_choice(("fixed", "uniform")), "fixed"),
         "psnr_low": (float, 10.0),
         "psnr_high": (float, 25.0),
         "omit_sigma2": (_parse_bool, False),
         "checkpoint_every": (int, 0),
     },
     "experiment": {
-        "kind": (str, "sweep"),                 # sweep | taylor | reg-track | posterior-map
+        "kind": (_choice(("sweep", "taylor", "reg-track", "posterior-map")), "sweep"),
         "checkpoint": (str, ""),
         "checkpoint_a": (str, ""),
         "checkpoint_b": (str, ""),
@@ -206,7 +216,7 @@ def _generate_datasets(config: dict, seed: int) -> tuple[Dataset, Dataset]:
                                section["dim"], section["spread"], data_seed, split="train")
         test_set = make_blobs(section["classes"], section["per_class_test"],
                               section["dim"], section["spread"], data_seed, split="test")
-    elif kind == "table":
+    else:  # table
         if not section["train_file"] or not section["test_file"]:
             raise ConfigError("[data] kind=table requires train_file and test_file")
         train_set = load_table(section["train_file"], delimiter=section["delimiter"],
@@ -215,8 +225,6 @@ def _generate_datasets(config: dict, seed: int) -> tuple[Dataset, Dataset]:
                               has_header=section["has_header"],
                               label_map={n: i for i, n in enumerate(train_set.label_names)},
                               split="test")
-    else:
-        raise ConfigError(f"[data] kind must be rings, blobs, or table, got {kind!r}")
     return train_set, test_set
 
 
@@ -303,8 +311,8 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         print(f"verified {len(manifest['output_digests'])} files against {manifest_path}")
         return EXIT_OK
 
-    out_dir = _prepare_out(config["run"]["out"], force)
     train_set, test_set = _generate_datasets(config, seed)
+    out_dir = _prepare_out(config["run"]["out"], force)
     save_table(train_set, out_dir / "train.csv")
     save_table(test_set, out_dir / "test.csv")
     outputs = {name: _sha256(out_dir / name) for name in ("train.csv", "test.csv")}
@@ -315,28 +323,27 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
 
 def _train_config_from(config: dict, seed: int) -> TrainConfig:
     section = config["train"]
-    if section["psnr_mode"] == "fixed":
-        psnr = FixedPsnr(config["channel"]["psnr_db"])
-    elif section["psnr_mode"] == "uniform":
-        psnr = UniformPsnr(section["psnr_low"], section["psnr_high"])
-    else:
-        raise ConfigError(f"[train] psnr_mode must be fixed or uniform, got {section['psnr_mode']!r}")
-    family = config["channel"]["family"].lower()
-    if family not in FAMILIES:
-        raise ConfigError(f"[channel] family must be one of {FAMILIES}")
-    return TrainConfig(
-        lam=section["lambda"], noise_draws=section["noise_draws"],
-        epochs=section["epochs"], batch_size=section["batch_size"],
-        learning_rate=section["learning_rate"], seed=derive_seed(seed, "train"),
-        psnr=psnr, family=family, omit_sigma2=section["omit_sigma2"],
-    )
+    try:
+        if section["psnr_mode"] == "fixed":
+            psnr = FixedPsnr(config["channel"]["psnr_db"])
+        else:
+            psnr = UniformPsnr(section["psnr_low"], section["psnr_high"])
+        return TrainConfig(
+            lam=section["lambda"], noise_draws=section["noise_draws"],
+            epochs=section["epochs"], batch_size=section["batch_size"],
+            learning_rate=section["learning_rate"], seed=derive_seed(seed, "train"),
+            psnr=psnr, family=config["channel"]["family"],
+            omit_sigma2=section["omit_sigma2"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[train] {exc}") from exc
 
 
 def cmd_train(config: dict, seed: int, force: bool) -> int:
-    out_dir = _prepare_out(config["run"]["out"], force)
-    train_set, _, normalizer = _load_datasets_from_dir(config)
-    encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
     train_config = _train_config_from(config, seed)
+    train_set, _, normalizer = _load_datasets_from_dir(config)
+    out_dir = _prepare_out(config["run"]["out"], force)
+    encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
     checkpoint_every = config["train"]["checkpoint_every"] or None
     try:
         _, _, log = train(train_config, train_set, encoder, decoder,
@@ -375,10 +382,14 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
              threads: int = 1) -> int:
     section = config["experiment"]
     kind = kind_override or section["kind"]
+    family = config["channel"]["family"]
+    if kind == "taylor" and family != "awgn":
+        raise ConfigError(f"the taylor experiment supports [channel] family = awgn only, "
+                          f"got {family!r}: the unconditional fading KL has no finite "
+                          f"penalty to compare with")
     encoder, decoder, _, _ = _load_checkpoint_checked(section["checkpoint"], config)
     test_set, _ = _experiment_dataset(config)
     out_dir = _prepare_out(config["run"]["out"], force)
-    family = config["channel"]["family"].lower()
     eval_seed = derive_seed(seed, "eval")
 
     written: list[Path] = []
@@ -404,17 +415,14 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
         path = out_dir / "regtrack.csv"
         experiments.write_regtrack_csv(rows, path)
         written.append(path)
-    elif kind == "posterior-map":
+    else:  # posterior-map
         sigma2 = psnr_to_sigma2(config["channel"]["psnr_db"], encoder.power)
         grid = experiments.posterior_grid(encoder, decoder, test_set,
                                           section["sample_index"], section["resolution"],
-                                          section["extent_std"], sigma2, seed=eval_seed)
+                                          section["extent_std"], sigma2)
         path = out_dir / "posterior.csv"
         experiments.write_posterior_csv(grid, path)
         written.append(path)
-    else:
-        raise ConfigError(f"[experiment] kind must be sweep, taylor, reg-track, or "
-                          f"posterior-map, got {kind!r}")
 
     inputs = {Path(section["checkpoint"]).name: _sha256(section["checkpoint"])}
     outputs = {p.name: _sha256(p) for p in written}
@@ -430,9 +438,9 @@ def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
     encoder_b, decoder_b, _, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
     test_set, _ = _experiment_dataset(config)
     out_dir = _prepare_out(config["run"]["out"], force)
-    family = config["channel"]["family"].lower()
     rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
-                                      test_set, section["psnr_grid"], family,
+                                      test_set, section["psnr_grid"],
+                                      config["channel"]["family"],
                                       section["trials"], derive_seed(seed, "compare"),
                                       threads=threads)
     path = out_dir / "compare.csv"

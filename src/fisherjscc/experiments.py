@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (ChannelSpec, draw_fading_coefficients, equalization_gains,
-                      gaussian_noise, psnr_to_sigma2)
+from .channel import channel_noise, psnr_to_sigma2
 from .models import DecoderModel, EncoderModel
 from .rng import CounterRng, derive_seed
 from .robustness import _expected_kl_rows, _kl_rows, mean_fisher_trace
@@ -98,11 +97,7 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
             kl_sum = 0.0
             for t in range(trials):
                 rng = CounterRng(derive_seed(seed, "sweep", family, psnr_index, t))
-                noise = gaussian_noise(z.shape, sigma2, rng)
-                if family == "rayleigh":
-                    h = draw_fading_coefficients(z.shape[0], rng)
-                    noise = noise / equalization_gains(h)[:, None]
-                q = decoder.decode(z + noise)
+                q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
                 wrong += int(np.sum(np.argmax(q, axis=1) != labels))
                 kl_sum += float(_kl_rows(p_clean, q).sum())
             errors = wrong / (trials * len(labels))
@@ -141,9 +136,13 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
 
     Per noise level: dataset-mean MC expected KL over `samples` channel draws
     per point, dataset-mean penalty sigma2/2 * Tr(I(z)), their ratio and gap.
+    Only AWGN is accepted: under Rayleigh fading E[1/|h|^2] is infinite, so
+    the unconditional KL has no finite penalty to be compared with.
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
+    if family != "awgn":
+        raise ValueError(f"taylor validation supports the awgn family only, got {family!r}")
     z = encoder.encode(np.asarray(features, dtype=np.float64))
     mean_trace = mean_fisher_trace(decoder, z)
     rows = []
@@ -152,10 +151,8 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
         if sigma2 == 0.0:
             rows.append(TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
             continue
-        spec = ChannelSpec(family=family, power=encoder.power,
-                           psnr_db=float("nan"), sigma2=float(sigma2))
         rng = CounterRng(derive_seed(seed, "taylor", grid_index))
-        draws = _expected_kl_rows(decoder, z, spec, samples, rng)
+        draws = _expected_kl_rows(decoder, z, sigma2, family, samples, rng)
         kl_mean = float(draws.mean())
         kl_stderr = float(draws.std(ddof=1) / math.sqrt(draws.size))
         if reg == 0.0:
@@ -203,41 +200,24 @@ def write_regtrack_csv(rows, path) -> None:
             writer.writerow([label, repr(psnr_db), repr(sigma2), repr(trace), repr(reg)])
 
 
-def power_iteration(matrix: np.ndarray, n_iters: int = 200, tol: float = 1e-10,
-                    seed: int = 0) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair of a symmetric PSD matrix by power iteration."""
-    k = matrix.shape[0]
-    v = CounterRng(derive_seed(seed, "power-iteration")).normals(k)
-    v = v / np.linalg.norm(v)
-    value = 0.0
-    for _ in range(n_iters):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v
-        v_next = w / norm
-        value = float(v_next @ matrix @ v_next)
-        if np.linalg.norm(matrix @ v_next - value * v_next) < tol:
-            v = v_next
-            break
-        v = v_next
-    return value, v
+def top_two_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top-2 orthonormal eigenvectors of a symmetric PSD matrix.
 
-
-def top_two_components(matrix: np.ndarray, n_iters: int = 200, tol: float = 1e-10,
-                       seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Top-2 orthonormal eigenvectors via power iteration with deflation."""
-    value1, v1 = power_iteration(matrix, n_iters, tol, seed)
+    Each vector's entry of largest magnitude is made positive, so the axes do
+    not depend on the eigensolver's sign choice.
+    """
+    values, vectors = np.linalg.eigh(matrix)
+    value1 = values[-1]
+    value2 = values[-2] if len(values) > 1 else 0.0
     if value1 <= 1e-12:
         raise ValueError("covariance is numerically rank-0; no principal axes exist")
-    deflated = matrix - value1 * np.outer(v1, v1)
-    value2, v2 = power_iteration(deflated, n_iters, tol, seed + 1)
     if value2 <= 1e-12 * value1:
         raise ValueError(
             f"covariance is numerically rank-1 (second eigenvalue {value2:.3e} "
             f"vs first {value1:.3e}); a 2-D map needs rank >= 2")
-    v2 = v2 - (v1 @ v2) * v1
-    v2 = v2 / np.linalg.norm(v2)
+    axes = vectors[:, [-1, -2]].T
+    pivots = axes[[0, 1], np.argmax(np.abs(axes), axis=1)]
+    v1, v2 = axes * np.sign(pivots)[:, None]
     return v1, v2
 
 
@@ -255,7 +235,7 @@ class PosteriorGrid:
 
 def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
                    sample_index: int, resolution: int, extent_std: float,
-                   sigma2: float, seed: int = 0) -> PosteriorGrid:
+                   sigma2: float) -> PosteriorGrid:
     """Map -log q(y_true | z + a*v1 + b*v2) around one sample's encoding.
 
     The axes v1, v2 are the top-2 principal directions of the encoded
@@ -267,7 +247,7 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
     z_all = encoder.encode(dataset.features)
     centered = z_all - z_all.mean(axis=0, keepdims=True)
     covariance = centered.T @ centered / max(len(z_all) - 1, 1)
-    v1, v2 = top_two_components(covariance, seed=seed)
+    v1, v2 = top_two_components(covariance)
 
     z0 = z_all[sample_index]
     y_true = int(dataset.labels[sample_index])

@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .channel import (ChannelSpec, draw_fading_coefficients, equalization_gains,
-                      gaussian_noise)
+from .channel import FAMILIES, channel_noise, equalization_gains
 from .models import DecoderModel
 from .rng import CounterRng
 
@@ -132,7 +131,7 @@ def kl_quadratic(decoder: DecoderModel, z: np.ndarray, z_hat: np.ndarray) -> flo
     return float(0.5 * delta @ matrix @ delta)
 
 
-def expected_kl_mc(decoder: DecoderModel, z: np.ndarray, spec: ChannelSpec,
+def expected_kl_mc(decoder: DecoderModel, z: np.ndarray, sigma2: float, family: str,
                    samples: int, rng: CounterRng) -> tuple[float, float]:
     """Monte-Carlo estimate of E[KL(q(.|z) || q(.|z_hat))] over channel draws.
 
@@ -144,14 +143,15 @@ def expected_kl_mc(decoder: DecoderModel, z: np.ndarray, spec: ChannelSpec,
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("expected_kl_mc takes a single representation vector")
-    values = _expected_kl_rows(decoder, z.reshape(1, -1), spec, samples, rng)[0]
+    values = _expected_kl_rows(decoder, z.reshape(1, -1), sigma2, family, samples, rng)[0]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
 
 
-def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, spec: ChannelSpec,
-                      samples: int, rng: CounterRng, chunk_rows: int = 65536) -> np.ndarray:
+def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
+                      family: str, samples: int, rng: CounterRng,
+                      chunk_rows: int = 65536) -> np.ndarray:
     """KL draws per representation: returns array [n, samples]."""
     n, k = z_batch.shape
     p = decoder.decode(z_batch)
@@ -160,11 +160,7 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, spec: ChannelS
     done = 0
     while done < samples:
         take = min(draws_per_chunk, samples - done)
-        noise = gaussian_noise((take, n, k), spec.sigma2, rng)
-        if spec.family == "rayleigh" and spec.sigma2 > 0.0:
-            h = draw_fading_coefficients(take * n, rng).reshape(take, n)
-            noise = noise / equalization_gains(h)[:, :, None]
-        z_hat = z_batch[None, :, :] + noise
+        z_hat = z_batch[None, :, :] + channel_noise((take, n, k), sigma2, family, rng)
         q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
         for s in range(take):
             out[:, done + s] = _kl_rows(p, q[s])
@@ -172,11 +168,11 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, spec: ChannelS
     return out
 
 
-def mean_expected_kl(decoder: DecoderModel, z_batch: np.ndarray, spec: ChannelSpec,
-                     samples: int, rng: CounterRng) -> tuple[float, float]:
+def mean_expected_kl(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
+                     family: str, samples: int, rng: CounterRng) -> tuple[float, float]:
     """Dataset mean of the per-sample MC expected KL; returns (mean, stderr of mean)."""
     values = _expected_kl_rows(decoder, np.asarray(z_batch, dtype=np.float64),
-                               spec, samples, rng)
+                               sigma2, family, samples, rng)
     per_sample = values.mean(axis=1)
     mean = float(per_sample.mean())
     total = values.size
@@ -209,8 +205,7 @@ def regularizer(decoder: DecoderModel, z: np.ndarray, sigma2: float,
     """
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
-    family = family.lower()
-    if family not in ("awgn", "rayleigh"):
+    if family not in FAMILIES:
         raise ValueError(f"unknown channel family {family!r}")
     if family == "rayleigh" and h is None:
         raise ValueError("the Rayleigh penalty is conditional on h; pass it")

@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .channel import (draw_fading_coefficients, equalization_gains, gaussian_noise,
-                      psnr_to_sigma2)
+from .channel import FAMILIES, channel_noise, psnr_to_sigma2
 from .models import DecoderModel, EncoderModel, save_checkpoint
 from .rng import CounterRng, derive_seed
 from .robustness import fisher_trace_node
@@ -67,8 +66,13 @@ class TrainConfig:
             raise ValueError("noise_draws must be >= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.family not in ("awgn", "rayleigh"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown channel family {self.family!r}")
+        if self.family == "rayleigh" and self.lam > 0.0:
+            # The paper's fading penalty is conditional on h, sigma2/(2|h|^2) Tr(I);
+            # the penalty here is the AWGN form, so the pair is refused.
+            raise ValueError("a Fisher penalty (lambda > 0) under Rayleigh fading "
+                             "needs the h-conditional penalty, which is not implemented")
         if isinstance(self.psnr, UniformPsnr) and self.omit_sigma2:
             raise ValueError("omit_sigma2 only makes sense at a fixed training PSNR")
 
@@ -121,15 +125,6 @@ class LossParts(NamedTuple):
     fisher_penalty: float
 
 
-def _channel_noise(shape, sigma2: float, family: str, rng: CounterRng) -> np.ndarray:
-    """Additive noise for a [b, k] batch; Rayleigh uses one h per row."""
-    noise = gaussian_noise(shape, sigma2, rng)
-    if family == "rayleigh" and sigma2 > 0.0:
-        h = draw_fading_coefficients(shape[0], rng)
-        noise = noise / equalization_gains(h)[:, None]
-    return noise
-
-
 def regularized_loss(features: np.ndarray, labels: np.ndarray,
                      encoder: EncoderModel, decoder: DecoderModel,
                      sigma2: float, lam: float, noise_draws: int,
@@ -151,7 +146,7 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     batch = labels.shape[0]
 
     z = encoder.forward_node(features)
-    noise = np.concatenate([_channel_noise(z.data.shape, sigma2, family, rng)
+    noise = np.concatenate([channel_noise(z.data.shape, sigma2, family, rng)
                             for _ in range(noise_draws)])
     z_hat = ad.add(ad.tile_rows(z, noise_draws), ad.Tensor(noise))
     log_likelihood = decoder.log_posterior_batch(z_hat, np.tile(labels, noise_draws))

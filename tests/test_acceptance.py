@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc.channel import psnr_to_sigma2, transmit_awgn, draw_fading_coefficients
+from fisherjscc.channel import channel_noise, draw_fading_coefficients, psnr_to_sigma2
 from fisherjscc.cli import EXIT_OK, main
 from fisherjscc.data import make_rings
 from fisherjscc.experiments import error_sweep, taylor_validation
@@ -203,8 +203,8 @@ def test_criterion_6_penalty_tracking(trend_pairs):
 
 def test_criterion_7_channel_statistics():
     """10^5 AWGN draws at sigma2 = 0.1 and 10^5 |h|^2 draws hit their bands."""
-    draw = transmit_awgn(np.zeros((100_000, 1)), 0.1, CounterRng(20_000))
-    variance = float(draw.noise.var())
+    noise = channel_noise((100_000, 1), 0.1, "awgn", CounterRng(20_000))
+    variance = float(noise.var())
     h = draw_fading_coefficients(100_000, CounterRng(20_001))
     mean_power = float((np.abs(h) ** 2).mean())
     ok = 0.095 <= variance <= 0.105 and 0.98 <= mean_power <= 1.02

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fisherjscc.channel import (ChannelSpec, noise_covariance, psnr_to_sigma2,
-                                sigma2_to_psnr, transmit_awgn, transmit_rayleigh,
-                                draw_fading_coefficients)
+from fisherjscc import channel
+from fisherjscc.channel import (H_FLOOR, channel_noise, draw_fading_coefficients,
+                                gaussian_noise, psnr_to_sigma2)
 from fisherjscc.rng import CounterRng
 
 
@@ -23,102 +23,72 @@ class TestPsnrConversion:
         with pytest.raises(ValueError):
             psnr_to_sigma2(10.0, 0.0)
 
-    def test_round_trip_identity(self):
-        for psnr in np.linspace(-10.0, 40.0, 101):
-            back = sigma2_to_psnr(psnr_to_sigma2(psnr, 2.5), 2.5)
-            assert abs(back - psnr) <= 1e-10
 
-    def test_spec_invariant(self):
-        spec = ChannelSpec.make("awgn", 2.0, 17.5)
-        assert abs(spec.sigma2 - 2.0 * 10.0 ** (-1.75)) <= 1e-12
+@pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+class TestChannelNoise:
+    def test_zero_sigma_gives_zeros(self, family):
+        noise = channel_noise((5, 8), 0.0, family, CounterRng(4))
+        assert noise.shape == (5, 8)
+        assert np.all(noise == 0.0)
 
-    def test_unknown_family_rejected(self):
+    def test_same_seed_identical(self, family):
+        a = channel_noise((3, 4), 0.2, family, CounterRng(9))
+        b = channel_noise((3, 4), 0.2, family, CounterRng(9))
+        np.testing.assert_array_equal(a, b)
+
+    def test_negative_sigma2_rejected(self, family):
         with pytest.raises(ValueError):
-            ChannelSpec.make("fast-fading", 1.0, 10.0)
+            channel_noise((1, 2), -0.1, family, CounterRng(0))
 
 
-class TestAwgn:
-    def test_zero_sigma_is_identity_bitwise(self):
-        z = CounterRng(3).normals(40).reshape(5, 8)
-        draw = transmit_awgn(z, 0.0, CounterRng(4))
-        assert np.array_equal(draw.z_hat, z)
-        assert np.all(draw.noise == 0.0)
-
-    def test_noise_stored_exactly(self):
-        z = CounterRng(5).normals(16).reshape(2, 8)
-        draw = transmit_awgn(z, 0.3, CounterRng(6))
-        np.testing.assert_array_equal(draw.z_hat - z, draw.noise)
-
+class TestAwgnStatistics:
     def test_sample_variance(self):
         """10^5 scalar draws at sigma2=0.1: sample variance inside [0.095, 0.105]."""
-        draw = transmit_awgn(np.zeros((100_000, 1)), 0.1, CounterRng(777))
-        variance = float(draw.noise.var())
-        assert 0.095 <= variance <= 0.105
+        noise = channel_noise((100_000, 1), 0.1, "awgn", CounterRng(777))
+        assert 0.095 <= float(noise.var()) <= 0.105
 
     def test_mean_near_zero_per_coordinate(self):
         sigma2 = 0.25
-        draw = transmit_awgn(np.zeros((100_000, 2)), sigma2, CounterRng(11))
+        noise = channel_noise((100_000, 2), sigma2, "awgn", CounterRng(11))
         bound = 4.0 * np.sqrt(sigma2) / np.sqrt(100_000)
-        assert np.all(np.abs(draw.noise.mean(axis=0)) < bound)
-
-    def test_same_seed_identical(self):
-        z = np.zeros((3, 4))
-        a = transmit_awgn(z, 0.2, CounterRng(9))
-        b = transmit_awgn(z, 0.2, CounterRng(9))
-        np.testing.assert_array_equal(a.noise, b.noise)
-
-    def test_negative_sigma2_rejected(self):
-        with pytest.raises(ValueError):
-            transmit_awgn(np.zeros((1, 2)), -0.1, CounterRng(0))
+        assert np.all(np.abs(noise.mean(axis=0)) < bound)
 
 
-class TestRayleigh:
-    def test_unit_h_reduces_to_awgn(self):
-        """Conditioning on |h| = 1 with a shared noise stream equals AWGN exactly."""
-        z = CounterRng(21).normals(24).reshape(3, 8)
-        awgn = transmit_awgn(z, 0.4, CounterRng(22))
-        faded = transmit_rayleigh(z, 0.4, CounterRng(22), h=1.0 + 0.0j)
-        np.testing.assert_array_equal(awgn.z_hat, faded.z_hat)
-
+class TestFading:
     def test_h_magnitude_unit_mean(self):
         """10^5 |h|^2 draws: sample mean inside [0.98, 1.02]."""
         h = draw_fading_coefficients(100_000, CounterRng(501))
         mean_power = float((np.abs(h) ** 2).mean())
         assert 0.98 <= mean_power <= 1.02
 
-    def test_zero_sigma_identity_despite_h(self):
-        z = CounterRng(31).normals(8).reshape(1, 8)
-        draw = transmit_rayleigh(z, 0.0, CounterRng(32))
-        assert np.array_equal(draw.z_hat, z)
-        assert draw.h is not None
+    def test_floor_keeps_values_finite(self, monkeypatch):
+        """A coefficient below the floor amplifies by 1/H_FLOOR, never to inf."""
+        monkeypatch.setattr(channel, "draw_fading_coefficients",
+                            lambda n, rng: np.full(n, 1e-9 + 0j))
+        noise = channel_noise((1, 2), 0.1, "rayleigh", CounterRng(1))
+        assert np.all(np.isfinite(noise))
+        np.testing.assert_array_equal(
+            noise, gaussian_noise((1, 2), 0.1, CounterRng(1)) / H_FLOOR)
 
-    def test_noise_relation_exact(self):
-        z = np.zeros((2, 4))
-        draw = transmit_rayleigh(z, 0.5, CounterRng(77))
-        np.testing.assert_array_equal(draw.z_hat - z, draw.noise)
-
-    def test_floor_flagged(self):
-        draw = transmit_rayleigh(np.zeros((1, 2)), 0.1, CounterRng(1), h=1e-9 + 0j)
-        assert draw.h_floored
-        assert np.all(np.isfinite(draw.z_hat))
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="family"):
+            channel_noise((2, 2), 0.1, "fast-fading", CounterRng(0))
 
 
-class TestNoiseCovariance:
-    def test_awgn_diagonal(self):
-        spec = ChannelSpec(family="awgn", power=1.0, psnr_db=0.0, sigma2=0.2)
-        np.testing.assert_array_equal(noise_covariance(spec, 2), 0.2 * np.eye(2))
+class TestStreamLayout:
+    """The draw order every caller's bytes depend on."""
 
-    def test_rayleigh_scaling(self):
-        """|h|^2 = 4 divides the AWGN covariance by 4."""
-        spec = ChannelSpec(family="rayleigh", power=1.0, psnr_db=0.0, sigma2=0.2)
-        cov = noise_covariance(spec, 2, h=2.0 + 0.0j)
-        np.testing.assert_allclose(cov, 0.05 * np.eye(2), rtol=1e-15)
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 5, 3)])
+    def test_awgn_is_gaussian_noise(self, shape):
+        np.testing.assert_array_equal(channel_noise(shape, 0.3, "awgn", CounterRng(12)),
+                                      gaussian_noise(shape, 0.3, CounterRng(12)))
 
-    def test_zero_sigma_zero_matrix(self):
-        spec = ChannelSpec(family="awgn", power=1.0, psnr_db=0.0, sigma2=0.0)
-        np.testing.assert_array_equal(noise_covariance(spec, 3), np.zeros((3, 3)))
-
-    def test_rayleigh_without_h_rejected(self):
-        spec = ChannelSpec(family="rayleigh", power=1.0, psnr_db=0.0, sigma2=0.2)
-        with pytest.raises(ValueError):
-            noise_covariance(spec, 2)
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 5, 3)])
+    def test_rayleigh_noise_then_one_h_per_row(self, shape):
+        rng = CounterRng(13)
+        noise = gaussian_noise(shape, 0.3, rng)
+        rows = shape[:-1]
+        h = draw_fading_coefficients(int(np.prod(rows)), rng).reshape(rows)
+        expected = noise / np.maximum(np.abs(h), H_FLOOR)[..., None]
+        np.testing.assert_array_equal(
+            channel_noise(shape, 0.3, "rayleigh", CounterRng(13)), expected)

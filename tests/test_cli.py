@@ -78,6 +78,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[run\] seed"):
             load_config(config)
 
+    def test_family_is_lower_cased(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nout = x\n[channel]\nfamily = Rayleigh\n")
+        assert load_config(config)["channel"]["family"] == "rayleigh"
+
     def test_misspelled_key_exits_with_config_code(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[run]\nseed = 1\nout = x\n[train]\nepocks = 3\n")
@@ -260,6 +265,42 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, edits, fragment", [
+        ("gen-data", [("kind = rings", "kind = ringz")], "[data] kind"),
+        ("train", [("family = awgn", "family = Rician")], "[channel] family"),
+        ("train", [("learning_rate = 0.001", "learning_rate = 0.001\npsnr_mode = fixd")],
+         "[train] psnr_mode"),
+        ("train", [("lambda = 0.0", "lambda = -1")], "lambda"),
+        ("train", [("noise_draws = 2", "noise_draws = 0")], "noise_draws"),
+        ("train", [("family = awgn", "family = rayleigh"), ("lambda = 0.0", "lambda = 0.5")],
+         "Rayleigh"),
+        ("eval", [("kind = sweep", "kind = sweeep")], "[experiment] kind"),
+        ("eval", [("family = awgn", "family = rician")], "[channel] family"),
+        ("compare", [("family = awgn", "family = rician")], "[channel] family"),
+        ("validate-approx", [("family = awgn", "family = rician")], "[channel] family"),
+        ("validate-approx", [("family = awgn", "family = rayleigh")], "awgn only"),
+    ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
+            "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
+            "compare-family", "validate-approx-family", "validate-approx-rayleigh"])
+    def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
+                                          command, edits, fragment):
+        """Exit 2 before any output directory exists, without a traceback."""
+        config = tmp_path / "bad.ini"
+        out = tmp_path / "bad_out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint = {checkpoint}\ncheckpoint_a = {checkpoint}\n"
+                           f"checkpoint_b = {checkpoint}\nmc_samples = 50\nsample_limit = 8")
+        text = config.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        config.write_text(text)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and fragment in err and "Traceback" not in err
         assert not out.exists()
 
     def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint):

@@ -7,7 +7,7 @@ from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.experiments import (SweepResult, SweepRow,
                                     error_sweep, paired_compare, posterior_grid,
-                                    power_iteration, regularizer_track, spearman,
+                                    regularizer_track, spearman,
                                     taylor_validation, top_two_components,
                                     write_posterior_csv, write_sweep_csv)
 from fisherjscc.models import DecoderModel, EncoderModel
@@ -127,6 +127,13 @@ class TestTaylorValidation:
         assert abs(small.mean_expected_kl - large.mean_expected_kl) \
             <= 5.0 * max(small.kl_stderr, 1e-12)
 
+    def test_rayleigh_rejected(self, trained_pair):
+        """The unconditional fading KL has no finite penalty to compare with."""
+        encoder, decoder, ds, _ = trained_pair
+        with pytest.raises(ValueError, match="awgn"):
+            taylor_validation(encoder, decoder, ds.features[:8], [0.1],
+                              samples=20, seed=8, family="rayleigh")
+
     def test_sample_floor_enforced(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair
         with pytest.raises(ValueError):
@@ -165,14 +172,14 @@ class TestRegularizerTrack:
         assert traces[0.5] < traces[0.0]
 
 
-class TestPowerIteration:
+class TestTopTwoComponents:
     def test_matches_dense_eigensolver(self):
         """Top-2 eigenvectors vs numpy.linalg.eigh, up to sign, k <= 8."""
         for seed in range(5):
             rng = CounterRng(seed + 300)
             raw = rng.normals(64).reshape(8, 8)
             matrix = raw.T @ raw
-            v1, v2 = top_two_components(matrix, seed=seed)
+            v1, v2 = top_two_components(matrix)
             values, vectors = np.linalg.eigh(matrix)
             ref1, ref2 = vectors[:, -1], vectors[:, -2]
             assert min(np.linalg.norm(v1 - ref1), np.linalg.norm(v1 + ref1)) <= 1e-6
@@ -181,28 +188,37 @@ class TestPowerIteration:
     def test_axes_orthonormal(self):
         rng = CounterRng(311)
         raw = rng.normals(36).reshape(6, 6)
-        v1, v2 = top_two_components(raw.T @ raw, seed=0)
+        v1, v2 = top_two_components(raw.T @ raw)
         assert abs(np.linalg.norm(v1) - 1.0) <= 1e-10
         assert abs(np.linalg.norm(v2) - 1.0) <= 1e-10
         assert abs(float(v1 @ v2)) <= 1e-10
 
+    def test_largest_entry_positive(self):
+        """The sign rule: each axis's entry of largest magnitude is positive,
+        whichever sign the eigensolver returns."""
+        raw = CounterRng(312).normals(49).reshape(7, 7)
+        for matrix in (raw.T @ raw, raw @ raw.T):
+            for axis in top_two_components(matrix):
+                assert axis[np.argmax(np.abs(axis))] > 0.0
+        v1, v2 = top_two_components(np.diag([1.0, 5.0, 2.0]))
+        np.testing.assert_array_equal(v1, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(v2, [0.0, 0.0, 1.0])
+
     def test_rank_one_rejected(self):
         v = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="rank"):
-            top_two_components(np.outer(v, v), seed=0)
+        with pytest.raises(ValueError, match="rank-1"):
+            top_two_components(np.outer(v, v))
 
-    def test_dominant_eigenvalue(self):
-        matrix = np.diag([5.0, 2.0, 1.0])
-        value, vector = power_iteration(matrix, seed=1)
-        assert value == pytest.approx(5.0, rel=1e-9)
-        assert abs(abs(vector[0]) - 1.0) <= 1e-9
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="rank-0"):
+            top_two_components(np.zeros((3, 3)))
 
 
 class TestPosteriorGrid:
     def test_center_cell_matches_log_posterior(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair
         grid = posterior_grid(encoder, decoder, ds, sample_index=3, resolution=9,
-                              extent_std=2.0, sigma2=0.01, seed=1)
+                              extent_std=2.0, sigma2=0.01)
         z0 = encoder.encode(ds.features)[3]
         expected = -decoder.log_posterior(z0, int(ds.labels[3])).item()
         assert grid.values[4, 4] == pytest.approx(expected, rel=1e-12)
@@ -211,7 +227,7 @@ class TestPosteriorGrid:
     def test_axes_orthonormal(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair
         grid = posterior_grid(encoder, decoder, ds, sample_index=0, resolution=8,
-                              extent_std=1.0, sigma2=0.05, seed=2)
+                              extent_std=1.0, sigma2=0.05)
         assert abs(np.linalg.norm(grid.axis1) - 1.0) <= 1e-10
         assert abs(float(grid.axis1 @ grid.axis2)) <= 1e-10
 
@@ -235,7 +251,7 @@ class TestPosteriorGrid:
     def test_csv_long_format(self, trained_pair, tmp_path):
         encoder, decoder, ds, _ = trained_pair
         grid = posterior_grid(encoder, decoder, ds, 0, resolution=8,
-                              extent_std=1.0, sigma2=0.05, seed=3)
+                              extent_std=1.0, sigma2=0.05)
         path = tmp_path / "grid.csv"
         write_posterior_csv(grid, path)
         lines = path.read_text().splitlines()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc.channel import ChannelSpec
 from fisherjscc.models import DecoderModel
 from fisherjscc.robustness import (expected_kl_mc, fisher_matrix,
                                    fisher_trace, fisher_trace_node, kl_categorical,
@@ -260,8 +259,7 @@ class TestKlQuadratic:
 class TestExpectedKlMc:
     def test_zero_noise_gives_zero(self):
         decoder = random_decoder(35)
-        spec = ChannelSpec(family="awgn", power=1.0, psnr_db=0.0, sigma2=0.0)
-        mean, stderr = expected_kl_mc(decoder, CounterRng(36).normals(4), spec,
+        mean, stderr = expected_kl_mc(decoder, CounterRng(36).normals(4), 0.0, "awgn",
                                       samples=50, rng=CounterRng(37))
         assert mean == 0.0 and stderr == 0.0
 
@@ -270,23 +268,21 @@ class TestExpectedKlMc:
         decoder = random_decoder(38, spread=0.5)
         z = CounterRng(39).normals(4) * 0.5
         sigma2 = 1e-4
-        spec = ChannelSpec(family="awgn", power=1.0, psnr_db=0.0, sigma2=sigma2)
-        mean, stderr = expected_kl_mc(decoder, z, spec, samples=10_000, rng=CounterRng(40))
+        mean, stderr = expected_kl_mc(decoder, z, sigma2, "awgn", samples=10_000,
+                                      rng=CounterRng(40))
         predicted = 0.5 * sigma2 * fisher_trace(decoder, z)
         assert abs(mean - predicted) <= max(3.0 * stderr, 1e-12)
 
     def test_same_seed_reproducible(self):
         decoder = random_decoder(41)
         z = CounterRng(42).normals(4)
-        spec = ChannelSpec(family="awgn", power=1.0, psnr_db=0.0, sigma2=0.05)
-        first = expected_kl_mc(decoder, z, spec, samples=200, rng=CounterRng(43))
-        second = expected_kl_mc(decoder, z, spec, samples=200, rng=CounterRng(43))
+        first = expected_kl_mc(decoder, z, 0.05, "awgn", samples=200, rng=CounterRng(43))
+        second = expected_kl_mc(decoder, z, 0.05, "awgn", samples=200, rng=CounterRng(43))
         assert first == second
 
     def test_rayleigh_family_runs(self):
         decoder = random_decoder(44)
-        spec = ChannelSpec(family="rayleigh", power=1.0, psnr_db=0.0, sigma2=0.05)
-        mean, stderr = expected_kl_mc(decoder, CounterRng(45).normals(4), spec,
+        mean, stderr = expected_kl_mc(decoder, CounterRng(45).normals(4), 0.05, "rayleigh",
                                       samples=500, rng=CounterRng(46))
         assert mean >= 0.0 and stderr >= 0.0
 

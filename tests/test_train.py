@@ -246,6 +246,14 @@ class TestTrainLoop:
             UniformPsnr(20.0, 10.0)
         with pytest.raises(ValueError):
             TrainConfig(psnr=UniformPsnr(10.0, 20.0), omit_sigma2=True)
+        with pytest.raises(ValueError, match="family"):
+            TrainConfig(family="rician")
+
+    def test_rayleigh_penalty_rejected(self):
+        """The h-conditional fading penalty is not implemented, so lambda > 0 is refused."""
+        with pytest.raises(ValueError, match="Rayleigh"):
+            TrainConfig(lam=0.5, family="rayleigh")
+        assert TrainConfig(lam=0.0, family="rayleigh").family == "rayleigh"
 
 
 class TestTrainLog:
