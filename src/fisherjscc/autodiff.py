@@ -8,7 +8,8 @@ ordinary backward pass; no dedicated higher-order machinery exists or is
 needed. Non-differentiable factors (the relu mask) enter the tape as
 detached constants, whose zero derivative is exact almost everywhere.
 
-relu'(0) is defined as 0.
+relu'(0) is defined as 0. Every node checks its value on construction: a
+non-finite value raises FloatingPointError the moment it enters the graph.
 """
 
 from __future__ import annotations
@@ -16,16 +17,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle the per-node finiteness assertion; returns the previous value."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
 
 
 class Tensor:
@@ -42,53 +33,17 @@ class Tensor:
 
     def __init__(self, data, parents=(), vjps=()):
         arr = np.asarray(data, dtype=np.float64)
-        if _FINITE_CHECKS and not np.isfinite(arr).all():
+        if not np.isfinite(arr).all():
             raise FloatingPointError("non-finite value entered the computation graph")
         self.data = arr
         self._parents = parents
         self._vjps = vjps
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={not self._parents})"
-
-    # Operator sugar; mixed operands are wrapped as constant leaves.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(value) -> Tensor:
@@ -254,15 +209,6 @@ def exp(a) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-    out = Tensor(out_data, (a,))
-    out._vjps = (lambda g, src=a: mul(g, div(Tensor(1.0), src)),)
-    return out
-
-
 def activation(a, kind: str) -> Tensor:
     if kind == "relu":
         return relu(a)
@@ -349,12 +295,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._params)

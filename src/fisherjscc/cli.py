@@ -135,7 +135,10 @@ _SCHEMA = {
 def load_config(path) -> dict:
     """Parse and validate an INI config; unknown sections or keys are rejected."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     resolved: dict[str, dict] = {}
@@ -189,12 +192,14 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         fh.write("\n")
 
 
-def _prepare_out(out: str, force: bool) -> Path:
+def _check_out(out: str, force: bool) -> Path:
+    """The output directory, refused up front if it holds files and force is off.
+
+    Commands create it only once they have something to write.
+    """
     out_dir = Path(out)
-    if out_dir.exists() and any(out_dir.iterdir()):
-        if not force:
-            raise ConfigError(f"output directory {out} is not empty; pass --force to overwrite")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and any(out_dir.iterdir()) and not force:
+        raise ConfigError(f"output directory {out} is not empty; pass --force to overwrite")
     return out_dir
 
 
@@ -311,8 +316,9 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         print(f"verified {len(manifest['output_digests'])} files against {manifest_path}")
         return EXIT_OK
 
+    out_dir = _check_out(config["run"]["out"], force)
     train_set, test_set = _generate_datasets(config, seed)
-    out_dir = _prepare_out(config["run"]["out"], force)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_table(train_set, out_dir / "train.csv")
     save_table(test_set, out_dir / "test.csv")
     outputs = {name: _sha256(out_dir / name) for name in ("train.csv", "test.csv")}
@@ -342,7 +348,8 @@ def _train_config_from(config: dict, seed: int) -> TrainConfig:
 def cmd_train(config: dict, seed: int, force: bool) -> int:
     train_config = _train_config_from(config, seed)
     train_set, _, normalizer = _load_datasets_from_dir(config)
-    out_dir = _prepare_out(config["run"]["out"], force)
+    out_dir = _check_out(config["run"]["out"], force)
+    out_dir.mkdir(parents=True, exist_ok=True)
     encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
     checkpoint_every = config["train"]["checkpoint_every"] or None
     try:
@@ -389,46 +396,45 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                           f"penalty to compare with")
     encoder, decoder, _, _ = _load_checkpoint_checked(section["checkpoint"], config)
     test_set, _ = _experiment_dataset(config)
-    out_dir = _prepare_out(config["run"]["out"], force)
+    out_dir = _check_out(config["run"]["out"], force)
     eval_seed = derive_seed(seed, "eval")
 
-    written: list[Path] = []
-    if kind == "sweep":
-        result = experiments.error_sweep(encoder, decoder, test_set, section["psnr_grid"],
-                                         family, section["trials"], eval_seed,
-                                         threads=threads)
-        path = out_dir / "sweep.csv"
-        experiments.write_sweep_csv(result, path)
-        written.append(path)
-    elif kind == "taylor":
-        limit = min(section["sample_limit"], len(test_set))
-        sigma2_grid = [psnr_to_sigma2(p, encoder.power) for p in section["taylor_psnr_grid"]]
-        rows = experiments.taylor_validation(encoder, decoder, test_set.features[:limit],
-                                             sigma2_grid, section["mc_samples"], eval_seed,
-                                             family=family)
-        path = out_dir / "taylor.csv"
-        experiments.write_taylor_csv(rows, path)
-        written.append(path)
-    elif kind == "reg-track":
-        rows = experiments.regularizer_track([("model", encoder, decoder)],
-                                             section["psnr_grid"], test_set)
-        path = out_dir / "regtrack.csv"
-        experiments.write_regtrack_csv(rows, path)
-        written.append(path)
-    else:  # posterior-map
-        sigma2 = psnr_to_sigma2(config["channel"]["psnr_db"], encoder.power)
-        grid = experiments.posterior_grid(encoder, decoder, test_set,
-                                          section["sample_index"], section["resolution"],
-                                          section["extent_std"], sigma2)
-        path = out_dir / "posterior.csv"
-        experiments.write_posterior_csv(grid, path)
-        written.append(path)
+    try:
+        if kind == "sweep":
+            result = experiments.error_sweep(encoder, decoder, test_set, section["psnr_grid"],
+                                             family, section["trials"], eval_seed,
+                                             threads=threads)
+            name, write = "sweep.csv", experiments.write_sweep_csv
+        elif kind == "taylor":
+            if section["sample_limit"] < 1:
+                raise ValueError("sample_limit must be >= 1")
+            limit = min(section["sample_limit"], len(test_set))
+            sigma2_grid = [psnr_to_sigma2(p, encoder.power)
+                           for p in section["taylor_psnr_grid"]]
+            result = experiments.taylor_validation(encoder, decoder,
+                                                   test_set.features[:limit], sigma2_grid,
+                                                   section["mc_samples"], eval_seed)
+            name, write = "taylor.csv", experiments.write_taylor_csv
+        elif kind == "reg-track":
+            result = experiments.regularizer_track([("model", encoder, decoder)],
+                                                   section["psnr_grid"], test_set)
+            name, write = "regtrack.csv", experiments.write_regtrack_csv
+        else:  # posterior-map
+            sigma2 = psnr_to_sigma2(config["channel"]["psnr_db"], encoder.power)
+            result = experiments.posterior_grid(encoder, decoder, test_set,
+                                                section["sample_index"], section["resolution"],
+                                                section["extent_std"], sigma2)
+            name, write = "posterior.csv", experiments.write_posterior_csv
+    except ValueError as exc:
+        raise ConfigError(f"[experiment] {exc}") from exc
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    write(result, path)
     inputs = {Path(section["checkpoint"]).name: _sha256(section["checkpoint"])}
-    outputs = {p.name: _sha256(p) for p in written}
-    _write_manifest(out_dir, f"eval:{kind}", config, seed, inputs=inputs, outputs=outputs)
-    for p in written:
-        print(f"wrote {p}")
+    _write_manifest(out_dir, f"eval:{kind}", config, seed,
+                    inputs=inputs, outputs={name: _sha256(path)})
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -437,12 +443,16 @@ def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
     encoder_a, decoder_a, _, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
     encoder_b, decoder_b, _, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
     test_set, _ = _experiment_dataset(config)
-    out_dir = _prepare_out(config["run"]["out"], force)
-    rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
-                                      test_set, section["psnr_grid"],
-                                      config["channel"]["family"],
-                                      section["trials"], derive_seed(seed, "compare"),
-                                      threads=threads)
+    out_dir = _check_out(config["run"]["out"], force)
+    try:
+        rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
+                                          test_set, section["psnr_grid"],
+                                          config["channel"]["family"],
+                                          section["trials"], derive_seed(seed, "compare"),
+                                          threads=threads)
+    except ValueError as exc:
+        raise ConfigError(f"[experiment] {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "compare.csv"
     experiments.write_compare_csv(rows, path)
     negative = sum(1 for r in rows if r["delta"] < 0)

@@ -130,19 +130,16 @@ class TaylorRow:
 
 
 def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
-                      sigma2_grid, samples: int, seed: int,
-                      family: str = "awgn") -> list[TaylorRow]:
-    """Check the closed-form penalty against the sampled expected KL.
+                      sigma2_grid, samples: int, seed: int) -> list[TaylorRow]:
+    """Check the closed-form penalty against the sampled expected KL under AWGN.
 
     Per noise level: dataset-mean MC expected KL over `samples` channel draws
     per point, dataset-mean penalty sigma2/2 * Tr(I(z)), their ratio and gap.
-    Only AWGN is accepted: under Rayleigh fading E[1/|h|^2] is infinite, so
-    the unconditional KL has no finite penalty to be compared with.
+    There is no fading variant: under Rayleigh fading E[1/|h|^2] is infinite,
+    so the unconditional KL has no finite penalty to be compared with.
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
-    if family != "awgn":
-        raise ValueError(f"taylor validation supports the awgn family only, got {family!r}")
     z = encoder.encode(np.asarray(features, dtype=np.float64))
     mean_trace = mean_fisher_trace(decoder, z)
     rows = []
@@ -152,7 +149,7 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
             rows.append(TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
             continue
         rng = CounterRng(derive_seed(seed, "taylor", grid_index))
-        draws = _expected_kl_rows(decoder, z, sigma2, family, samples, rng)
+        draws = _expected_kl_rows(decoder, z, sigma2, samples, rng)
         kl_mean = float(draws.mean())
         kl_stderr = float(draws.std(ddof=1) / math.sqrt(draws.size))
         if reg == 0.0:
@@ -244,6 +241,9 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if not 0 <= sample_index < len(dataset.labels):
+        raise ValueError(f"sample_index {sample_index} is outside the "
+                         f"{len(dataset.labels)} samples of the dataset")
     z_all = encoder.encode(dataset.features)
     centered = z_all - z_all.mean(axis=0, keepdims=True)
     covariance = centered.T @ centered / max(len(z_all) - 1, 1)

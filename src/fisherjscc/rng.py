@@ -95,9 +95,6 @@ class CounterRng:
         out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
         return out[:n]
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of a uniform block."""
         return np.argsort(self.uniforms(n), kind="stable")

@@ -1,4 +1,4 @@
-"""Posterior-robustness quantities: exact KL, Fisher information, regularizer.
+"""Posterior-robustness quantities: exact KL, Fisher information, sampled KL.
 
 The central object is the Fisher information matrix of the decoder posterior
 at a representation z,
@@ -21,12 +21,11 @@ training loss and be differentiated once more. `fisher_trace`,
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
 from . import autodiff as ad
-from .channel import FAMILIES, channel_noise, equalization_gains
+from .channel import channel_noise
 from .models import DecoderModel
 from .rng import CounterRng
 
@@ -120,39 +119,12 @@ def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray,
     return total / z_batch.shape[0]
 
 
-def kl_quadratic(decoder: DecoderModel, z: np.ndarray, z_hat: np.ndarray) -> float:
-    """Second-order surrogate 0.5 (z_hat - z)^T I(z) (z_hat - z)."""
-    z = np.asarray(z, dtype=np.float64)
-    z_hat = np.asarray(z_hat, dtype=np.float64)
-    if z.shape != z_hat.shape:
-        raise ValueError("z and z_hat must have the same shape")
-    delta = z_hat - z
-    matrix = fisher_matrix(decoder, z)
-    return float(0.5 * delta @ matrix @ delta)
-
-
-def expected_kl_mc(decoder: DecoderModel, z: np.ndarray, sigma2: float, family: str,
-                   samples: int, rng: CounterRng) -> tuple[float, float]:
-    """Monte-Carlo estimate of E[KL(q(.|z) || q(.|z_hat))] over channel draws.
-
-    Returns (mean, standard error). For Rayleigh fading, one coefficient is
-    drawn per channel use.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("expected_kl_mc takes a single representation vector")
-    values = _expected_kl_rows(decoder, z.reshape(1, -1), sigma2, family, samples, rng)[0]
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return mean, stderr
-
-
 def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
-                      family: str, samples: int, rng: CounterRng,
-                      chunk_rows: int = 65536) -> np.ndarray:
-    """KL draws per representation: returns array [n, samples]."""
+                      samples: int, rng: CounterRng, chunk_rows: int = 65536) -> np.ndarray:
+    """KL(q(.|z_i) || q(.|z_i + noise)) per AWGN draw: returns array [n, samples].
+
+    A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
+    """
     n, k = z_batch.shape
     p = decoder.decode(z_batch)
     out = np.empty((n, samples))
@@ -160,57 +132,9 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
     done = 0
     while done < samples:
         take = min(draws_per_chunk, samples - done)
-        z_hat = z_batch[None, :, :] + channel_noise((take, n, k), sigma2, family, rng)
+        z_hat = z_batch[None, :, :] + channel_noise((take, n, k), sigma2, "awgn", rng)
         q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
         for s in range(take):
             out[:, done + s] = _kl_rows(p, q[s])
         done += take
     return out
-
-
-def mean_expected_kl(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
-                     family: str, samples: int, rng: CounterRng) -> tuple[float, float]:
-    """Dataset mean of the per-sample MC expected KL; returns (mean, stderr of mean)."""
-    values = _expected_kl_rows(decoder, np.asarray(z_batch, dtype=np.float64),
-                               sigma2, family, samples, rng)
-    per_sample = values.mean(axis=1)
-    mean = float(per_sample.mean())
-    total = values.size
-    stderr = float(values.std(ddof=1) / math.sqrt(total)) if total > 1 else 0.0
-    return mean, stderr
-
-
-def penalty_from_covariance(decoder: DecoderModel, z: np.ndarray,
-                            noise_cov: np.ndarray) -> float:
-    """General second-order penalty 0.5 * Tr(I(z) . Sigma_n).
-
-    Accepts any symmetric PSD covariance; the training path only ever uses
-    the diagonal sigma2 * I case (see `regularizer`), but the general form is
-    exposed so correlated-noise channels can be checked against it.
-    """
-    noise_cov = np.asarray(noise_cov, dtype=np.float64)
-    matrix = fisher_matrix(decoder, z)
-    if noise_cov.shape != matrix.shape:
-        raise ValueError(f"covariance shape {noise_cov.shape} does not match "
-                         f"representation dimension {matrix.shape[0]}")
-    return float(0.5 * np.trace(matrix @ noise_cov))
-
-
-def regularizer(decoder: DecoderModel, z: np.ndarray, sigma2: float,
-                family: str = "awgn", h: complex | None = None) -> float:
-    """Closed-form robustness penalty at z.
-
-    AWGN: sigma2 / 2 * Tr(I(z)). Rayleigh, conditioned on h:
-    sigma2 / (2 |h|^2) * Tr(I(z)).
-    """
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be nonnegative")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown channel family {family!r}")
-    if family == "rayleigh" and h is None:
-        raise ValueError("the Rayleigh penalty is conditional on h; pass it")
-    trace = fisher_trace(decoder, z)
-    if family == "awgn":
-        return 0.5 * sigma2 * trace
-    magnitude = float(equalization_gains(np.array([h]))[0])
-    return 0.5 * sigma2 / magnitude**2 * trace

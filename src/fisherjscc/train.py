@@ -10,13 +10,18 @@ noise draws, and the penalty is evaluated at the noise-free z_i. Models
 trained at a fixed PSNR may instead use the simplified penalty
 lambda * Tr(I(z)) (the noise variance folded into lambda); that variant is
 exposed as the `omit_sigma2` flag and is off by default so lambda keeps the
-same meaning across PSNRs.
+same meaning across PSNRs. Either way `regularized_loss` receives the
+penalty's multiplier as one coefficient, set per step by `train`.
+
+The tape checks every value it records, and a training step runs with
+numpy's overflow, divide and invalid errors raised, so a step that turns
+non-finite raises FloatingPointError; `train` reports it as a
+TrainDivergenceError with the step's epoch, batch and sigma2 (CLI exit 4).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -111,7 +116,7 @@ class TrainLog:
 
 
 class TrainDivergenceError(RuntimeError):
-    """Loss became non-finite; carries a diagnostic snapshot."""
+    """A training step produced a non-finite value; carries a diagnostic snapshot."""
 
     def __init__(self, snapshot: dict):
         super().__init__(f"training diverged at epoch {snapshot.get('epoch')}, "
@@ -127,16 +132,14 @@ class LossParts(NamedTuple):
 
 def regularized_loss(features: np.ndarray, labels: np.ndarray,
                      encoder: EncoderModel, decoder: DecoderModel,
-                     sigma2: float, lam: float, noise_draws: int,
-                     rng: CounterRng, family: str = "awgn",
-                     reg_coeff: float | None = None) -> LossParts:
-    """Noise-averaged cross-entropy plus the Fisher-trace penalty at noise-free z.
+                     sigma2: float, coeff: float, noise_draws: int,
+                     rng: CounterRng, family: str = "awgn") -> LossParts:
+    """Noise-averaged cross-entropy plus coeff times the mean Fisher trace at noise-free z.
 
     The L noise draws go through one decoder pass over z tiled L times; draw
     l fills rows l*b .. (l+1)*b - 1 and is drawn in the same order as a
-    per-draw loop would draw it. reg_coeff overrides the default
-    lambda * sigma2 / 2 multiplier on the mean trace (used for the fixed-PSNR
-    simplification).
+    per-draw loop would draw it. `train` passes coeff = lambda * sigma2 / 2,
+    or lambda under the fixed-PSNR simplification.
     """
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
@@ -152,7 +155,6 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     log_likelihood = decoder.log_posterior_batch(z_hat, np.tile(labels, noise_draws))
     ce = ad.scale(ad.sum_all(log_likelihood), -1.0 / (batch * noise_draws))
 
-    coeff = 0.5 * lam * sigma2 if reg_coeff is None else float(reg_coeff)
     if coeff == 0.0:
         return LossParts(total=ce, cross_entropy=ce.item(), fisher_penalty=0.0)
 
@@ -204,7 +206,9 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
     """Run the configured epochs of shuffled mini-batch Adam.
 
     Returns (encoder, decoder, TrainLog); the models are updated in place.
-    A non-finite loss aborts with a TrainDivergenceError carrying a snapshot.
+    A non-finite value anywhere in a step (the tape's FloatingPointError, or
+    numpy's for an overflow) aborts with a TrainDivergenceError carrying the
+    epoch, batch and sigma2 of that step.
     """
     features, labels = dataset.features, dataset.labels
     if len(features) == 0:
@@ -230,24 +234,22 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
                 sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
             noise_rng = CounterRng(derive_seed(config.seed, "noise", epoch, batch_index))
 
-            reg_coeff = config.lam if config.omit_sigma2 else None
-            parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
-                                     sigma2, config.lam, config.noise_draws,
-                                     noise_rng, family=config.family,
-                                     reg_coeff=reg_coeff)
-            loss_value = parts.total.item()
-            if not math.isfinite(loss_value):
-                raise TrainDivergenceError({
-                    "epoch": epoch, "batch": batch_index, "loss": loss_value,
-                    "cross_entropy": parts.cross_entropy,
-                    "fisher_penalty": parts.fisher_penalty, "sigma2": sigma2,
-                })
-
+            coeff = config.lam if config.omit_sigma2 else 0.5 * config.lam * sigma2
             wrt = encoder.params.tensors() + decoder.params.tensors()
-            grad_map = ad.backward(parts.total, wrt)
-            for tag, params in grads_template:
-                grads = {name: grad_map[tensor].data for name, tensor in params.items()}
-                adam_step(params, grads, states[tag], config.learning_rate)
+            try:
+                # An overflow in numpy raises the tape's exception type where it happens.
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
+                                             sigma2, coeff, config.noise_draws,
+                                             noise_rng, family=config.family)
+                    grad_map = ad.backward(parts.total, wrt)
+                    for tag, params in grads_template:
+                        grads = {name: grad_map[tensor].data
+                                 for name, tensor in params.items()}
+                        adam_step(params, grads, states[tag], config.learning_rate)
+            except FloatingPointError as exc:
+                raise TrainDivergenceError(
+                    {"epoch": epoch, "batch": batch_index, "sigma2": sigma2}) from exc
 
             ce_total += parts.cross_entropy
             reg_total += parts.fisher_penalty

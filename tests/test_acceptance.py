@@ -67,10 +67,11 @@ def test_criterion_1_gradient_correctness():
 
     def loss_value():
         return regularized_loss(features, labels, encoder, decoder, sigma2,
-                                lam=1.0, noise_draws=2, rng=CounterRng(13)).total.item()
+                                coeff=0.5 * 1.0 * sigma2, noise_draws=2,
+                                rng=CounterRng(13)).total.item()
 
     parts = regularized_loss(features, labels, encoder, decoder, sigma2,
-                             lam=1.0, noise_draws=2, rng=CounterRng(13))
+                             coeff=0.5 * 1.0 * sigma2, noise_draws=2, rng=CounterRng(13))
     grad_map = ad.backward(parts.total, encoder.params.tensors() + decoder.params.tensors())
     worst = 0.0
     for model in (encoder, decoder):

@@ -184,7 +184,6 @@ class TestOpGradientSweep:
         "transpose": lambda t: ad.transpose(ad.reshape(t, (2, 3))),
         "reshape": lambda t: ad.reshape(t, (3, 2)),
         "sum_axis": lambda t: ad.sum_axis(ad.reshape(t, (2, 3)), 1),
-        "log": lambda t: ad.log(ad.add(ad.square(t), 1.0)),
         "tile_rows": lambda t: ad.tile_rows(ad.reshape(t, (2, 3)), 3),
     }
 
@@ -257,14 +256,6 @@ class TestFiniteChecks:
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
             ad.Tensor(np.array([1.0, np.inf]))
-
-    def test_toggle_restores(self):
-        previous = ad.set_finite_checks(False)
-        try:
-            t = ad.Tensor(np.array([np.nan]))
-            assert np.isnan(t.data[0])
-        finally:
-            ad.set_finite_checks(previous)
 
 
 class TestParamSet:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fisherjscc.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, ConfigError,
+from fisherjscc.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                             load_config, main)
 
 
@@ -175,6 +175,21 @@ class TestTrainCommand:
         write_config(config, tmp_path / "out", tmp_path / "missing")
         assert main(["train", "--config", str(config)]) == EXIT_DATA
 
+    def test_divergence_is_a_numerical_abort(self, tmp_path, data_dir, capsys):
+        """A step that turns non-finite exits 4 and leaves its snapshot, no traceback."""
+        config = tmp_path / "train.ini"
+        out = tmp_path / "diverged"
+        write_config(config, out, data_dir, epochs=2)
+        config.write_text(config.read_text().replace("learning_rate = 0.001",
+                                                     "learning_rate = 1e300"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "Traceback" not in err
+        snapshot = json.loads((out / "divergence.json").read_text())
+        assert set(snapshot) == {"epoch", "batch", "sigma2"}
+        assert not (out / "checkpoint.json").exists()
+
     def test_manifest_records_inputs_and_outputs(self, tmp_path, data_dir):
         config = tmp_path / "train.ini"
         out = tmp_path / "run"
@@ -281,9 +296,26 @@ class TestEvalCommand:
         ("compare", [("family = awgn", "family = rician")], "[channel] family"),
         ("validate-approx", [("family = awgn", "family = rician")], "[channel] family"),
         ("validate-approx", [("family = awgn", "family = rayleigh")], "awgn only"),
+        ("train", [("trials = 3", "trials = 3\ntrials = 4")], "malformed config"),
+        ("eval", [("[experiment]", "[run]\nseed = 3\n\n[experiment]")], "malformed config"),
+        ("gen-data", [("[run]\nseed = 7", "seed = 7\n[run]\nseed = 7")], "malformed config"),
+        ("validate-approx", [("mc_samples = 50", "mc_samples = 10")], "samples"),
+        ("validate-approx", [("sample_limit = 8", "sample_limit = 0")], "sample_limit"),
+        ("eval", [("trials = 3", "trials = 0")], "trials"),
+        ("eval", [("psnr_grid = 5,15", "psnr_grid = 5,5")], "duplicate sweep cell"),
+        ("compare", [("trials = 3", "trials = 0")], "trials"),
+        ("compare", [("psnr_grid = 5,15", "psnr_grid = 5,5")], "duplicate sweep cell"),
+        ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nresolution = 7")],
+         "resolution"),
+        ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nsample_index = 9999")],
+         "sample_index"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
-            "compare-family", "validate-approx-family", "validate-approx-rayleigh"])
+            "compare-family", "validate-approx-family", "validate-approx-rayleigh",
+            "duplicate-key", "duplicate-section", "no-section-header",
+            "validate-approx-mc_samples", "validate-approx-sample_limit", "eval-trials",
+            "eval-duplicate-psnr", "compare-trials", "compare-duplicate-psnr",
+            "posterior-map-resolution", "posterior-map-sample_index"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""

@@ -127,13 +127,6 @@ class TestTaylorValidation:
         assert abs(small.mean_expected_kl - large.mean_expected_kl) \
             <= 5.0 * max(small.kl_stderr, 1e-12)
 
-    def test_rayleigh_rejected(self, trained_pair):
-        """The unconditional fading KL has no finite penalty to compare with."""
-        encoder, decoder, ds, _ = trained_pair
-        with pytest.raises(ValueError, match="awgn"):
-            taylor_validation(encoder, decoder, ds.features[:8], [0.1],
-                              samples=20, seed=8, family="rayleigh")
-
     def test_sample_floor_enforced(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair
         with pytest.raises(ValueError):
@@ -235,6 +228,14 @@ class TestPosteriorGrid:
         encoder, decoder, ds, _ = trained_pair
         with pytest.raises(ValueError):
             posterior_grid(encoder, decoder, ds, 0, resolution=7,
+                           extent_std=1.0, sigma2=0.05)
+
+    @pytest.mark.parametrize("where", ["negative", "past_end"])
+    def test_sample_index_out_of_range_rejected(self, trained_pair, where):
+        encoder, decoder, ds, _ = trained_pair
+        index = -1 if where == "negative" else len(ds.labels)
+        with pytest.raises(ValueError, match="sample_index"):
+            posterior_grid(encoder, decoder, ds, index, resolution=8,
                            extent_std=1.0, sigma2=0.05)
 
     def test_degenerate_covariance_rejected(self):
