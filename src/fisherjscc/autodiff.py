@@ -90,17 +90,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, (a, b))
-    out._vjps = (
-        lambda g, o=b, s=a.data.shape: _sum_to(div(g, o), s),
-        lambda g, o=b, s=b.data.shape, ref=weakref.ref(out):
-            _sum_to(neg(div(mul(g, ref()), o)), s),
-    )
-    return out
-
-
 def scale(a, factor: float) -> Tensor:
     a = as_tensor(a)
     c = float(factor)
@@ -207,14 +196,6 @@ def exp(a) -> Tensor:
     out = Tensor(np.exp(a.data), (a,))
     out._vjps = (lambda g, ref=weakref.ref(out): mul(g, ref()),)
     return out
-
-
-def activation(a, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(a)
-    if kind == "tanh":
-        return tanh(a)
-    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def affine(inputs, weight, bias) -> Tensor:

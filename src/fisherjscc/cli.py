@@ -233,7 +233,8 @@ def _generate_datasets(config: dict, seed: int) -> tuple[Dataset, Dataset]:
     return train_set, test_set
 
 
-def _load_datasets_from_dir(config: dict) -> tuple[Dataset, Dataset, Normalizer | None]:
+def _load_datasets_from_dir(config: dict) -> tuple[Dataset, Dataset]:
+    """The raw train and test splits; the test labels use the train split's label map."""
     data_dir = config["data"]["dir"]
     if not data_dir:
         raise ConfigError("[data] dir must point at a gen-data output directory")
@@ -246,20 +247,18 @@ def _load_datasets_from_dir(config: dict) -> tuple[Dataset, Dataset, Normalizer 
     test_set = load_table(
         test_path, label_map={n: i for i, n in enumerate(train_set.label_names)},
         split="test")
-    normalizer = None
-    if config["data"]["normalize"]:
-        normalizer = Normalizer.fit(train_set)
-        train_set = normalizer.apply(train_set)
-        test_set = normalizer.apply(test_set)
-    return train_set, test_set, normalizer
+    return train_set, test_set
 
 
 def _build_models(config: dict, input_dim: int, num_classes: int, seed: int):
     model = config["model"]
-    encoder = EncoderModel(input_dim, model["repr_dim"], model["power"],
-                           hidden=model["encoder_hidden"], seed=derive_seed(seed, "encoder"))
-    decoder = DecoderModel(model["repr_dim"], num_classes,
-                           hidden=model["decoder_hidden"], seed=derive_seed(seed, "decoder"))
+    try:
+        encoder = EncoderModel(input_dim, model["repr_dim"], model["power"],
+                               hidden=model["encoder_hidden"], seed=derive_seed(seed, "encoder"))
+        decoder = DecoderModel(model["repr_dim"], num_classes,
+                               hidden=model["decoder_hidden"], seed=derive_seed(seed, "decoder"))
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from exc
     return encoder, decoder
 
 
@@ -270,6 +269,9 @@ def _load_checkpoint_checked(path, config: dict):
         raise DataError(f"checkpoint not found: {path}")
     try:
         encoder, decoder, normalizer_doc, meta = load_checkpoint(path)
+        normalizer = Normalizer.from_dict(normalizer_doc) if normalizer_doc else None
+        if normalizer and normalizer.mean.shape + normalizer.std.shape != (encoder.input_dim,) * 2:
+            raise ValueError(f"its normalizer does not have {encoder.input_dim} features")
     except (ValueError, KeyError) as exc:
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
     model = config["model"]
@@ -290,8 +292,16 @@ def _load_checkpoint_checked(path, config: dict):
     if diffs:
         detail = ", ".join(f"{k}: config={c!r} checkpoint={a!r}" for k, (c, a) in diffs.items())
         raise ConfigError(f"checkpoint architecture does not match [model] config: {detail}")
-    normalizer = Normalizer.from_dict(normalizer_doc) if normalizer_doc else None
     return encoder, decoder, normalizer, meta
+
+
+def _test_set_for(config: dict, encoder: EncoderModel, normalizer: Normalizer | None):
+    """The test split under the checkpoint's normalizer (raw when it has none), never a refit."""
+    _, test_set = _load_datasets_from_dir(config)
+    if test_set.dim != encoder.input_dim:
+        raise ConfigError(f"[data] dir holds {test_set.dim} features, the checkpoint's "
+                          f"encoder takes {encoder.input_dim}")
+    return normalizer.apply(test_set) if normalizer else test_set
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +327,12 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         return EXIT_OK
 
     out_dir = _check_out(config["run"]["out"], force)
-    train_set, test_set = _generate_datasets(config, seed)
+    try:
+        train_set, test_set = _generate_datasets(config, seed)
+    except DataError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[data] {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     save_table(train_set, out_dir / "train.csv")
     save_table(test_set, out_dir / "test.csv")
@@ -347,10 +362,12 @@ def _train_config_from(config: dict, seed: int) -> TrainConfig:
 
 def cmd_train(config: dict, seed: int, force: bool) -> int:
     train_config = _train_config_from(config, seed)
-    train_set, _, normalizer = _load_datasets_from_dir(config)
+    train_set, _ = _load_datasets_from_dir(config)
+    normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
+    train_set = normalizer.apply(train_set) if normalizer else train_set
+    encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
     out_dir = _check_out(config["run"]["out"], force)
     out_dir.mkdir(parents=True, exist_ok=True)
-    encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
     checkpoint_every = config["train"]["checkpoint_every"] or None
     try:
         _, _, log = train(train_config, train_set, encoder, decoder,
@@ -380,11 +397,6 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     return EXIT_OK
 
 
-def _experiment_dataset(config: dict):
-    _, test_set, normalizer = _load_datasets_from_dir(config)
-    return test_set, normalizer
-
-
 def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = None,
              threads: int = 1) -> int:
     section = config["experiment"]
@@ -394,8 +406,8 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
         raise ConfigError(f"the taylor experiment supports [channel] family = awgn only, "
                           f"got {family!r}: the unconditional fading KL has no finite "
                           f"penalty to compare with")
-    encoder, decoder, _, _ = _load_checkpoint_checked(section["checkpoint"], config)
-    test_set, _ = _experiment_dataset(config)
+    encoder, decoder, normalizer, _ = _load_checkpoint_checked(section["checkpoint"], config)
+    test_set = _test_set_for(config, encoder, normalizer)
     out_dir = _check_out(config["run"]["out"], force)
     eval_seed = derive_seed(seed, "eval")
 
@@ -440,9 +452,12 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
 
 def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
     section = config["experiment"]
-    encoder_a, decoder_a, _, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
-    encoder_b, decoder_b, _, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
-    test_set, _ = _experiment_dataset(config)
+    encoder_a, decoder_a, norm_a, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
+    encoder_b, decoder_b, norm_b, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
+    if (norm_a and norm_a.to_dict()) != (norm_b and norm_b.to_dict()):
+        raise ConfigError("checkpoint_a and checkpoint_b normalize their inputs differently, "
+                          "so no one test set feeds both")
+    test_set = _test_set_for(config, encoder_a, norm_a)
     out_dir = _check_out(config["run"]["out"], force)
     try:
         rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
@@ -483,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override [run] out directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads; 1 (default) guarantees determinism")
+                       help="sweep worker threads (default 1); any count gives the same bytes")
 
     p = sub.add_parser("gen-data", help="generate dataset files and a manifest")
     common(p)
@@ -503,6 +518,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config)
         if args.seed is not None:
             config["run"]["seed"] = args.seed

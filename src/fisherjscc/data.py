@@ -28,6 +28,9 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise DataError("features must be a nonempty [N, m] array")
+        if not np.isfinite(self.features).all():
+            row = int(np.argwhere(~np.isfinite(self.features))[0, 0])
+            raise DataError(f"non-finite feature value in row {row + 1}")
         if self.labels.shape != (self.features.shape[0],):
             raise DataError("labels must align with feature rows")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
@@ -117,18 +120,17 @@ class Normalizer:
                    std=np.array(doc["std"], dtype=np.float64))
 
 
-def save_table(dataset: Dataset, path, delimiter: str = ",") -> None:
-    """Write features plus a trailing label-name column; floats use repr."""
+def save_table(dataset: Dataset, path) -> None:
+    """Write comma-separated features plus a trailing label-name column; floats use repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [dataset.label_names[label]])
 
 
-def load_table(path, delimiter: str = ",", label_col: int = -1,
-               has_header: bool = False, label_map: dict[str, int] | None = None,
-               split: str = "train") -> Dataset:
-    """Read a rectangular delimited table of features plus one label column.
+def load_table(path, delimiter: str = ",", has_header: bool = False,
+               label_map: dict[str, int] | None = None, split: str = "train") -> Dataset:
+    """Read a rectangular delimited table of features plus a last label column.
 
     Labels are relabeled to dense 0..C-1 in first-appearance order unless a
     label_map from a previous split is given, in which case unseen labels are
@@ -148,10 +150,6 @@ def load_table(path, delimiter: str = ",", label_col: int = -1,
     if width < 2:
         raise DataError(f"{path}: rows need at least one feature and a label column")
 
-    col = label_col if label_col >= 0 else width + label_col
-    if not 0 <= col < width:
-        raise DataError(f"{path}: label column {label_col} out of range for width {width}")
-
     mapping: dict[str, int] = dict(label_map) if label_map else {}
     frozen = label_map is not None
     features = np.empty((len(rows), width - 1))
@@ -159,15 +157,14 @@ def load_table(path, delimiter: str = ",", label_col: int = -1,
     for i, row in enumerate(rows):
         if len(row) != width:
             raise DataError(f"{path}: ragged row {i + 1} has {len(row)} fields, expected {width}")
-        name = row[col].strip()
+        name = row[-1].strip()
         if name not in mapping:
             if frozen:
                 raise DataError(f"{path}: row {i + 1} has label {name!r} "
                                 "not present in the training label map")
             mapping[name] = len(mapping)
         labels[i] = mapping[name]
-        cells = row[:col] + row[col + 1:]
-        for j, cell in enumerate(cells):
+        for j, cell in enumerate(row[:-1]):
             try:
                 features[i, j] = float(cell)
             except ValueError:
@@ -176,4 +173,7 @@ def load_table(path, delimiter: str = ",", label_col: int = -1,
     names = [None] * len(mapping)
     for name, idx in mapping.items():
         names[idx] = name
-    return Dataset(features, labels, len(mapping), split=split, label_names=list(names))
+    try:
+        return Dataset(features, labels, len(mapping), split=split, label_names=list(names))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

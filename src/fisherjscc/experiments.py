@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .models import DecoderModel, EncoderModel
 from .rng import CounterRng, derive_seed
 from .robustness import _expected_kl_rows, _kl_rows, mean_fisher_trace
 
-SWEEP_SCHEMA = "fisherjscc.sweep.v1"
+SWEEP_SCHEMA = "fisherjscc.sweep.v2"
 TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
 REGTRACK_SCHEMA = "fisherjscc.regtrack.v1"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
@@ -34,21 +34,7 @@ class SweepRow:
     psnr_db: float
     family: str
     error_rate: float
-    mean_regularizer: float
     mean_expected_kl: float
-
-
-@dataclass
-class SweepResult:
-    rows: list[SweepRow] = field(default_factory=list)
-
-    def append(self, row: SweepRow) -> None:
-        key = (row.regime, row.psnr_db, row.family)
-        if any((r.regime, r.psnr_db, r.family) == key for r in self.rows):
-            raise ValueError(f"duplicate sweep cell {key}")
-        if not 0.0 <= row.error_rate <= 1.0:
-            raise ValueError("error rate must lie in [0, 1]")
-        self.rows.append(row)
 
 
 def _csv_open(path, schema: str):
@@ -57,34 +43,36 @@ def _csv_open(path, schema: str):
     return fh, csv.writer(fh, lineterminator="\n")
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
+def write_sweep_csv(rows: list[SweepRow], path) -> None:
     fh, writer = _csv_open(path, SWEEP_SCHEMA)
     with fh:
-        writer.writerow(["regime", "psnr_db", "family", "error_rate",
-                         "mean_regularizer", "mean_expected_kl"])
-        for r in result.rows:
+        writer.writerow(["regime", "psnr_db", "family", "error_rate", "mean_expected_kl"])
+        for r in rows:
             writer.writerow([r.regime, repr(r.psnr_db), r.family, repr(r.error_rate),
-                             repr(r.mean_regularizer), repr(r.mean_expected_kl)])
+                             repr(r.mean_expected_kl)])
 
 
 def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                 psnr_grid, family: str, trials: int, seed: int,
-                regime: str = "model", threads: int = 1) -> SweepResult:
+                regime: str = "model", threads: int = 1) -> list[SweepRow]:
     """Misclassification rate over the test PSNR grid, T channel draws per sample.
 
     The same draws also feed the per-sample KL between the noise-free and
-    noisy posteriors, reported as mean_expected_kl. Each (PSNR, trial) cell
-    draws from its own generator derived from the seed by labeled counters
-    and cells are merged in grid order, so the result is identical for any
-    thread count.
+    noisy posteriors, reported as mean_expected_kl. A prediction is the
+    argmax of `decode`. Each (PSNR, trial) cell draws from its own generator
+    derived from the seed by labeled counters, and the pool's `threads`
+    workers return the rows in grid order, so the result is identical for
+    any thread count. A PSNR listed twice is refused before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    grid = [float(p) for p in psnr_grid]
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"duplicate sweep cell in PSNR grid {grid}")
     z = encoder.encode(dataset.features)
     p_clean = decoder.decode(z)
     clean_predictions = np.argmax(p_clean, axis=1)
     labels = dataset.labels
-    mean_trace = mean_fisher_trace(decoder, z)
 
     def evaluate_cell(cell):
         psnr_index, psnr_db = cell
@@ -102,21 +90,11 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                 kl_sum += float(_kl_rows(p_clean, q).sum())
             errors = wrong / (trials * len(labels))
             kl_mean = kl_sum / (trials * len(labels))
-        return SweepRow(regime=regime, psnr_db=float(psnr_db), family=family,
-                        error_rate=errors,
-                        mean_regularizer=0.5 * sigma2 * mean_trace,
-                        mean_expected_kl=kl_mean)
+        return SweepRow(regime=regime, psnr_db=psnr_db, family=family,
+                        error_rate=errors, mean_expected_kl=kl_mean)
 
-    cells = list(enumerate(psnr_grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate_cell, cells))
-    else:
-        rows = [evaluate_cell(cell) for cell in cells]
-    result = SweepResult()
-    for row in rows:
-        result.append(row)
-    return result
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(evaluate_cell, enumerate(grid)))
 
 
 @dataclass(frozen=True)
@@ -227,7 +205,6 @@ class PosteriorGrid:
     offsets1: np.ndarray         # displacement values along axis1
     offsets2: np.ndarray
     values: np.ndarray           # [len(offsets1), len(offsets2)]
-    center_value: float
 
 
 def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
@@ -259,9 +236,8 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
               + grid_b.reshape(-1, 1) * v2[None, :])
     logq = decoder.log_posterior_all(points).data[:, y_true]
     values = -logq.reshape(resolution, resolution)
-    center = -float(decoder.log_posterior(z0, y_true).item())
     return PosteriorGrid(axis1=v1, axis2=v2, offsets1=offsets.copy(),
-                         offsets2=offsets.copy(), values=values, center_value=center)
+                         offsets2=offsets.copy(), values=values)
 
 
 def write_posterior_csv(grid: PosteriorGrid, path) -> None:
@@ -283,7 +259,7 @@ def paired_compare(encoder_a, decoder_a, encoder_b, decoder_b, dataset,
     sweep_b = error_sweep(encoder_b, decoder_b, dataset, psnr_grid, family,
                           trials, seed, regime="b", threads=threads)
     rows = []
-    for ra, rb in zip(sweep_a.rows, sweep_b.rows):
+    for ra, rb in zip(sweep_a, sweep_b):
         delta = ra.error_rate - rb.error_rate
         rows.append({
             "psnr_db": ra.psnr_db, "family": family,
@@ -302,26 +278,3 @@ def write_compare_csv(rows, path) -> None:
             writer.writerow([repr(r["psnr_db"]), r["family"], repr(r["error_a"]),
                              repr(r["error_b"]), repr(r["delta"]), r["sign"]])
 
-
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation, average ranks for ties."""
-    def ranks(values):
-        values = np.asarray(values, dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        out = np.empty(len(values))
-        i = 0
-        while i < len(values):
-            j = i
-            while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            out[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-            i = j + 1
-        return out
-
-    rx, ry = ranks(xs), ranks(ys)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((rx * ry).sum() / denom)

@@ -31,6 +31,8 @@ def _power_sqrt_floor(power: float) -> float:
 
 def _init_params(sizes, seed: int, prefix: str) -> ad.ParamSet:
     """Glorot-uniform weights, zero biases, drawn from a labeled substream."""
+    if min(sizes) < 1:
+        raise ValueError(f"{prefix} layer widths must be >= 1, got {list(sizes)}")
     params = ad.ParamSet()
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         rng = CounterRng(derive_seed(seed, prefix, "layer", i))
@@ -41,11 +43,12 @@ def _init_params(sizes, seed: int, prefix: str) -> ad.ParamSet:
     return params
 
 
-def _mlp_forward(params: ad.ParamSet, h: ad.Tensor, n_layers: int, hidden_act: str) -> ad.Tensor:
+def _mlp_forward(params: ad.ParamSet, h: ad.Tensor, n_layers: int) -> ad.Tensor:
+    """Affine layers with relu between them, none after the last."""
     for i in range(n_layers):
         h = ad.affine(h, params[f"W{i}"], params[f"b{i}"])
         if i < n_layers - 1:
-            h = ad.activation(h, hidden_act)
+            h = ad.relu(h)
     return h
 
 
@@ -63,8 +66,6 @@ class EncoderModel:
 
     def __init__(self, input_dim: int, repr_dim: int, power: float,
                  hidden=(64, 64), seed: int = 0):
-        if repr_dim < 1:
-            raise ValueError("repr_dim must be >= 1")
         if power <= 0.0:
             raise ValueError("power budget must be positive")
         self.sizes = (int(input_dim), *(int(h) for h in hidden), int(repr_dim))
@@ -87,7 +88,7 @@ class EncoderModel:
             raise ValueError(
                 f"encoder expects inputs of dimension {self.input_dim}, got {h.data.shape[1]}"
             )
-        pre = _mlp_forward(self.params, h, len(self.sizes) - 1, "relu")
+        pre = _mlp_forward(self.params, h, len(self.sizes) - 1)
         return ad.scale(ad.tanh(pre), self._scale)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
@@ -116,44 +117,19 @@ class DecoderModel:
     def num_classes(self) -> int:
         return self.sizes[-1]
 
-    def logits_node(self, z) -> ad.Tensor:
+    def log_posterior_all(self, z) -> ad.Tensor:
+        """log q(y|z) for every class as a tape node, shape [b, C]; z may be a leaf."""
         h = _as_batch(z)
         if h.data.shape[1] != self.repr_dim:
             raise ValueError(
                 f"decoder expects representations of dimension {self.repr_dim}, "
                 f"got {h.data.shape[1]}"
             )
-        return _mlp_forward(self.params, h, len(self.sizes) - 1, "relu")
-
-    def log_posterior_all(self, z) -> ad.Tensor:
-        """log q(y|z) for every class, shape [b, C]."""
-        return ad.log_softmax(self.logits_node(z))
-
-    def log_posterior_batch(self, z, labels) -> ad.Tensor:
-        """log q(labels[i] | z[i]) per row, shape [b]."""
-        return ad.gather_labels(self.log_posterior_all(z), labels)
-
-    def log_posterior(self, z, label: int) -> ad.Tensor:
-        """Scalar log q(label | z) for a single representation.
-
-        Pass an `ad.Tensor` leaf as z to differentiate with respect to the
-        input as well as the parameters.
-        """
-        label = int(label)
-        if not 0 <= label < self.num_classes:
-            raise ValueError(f"class index {label} out of range [0, {self.num_classes})")
-        node = _as_batch(z)
-        if node.data.shape[0] != 1:
-            raise ValueError("log_posterior takes a single representation")
-        return ad.sum_all(self.log_posterior_batch(node, np.array([label])))
+        return ad.log_softmax(_mlp_forward(self.params, h, len(self.sizes) - 1))
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Posterior rows (each sums to 1); argmax ties resolve to the lowest index."""
         return np.exp(self.log_posterior_all(z).data)
-
-    def predict(self, z: np.ndarray) -> np.ndarray:
-        logits = self.logits_node(z).data
-        return np.argmax(logits, axis=1)  # np.argmax picks the lowest index on ties
 
 
 def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,

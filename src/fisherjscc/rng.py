@@ -1,10 +1,11 @@
 """Deterministic random streams for every stochastic piece of the package.
 
 A counter-based scheme is used throughout: the k-th output word depends only
-on (seed, k), so a stream can be reproduced bit for bit from its seed alone,
-draws do not depend on call granularity, and independent substreams are
-cheap to derive. Gaussian variates come from Box-Muller applied to the
-uniform word stream.
+on (seed, k), so a stream can be reproduced bit for bit from its seed alone
+and independent substreams are cheap to derive. Words and uniforms do not
+depend on call granularity; Box-Muller normals do, since each call takes a
+block of u1 words and then a block of u2 words: normals(4) differs from
+normals(2) followed by normals(2).
 """
 
 from __future__ import annotations
@@ -52,13 +53,9 @@ class CounterRng:
     The whole word block for a request is produced vectorized in numpy.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self._key = np.uint64(seed & _MASK64)
-        self._counter = int(counter)
-
-    @property
-    def counter(self) -> int:
-        return self._counter
+        self._counter = 0
 
     def _words(self, n: int) -> np.ndarray:
         start = self._counter
@@ -80,12 +77,9 @@ class CounterRng:
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard normal values via Box-Muller pairs.
 
-        Consumes an even number of words; when n is odd the second half of
-        the final pair is discarded, keeping the stream layout a pure
-        function of (seed, counter).
+        Consumes 2 * ceil(n / 2) words: the u1 block, then the u2 block.
+        When n is odd the second half of the final pair is discarded.
         """
-        if n == 0:
-            return np.empty(0)
         pairs = (n + 1) // 2
         # u1 on (0, 1] so the log is always finite; u2 on [0, 1).
         u1 = ((self._words(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53

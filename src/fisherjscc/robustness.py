@@ -32,6 +32,8 @@ from .rng import CounterRng
 logger = logging.getLogger(__name__)
 
 KL_LOG_CLAMP = 1e-12
+TRACE_CHUNK = 512           # representations per fisher_trace_node call in mean_fisher_trace
+KL_CHUNK_ROWS = 65536       # decoded rows per block of noise draws in _expected_kl_rows
 
 
 def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
@@ -108,19 +110,18 @@ def fisher_matrix(decoder: DecoderModel, z: np.ndarray) -> np.ndarray:
     return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)
 
 
-def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray,
-                      chunk: int = 512) -> float:
+def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
     """Mean Tr(I(z_i)) over a batch of representations."""
     z_batch = np.asarray(z_batch, dtype=np.float64)
     total = 0.0
-    for start in range(0, z_batch.shape[0], chunk):
-        node = fisher_trace_node(decoder, ad.Tensor(z_batch[start:start + chunk]))
+    for start in range(0, z_batch.shape[0], TRACE_CHUNK):
+        node = fisher_trace_node(decoder, ad.Tensor(z_batch[start:start + TRACE_CHUNK]))
         total += float(node.data.sum())
     return total / z_batch.shape[0]
 
 
 def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
-                      samples: int, rng: CounterRng, chunk_rows: int = 65536) -> np.ndarray:
+                      samples: int, rng: CounterRng) -> np.ndarray:
     """KL(q(.|z_i) || q(.|z_i + noise)) per AWGN draw: returns array [n, samples].
 
     A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
@@ -128,7 +129,7 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
     n, k = z_batch.shape
     p = decoder.decode(z_batch)
     out = np.empty((n, samples))
-    draws_per_chunk = max(1, chunk_rows // max(n, 1))
+    draws_per_chunk = max(1, KL_CHUNK_ROWS // max(n, 1))
     done = 0
     while done < samples:
         take = min(draws_per_chunk, samples - done)

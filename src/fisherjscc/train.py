@@ -152,7 +152,8 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     noise = np.concatenate([channel_noise(z.data.shape, sigma2, family, rng)
                             for _ in range(noise_draws)])
     z_hat = ad.add(ad.tile_rows(z, noise_draws), ad.Tensor(noise))
-    log_likelihood = decoder.log_posterior_batch(z_hat, np.tile(labels, noise_draws))
+    log_likelihood = ad.gather_labels(decoder.log_posterior_all(z_hat),
+                                      np.tile(labels, noise_draws))
     ce = ad.scale(ad.sum_all(log_likelihood), -1.0 / (batch * noise_draws))
 
     if coeff == 0.0:
@@ -197,7 +198,8 @@ def adam_step(params: ad.ParamSet, grads: dict[str, np.ndarray],
 
 def _accuracy(encoder: EncoderModel, decoder: DecoderModel,
               features: np.ndarray, labels: np.ndarray) -> float:
-    predictions = decoder.predict(encoder.encode(features))
+    """Share of rows whose most probable class is the label, the sweep's rule."""
+    predictions = np.argmax(decoder.decode(encoder.encode(features)), axis=1)
     return float(np.mean(predictions == labels))
 
 

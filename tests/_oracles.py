@@ -132,3 +132,27 @@ def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> 
         adam_step(params, grads, state, lr)
     test_logits = test_set.features @ params["W"].data + params["b"].data
     return float(np.mean(np.argmax(test_logits, axis=1) == test_set.labels))
+
+
+def spearman(xs, ys) -> float:
+    """Spearman rank correlation, average ranks for ties."""
+    def ranks(values):
+        values = np.asarray(values, dtype=np.float64)
+        order = np.argsort(values, kind="stable")
+        out = np.empty(len(values))
+        i = 0
+        while i < len(values):
+            j = i
+            while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+                j += 1
+            out[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+            i = j + 1
+        return out
+
+    rx, ry = ranks(xs), ranks(ys)
+    rx = rx - rx.mean()
+    ry = ry - ry.mean()
+    denom = math.sqrt(float((rx**2).sum() * (ry**2).sum()))
+    if denom == 0.0:
+        return 0.0
+    return float((rx * ry).sum() / denom)

@@ -21,7 +21,7 @@ from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.robustness import fisher_matrix, kl_categorical, mean_fisher_trace
 from fisherjscc.train import FixedPsnr, TrainConfig, regularized_loss, train
 
-from _oracles import finite_diff_grad, finite_diff_hessian, max_rel_err
+from _oracles import finite_diff_grad, finite_diff_hessian, max_rel_err, spearman
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -141,7 +141,6 @@ def test_criterion_3_expected_kl_vs_penalty():
     distances = [abs(r - 1.0) for r in ratios]
     closest = int(np.argmin(distances))
     # The ratio approaches 1 in trend as sigma2 decreases along the grid.
-    from fisherjscc.experiments import spearman
     monotone = spearman(sigma2_grid, distances) > 0.0
     elapsed = time.perf_counter() - started
     ok = in_band and closest == 0 and monotone and elapsed < 300.0
@@ -160,7 +159,7 @@ def test_criterion_4_low_psnr_robustness_trend(trend_pairs):
             encoder, decoder, test_set = trend_pairs[(seed, lam)]
             sweep = error_sweep(encoder, decoder, test_set, [5.0], "awgn",
                                 trials=20, seed=derive_seed(seed, "awgn-sweep"))
-            errors[lam] = sweep.rows[0].error_rate
+            errors[lam] = sweep[0].error_rate
         wins += errors[TREND_LAMBDA] < errors[0.0]
         details.append(f"{errors[0.0]:.4f}->{errors[TREND_LAMBDA]:.4f}")
     elapsed = time.perf_counter() - started
@@ -181,7 +180,7 @@ def test_criterion_5_rayleigh_transfer_trend(trend_pairs):
             sweeps[lam] = error_sweep(encoder, decoder, test_set, grid, "rayleigh",
                                       trials=20, seed=derive_seed(seed, "ray-sweep"))
         all_better = all(
-            sweeps[TREND_LAMBDA].rows[i].error_rate < sweeps[0.0].rows[i].error_rate
+            sweeps[TREND_LAMBDA][i].error_rate < sweeps[0.0][i].error_rate
             for i in range(len(grid)))
         seed_wins += all_better
     elapsed = time.perf_counter() - started

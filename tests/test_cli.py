@@ -264,12 +264,14 @@ class TestEvalCommand:
             error = float(row.split(",")[3])
             assert abs(error - (1.0 - 1.0 / 3.0)) <= 0.02
 
-    @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format"])
+    @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format", "normalizer_width"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
         if defect == "nan_weight":
             doc["decoder"]["params"]["W0"]["data"][0] = float("nan")
+        elif defect == "normalizer_width":
+            doc["normalizer"]["mean"].append(0.0)
         else:
             doc["format"] = "something-else"
         bad = tmp_path / "bad_checkpoint.json"
@@ -309,13 +311,21 @@ class TestEvalCommand:
          "resolution"),
         ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nsample_index = 9999")],
          "sample_index"),
+        ("train", [("power = 1.0", "power = 0")], "power"),
+        ("train", [("repr_dim = 4", "repr_dim = 0")], "layer widths"),
+        ("train", [("encoder_hidden = 16", "encoder_hidden = 16,0")], "layer widths"),
+        ("train", [("decoder_hidden = 16", "decoder_hidden = 0")], "layer widths"),
+        ("gen-data", [("classes = 3", "classes = 1")], "num_classes"),
+        ("eval --threads 0", [], "--threads"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
             "duplicate-key", "duplicate-section", "no-section-header",
             "validate-approx-mc_samples", "validate-approx-sample_limit", "eval-trials",
             "eval-duplicate-psnr", "compare-trials", "compare-duplicate-psnr",
-            "posterior-map-resolution", "posterior-map-sample_index"])
+            "posterior-map-resolution", "posterior-map-sample_index", "train-power",
+            "train-repr_dim", "train-encoder_hidden", "train-decoder_hidden",
+            "gen-data-classes", "eval-threads"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""
@@ -330,9 +340,104 @@ class TestEvalCommand:
             text = text.replace(old, new)
         config.write_text(text)
         capsys.readouterr()
-        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert main([*command.split(), "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and fragment in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split, cell", [
+        ("eval", "test.csv", "nan"), ("eval", "test.csv", "inf"),
+        ("train", "train.csv", "nan"), ("train", "train.csv", "-inf"),
+    ])
+    def test_non_finite_feature_is_a_data_error(self, tmp_path, data_dir, checkpoint,
+                                                capsys, command, split, cell):
+        """Exit 3 before any output directory exists: no traceback, no divergence.json."""
+        bad_dir = tmp_path / "bad_data"
+        bad_dir.mkdir()
+        for name in ("train.csv", "test.csv"):
+            (bad_dir / name).write_bytes((data_dir / name).read_bytes())
+        rows = (bad_dir / split).read_text().splitlines()
+        rows[5] = ",".join([cell] + rows[5].split(",")[1:])
+        (bad_dir / split).write_text("\n".join(rows) + "\n")
+        config = tmp_path / "bad.ini"
+        out = tmp_path / "bad_out"
+        write_config(config, out, bad_dir, extra=f"checkpoint = {checkpoint}")
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "non-finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_test_set_width_mismatch_is_a_config_error(self, tmp_path, checkpoint, capsys):
+        """A [data] dir whose features the checkpoint's encoder does not take."""
+        config = tmp_path / "wide.ini"
+        wide = tmp_path / "wide_data"
+        write_config(config, wide, wide, kind="blobs", extra=f"checkpoint = {checkpoint}")
+        config.write_text(config.read_text().replace("spread = 0.15", "spread = 0.15\ndim = 3"))
+        assert main(["gen-data", "--config", str(config)]) == EXIT_OK
+        out = tmp_path / "wide_out"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "3 features" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_uses_the_checkpoint_normalizer(self, tmp_path, data_dir, checkpoint):
+        """A train.csv from another seed changes no byte of the sweep: eval never refits."""
+        other_config = tmp_path / "other.ini"
+        other_data = tmp_path / "other_data"
+        write_config(other_config, other_data, other_data, seed=8)
+        assert main(["gen-data", "--config", str(other_config)]) == EXIT_OK
+        swapped = tmp_path / "swapped_data"
+        swapped.mkdir()
+        (swapped / "train.csv").write_bytes((other_data / "train.csv").read_bytes())
+        (swapped / "test.csv").write_bytes((data_dir / "test.csv").read_bytes())
+        assert (swapped / "train.csv").read_bytes() != (data_dir / "train.csv").read_bytes()
+        config = tmp_path / "eval.ini"
+        sweeps = []
+        for name, directory in (("original", data_dir), ("swapped", swapped)):
+            out = tmp_path / f"eval_{name}"
+            write_config(config, out, directory, extra=f"checkpoint = {checkpoint}")
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+            sweeps.append((out / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
+
+    @pytest.fixture()
+    def raw_checkpoint(self, tmp_path, data_dir):
+        """A checkpoint trained with [data] normalize = false."""
+        config = tmp_path / "raw.ini"
+        model = tmp_path / "raw_model"
+        write_config(config, model, data_dir, epochs=1)
+        config.write_text(config.read_text().replace("spread = 0.15",
+                                                     "spread = 0.15\nnormalize = false"))
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        return model / "checkpoint.json"
+
+    def test_null_normalizer_means_raw_features(self, tmp_path, data_dir, raw_checkpoint):
+        """A checkpoint trained without normalization is evaluated on raw features,
+        whatever [data] normalize says."""
+        assert json.loads(raw_checkpoint.read_text())["normalizer"] is None
+        config = tmp_path / "eval.ini"
+        sweeps = []
+        for flag in ("true", "false"):
+            out = tmp_path / f"eval_{flag}"
+            write_config(config, out, data_dir, extra=f"checkpoint = {raw_checkpoint}")
+            config.write_text(config.read_text().replace(
+                "spread = 0.15", f"spread = 0.15\nnormalize = {flag}"))
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+            sweeps.append((out / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
+
+    def test_compare_refuses_differing_normalizers(self, tmp_path, data_dir, checkpoint,
+                                                   raw_checkpoint, capsys):
+        config = tmp_path / "cmp.ini"
+        out = tmp_path / "cmp_out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint_a = {checkpoint}\ncheckpoint_b = {raw_checkpoint}")
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "normalize" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint):

@@ -71,8 +71,8 @@ class TestMakeRings:
         config = TrainConfig(lam=0.0, noise_draws=1, epochs=60, batch_size=32,
                              seed=5, psnr=FixedPsnr(60.0))
         train(config, train_set, encoder, head)
-        mlp_accuracy = float(np.mean(head.predict(encoder.encode(test_set.features))
-                                     == test_set.labels))
+        predictions = np.argmax(head.decode(encoder.encode(test_set.features)), axis=1)
+        mlp_accuracy = float(np.mean(predictions == test_set.labels))
         assert mlp_accuracy >= 0.95
 
 
@@ -141,6 +141,13 @@ class TestLoadTable:
         with pytest.raises(DataError, match="no data rows"):
             load_table(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"1.0,2.0,a\n3.0,{cell},b\n")
+        with pytest.raises(DataError, match=r"nonfinite\.csv: non-finite feature value in row 2"):
+            load_table(path)
+
     def test_header_skipped_when_flagged(self, tmp_path):
         path = tmp_path / "with_header.csv"
         path.write_text("x1,x2,label\n1.0,2.0,a\n3.0,4.0,b\n")
@@ -156,3 +163,7 @@ class TestDatasetInvariants:
     def test_empty_features_rejected(self):
         with pytest.raises(DataError):
             Dataset(np.ones((0, 2)), np.array([], dtype=np.int64), num_classes=2)
+
+    def test_non_finite_features_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(np.array([[0.0, np.nan]]), np.array([0]), num_classes=2)

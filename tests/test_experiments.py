@@ -5,14 +5,15 @@ import pytest
 
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
-from fisherjscc.experiments import (SweepResult, SweepRow,
-                                    error_sweep, paired_compare, posterior_grid,
-                                    regularizer_track, spearman,
-                                    taylor_validation, top_two_components,
-                                    write_posterior_csv, write_sweep_csv)
+from fisherjscc.experiments import (error_sweep, paired_compare, posterior_grid,
+                                    regularizer_track, taylor_validation,
+                                    top_two_components, write_posterior_csv,
+                                    write_sweep_csv)
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
+
+from _oracles import spearman
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +43,8 @@ class TestErrorSweep:
                              trials=7, seed=1)
         z = encoder.encode(test_set.features)
         exact = float(np.mean(np.argmax(decoder.decode(z), axis=1) != test_set.labels))
-        assert result.rows[0].error_rate == exact
-        assert result.rows[0].mean_expected_kl == 0.0
+        assert result[0].error_rate == exact
+        assert result[0].mean_expected_kl == 0.0
 
     def test_error_decreases_with_psnr_in_trend(self):
         """Spearman correlation of error vs PSNR is negative, majority of 3 seeds."""
@@ -57,7 +58,7 @@ class TestErrorSweep:
             train(TrainConfig(lam=0.0, epochs=25, batch_size=32, seed=seed,
                               psnr=FixedPsnr(15.0)), ds, encoder, decoder)
             result = error_sweep(encoder, decoder, ds, grid, "awgn", trials=10, seed=seed)
-            errors = [row.error_rate for row in result.rows]
+            errors = [row.error_rate for row in result]
             if spearman(grid, errors) < 0.0:
                 wins += 1
         assert wins >= 2
@@ -68,26 +69,29 @@ class TestErrorSweep:
         encoder, decoder = uniform_pair()
         ds = make_rings(4, 150, noise=0.1, seed=41)  # 600 samples, T=20 -> 12000 draws
         result = error_sweep(encoder, decoder, ds, [10.0], "awgn", trials=20, seed=2)
-        assert abs(result.rows[0].error_rate - 0.75) <= 0.02
+        assert abs(result[0].error_rate - 0.75) <= 0.02
 
     def test_deterministic_given_seed(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
         a = error_sweep(encoder, decoder, test_set, [5.0, 15.0], "awgn", trials=5, seed=9)
         b = error_sweep(encoder, decoder, test_set, [5.0, 15.0], "awgn", trials=5, seed=9)
-        assert a.rows == b.rows
+        assert a == b
 
-    def test_duplicate_cells_rejected(self):
-        result = SweepResult()
-        row = SweepRow("m", 10.0, "awgn", 0.1, 0.0, 0.0)
-        result.append(row)
-        with pytest.raises(ValueError):
-            result.append(row)
+    def test_duplicate_cells_rejected(self, trained_pair, monkeypatch):
+        """A repeated PSNR is refused before the sweep encodes or decodes anything."""
+        encoder, decoder, _, test_set = trained_pair
+        calls = []
+        monkeypatch.setattr(encoder, "encode", lambda x: calls.append("encode"))
+        monkeypatch.setattr(decoder, "decode", lambda z: calls.append("decode"))
+        with pytest.raises(ValueError, match="duplicate sweep cell"):
+            error_sweep(encoder, decoder, test_set, [10.0, 10.0], "awgn", trials=3, seed=1)
+        assert calls == []
 
     def test_rayleigh_family_runs(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
         result = error_sweep(encoder, decoder, test_set, [10.0], "rayleigh",
                              trials=5, seed=3)
-        assert 0.0 <= result.rows[0].error_rate <= 1.0
+        assert 0.0 <= result[0].error_rate <= 1.0
 
     def test_thread_count_does_not_change_results(self, trained_pair):
         """Per-cell generators plus ordered merge: threads=2 equals threads=1."""
@@ -97,7 +101,7 @@ class TestErrorSweep:
                              trials=4, seed=17, threads=1)
         threaded = error_sweep(encoder, decoder, test_set, grid, "awgn",
                                trials=4, seed=17, threads=2)
-        assert serial.rows == threaded.rows
+        assert serial == threaded
 
 
 class TestTaylorValidation:
@@ -213,9 +217,8 @@ class TestPosteriorGrid:
         grid = posterior_grid(encoder, decoder, ds, sample_index=3, resolution=9,
                               extent_std=2.0, sigma2=0.01)
         z0 = encoder.encode(ds.features)[3]
-        expected = -decoder.log_posterior(z0, int(ds.labels[3])).item()
+        expected = -decoder.log_posterior_all(z0).data[0, int(ds.labels[3])]
         assert grid.values[4, 4] == pytest.approx(expected, rel=1e-12)
-        assert grid.center_value == pytest.approx(expected, rel=1e-12)
 
     def test_axes_orthonormal(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair
@@ -286,7 +289,9 @@ class TestSweepCsv:
         write_sweep_csv(error_sweep(encoder, decoder, test_set, [5.0, 10.0], "awgn",
                                     trials=3, seed=13), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
-        assert path_a.read_text().splitlines()[0] == "# schema=fisherjscc.sweep.v1"
+        assert path_a.read_text().splitlines()[:2] == [
+            "# schema=fisherjscc.sweep.v2",
+            "regime,psnr_db,family,error_rate,mean_expected_kl"]
 
 
 class TestSpearman:

@@ -51,6 +51,8 @@ class TestEncoder:
             EncoderModel(4, 0, power=1.0)
         with pytest.raises(ValueError):
             EncoderModel(4, 2, power=0.0)
+        with pytest.raises(ValueError, match="layer widths"):
+            EncoderModel(4, 2, power=1.0, hidden=(8, 0))
 
 
 class TestDecoder:
@@ -80,11 +82,15 @@ class TestDecoder:
         decoder = DecoderModel(2, 3, hidden=(), seed=0)
         decoder.params["W0"].data[:] = 0.0
         decoder.params["b0"].data[:] = 0.0
-        assert decoder.predict(np.array([[0.4, -0.2]]))[0] == 0
+        assert np.argmax(decoder.decode(np.array([[0.4, -0.2]])), axis=1)[0] == 0
 
     def test_num_classes_validated(self):
         with pytest.raises(ValueError):
             DecoderModel(4, 1)
+
+    def test_hidden_width_validated(self):
+        with pytest.raises(ValueError, match="layer widths"):
+            DecoderModel(4, 3, hidden=(0,))
 
 
 class TestLogPosterior:
@@ -92,31 +98,31 @@ class TestLogPosterior:
         decoder = DecoderModel(3, 4, hidden=(), seed=0)
         decoder.params["W0"].data[:] = 0.0
         decoder.params["b0"].data[:] = 0.0
-        value = decoder.log_posterior(np.array([0.1, -0.5, 2.0]), 2).item()
-        assert value == pytest.approx(-math.log(4.0), rel=1e-15)
+        values = decoder.log_posterior_all(np.array([0.1, -0.5, 2.0])).data
+        np.testing.assert_allclose(values, [[-math.log(4.0)] * 4], rtol=1e-15)
 
     def test_exp_matches_decode(self):
         decoder = DecoderModel(4, 3, seed=8)
         z = CounterRng(6).normals(4)
-        for y in range(3):
-            lp = decoder.log_posterior(z, y).item()
-            assert math.exp(lp) == pytest.approx(decoder.decode(z)[0, y], abs=1e-12)
+        np.testing.assert_array_equal(np.exp(decoder.log_posterior_all(z).data),
+                                      decoder.decode(z))
 
-    def test_class_out_of_range_rejected(self):
+    def test_dimension_mismatch_rejected(self):
         decoder = DecoderModel(4, 3, seed=8)
-        with pytest.raises(ValueError):
-            decoder.log_posterior(np.zeros(4), 3)
-        with pytest.raises(ValueError):
-            decoder.log_posterior(np.zeros(4), -1)
+        with pytest.raises(ValueError, match="dimension 4"):
+            decoder.log_posterior_all(np.zeros((2, 5)))
 
     def test_input_gradient_matches_finite_differences(self):
         decoder = DecoderModel(4, 3, hidden=(8,), seed=11)
         z = ad.Tensor(CounterRng(7).normals(4))
 
-        def value():
-            return decoder.log_posterior(z, 1).item()
+        def log_q1():
+            return ad.sum_all(ad.gather_labels(decoder.log_posterior_all(z), np.array([1])))
 
-        grad = ad.backward(decoder.log_posterior(z, 1), [z])[z]
+        def value():
+            return log_q1().item()
+
+        grad = ad.backward(log_q1(), [z])[z]
         assert grad.data.shape == (4,)
         assert np.all(np.isfinite(grad.data))
         assert max_rel_err(grad.data, finite_diff_grad(value, z.data)) <= 1e-5

@@ -24,6 +24,14 @@ class TestDeterminism:
     def test_normals_reproducible(self):
         np.testing.assert_array_equal(CounterRng(5).normals(101), CounterRng(5).normals(101))
 
+    def test_normals_depend_on_call_granularity(self):
+        """Each call takes its u1 block, then its u2 block, so a split call differs."""
+        whole = CounterRng(9).normals(4)
+        rng = CounterRng(9)
+        pieces = np.concatenate([rng.normals(2), rng.normals(2)])
+        assert not np.array_equal(whole, pieces)
+        assert CounterRng(9).normals(0).shape == (0,)
+
 
 class TestStatistics:
     def test_uniform_range_and_mean(self):
