@@ -42,9 +42,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, leaf={not self._parents})"
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -260,43 +257,6 @@ def scatter_labels(g, labels, num_cols: int) -> Tensor:
         return gather_labels(g2, idx)
 
     return Tensor(out_data, (g,), (vjp,))
-
-
-class ParamSet:
-    """Named parameter tensors with deterministic iteration order."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._params[name] = tensor
-        return tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        if set(state) != set(self._params):
-            raise ValueError("parameter names do not match")
-        for name, tensor in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for parameter {name!r}")
-            tensor.data = arr.copy()
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:

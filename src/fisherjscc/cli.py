@@ -17,9 +17,12 @@ import configparser
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, experiments
 from .channel import FAMILIES, psnr_to_sigma2
@@ -56,6 +59,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _int_at_least(low: int):
+    """Parser accepting only integers >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}")
+        return value
+    return parse
+
+
+def _parse_finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
@@ -82,10 +102,10 @@ _SCHEMA = {
     "data": {
         "kind": (_choice(("rings", "blobs", "table")), "rings"),
         "classes": (int, 3),
-        "per_class_train": (int, 200),
-        "per_class_test": (int, 200),
-        "dim": (int, 2),                        # blobs only
-        "spread": (float, 0.15),                # blob spread / ring radial noise
+        "per_class_train": (_int_at_least(1), 200),
+        "per_class_test": (_int_at_least(1), 200),
+        "dim": (_int_at_least(1), 2),           # blobs only
+        "spread": (_parse_finite_float, 0.15),  # blob spread / ring radial noise
         "normalize": (_parse_bool, True),
         "dir": (str, ""),                       # where gen-data wrote its files
         "train_file": (str, ""),                # table kind only
@@ -113,7 +133,7 @@ _SCHEMA = {
         "psnr_low": (float, 10.0),
         "psnr_high": (float, 25.0),
         "omit_sigma2": (_parse_bool, False),
-        "checkpoint_every": (int, 0),
+        "checkpoint_every": (_int_at_least(0), 0),     # 0: only the final checkpoint
     },
     "experiment": {
         "kind": (_choice(("sweep", "taylor", "reg-track", "posterior-map")), "sweep"),
@@ -225,11 +245,10 @@ def _generate_datasets(config: dict, seed: int) -> tuple[Dataset, Dataset]:
         if not section["train_file"] or not section["test_file"]:
             raise ConfigError("[data] kind=table requires train_file and test_file")
         train_set = load_table(section["train_file"], delimiter=section["delimiter"],
-                               has_header=section["has_header"], split="train")
+                               has_header=section["has_header"])
         test_set = load_table(section["test_file"], delimiter=section["delimiter"],
                               has_header=section["has_header"],
-                              label_map={n: i for i, n in enumerate(train_set.label_names)},
-                              split="test")
+                              label_map={n: i for i, n in enumerate(train_set.label_names)})
     return train_set, test_set
 
 
@@ -243,10 +262,9 @@ def _load_datasets_from_dir(config: dict) -> tuple[Dataset, Dataset]:
     for path in (train_path, test_path):
         if not path.exists():
             raise DataError(f"dataset file missing: {path}")
-    train_set = load_table(train_path, split="train")
+    train_set = load_table(train_path)
     test_set = load_table(
-        test_path, label_map={n: i for i, n in enumerate(train_set.label_names)},
-        split="test")
+        test_path, label_map={n: i for i, n in enumerate(train_set.label_names)})
     return train_set, test_set
 
 
@@ -368,26 +386,38 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
     out_dir = _check_out(config["run"]["out"], force)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_every = config["train"]["checkpoint_every"] or None
+    checkpoints: list[Path] = []
+
+    def write_checkpoint(name: str, epochs: int) -> Path:
+        path = out_dir / name
+        save_checkpoint(path, encoder, decoder,
+                        normalizer=normalizer.to_dict() if normalizer else None,
+                        meta={"seed": seed, "epochs": epochs})
+        checkpoints.append(path)
+        return path
+
+    every = config["train"]["checkpoint_every"]
+
+    def on_epoch(stats) -> None:
+        done = stats.epoch + 1
+        if every and done % every == 0:
+            write_checkpoint(f"checkpoint_epoch{done:04d}.json", done)
+
     try:
-        _, _, log = train(train_config, train_set, encoder, decoder,
-                          checkpoint_dir=out_dir, checkpoint_every=checkpoint_every)
+        _, _, log = train(train_config, train_set, encoder, decoder, on_epoch=on_epoch)
     except TrainDivergenceError as exc:
         with open(out_dir / "divergence.json", "w", encoding="utf-8") as fh:
             json.dump(exc.snapshot, fh, indent=1)
             fh.write("\n")
         logger.error("training diverged: %s", exc.snapshot)
         raise
-    checkpoint_path = out_dir / "checkpoint.json"
-    save_checkpoint(checkpoint_path, encoder, decoder,
-                    normalizer=normalizer.to_dict() if normalizer else None,
-                    meta={"seed": seed, "epochs": train_config.epochs})
+    checkpoint_path = write_checkpoint("checkpoint.json", train_config.epochs)
     log_path = out_dir / "trainlog.csv"
     log.to_csv(log_path)
     data_dir = Path(config["data"]["dir"])
     inputs = {name: _sha256(data_dir / name) for name in ("train.csv", "test.csv")
               if (data_dir / name).exists()}
-    outputs = {p.name: _sha256(p) for p in (checkpoint_path, log_path)}
+    outputs = {p.name: _sha256(p) for p in (*checkpoints, log_path)}
     _write_manifest(out_dir, "train", config, seed, inputs=inputs, outputs=outputs)
     if log.rows:
         print(f"trained {train_config.epochs} epochs; "
@@ -517,6 +547,14 @@ def main(argv=None) -> int:
         level=os.environ.get("FISHERJSCC_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    # An overflow, a division by zero or an invalid operation raises instead of
+    # warning, so it ends as a numerical abort; the sweep's pool threads take
+    # this policy from the thread that starts them.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
@@ -545,10 +583,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TrainDivergenceError as exc:
+    except (TrainDivergenceError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ class Dataset:
     features: np.ndarray              # [N, m] float64
     labels: np.ndarray                # [N] int64 in [0, num_classes)
     num_classes: int
-    split: str = "train"
     label_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
         noise = point_rng.normals(per_class * dim).reshape(per_class, dim)
         features[block] = centers[c] + spread * noise
         labels[block] = c
-    return Dataset(features, labels, num_classes, split=split)
+    return Dataset(features, labels, num_classes)
 
 
 def make_rings(num_classes: int, per_class: int, noise: float,
@@ -89,7 +88,7 @@ def make_rings(num_classes: int, per_class: int, noise: float,
         features[block, 0] = radii * np.cos(angles)
         features[block, 1] = radii * np.sin(angles)
         labels[block] = c
-    return Dataset(features, labels, num_classes, split=split)
+    return Dataset(features, labels, num_classes)
 
 
 @dataclass
@@ -108,8 +107,7 @@ class Normalizer:
 
     def apply(self, dataset: Dataset) -> Dataset:
         return Dataset((dataset.features - self.mean) / self.std, dataset.labels,
-                       dataset.num_classes, split=dataset.split,
-                       label_names=list(dataset.label_names))
+                       dataset.num_classes, label_names=list(dataset.label_names))
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -129,7 +127,7 @@ def save_table(dataset: Dataset, path) -> None:
 
 
 def load_table(path, delimiter: str = ",", has_header: bool = False,
-               label_map: dict[str, int] | None = None, split: str = "train") -> Dataset:
+               label_map: dict[str, int] | None = None) -> Dataset:
     """Read a rectangular delimited table of features plus a last label column.
 
     Labels are relabeled to dense 0..C-1 in first-appearance order unless a
@@ -174,6 +172,6 @@ def load_table(path, delimiter: str = ",", has_header: bool = False,
     for name, idx in mapping.items():
         names[idx] = name
     try:
-        return Dataset(features, labels, len(mapping), split=split, label_names=list(names))
+        return Dataset(features, labels, len(mapping), label_names=list(names))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -62,7 +62,8 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     argmax of `decode`. Each (PSNR, trial) cell draws from its own generator
     derived from the seed by labeled counters, and the pool's `threads`
     workers return the rows in grid order, so the result is identical for
-    any thread count. A PSNR listed twice is refused before any cell runs.
+    any thread count; they run under the caller's numpy error policy. A PSNR
+    listed twice is refused before any cell runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -73,25 +74,26 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     p_clean = decoder.decode(z)
     clean_predictions = np.argmax(p_clean, axis=1)
     labels = dataset.labels
+    error_policy = np.geterr()      # pool threads do not inherit the caller's np.errstate
 
     def evaluate_cell(cell):
         psnr_index, psnr_db = cell
         sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
         if sigma2 == 0.0:
-            errors = float(np.mean(clean_predictions != labels))
-            kl_mean = 0.0
-        else:
-            wrong = 0
-            kl_sum = 0.0
+            return SweepRow(regime=regime, psnr_db=psnr_db, family=family,
+                            error_rate=float(np.mean(clean_predictions != labels)),
+                            mean_expected_kl=0.0)
+        wrong = 0
+        kl_sum = 0.0
+        with np.errstate(**error_policy):
             for t in range(trials):
                 rng = CounterRng(derive_seed(seed, "sweep", family, psnr_index, t))
                 q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
                 wrong += int(np.sum(np.argmax(q, axis=1) != labels))
                 kl_sum += float(_kl_rows(p_clean, q).sum())
-            errors = wrong / (trials * len(labels))
-            kl_mean = kl_sum / (trials * len(labels))
         return SweepRow(regime=regime, psnr_db=psnr_db, family=family,
-                        error_rate=errors, mean_expected_kl=kl_mean)
+                        error_rate=wrong / (trials * len(labels)),
+                        mean_expected_kl=kl_sum / (trials * len(labels)))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(evaluate_cell, enumerate(grid)))

@@ -29,21 +29,21 @@ def _power_sqrt_floor(power: float) -> float:
     return s
 
 
-def _init_params(sizes, seed: int, prefix: str) -> ad.ParamSet:
-    """Glorot-uniform weights, zero biases, drawn from a labeled substream."""
+def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
+    """Glorot-uniform weights W{i} and zero biases b{i}, drawn from a labeled substream."""
     if min(sizes) < 1:
         raise ValueError(f"{prefix} layer widths must be >= 1, got {list(sizes)}")
-    params = ad.ParamSet()
+    params = {}
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         rng = CounterRng(derive_seed(seed, prefix, "layer", i))
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = (rng.uniforms(fan_in * fan_out) * 2.0 - 1.0) * limit
-        params.add(f"W{i}", ad.Tensor(w.reshape(fan_in, fan_out)))
-        params.add(f"b{i}", ad.Tensor(np.zeros(fan_out)))
+        params[f"W{i}"] = ad.Tensor(w.reshape(fan_in, fan_out))
+        params[f"b{i}"] = ad.Tensor(np.zeros(fan_out))
     return params
 
 
-def _mlp_forward(params: ad.ParamSet, h: ad.Tensor, n_layers: int) -> ad.Tensor:
+def _mlp_forward(params: dict[str, ad.Tensor], h: ad.Tensor, n_layers: int) -> ad.Tensor:
     """Affine layers with relu between them, none after the last."""
     for i in range(n_layers):
         h = ad.affine(h, params[f"W{i}"], params[f"b{i}"])
@@ -168,8 +168,9 @@ def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
 def load_checkpoint(path):
     """Read a checkpoint; returns (encoder, decoder, normalizer_dict, meta).
 
-    Raises ValueError for a document that is not a checkpoint of this version
-    or that holds a non-finite parameter.
+    Raises ValueError for a document that is not a checkpoint of this version,
+    whose parameter names or shapes differ from those its declared sizes
+    build, or that holds a non-finite parameter.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -186,12 +187,14 @@ def load_checkpoint(path):
     decoder = DecoderModel(dec_sizes[0], dec_sizes[-1],
                            hidden=dec_sizes[1:-1], seed=dec_doc["seed"])
     for model, section in ((encoder, enc_doc), (decoder, dec_doc)):
-        state = {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in section["params"].items()
-        }
-        for name, value in state.items():
+        if set(section["params"]) != set(model.params):
+            raise ValueError("parameter names do not match the declared sizes")
+        for name, tensor in model.params.items():
+            entry = section["params"][name]
+            value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            if value.shape != tensor.data.shape:
+                raise ValueError(f"shape mismatch for parameter {name!r}")
             if not np.isfinite(value).all():
                 raise ValueError(f"non-finite values in parameter {name!r}")
-        model.params.load_state(state)
+            tensor.data = value
     return encoder, decoder, doc.get("normalizer"), doc.get("meta", {})

@@ -1,4 +1,4 @@
-"""Posterior-robustness quantities: exact KL, Fisher information, sampled KL.
+"""Posterior-robustness quantities: Fisher-information trace and sampled KL.
 
 The central object is the Fisher information matrix of the decoder posterior
 at a representation z,
@@ -14,13 +14,10 @@ The trace is computed exactly and recorded on the tape. The batch of
 representations is tiled once per class, so one decoder forward and one
 backward pass give every per-class input-gradient as a tape node; with the
 posterior weights q(y|z) kept differentiable, the trace can sit inside a
-training loss and be differentiated once more. `fisher_trace`,
-`fisher_matrix` and `fisher_trace_node` all read the same stacked pass.
+training loss and be differentiated once more.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -29,37 +26,13 @@ from .channel import channel_noise
 from .models import DecoderModel
 from .rng import CounterRng
 
-logger = logging.getLogger(__name__)
-
 KL_LOG_CLAMP = 1e-12
 TRACE_CHUNK = 512           # representations per fisher_trace_node call in mean_fisher_trace
 KL_CHUNK_ROWS = 65536       # decoded rows per block of noise draws in _expected_kl_rows
 
 
-def kl_categorical(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) for two categorical distributions over the same classes.
-
-    q entries are clamped below at 1e-12 before the log; 0 * log 0 is 0.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"expected two distributions of equal length, got {p.shape}, {q.shape}")
-    for name, dist in (("p", p), ("q", q)):
-        if np.any(dist < 0.0):
-            raise ValueError(f"distribution {name} has negative entries")
-        if abs(dist.sum() - 1.0) > 1e-9:
-            raise ValueError(f"distribution {name} sums to {dist.sum()!r}, not 1")
-    if np.any(q < KL_LOG_CLAMP):
-        logger.debug("kl_categorical clamped %d entries below %g",
-                     int(np.sum(q < KL_LOG_CLAMP)), KL_LOG_CLAMP)
-    q = np.maximum(q, KL_LOG_CLAMP)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL(p_i || q_i) with the same clamping rule, no validation."""
+    """Row-wise KL(p_i || q_i); entries below 1e-12 are clamped inside the logs, 0 * log 0 is 0."""
     q = np.maximum(q, KL_LOG_CLAMP)
     terms = np.where(p > 0.0, p * (np.log(np.maximum(p, KL_LOG_CLAMP)) - np.log(q)), 0.0)
     return terms.sum(axis=1)
@@ -88,26 +61,6 @@ def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor) -> ad.Tensor:
     """Per-sample Tr(I(z)) = sum_y q(y|z) ||grad_z log q(y|z)||^2 as a node, shape [b]."""
     probs, grads = _class_terms(decoder, z_node)
     return ad.sum_axis(ad.mul(probs, ad.sum_axis(ad.square(grads), 2)), 0)
-
-
-def _single_point(z: np.ndarray) -> ad.Tensor:
-    """A single representation z[k] as a [1, k] leaf."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("expected a single representation vector z[k]")
-    return ad.Tensor(z.reshape(1, -1))
-
-
-def fisher_trace(decoder: DecoderModel, z: np.ndarray) -> float:
-    """Exact Tr(I(z)) at a single representation z[k]."""
-    return float(fisher_trace_node(decoder, _single_point(z)).data[0])
-
-
-def fisher_matrix(decoder: DecoderModel, z: np.ndarray) -> np.ndarray:
-    """Full k x k Fisher information matrix at a single representation z[k]."""
-    probs, grads = _class_terms(decoder, _single_point(z))
-    gradients = grads.data[:, 0, :]                              # [C, k]
-    return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)
 
 
 def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:

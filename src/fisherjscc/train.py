@@ -24,13 +24,13 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .channel import FAMILIES, channel_noise, psnr_to_sigma2
-from .models import DecoderModel, EncoderModel, save_checkpoint
+from .models import DecoderModel, EncoderModel
 from .rng import CounterRng, derive_seed
 from .robustness import fisher_trace_node
 
@@ -94,11 +94,6 @@ class EpochStats:
 @dataclass
 class TrainLog:
     rows: list[EpochStats] = field(default_factory=list)
-
-    def append(self, stats: EpochStats) -> None:
-        if self.rows and stats.epoch <= self.rows[-1].epoch:
-            raise ValueError("epochs must be strictly increasing")
-        self.rows.append(stats)
 
     def to_csv(self, path) -> None:
         """Write the per-epoch rows; byte-identical for identical runs.
@@ -172,12 +167,12 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def init(cls, params: ad.ParamSet) -> "AdamState":
+    def init(cls, params: dict[str, ad.Tensor]) -> "AdamState":
         return cls(m={n: np.zeros_like(t.data) for n, t in params.items()},
                    v={n: np.zeros_like(t.data) for n, t in params.items()})
 
 
-def adam_step(params: ad.ParamSet, grads: dict[str, np.ndarray],
+def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
     """One bias-corrected Adam update; mutates params in place, returns state."""
@@ -204,10 +199,12 @@ def _accuracy(encoder: EncoderModel, decoder: DecoderModel,
 
 
 def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderModel,
-          checkpoint_dir=None, checkpoint_every: int | None = None):
+          on_epoch: Callable[[EpochStats], None] | None = None):
     """Run the configured epochs of shuffled mini-batch Adam.
 
     Returns (encoder, decoder, TrainLog); the models are updated in place.
+    `on_epoch`, if given, is called with each epoch's stats once that epoch's
+    updates are done, so it sees the models as they stand after the epoch.
     A non-finite value anywhere in a step (the tape's FloatingPointError, or
     numpy's for an overflow) aborts with a TrainDivergenceError carrying the
     epoch, batch and sigma2 of that step.
@@ -237,7 +234,7 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
             noise_rng = CounterRng(derive_seed(config.seed, "noise", epoch, batch_index))
 
             coeff = config.lam if config.omit_sigma2 else 0.5 * config.lam * sigma2
-            wrt = encoder.params.tensors() + decoder.params.tensors()
+            wrt = [*encoder.params.values(), *decoder.params.values()]
             try:
                 # An overflow in numpy raises the tape's exception type where it happens.
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -257,14 +254,14 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
             reg_total += parts.fisher_penalty
             batches += 1
 
-        log.append(EpochStats(
+        stats = EpochStats(
             epoch=epoch,
             cross_entropy=ce_total / batches,
             fisher_penalty=reg_total / batches,
             accuracy=_accuracy(encoder, decoder, features, labels),
             seconds=time.perf_counter() - started,
-        ))
-        if checkpoint_dir is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(f"{checkpoint_dir}/checkpoint_epoch{epoch + 1:04d}.json",
-                            encoder, decoder)
+        )
+        log.rows.append(stats)
+        if on_epoch is not None:
+            on_epoch(stats)
     return encoder, decoder, log

@@ -4,9 +4,12 @@ These deliberately avoid the library's own differentiation paths: gradients
 come from central finite differences on plain float evaluations, Hessians
 from second differences, and high-precision reference values from fsum or
 mpmath. Expected values asserted in tests were computed with these oracles.
-The one exception is the per-class Fisher reference, which runs the tape one
-class at a time so the library's stacked pass has a structurally different
-path to be compared with.
+Two exceptions use the tape. The per-class Fisher reference runs it one
+class at a time, so the library's stacked pass has a structurally different
+path to be compared with. The single-point `fisher_trace` and
+`fisher_matrix` read the library's own stacked pass
+(`robustness._class_terms`), so the identities checked through them are
+checked on the pass that training and evaluation run.
 """
 
 from __future__ import annotations
@@ -110,6 +113,32 @@ def per_class_fisher_matrix(decoder, z: np.ndarray) -> np.ndarray:
     return np.einsum("c,ci,cj->ij", probs, gradients, gradients)
 
 
+def _single_point(z):
+    """A single representation z[k] as a [1, k] leaf."""
+    from fisherjscc import autodiff as ad
+
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError("expected a single representation vector z[k]")
+    return ad.Tensor(z.reshape(1, -1))
+
+
+def fisher_trace(decoder, z) -> float:
+    """Exact Tr(I(z)) at a single representation z[k], from the stacked pass."""
+    from fisherjscc.robustness import fisher_trace_node
+
+    return float(fisher_trace_node(decoder, _single_point(z)).data[0])
+
+
+def fisher_matrix(decoder, z) -> np.ndarray:
+    """Full k x k Fisher information matrix at a single z[k], from the stacked pass."""
+    from fisherjscc.robustness import _class_terms
+
+    probs, grads = _class_terms(decoder, _single_point(z))
+    gradients = grads.data[:, 0, :]                              # [C, k]
+    return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)
+
+
 def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> float:
     """Plain softmax regression on raw features; returns test accuracy.
 
@@ -119,15 +148,14 @@ def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> 
     from fisherjscc import autodiff as ad
     from fisherjscc.train import AdamState, adam_step
 
-    params = ad.ParamSet()
-    params.add("W", ad.Tensor(np.zeros((train_set.dim, train_set.num_classes))))
-    params.add("b", ad.Tensor(np.zeros(train_set.num_classes)))
+    params = {"W": ad.Tensor(np.zeros((train_set.dim, train_set.num_classes))),
+              "b": ad.Tensor(np.zeros(train_set.num_classes))}
     state = AdamState.init(params)
     for _ in range(epochs):
         logits = ad.affine(ad.Tensor(train_set.features), params["W"], params["b"])
         picked = ad.gather_labels(ad.log_softmax(logits), train_set.labels)
         loss = ad.scale(ad.sum_all(picked), -1.0 / len(train_set))
-        grad_map = ad.backward(loss, params.tensors())
+        grad_map = ad.backward(loss, list(params.values()))
         grads = {name: grad_map[t].data for name, t in params.items()}
         adam_step(params, grads, state, lr)
     test_logits = test_set.features @ params["W"].data + params["b"].data

@@ -251,31 +251,3 @@ class TestFiniteChecks:
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
             ad.Tensor(np.array([1.0, np.inf]))
-
-
-class TestParamSet:
-    def test_duplicate_name_rejected(self):
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.ones(2)))
-        with pytest.raises(ValueError):
-            params.add("w", ad.Tensor(np.ones(2)))
-
-    def test_iteration_order_is_insertion_order(self):
-        params = ad.ParamSet()
-        for name in ("b", "a", "c"):
-            params.add(name, ad.Tensor(np.zeros(1)))
-        assert params.names() == ("b", "a", "c")
-
-    def test_state_round_trip(self):
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.array([1.5, -2.5])))
-        state = params.state()
-        params["w"].data[:] = 0.0
-        params.load_state(state)
-        np.testing.assert_array_equal(params["w"].data, [1.5, -2.5])
-
-    def test_load_state_shape_checked(self):
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.zeros(2)))
-        with pytest.raises(ValueError):
-            params.load_state({"w": np.zeros(3)})

@@ -264,7 +264,8 @@ class TestEvalCommand:
             error = float(row.split(",")[3])
             assert abs(error - (1.0 - 1.0 / 3.0)) <= 0.02
 
-    @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format", "normalizer_width"])
+    @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format", "normalizer_width",
+                                        "shape_mismatch", "missing_param"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -272,6 +273,12 @@ class TestEvalCommand:
             doc["decoder"]["params"]["W0"]["data"][0] = float("nan")
         elif defect == "normalizer_width":
             doc["normalizer"]["mean"].append(0.0)
+        elif defect == "shape_mismatch":
+            entry = doc["decoder"]["params"]["b0"]
+            entry["data"].append(0.0)
+            entry["shape"] = [len(entry["data"])]
+        elif defect == "missing_param":
+            del doc["encoder"]["params"]["b1"]
         else:
             doc["format"] = "something-else"
         bad = tmp_path / "bad_checkpoint.json"
@@ -316,6 +323,14 @@ class TestEvalCommand:
         ("train", [("encoder_hidden = 16", "encoder_hidden = 16,0")], "layer widths"),
         ("train", [("decoder_hidden = 16", "decoder_hidden = 0")], "layer widths"),
         ("gen-data", [("classes = 3", "classes = 1")], "num_classes"),
+        ("gen-data", [("spread = 0.15", "spread = nan")], "[data] spread"),
+        ("gen-data", [("spread = 0.15", "spread = inf")], "[data] spread"),
+        ("gen-data", [("per_class_train = 40", "per_class_train = 0")],
+         "[data] per_class_train"),
+        ("gen-data", [("per_class_test = 40", "per_class_test = 0")], "[data] per_class_test"),
+        ("gen-data", [("kind = rings", "kind = blobs\ndim = 0")], "[data] dim"),
+        ("train", [("learning_rate = 0.001", "learning_rate = 0.001\ncheckpoint_every = -1")],
+         "[train] checkpoint_every"),
         ("eval --threads 0", [], "--threads"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
@@ -325,7 +340,9 @@ class TestEvalCommand:
             "eval-duplicate-psnr", "compare-trials", "compare-duplicate-psnr",
             "posterior-map-resolution", "posterior-map-sample_index", "train-power",
             "train-repr_dim", "train-encoder_hidden", "train-decoder_hidden",
-            "gen-data-classes", "eval-threads"])
+            "gen-data-classes", "gen-data-spread-nan", "gen-data-spread-inf",
+            "gen-data-per_class_train", "gen-data-per_class_test", "gen-data-blobs-dim",
+            "train-checkpoint_every", "eval-threads"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""
@@ -451,16 +468,49 @@ class TestEvalCommand:
         assert outputs[0] == outputs[1]
 
     def test_periodic_checkpoints_written(self, tmp_path, data_dir):
+        """Each periodic checkpoint carries the normalizer and is in the manifest; the
+        last epoch's evaluates to the same bytes as checkpoint.json."""
         config = tmp_path / "train.ini"
         out = tmp_path / "periodic"
-        write_config(config, out, data_dir, epochs=2,
-                     extra="")
+        write_config(config, out, data_dir, epochs=2)
         text = config.read_text().replace("learning_rate = 0.001",
                                           "learning_rate = 0.001\ncheckpoint_every = 1")
         config.write_text(text)
         assert main(["train", "--config", str(config)]) == EXIT_OK
-        assert (out / "checkpoint_epoch0001.json").exists()
-        assert (out / "checkpoint_epoch0002.json").exists()
+        outputs = json.loads((out / "manifest.json").read_text())["output_digests"]
+        assert set(outputs) == {"checkpoint_epoch0001.json", "checkpoint_epoch0002.json",
+                                "checkpoint.json", "trainlog.csv"}
+        for name, digest in outputs.items():
+            assert sha256(out / name) == digest
+        sweeps = []
+        for name in ("checkpoint_epoch0002.json", "checkpoint.json"):
+            eval_out = tmp_path / f"eval_{name}"
+            write_config(config, eval_out, data_dir, extra=f"checkpoint = {out / name}")
+            assert main(["eval", "--config", str(config)]) == EXIT_OK
+            sweeps.append((eval_out / "sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
+
+    @pytest.mark.parametrize("command", ["eval", "eval --threads 2", "compare",
+                                         "validate-approx", "posterior-map"])
+    def test_overflow_is_a_numerical_abort(self, tmp_path, data_dir, checkpoint, capsys,
+                                           command):
+        """Finite but huge decoder weights overflow: exit 4, no warning, no output."""
+        doc = json.loads(checkpoint.read_text())
+        for entry in doc["decoder"]["params"].values():
+            entry["data"] = [value * 1e200 for value in entry["data"]]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        config = tmp_path / "eval.ini"
+        out = tmp_path / "overflow_out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint = {huge}\ncheckpoint_a = {huge}\n"
+                           f"checkpoint_b = {huge}\nmc_samples = 50\nsample_limit = 8")
+        capsys.readouterr()
+        assert main([*command.split(), "--config", str(config)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "Traceback" not in err
+        assert "Warning" not in err
+        assert not out.exists()
 
     def test_validate_approx_alias(self, tmp_path, data_dir, checkpoint):
         config = tmp_path / "eval.ini"

@@ -103,6 +103,21 @@ class TestErrorSweep:
                                trials=4, seed=17, threads=2)
         assert serial == threaded
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pool_cells_follow_the_callers_error_policy(self, threads):
+        """A decoder that overflows only on noisy inputs: with overflow raised in the
+        calling thread, the cells raise numpy's error instead of warning."""
+        encoder = EncoderModel(2, 2, power=1.0, hidden=(8,), seed=3)
+        decoder = DecoderModel(2, 2, hidden=(1,), seed=3)
+        # relu(1e10 * (z_0 - 1)) is 0 at every clean z (|z_0| <= 1) and huge past it.
+        decoder.params["W0"].data[:] = [[1e10], [0.0]]
+        decoder.params["b0"].data[:] = -1e10
+        decoder.params["W1"].data[:] = [[1e300, -1e300]]
+        ds = make_rings(2, 20, noise=0.1, seed=5)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            error_sweep(encoder, decoder, ds, [0.0], "awgn", trials=5, seed=6,
+                        threads=threads)
+
 
 class TestTaylorValidation:
     def test_zero_sigma_row(self, trained_pair):

@@ -1,12 +1,16 @@
-"""Source hygiene: every name a package module imports is used in that module.
+"""Source hygiene: every name a package module imports is used in that module,
+and every public module-level function and class is used by the package.
 
 No linter is a declared dependency, so this reads the source with the
-standard library's `ast`. A name counts as used when it appears as a name
-expression anywhere in the module (annotations included) or is listed in
-the module's `__all__`.
+standard library's `ast`. An import counts as used when its name appears as
+a name expression anywhere in the module (annotations included) or is listed
+in the module's `__all__`. A public function or class counts as used when
+some package module refers to it, as a name or as an attribute, outside its
+own definition: API that only tests call belongs in the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,31 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def references(node: ast.AST) -> Counter:
+    """How often each name is read as a name expression or an attribute under node."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+    return counts
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name of each public top-level def or class no module refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and total[node.name] == references(node)[node.name]):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
 def test_modules_found():
     assert {path.name for path in MODULES} >= {"cli.py", "models.py", "experiments.py"}
 
@@ -56,3 +85,21 @@ def test_no_unused_import(path):
 def test_checker_flags_an_unused_import():
     source = "import math\nimport numpy as np\nfrom os import path, sep\nprint(np, sep)\n"
     assert unused_imports(source) == ["line 1: math", "line 3: path"]
+
+
+def test_every_public_definition_is_used_by_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_definitions(sources) == []
+
+
+def test_checker_flags_an_unreferenced_definition():
+    sources = {
+        "a": "def used():\n    return 1\n\n"
+             "def recursive():\n    return recursive()\n\n"
+             "class Unused:\n    pass\n\n"
+             "def _private():\n    pass\n",
+        "b": "from a import used, Unused\nimport a\nprint(used(), a.recursive)\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.Unused"]
+    sources["b"] = "from a import used\nprint(used())\n"
+    assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused"]

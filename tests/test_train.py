@@ -27,6 +27,11 @@ def small_models(seed: int = 0, input_dim: int = 3, repr_dim: int = 2,
     return encoder, decoder
 
 
+def values(params) -> dict:
+    """A copy of each parameter's array, by name."""
+    return {name: tensor.data.copy() for name, tensor in params.items()}
+
+
 class TestRegularizedLoss:
     def test_lambda_zero_is_noise_averaged_cross_entropy(self):
         encoder, decoder = small_models(1)
@@ -117,7 +122,7 @@ class TestRegularizedLoss:
 
         parts = regularized_loss(x, y, encoder, decoder, sigma2=0.05,
                                  coeff=0.5 * 1.0 * 0.05, noise_draws=2, rng=CounterRng(11))
-        wrt = encoder.params.tensors() + decoder.params.tensors()
+        wrt = [*encoder.params.values(), *decoder.params.values()]
         grad_map = ad.backward(parts.total, wrt)
         for model in (encoder, decoder):
             for name, tensor in model.params.items():
@@ -133,8 +138,7 @@ class TestRegularizedLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.array([1.0, -2.0])))
+        params = {"w": ad.Tensor(np.array([1.0, -2.0]))}
         state = AdamState.init(params)
         adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
@@ -142,16 +146,14 @@ class TestAdam:
 
     def test_first_step_magnitude_is_learning_rate(self):
         """Bias correction makes the first update ~ lr * sign(gradient)."""
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.array([0.0])))
+        params = {"w": ad.Tensor(np.array([0.0]))}
         state = AdamState.init(params)
         adam_step(params, {"w": np.array([0.37])}, state, lr=0.01)
         assert params["w"].data[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_converges_on_quadratic(self):
         """100 steps on f(w) = w^2 from w = 1 with lr 0.1 reaches |w| < 0.1."""
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.array([1.0])))
+        params = {"w": ad.Tensor(np.array([1.0]))}
         state = AdamState.init(params)
         for _ in range(100):
             gradient = {"w": 2.0 * params["w"].data}
@@ -159,8 +161,7 @@ class TestAdam:
         assert abs(params["w"].data[0]) < 0.1
 
     def test_shape_mismatch_rejected(self):
-        params = ad.ParamSet()
-        params.add("w", ad.Tensor(np.zeros(2)))
+        params = {"w": ad.Tensor(np.zeros(2))}
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(3)}, AdamState.init(params), lr=0.1)
 
@@ -168,8 +169,8 @@ class TestAdam:
 class TestTrainLoop:
     def test_zero_epochs_leaves_models_unchanged(self):
         encoder, decoder = small_models(20)
-        before_enc = encoder.params.state()
-        before_dec = decoder.params.state()
+        before_enc = values(encoder.params)
+        before_dec = values(decoder.params)
         ds = make_blobs(3, 10, dim=3, spread=0.3, seed=21)
         _, _, log = train(TrainConfig(epochs=0, seed=0), ds, encoder, decoder)
         assert log.rows == []
@@ -185,11 +186,26 @@ class TestTrainLoop:
             encoder, decoder = small_models(23)
             train(TrainConfig(lam=0.3, epochs=3, batch_size=16, seed=24,
                               psnr=FixedPsnr(15.0)), ds, encoder, decoder)
-            results.append((encoder.params.state(), decoder.params.state()))
+            results.append((values(encoder.params), values(decoder.params)))
         for name in results[0][0]:
             np.testing.assert_array_equal(results[0][0][name], results[1][0][name])
         for name in results[0][1]:
             np.testing.assert_array_equal(results[0][1][name], results[1][1][name])
+
+    def test_on_epoch_sees_each_epoch_after_its_updates(self):
+        ds = make_blobs(3, 10, dim=3, spread=0.3, seed=34)
+        encoder, decoder = small_models(35)
+        seen = []
+
+        def on_epoch(stats):
+            seen.append((stats, values(decoder.params)))
+
+        _, _, log = train(TrainConfig(epochs=2, batch_size=16, seed=36), ds,
+                          encoder, decoder, on_epoch=on_epoch)
+        assert [stats for stats, _ in seen] == log.rows
+        for name, value in seen[-1][1].items():
+            np.testing.assert_array_equal(decoder.params[name].data, value)
+        assert any(not np.array_equal(seen[0][1][n], seen[1][1][n]) for n in seen[0][1])
 
     def test_separable_blobs_reach_95_percent(self):
         ds = make_blobs(4, 50, dim=4, spread=0.3, seed=25)
@@ -206,7 +222,7 @@ class TestTrainLoop:
             encoder, decoder = small_models(29)
             train(TrainConfig(lam=0.2, epochs=2, batch_size=16, seed=30, psnr=psnr),
                   ds, encoder, decoder)
-            final[tag] = encoder.params.state()
+            final[tag] = values(encoder.params)
         assert any(not np.array_equal(final["fixed"][n], final["uniform"][n])
                    for n in final["fixed"])
 
@@ -264,16 +280,9 @@ class TestTrainLoop:
 
 
 class TestTrainLog:
-    def test_rows_strictly_increasing(self):
-        log = TrainLog()
-        log.append(EpochStats(0, 1.0, 0.0, 0.5, 0.1))
-        with pytest.raises(ValueError):
-            log.append(EpochStats(0, 0.9, 0.0, 0.6, 0.1))
-
     def test_csv_round_trip_values(self, tmp_path):
-        log = TrainLog()
-        log.append(EpochStats(0, 1.25, 0.5, 0.75, 0.001))
-        log.append(EpochStats(1, 0.5, 0.25, 1.0, 0.002))
+        log = TrainLog([EpochStats(0, 1.25, 0.5, 0.75, 0.001),
+                        EpochStats(1, 0.5, 0.25, 1.0, 0.002)])
         path = tmp_path / "log.csv"
         log.to_csv(path)
         lines = path.read_text().splitlines()
