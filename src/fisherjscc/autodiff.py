@@ -19,6 +19,13 @@ import weakref
 import numpy as np
 
 
+def check_finite(values: np.ndarray) -> np.ndarray:
+    """values itself; FloatingPointError if it holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError("non-finite value entered the computation graph")
+    return values
+
+
 class Tensor:
     """A float64 array plus its position in the recorded computation graph.
 
@@ -32,10 +39,7 @@ class Tensor:
     __slots__ = ("data", "_parents", "_vjps", "__weakref__")
 
     def __init__(self, data, parents=(), vjps=()):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise FloatingPointError("non-finite value entered the computation graph")
-        self.data = arr
+        self.data = check_finite(np.asarray(data, dtype=np.float64))
         self._parents = parents
         self._vjps = vjps
 

@@ -76,8 +76,16 @@ def _parse_finite_float(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_psnr(text: str) -> float:
+    """A PSNR in dB; inf is the noise-free channel, NaN and -inf are refused."""
+    value = float(text)
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError("expected a number or inf (the noise-free channel)")
+    return value
+
+
+def _parse_psnr_list(text: str) -> list[float]:
+    return [_parse_psnr(part) for part in text.split(",") if part.strip()]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -115,23 +123,23 @@ _SCHEMA = {
     },
     "model": {
         "repr_dim": (int, 8),
-        "power": (float, 1.0),
+        "power": (_parse_finite_float, 1.0),
         "encoder_hidden": (_parse_int_list, [64, 64]),
         "decoder_hidden": (_parse_int_list, [64]),
     },
     "channel": {
         "family": (_choice(FAMILIES, fold_case=True), "awgn"),
-        "psnr_db": (float, 20.0),
+        "psnr_db": (_parse_psnr, 20.0),
     },
     "train": {
-        "lambda": (float, 0.0),
+        "lambda": (_parse_finite_float, 0.0),
         "noise_draws": (int, 4),
         "epochs": (int, 100),
         "batch_size": (int, 64),
-        "learning_rate": (float, 1e-3),
+        "learning_rate": (_parse_finite_float, 1e-3),
         "psnr_mode": (_choice(("fixed", "uniform")), "fixed"),
-        "psnr_low": (float, 10.0),
-        "psnr_high": (float, 25.0),
+        "psnr_low": (_parse_finite_float, 10.0),
+        "psnr_high": (_parse_finite_float, 25.0),
         "omit_sigma2": (_parse_bool, False),
         "checkpoint_every": (_int_at_least(0), 0),     # 0: only the final checkpoint
     },
@@ -140,13 +148,13 @@ _SCHEMA = {
         "checkpoint": (str, ""),
         "checkpoint_a": (str, ""),
         "checkpoint_b": (str, ""),
-        "psnr_grid": (_parse_float_list, [5.0, 10.0, 15.0, 20.0, 25.0]),
+        "psnr_grid": (_parse_psnr_list, [5.0, 10.0, 15.0, 20.0, 25.0]),
         "trials": (int, 20),
         "mc_samples": (int, 10000),
-        "taylor_psnr_grid": (_parse_float_list, [25.0, 20.0, 15.0, 10.0]),
+        "taylor_psnr_grid": (_parse_psnr_list, [25.0, 20.0, 15.0, 10.0]),
         "sample_limit": (int, 256),
         "resolution": (int, 33),
-        "extent_std": (float, 3.0),
+        "extent_std": (_parse_finite_float, 3.0),
         "sample_index": (int, 0),
     },
 }
@@ -528,7 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override [run] out directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--threads", type=int, default=1,
-                       help="sweep worker threads (default 1); any count gives the same bytes")
+                       help="eval/compare sweep workers (default 1); any count gives the same "
+                            "bytes; validate-approx ignores it")
 
     p = sub.add_parser("gen-data", help="generate dataset files and a manifest")
     common(p)

@@ -236,7 +236,7 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
     points = (z0[None, :]
               + grid_a.reshape(-1, 1) * v1[None, :]
               + grid_b.reshape(-1, 1) * v2[None, :])
-    logq = decoder.log_posterior_all(points).data[:, y_true]
+    logq = decoder._log_posterior(points)[:, y_true]
     values = -logq.reshape(resolution, resolution)
     return PosteriorGrid(axis1=v1, axis2=v2, offsets1=offsets.copy(),
                          offsets2=offsets.copy(), values=values)

@@ -5,6 +5,11 @@ per-symbol peak power budget P by construction: the final layer output is
 squashed through sqrt(P) * tanh, so every coordinate satisfies z_i^2 <= P.
 The decoder maps a (possibly noise-corrupted) representation to a
 categorical posterior over classes.
+
+Training reads both models as tape nodes (`forward_node`,
+`log_posterior_all`). Evaluation reads values (`encode`, `decode`) from a
+plain NumPy forward that repeats the tape's ops in the tape's order, so the
+two give the same bits, and it builds no tape.
 """
 
 from __future__ import annotations
@@ -52,13 +57,44 @@ def _mlp_forward(params: dict[str, ad.Tensor], h: ad.Tensor, n_layers: int) -> a
     return h
 
 
-def _as_batch(x) -> ad.Tensor:
+def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int) -> np.ndarray:
+    """The value of `_mlp_forward` without a tape, bit for bit: the same ops in the same order.
+
+    The bias add and relu work in place on the fresh matmul output, so one
+    [rows, width] buffer per layer is alive. Each affine output is checked
+    finite, as the tape checks every node; relu cannot make it non-finite.
+    """
+    for i in range(n_layers):
+        h = h @ params[f"W{i}"].data
+        h += params[f"b{i}"].data
+        ad.check_finite(h)
+        if i < n_layers - 1:
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _batch_shape(shape: tuple, width: int, expects: str) -> tuple:
+    """[b, width] for a width-vector or a batch of them; ValueError otherwise."""
+    if len(shape) == 1:
+        shape = (1, shape[0])
+    if len(shape) != 2:
+        raise ValueError(f"expected a vector or a batch of vectors, got shape {shape}")
+    if shape[1] != width:
+        raise ValueError(f"{expects} of dimension {width}, got {shape[1]}")
+    return shape
+
+
+def _batch_node(x, width: int, expects: str) -> ad.Tensor:
+    """x as a [b, width] tape node; a vector becomes one row on the tape."""
     node = ad.as_tensor(x)
-    if node.data.ndim == 1:
-        node = ad.reshape(node, (1, node.data.shape[0]))
-    if node.data.ndim != 2:
-        raise ValueError(f"expected a vector or a batch of vectors, got shape {node.data.shape}")
-    return node
+    shape = _batch_shape(node.data.shape, width, expects)
+    return node if node.data.shape == shape else ad.reshape(node, shape)
+
+
+def _batch_values(x, width: int, expects: str) -> np.ndarray:
+    """x as a finite float64 [b, width] array, without a tape."""
+    h = np.asarray(x, dtype=np.float64)
+    return ad.check_finite(h.reshape(_batch_shape(h.shape, width, expects)))
 
 
 class EncoderModel:
@@ -83,16 +119,16 @@ class EncoderModel:
         return self.sizes[-1]
 
     def forward_node(self, x) -> ad.Tensor:
-        h = _as_batch(x)
-        if h.data.shape[1] != self.input_dim:
-            raise ValueError(
-                f"encoder expects inputs of dimension {self.input_dim}, got {h.data.shape[1]}"
-            )
+        h = _batch_node(x, self.input_dim, "encoder expects inputs")
         pre = _mlp_forward(self.params, h, len(self.sizes) - 1)
         return ad.scale(ad.tanh(pre), self._scale)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        z = self.forward_node(x).data
+        """The value of `forward_node(x)`, bit for bit, built without a tape."""
+        h = _batch_values(x, self.input_dim, "encoder expects inputs")
+        z = _mlp_values(self.params, h, len(self.sizes) - 1)
+        np.tanh(z, out=z)
+        z *= self._scale
         peak = float(np.max(z * z)) if z.size else 0.0
         if peak > self.power:
             raise AssertionError(f"power constraint violated: max z_i^2 = {peak} > {self.power}")
@@ -119,17 +155,22 @@ class DecoderModel:
 
     def log_posterior_all(self, z) -> ad.Tensor:
         """log q(y|z) for every class as a tape node, shape [b, C]; z may be a leaf."""
-        h = _as_batch(z)
-        if h.data.shape[1] != self.repr_dim:
-            raise ValueError(
-                f"decoder expects representations of dimension {self.repr_dim}, "
-                f"got {h.data.shape[1]}"
-            )
+        h = _batch_node(z, self.repr_dim, "decoder expects representations")
         return ad.log_softmax(_mlp_forward(self.params, h, len(self.sizes) - 1))
+
+    def _log_posterior(self, z) -> np.ndarray:
+        """The value of `log_posterior_all(z)`, bit for bit, built without a tape."""
+        h = _batch_values(z, self.repr_dim, "decoder expects representations")
+        logits = _mlp_values(self.params, h, len(self.sizes) - 1)
+        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        # Finite logits more than the largest double apart overflow the shift.
+        return ad.check_finite(logits)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Posterior rows (each sums to 1); argmax ties resolve to the lowest index."""
-        return np.exp(self.log_posterior_all(z).data)
+        log_q = self._log_posterior(z)
+        return np.exp(log_q, out=log_q)
 
 
 def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,

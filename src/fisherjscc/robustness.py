@@ -32,10 +32,11 @@ KL_CHUNK_ROWS = 65536       # decoded rows per block of noise draws in _expected
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL(p_i || q_i); entries below 1e-12 are clamped inside the logs, 0 * log 0 is 0."""
+    """KL(p || q) along the last axis, p broadcast against q; entries below 1e-12 are
+    clamped inside the logs, 0 * log 0 is 0."""
     q = np.maximum(q, KL_LOG_CLAMP)
     terms = np.where(p > 0.0, p * (np.log(np.maximum(p, KL_LOG_CLAMP)) - np.log(q)), 0.0)
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
 def _class_terms(decoder: DecoderModel, z_node: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
@@ -86,9 +87,9 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
     done = 0
     while done < samples:
         take = min(draws_per_chunk, samples - done)
-        z_hat = z_batch[None, :, :] + channel_noise((take, n, k), sigma2, "awgn", rng)
+        z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
+        z_hat += z_batch          # in place; noise + z and z + noise are the same bits
         q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
-        for s in range(take):
-            out[:, done + s] = _kl_rows(p, q[s])
+        out[:, done:done + take] = _kl_rows(p, q).T
         done += take
     return out

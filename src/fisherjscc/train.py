@@ -22,6 +22,7 @@ TrainDivergenceError with the step's epoch, batch and sigma2 (CLI exit 4).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -71,6 +72,9 @@ class TrainConfig:
             raise ValueError("noise_draws must be >= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown channel family {self.family!r}")
         if self.family == "rayleigh" and self.lam > 0.0:

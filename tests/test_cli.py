@@ -232,6 +232,15 @@ class TestEvalCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3  # schema line, header, one row
 
+    def test_infinite_psnr_is_the_noise_free_cell(self, tmp_path, data_dir, checkpoint):
+        config = tmp_path / "eval.ini"
+        out = tmp_path / "eval_inf"
+        write_config(config, out, data_dir, extra=f"checkpoint = {checkpoint}")
+        config.write_text(config.read_text().replace("psnr_grid = 5,15", "psnr_grid = inf,5"))
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+        row = (out / "sweep.csv").read_text().splitlines()[2].split(",")
+        assert row[1] == "inf" and row[4] == "0.0"
+
     def test_architecture_mismatch_reports_fields(self, tmp_path, data_dir,
                                                   checkpoint, capsys):
         config = tmp_path / "eval.ini"
@@ -332,6 +341,28 @@ class TestEvalCommand:
         ("train", [("learning_rate = 0.001", "learning_rate = 0.001\ncheckpoint_every = -1")],
          "[train] checkpoint_every"),
         ("eval --threads 0", [], "--threads"),
+        ("train", [("psnr_db = 15.0", "psnr_db = nan")], "[channel] psnr_db"),
+        ("train", [("psnr_db = 15.0", "psnr_db = -inf")], "[channel] psnr_db"),
+        ("train", [("power = 1.0", "power = inf")], "[model] power"),
+        ("train", [("lambda = 0.0", "lambda = nan")], "[train] lambda"),
+        ("train", [("lambda = 0.0", "lambda = inf")], "[train] lambda"),
+        ("train", [("learning_rate = 0.001", "learning_rate = nan")], "[train] learning_rate"),
+        ("train", [("learning_rate = 0.001", "learning_rate = inf")], "[train] learning_rate"),
+        ("train", [("learning_rate = 0.001", "learning_rate = 0")], "learning_rate"),
+        ("train", [("learning_rate = 0.001", "learning_rate = -0.001")], "learning_rate"),
+        ("train", [("learning_rate = 0.001",
+                    "learning_rate = 0.001\npsnr_mode = uniform\npsnr_low = nan")],
+         "[train] psnr_low"),
+        ("train", [("learning_rate = 0.001",
+                    "learning_rate = 0.001\npsnr_mode = uniform\npsnr_high = inf")],
+         "[train] psnr_high"),
+        ("eval", [("psnr_grid = 5,15", "psnr_grid = 5,nan")], "[experiment] psnr_grid"),
+        ("compare", [("psnr_grid = 5,15", "psnr_grid = nan")], "[experiment] psnr_grid"),
+        ("validate-approx", [("sample_limit = 8", "sample_limit = 8\ntaylor_psnr_grid = 25,nan")],
+         "[experiment] taylor_psnr_grid"),
+        ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nextent_std = nan")],
+         "[experiment] extent_std"),
+        ("posterior-map", [("psnr_db = 15.0", "psnr_db = nan")], "[channel] psnr_db"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
@@ -342,7 +373,13 @@ class TestEvalCommand:
             "train-repr_dim", "train-encoder_hidden", "train-decoder_hidden",
             "gen-data-classes", "gen-data-spread-nan", "gen-data-spread-inf",
             "gen-data-per_class_train", "gen-data-per_class_test", "gen-data-blobs-dim",
-            "train-checkpoint_every", "eval-threads"])
+            "train-checkpoint_every", "eval-threads", "train-psnr_db-nan",
+            "train-psnr_db-minus-inf", "train-power-inf", "train-lambda-nan",
+            "train-lambda-inf", "train-learning_rate-nan", "train-learning_rate-inf",
+            "train-learning_rate-zero", "train-learning_rate-negative", "train-psnr_low-nan",
+            "train-psnr_high-inf", "eval-psnr_grid-nan", "compare-psnr_grid-nan",
+            "validate-approx-taylor_psnr_grid-nan", "posterior-map-extent_std-nan",
+            "posterior-map-psnr_db-nan"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""

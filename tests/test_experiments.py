@@ -118,6 +118,13 @@ class TestErrorSweep:
             error_sweep(encoder, decoder, ds, [0.0], "awgn", trials=5, seed=6,
                         threads=threads)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_builds_no_tensor(self, trained_pair, tensors_built_by, threads):
+        encoder, decoder, _, test_set = trained_pair
+        assert tensors_built_by(error_sweep, encoder, decoder, test_set,
+                                [float("inf"), 10.0], "rayleigh", trials=2, seed=3,
+                                threads=threads) == 0
+
 
 class TestTaylorValidation:
     def test_zero_sigma_row(self, trained_pair):
@@ -234,6 +241,11 @@ class TestPosteriorGrid:
         z0 = encoder.encode(ds.features)[3]
         expected = -decoder.log_posterior_all(z0).data[0, int(ds.labels[3])]
         assert grid.values[4, 4] == pytest.approx(expected, rel=1e-12)
+
+    def test_builds_no_tensor(self, trained_pair, tensors_built_by):
+        encoder, decoder, ds, _ = trained_pair
+        assert tensors_built_by(posterior_grid, encoder, decoder, ds, sample_index=3,
+                                resolution=8, extent_std=2.0, sigma2=0.01) == 0
 
     def test_axes_orthonormal(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair

@@ -128,6 +128,92 @@ class TestLogPosterior:
         assert max_rel_err(grad.data, finite_diff_grad(value, z.data)) <= 1e-5
 
 
+class TestTapeFreeForward:
+    """`encode`/`decode` run a plain forward that must give the tape's bits."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("hidden", [(64,), (32, 16), (5,)])
+    def test_decode_bit_equal_to_tape(self, hidden, classes, rows):
+        decoder = DecoderModel(6, classes, hidden=hidden, seed=40 + classes)
+        z = CounterRng(rows).normals(6 * rows).reshape(rows, 6) * 2.0
+        assert np.array_equal(decoder.decode(z), np.exp(decoder.log_posterior_all(z).data))
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_encode_bit_equal_to_tape(self, rows):
+        encoder = EncoderModel(3, 8, power=2.0, hidden=(64, 64), seed=44)
+        x = CounterRng(rows + 1).normals(3 * rows).reshape(rows, 3) * 3.0
+        assert np.array_equal(encoder.encode(x), encoder.forward_node(x).data)
+
+    def test_vector_input_is_one_row(self):
+        encoder = EncoderModel(3, 4, power=1.0, seed=45)
+        decoder = DecoderModel(4, 3, seed=46)
+        x = CounterRng(47).normals(3)
+        z = encoder.encode(x)
+        assert z.shape == (1, 4)
+        assert np.array_equal(z, encoder.encode(x.reshape(1, 3)))
+        assert np.array_equal(decoder.decode(z[0]), decoder.decode(z))
+
+    def test_inputs_left_unmodified(self):
+        encoder = EncoderModel(3, 4, power=1.0, hidden=(8,), seed=48)
+        decoder = DecoderModel(4, 3, hidden=(), seed=49)
+        x = CounterRng(50).normals(30).reshape(10, 3)
+        z = CounterRng(51).normals(40).reshape(10, 4)
+        x_before, z_before = x.copy(), z.copy()
+        encoder.encode(x)
+        decoder.decode(z)
+        assert np.array_equal(x, x_before) and np.array_equal(z, z_before)
+
+    def test_shape_errors_match_the_tape(self):
+        decoder = DecoderModel(4, 3, seed=52)
+        for bad in (np.zeros((2, 5)), np.zeros((1, 2, 4)), np.float64(1.0)):
+            with pytest.raises(ValueError) as tape_error:
+                decoder.log_posterior_all(bad)
+            with pytest.raises(ValueError) as plain_error:
+                decoder.decode(bad)
+            assert str(plain_error.value) == str(tape_error.value)
+
+    def test_builds_no_tensor(self, tensors_built_by):
+        encoder = EncoderModel(3, 4, power=1.0, seed=53)
+        decoder = DecoderModel(4, 3, seed=54)
+        x = CounterRng(55).normals(30).reshape(10, 3)
+        assert tensors_built_by(lambda: decoder.decode(encoder.encode(x))) == 0
+
+    # numpy's own overflow reporting is off here, so only the models' checks can raise.
+    def test_overflowing_decoder_raises(self):
+        decoder = DecoderModel(4, 3, hidden=(8,), seed=56)
+        for tensor in decoder.params.values():
+            tensor.data *= 1e200
+        z = CounterRng(57).normals(8).reshape(2, 4)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            decoder.decode(z)
+
+    def test_overflowing_encoder_raises(self):
+        encoder = EncoderModel(3, 4, power=1.0, hidden=(8,), seed=58)
+        for tensor in encoder.params.values():
+            tensor.data *= 1e200
+        x = CounterRng(59).normals(6).reshape(2, 3)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            encoder.encode(x)
+
+    def test_logit_spread_past_the_largest_double_raises(self):
+        """Finite logits 2e308 apart overflow the max shift of the log-softmax."""
+        decoder = DecoderModel(2, 2, hidden=(), seed=60)
+        decoder.params["W0"].data[:] = np.eye(2)
+        decoder.params["b0"].data[:] = 0.0
+        z = np.array([[1e308, -1e308]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError):
+                decoder.log_posterior_all(z)
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                decoder.decode(z)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, value):
+        decoder = DecoderModel(2, 2, seed=61)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            decoder.decode(np.array([[0.0, value]]))
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         encoder = EncoderModel(5, 4, power=2.5, hidden=(16, 8), seed=21)

@@ -234,6 +234,11 @@ class TestExpectedKlMc:
         predicted = 0.5 * sigma2 * fisher_trace(decoder, z)
         assert abs(mean - predicted) <= max(3.0 * stderr, 1e-12)
 
+    def test_builds_no_tensor(self, tensors_built_by):
+        decoder = random_decoder(44)
+        z = CounterRng(45).normals(8).reshape(2, 4)
+        assert tensors_built_by(_expected_kl_rows, decoder, z, 0.05, 50, CounterRng(46)) == 0
+
     def test_same_seed_reproducible(self):
         decoder = random_decoder(41)
         z = CounterRng(42).normals(8).reshape(2, 4)

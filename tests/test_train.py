@@ -13,7 +13,7 @@ from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.robustness import mean_fisher_trace
 from fisherjscc.train import (AdamState, EpochStats, FixedPsnr, TrainConfig,
                               TrainDivergenceError, TrainLog, UniformPsnr,
-                              adam_step, regularized_loss, train)
+                              _accuracy, adam_step, regularized_loss, train)
 
 from _oracles import finite_diff_grad, max_rel_err
 
@@ -179,6 +179,11 @@ class TestTrainLoop:
         for name, value in before_dec.items():
             np.testing.assert_array_equal(decoder.params[name].data, value)
 
+    def test_accuracy_builds_no_tensor(self, tensors_built_by):
+        encoder, decoder = small_models(22)
+        ds = make_blobs(3, 10, dim=3, spread=0.3, seed=23)
+        assert tensors_built_by(_accuracy, encoder, decoder, ds.features, ds.labels) == 0
+
     def test_same_config_and_seed_bitwise_identical(self):
         ds = make_blobs(3, 20, dim=3, spread=0.3, seed=22)
         results = []
@@ -271,6 +276,11 @@ class TestTrainLoop:
             TrainConfig(psnr=UniformPsnr(10.0, 20.0), omit_sigma2=True)
         with pytest.raises(ValueError, match="family"):
             TrainConfig(family="rician")
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
 
     def test_rayleigh_penalty_rejected(self):
         """The h-conditional fading penalty is not implemented, so lambda > 0 is refused."""
