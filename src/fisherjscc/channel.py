@@ -31,10 +31,16 @@ H_FLOOR = 1e-6
 
 
 def psnr_to_sigma2(psnr_db: float, power: float) -> float:
-    """Noise variance for a given PSNR in dB: power * 10^(-psnr/10)."""
+    """Noise variance for a given PSNR in dB: power * 10^(-psnr/10), which must be finite."""
     if power <= 0.0:
         raise ValueError("power must be positive")
-    return power * 10.0 ** (-psnr_db / 10.0)
+    try:
+        sigma2 = power * 10.0 ** (-float(psnr_db) / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValueError(f"PSNR {psnr_db} dB gives a noise variance that is not a finite float")
+    return sigma2
 
 
 def gaussian_noise(shape, sigma2: float, rng: CounterRng) -> np.ndarray:

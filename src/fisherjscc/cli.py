@@ -26,10 +26,15 @@ import numpy as np
 
 from . import __version__, experiments
 from .channel import FAMILIES, psnr_to_sigma2
-from .data import DataError, Dataset, Normalizer, load_table, make_blobs, make_rings, save_table
+from .data import (DataError, Dataset, Normalizer, load_table, make_blobs, make_rings,
+                   save_table, write_csv)
+from .experiments import (COMPARE_SCHEMA, POSTERIOR_HEADER, POSTERIOR_SCHEMA, REGTRACK_HEADER,
+                          REGTRACK_SCHEMA, SWEEP_SCHEMA, TAYLOR_SCHEMA, CompareRow, SweepRow,
+                          TaylorRow)
 from .models import DecoderModel, EncoderModel, load_checkpoint, save_checkpoint
 from .rng import derive_seed
-from .train import (FixedPsnr, TrainConfig, TrainDivergenceError, UniformPsnr, train)
+from .train import (TRAINLOG_HEADER, TRAINLOG_SCHEMA, FixedPsnr, TrainConfig,
+                    TrainDivergenceError, UniformPsnr, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +44,7 @@ EXIT_NUMERIC = 4
 logger = logging.getLogger("fisherjscc")
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
@@ -205,19 +210,27 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    inputs: dict[str, str], outputs: dict[str, str]) -> None:
+                    inputs, outputs) -> None:
     doc = {
         "tool": "fisherjscc",
         "version": __version__,
         "command": command,
         "seed": seed,
         "config": config,
-        "input_digests": inputs,
-        "output_digests": outputs,
+        "input_digests": {Path(p).name: _sha256(p) for p in inputs},
+        "output_digests": {Path(p).name: _sha256(p) for p in outputs},
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _noise_variance(psnr_db: float, power: float, key: str) -> float:
+    """psnr_to_sigma2 of a configured PSNR; one that overflows is a config error on key."""
+    try:
+        return psnr_to_sigma2(psnr_db, power)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _check_out(out: str, force: bool) -> Path:
@@ -360,10 +373,10 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
     except ValueError as exc:
         raise ConfigError(f"[data] {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_table(train_set, out_dir / "train.csv")
-    save_table(test_set, out_dir / "test.csv")
-    outputs = {name: _sha256(out_dir / name) for name in ("train.csv", "test.csv")}
-    _write_manifest(out_dir, "gen-data", config, seed, inputs={}, outputs=outputs)
+    outputs = [out_dir / "train.csv", out_dir / "test.csv"]
+    save_table(train_set, outputs[0])
+    save_table(test_set, outputs[1])
+    _write_manifest(out_dir, "gen-data", config, seed, inputs=[], outputs=outputs)
     print(f"wrote {len(train_set)} train rows and {len(test_set)} test rows to {out_dir}")
     return EXIT_OK
 
@@ -392,6 +405,10 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
     train_set = normalizer.apply(train_set) if normalizer else train_set
     encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
+    # The largest training variance comes from the lowest PSNR a batch can draw.
+    section, key = (("channel", "psnr_db") if config["train"]["psnr_mode"] == "fixed"
+                    else ("train", "psnr_low"))
+    _noise_variance(config[section][key], encoder.power, f"[{section}] {key}")
     out_dir = _check_out(config["run"]["out"], force)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoints: list[Path] = []
@@ -412,7 +429,7 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
             write_checkpoint(f"checkpoint_epoch{done:04d}.json", done)
 
     try:
-        _, _, log = train(train_config, train_set, encoder, decoder, on_epoch=on_epoch)
+        stats = train(train_config, train_set, encoder, decoder, on_epoch=on_epoch)
     except TrainDivergenceError as exc:
         with open(out_dir / "divergence.json", "w", encoding="utf-8") as fh:
             json.dump(exc.snapshot, fh, indent=1)
@@ -421,15 +438,15 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
         raise
     checkpoint_path = write_checkpoint("checkpoint.json", train_config.epochs)
     log_path = out_dir / "trainlog.csv"
-    log.to_csv(log_path)
+    write_csv(log_path, TRAINLOG_SCHEMA, TRAINLOG_HEADER,
+              [[getattr(s, column) for column in TRAINLOG_HEADER] for s in stats])
     data_dir = Path(config["data"]["dir"])
-    inputs = {name: _sha256(data_dir / name) for name in ("train.csv", "test.csv")
-              if (data_dir / name).exists()}
-    outputs = {p.name: _sha256(p) for p in (*checkpoints, log_path)}
-    _write_manifest(out_dir, "train", config, seed, inputs=inputs, outputs=outputs)
-    if log.rows:
+    _write_manifest(out_dir, "train", config, seed,
+                    inputs=[data_dir / "train.csv", data_dir / "test.csv"],
+                    outputs=[*checkpoints, log_path])
+    if stats:
         print(f"trained {train_config.epochs} epochs; "
-              f"final accuracy {log.rows[-1].accuracy:.4f}; checkpoint at {checkpoint_path}")
+              f"final accuracy {stats[-1].accuracy:.4f}; checkpoint at {checkpoint_path}")
     else:
         print(f"0 epochs requested; wrote the initialized checkpoint to {checkpoint_path}")
     return EXIT_OK
@@ -451,39 +468,40 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
 
     try:
         if kind == "sweep":
-            result = experiments.error_sweep(encoder, decoder, test_set, section["psnr_grid"],
-                                             family, section["trials"], eval_seed,
-                                             threads=threads)
-            name, write = "sweep.csv", experiments.write_sweep_csv
+            rows = experiments.error_sweep(encoder, decoder, test_set, section["psnr_grid"],
+                                           family, section["trials"], eval_seed,
+                                           threads=threads)
+            name, schema, header = "sweep.csv", SWEEP_SCHEMA, SweepRow._fields
         elif kind == "taylor":
             if section["sample_limit"] < 1:
                 raise ValueError("sample_limit must be >= 1")
             limit = min(section["sample_limit"], len(test_set))
-            sigma2_grid = [psnr_to_sigma2(p, encoder.power)
+            sigma2_grid = [_noise_variance(p, encoder.power, "[experiment] taylor_psnr_grid")
                            for p in section["taylor_psnr_grid"]]
-            result = experiments.taylor_validation(encoder, decoder,
-                                                   test_set.features[:limit], sigma2_grid,
-                                                   section["mc_samples"], eval_seed)
-            name, write = "taylor.csv", experiments.write_taylor_csv
+            rows = experiments.taylor_validation(encoder, decoder,
+                                                 test_set.features[:limit], sigma2_grid,
+                                                 section["mc_samples"], eval_seed)
+            name, schema, header = "taylor.csv", TAYLOR_SCHEMA, TaylorRow._fields
         elif kind == "reg-track":
-            result = experiments.regularizer_track([("model", encoder, decoder)],
-                                                   section["psnr_grid"], test_set)
-            name, write = "regtrack.csv", experiments.write_regtrack_csv
+            rows = experiments.regularizer_track(encoder, decoder, section["psnr_grid"],
+                                                 test_set)
+            name, schema, header = "regtrack.csv", REGTRACK_SCHEMA, REGTRACK_HEADER
         else:  # posterior-map
-            sigma2 = psnr_to_sigma2(config["channel"]["psnr_db"], encoder.power)
-            result = experiments.posterior_grid(encoder, decoder, test_set,
-                                                section["sample_index"], section["resolution"],
-                                                section["extent_std"], sigma2)
-            name, write = "posterior.csv", experiments.write_posterior_csv
+            sigma2 = _noise_variance(config["channel"]["psnr_db"], encoder.power,
+                                     "[channel] psnr_db")
+            grid = experiments.posterior_grid(encoder, decoder, test_set,
+                                              section["sample_index"], section["resolution"],
+                                              section["extent_std"], sigma2)
+            rows = experiments.posterior_rows(grid)
+            name, schema, header = "posterior.csv", POSTERIOR_SCHEMA, POSTERIOR_HEADER
     except ValueError as exc:
         raise ConfigError(f"[experiment] {exc}") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    write(result, path)
-    inputs = {Path(section["checkpoint"]).name: _sha256(section["checkpoint"])}
+    write_csv(path, schema, header, rows)
     _write_manifest(out_dir, f"eval:{kind}", config, seed,
-                    inputs=inputs, outputs={name: _sha256(path)})
+                    inputs=[section["checkpoint"]], outputs=[path])
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -507,16 +525,12 @@ def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
         raise ConfigError(f"[experiment] {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "compare.csv"
-    experiments.write_compare_csv(rows, path)
-    negative = sum(1 for r in rows if r["delta"] < 0)
-    positive = sum(1 for r in rows if r["delta"] > 0)
-    ties = len(rows) - negative - positive
-    inputs = {Path(p).name: _sha256(p)
-              for p in (section["checkpoint_a"], section["checkpoint_b"])}
+    write_csv(path, COMPARE_SCHEMA, CompareRow._fields, rows)
     _write_manifest(out_dir, "compare", config, seed,
-                    inputs=inputs, outputs={path.name: _sha256(path)})
-    print(f"wrote {path}; sign summary: a better at {negative}, "
-          f"b better at {positive}, ties {ties} of {len(rows)} PSNRs")
+                    inputs=[section["checkpoint_a"], section["checkpoint_b"]], outputs=[path])
+    signs = [r.sign for r in rows]
+    print(f"wrote {path}; sign summary: a better at {signs.count('a<b')}, "
+          f"b better at {signs.count('a>b')}, ties {signs.count('tie')} of {len(rows)} PSNRs")
     return EXIT_OK
 
 

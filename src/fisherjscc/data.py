@@ -1,4 +1,4 @@
-"""Seeded synthetic classification datasets and a delimited-text loader."""
+"""Seeded synthetic datasets, a delimited-text loader and the CSV artifact writer."""
 
 from __future__ import annotations
 
@@ -124,6 +124,17 @@ def save_table(dataset: Dataset, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [dataset.label_names[label]])
+
+
+def write_csv(path, schema: str, header, rows) -> None:
+    """Write an artifact: a `# schema=` line, the header, then the rows. A float
+    cell, np.float64 included, is repr(float(v)); other cells go through `csv` as is."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# schema={schema}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def load_table(path, delimiter: str = ",", has_header: bool = False,

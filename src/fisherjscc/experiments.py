@@ -2,17 +2,17 @@
 
 All sweeps are deterministic given (models, seed, grid): every cell draws
 from a generator derived from the root seed by labeled counters, so adding
-cells or reordering work cannot perturb other cells' streams. Results are
-emitted as CSV with a fixed column order and a schema-version header line;
-figures are produced from the CSV by external tooling.
+cells or reordering work cannot perturb other cells' streams. Each CSV's
+columns are declared next to the code that makes its rows (NamedTuple fields
+or a header tuple); figures are produced from the CSV by external tooling.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,33 +28,24 @@ POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    regime: str
+class SweepRow(NamedTuple):
+    regime: str                 # always "model"; the column stays for the v2 schema
     psnr_db: float
     family: str
     error_rate: float
     mean_expected_kl: float
 
 
-def _csv_open(path, schema: str):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    fh.write(f"# schema={schema}\n")
-    return fh, csv.writer(fh, lineterminator="\n")
-
-
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    fh, writer = _csv_open(path, SWEEP_SCHEMA)
-    with fh:
-        writer.writerow(["regime", "psnr_db", "family", "error_rate", "mean_expected_kl"])
-        for r in rows:
-            writer.writerow([r.regime, repr(r.psnr_db), r.family, repr(r.error_rate),
-                             repr(r.mean_expected_kl)])
+def _sigma2_grid(psnr_grid, power: float) -> list[float]:
+    try:
+        return [psnr_to_sigma2(p, power) for p in psnr_grid]
+    except ValueError as exc:
+        raise ValueError(f"psnr_grid: {exc}") from None
 
 
 def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                 psnr_grid, family: str, trials: int, seed: int,
-                regime: str = "model", threads: int = 1) -> list[SweepRow]:
+                threads: int = 1) -> list[SweepRow]:
     """Misclassification rate over the test PSNR grid, T channel draws per sample.
 
     The same draws also feed the per-sample KL between the noise-free and
@@ -63,26 +54,25 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     derived from the seed by labeled counters, and the pool's `threads`
     workers return the rows in grid order, so the result is identical for
     any thread count; they run under the caller's numpy error policy. A PSNR
-    listed twice is refused before any cell runs.
+    listed twice or whose noise variance overflows is refused before any cell.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     grid = [float(p) for p in psnr_grid]
     if len(set(grid)) != len(grid):
         raise ValueError(f"duplicate sweep cell in PSNR grid {grid}")
+    sigma2_grid = _sigma2_grid(grid, encoder.power)
     z = encoder.encode(dataset.features)
     p_clean = decoder.decode(z)
     clean_predictions = np.argmax(p_clean, axis=1)
     labels = dataset.labels
     error_policy = np.geterr()      # pool threads do not inherit the caller's np.errstate
 
-    def evaluate_cell(cell):
-        psnr_index, psnr_db = cell
-        sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
+    def evaluate_cell(psnr_index):
+        psnr_db, sigma2 = grid[psnr_index], sigma2_grid[psnr_index]
         if sigma2 == 0.0:
-            return SweepRow(regime=regime, psnr_db=psnr_db, family=family,
-                            error_rate=float(np.mean(clean_predictions != labels)),
-                            mean_expected_kl=0.0)
+            return SweepRow("model", psnr_db, family,
+                            float(np.mean(clean_predictions != labels)), 0.0)
         wrong = 0
         kl_sum = 0.0
         with np.errstate(**error_policy):
@@ -91,16 +81,14 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                 q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
                 wrong += int(np.sum(np.argmax(q, axis=1) != labels))
                 kl_sum += float(_kl_rows(p_clean, q).sum())
-        return SweepRow(regime=regime, psnr_db=psnr_db, family=family,
-                        error_rate=wrong / (trials * len(labels)),
-                        mean_expected_kl=kl_sum / (trials * len(labels)))
+        return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
+                        kl_sum / (trials * len(labels)))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate_cell, enumerate(grid)))
+        return list(pool.map(evaluate_cell, range(len(grid))))
 
 
-@dataclass(frozen=True)
-class TaylorRow:
+class TaylorRow(NamedTuple):
     sigma2: float
     mean_expected_kl: float
     kl_stderr: float
@@ -141,40 +129,19 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
     return rows
 
 
-def write_taylor_csv(rows, path) -> None:
-    fh, writer = _csv_open(path, TAYLOR_SCHEMA)
-    with fh:
-        writer.writerow(["sigma2", "mean_expected_kl", "kl_stderr",
-                         "mean_regularizer", "ratio", "abs_gap"])
-        for r in rows:
-            writer.writerow([repr(r.sigma2), repr(r.mean_expected_kl), repr(r.kl_stderr),
-                             repr(r.mean_regularizer), repr(r.ratio), repr(r.abs_gap)])
+REGTRACK_HEADER = ("model", "psnr_db", "sigma2", "mean_trace", "mean_regularizer")
 
 
-def regularizer_track(tagged_models, psnr_grid, dataset) -> list[tuple]:
-    """Mean penalty per model per test noise level.
+def regularizer_track(encoder: EncoderModel, decoder: DecoderModel, psnr_grid,
+                      dataset) -> list[tuple]:
+    """Mean penalty of one model, labelled "model", per test noise level.
 
-    tagged_models: iterable of (label, encoder, decoder). Returns rows
-    (label, psnr_db, sigma2, mean_trace, mean_regularizer); the penalty is
-    exactly linear in sigma2 for a fixed model.
+    Rows follow REGTRACK_HEADER; the penalty is exactly linear in sigma2.
     """
-    rows = []
-    for label, encoder, decoder in tagged_models:
-        z = encoder.encode(dataset.features)
-        mean_trace = mean_fisher_trace(decoder, z)
-        for psnr_db in psnr_grid:
-            sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
-            rows.append((label, float(psnr_db), sigma2, mean_trace,
-                         0.5 * sigma2 * mean_trace))
-    return rows
-
-
-def write_regtrack_csv(rows, path) -> None:
-    fh, writer = _csv_open(path, REGTRACK_SCHEMA)
-    with fh:
-        writer.writerow(["model", "psnr_db", "sigma2", "mean_trace", "mean_regularizer"])
-        for label, psnr_db, sigma2, trace, reg in rows:
-            writer.writerow([label, repr(psnr_db), repr(sigma2), repr(trace), repr(reg)])
+    sigma2_grid = _sigma2_grid(psnr_grid, encoder.power)
+    mean_trace = mean_fisher_trace(decoder, encoder.encode(dataset.features))
+    return [("model", float(psnr_db), sigma2, mean_trace, 0.5 * sigma2 * mean_trace)
+            for psnr_db, sigma2 in zip(psnr_grid, sigma2_grid)]
 
 
 def top_two_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,41 +209,36 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
                          offsets2=offsets.copy(), values=values)
 
 
-def write_posterior_csv(grid: PosteriorGrid, path) -> None:
-    """Long-format (a, b, value) rows."""
-    fh, writer = _csv_open(path, POSTERIOR_SCHEMA)
-    with fh:
-        writer.writerow(["a", "b", "neg_log_posterior"])
-        for i, a in enumerate(grid.offsets1):
-            for j, b in enumerate(grid.offsets2):
-                writer.writerow([repr(float(a)), repr(float(b)), repr(float(grid.values[i, j]))])
+POSTERIOR_HEADER = ("a", "b", "neg_log_posterior")
+
+
+def posterior_rows(grid: PosteriorGrid) -> list[tuple[float, float, float]]:
+    """The map in long format: one (a, b, value) row per cell, a-major."""
+    return [(a, b, grid.values[i, j])
+            for i, a in enumerate(grid.offsets1) for j, b in enumerate(grid.offsets2)]
+
+
+class CompareRow(NamedTuple):
+    psnr_db: float
+    family: str
+    error_a: float
+    error_b: float
+    delta: float                # error_a - error_b
+    sign: str                   # "a<b", "a>b" or "tie"
 
 
 def paired_compare(encoder_a, decoder_a, encoder_b, decoder_b, dataset,
                    psnr_grid, family: str, trials: int, seed: int,
-                   threads: int = 1) -> list[dict]:
+                   threads: int = 1) -> list[CompareRow]:
     """Shared-seed paired sweep of two model pairs; per-PSNR error deltas."""
     sweep_a = error_sweep(encoder_a, decoder_a, dataset, psnr_grid, family,
-                          trials, seed, regime="a", threads=threads)
+                          trials, seed, threads=threads)
     sweep_b = error_sweep(encoder_b, decoder_b, dataset, psnr_grid, family,
-                          trials, seed, regime="b", threads=threads)
+                          trials, seed, threads=threads)
     rows = []
     for ra, rb in zip(sweep_a, sweep_b):
         delta = ra.error_rate - rb.error_rate
-        rows.append({
-            "psnr_db": ra.psnr_db, "family": family,
-            "error_a": ra.error_rate, "error_b": rb.error_rate,
-            "delta": delta,
-            "sign": "a<b" if delta < 0 else ("a>b" if delta > 0 else "tie"),
-        })
+        sign = "a<b" if delta < 0 else ("a>b" if delta > 0 else "tie")
+        rows.append(CompareRow(ra.psnr_db, family, ra.error_rate, rb.error_rate, delta, sign))
     return rows
-
-
-def write_compare_csv(rows, path) -> None:
-    fh, writer = _csv_open(path, COMPARE_SCHEMA)
-    with fh:
-        writer.writerow(["psnr_db", "family", "error_a", "error_b", "delta", "sign"])
-        for r in rows:
-            writer.writerow([repr(r["psnr_db"]), r["family"], repr(r["error_a"]),
-                             repr(r["error_b"]), repr(r["delta"]), r["sign"]])
 

@@ -21,10 +21,9 @@ TrainDivergenceError with the step's epoch, batch and sigma2 (CLI exit 4).
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,6 +35,9 @@ from .rng import CounterRng, derive_seed
 from .robustness import fisher_trace_node
 
 TRAINLOG_SCHEMA = "fisherjscc.trainlog.v1"
+# The trainlog's columns, EpochStats fields. Wall time stays on the in-memory
+# stats only: a measured duration would give identical runs different bytes.
+TRAINLOG_HEADER = ("epoch", "cross_entropy", "fisher_penalty", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -93,25 +95,6 @@ class EpochStats:
     fisher_penalty: float
     accuracy: float
     seconds: float
-
-
-@dataclass
-class TrainLog:
-    rows: list[EpochStats] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        """Write the per-epoch rows; byte-identical for identical runs.
-
-        Wall time stays on the in-memory rows only: serializing a measured
-        duration would make otherwise identical runs produce different bytes.
-        """
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"# schema={TRAINLOG_SCHEMA}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "cross_entropy", "fisher_penalty", "accuracy"])
-            for r in self.rows:
-                writer.writerow([r.epoch, repr(r.cross_entropy), repr(r.fisher_penalty),
-                                 repr(r.accuracy)])
 
 
 class TrainDivergenceError(RuntimeError):
@@ -203,10 +186,10 @@ def _accuracy(encoder: EncoderModel, decoder: DecoderModel,
 
 
 def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderModel,
-          on_epoch: Callable[[EpochStats], None] | None = None):
+          on_epoch: Callable[[EpochStats], None] | None = None) -> list[EpochStats]:
     """Run the configured epochs of shuffled mini-batch Adam.
 
-    Returns (encoder, decoder, TrainLog); the models are updated in place.
+    Returns the stats of each epoch in order; the models are updated in place.
     `on_epoch`, if given, is called with each epoch's stats once that epoch's
     updates are done, so it sees the models as they stand after the epoch.
     A non-finite value anywhere in a step (the tape's FloatingPointError, or
@@ -219,10 +202,11 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
     n = features.shape[0]
 
     # Joint parameter view: encoder and decoder are updated by one optimizer.
-    grads_template = [("enc", encoder.params), ("dec", decoder.params)]
-    states = {tag: AdamState.init(params) for tag, params in grads_template}
+    params = {**{f"enc.{name}": t for name, t in encoder.params.items()},
+              **{f"dec.{name}": t for name, t in decoder.params.items()}}
+    state = AdamState.init(params)
 
-    log = TrainLog()
+    log = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = CounterRng(derive_seed(config.seed, "shuffle", epoch)).permutation(n)
@@ -238,18 +222,15 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
             noise_rng = CounterRng(derive_seed(config.seed, "noise", epoch, batch_index))
 
             coeff = config.lam if config.omit_sigma2 else 0.5 * config.lam * sigma2
-            wrt = [*encoder.params.values(), *decoder.params.values()]
             try:
                 # An overflow in numpy raises the tape's exception type where it happens.
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
                                              sigma2, coeff, config.noise_draws,
                                              noise_rng, family=config.family)
-                    grad_map = ad.backward(parts.total, wrt)
-                    for tag, params in grads_template:
-                        grads = {name: grad_map[tensor].data
-                                 for name, tensor in params.items()}
-                        adam_step(params, grads, states[tag], config.learning_rate)
+                    grad_map = ad.backward(parts.total, params.values())
+                    grads = {name: grad_map[tensor].data for name, tensor in params.items()}
+                    adam_step(params, grads, state, config.learning_rate)
             except FloatingPointError as exc:
                 raise TrainDivergenceError(
                     {"epoch": epoch, "batch": batch_index, "sigma2": sigma2}) from exc
@@ -265,7 +246,7 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
             accuracy=_accuracy(encoder, decoder, features, labels),
             seconds=time.perf_counter() - started,
         )
-        log.rows.append(stats)
+        log.append(stats)
         if on_epoch is not None:
             on_epoch(stats)
-    return encoder, decoder, log
+    return log

@@ -23,6 +23,15 @@ class TestPsnrConversion:
         with pytest.raises(ValueError):
             psnr_to_sigma2(10.0, 0.0)
 
+    @pytest.mark.parametrize("psnr_db, power", [(-4000.0, 1.0), (-100.0, 1e300),
+                                                (np.float64(-4000.0), 1.0),
+                                                (float("nan"), 1.0)],
+                             ids=["pow-overflow", "product-overflow", "float64", "nan"])
+    def test_non_finite_variance_rejected(self, psnr_db, power):
+        """10^400 overflows a float (OverflowError), 1e300 * 1e10 is inf: both ValueError."""
+        with pytest.raises(ValueError, match="not a finite float"):
+            psnr_to_sigma2(psnr_db, power)
+
 
 @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
 class TestChannelNoise:

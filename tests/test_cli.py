@@ -363,6 +363,18 @@ class TestEvalCommand:
         ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nextent_std = nan")],
          "[experiment] extent_std"),
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = nan")], "[channel] psnr_db"),
+        ("train", [("psnr_db = 15.0", "psnr_db = -4000")], "[channel] psnr_db"),
+        ("train", [("learning_rate = 0.001",
+                    "learning_rate = 0.001\npsnr_mode = uniform\npsnr_low = -4000")],
+         "[train] psnr_low"),
+        ("eval", [("psnr_grid = 5,15", "psnr_grid = -4000,5")], "[experiment] psnr_grid"),
+        ("compare", [("psnr_grid = 5,15", "psnr_grid = -4000,5")], "[experiment] psnr_grid"),
+        ("validate-approx", [("sample_limit = 8", "sample_limit = 8\ntaylor_psnr_grid = -4000")],
+         "[experiment] taylor_psnr_grid"),
+        ("eval", [("kind = sweep", "kind = reg-track"), ("psnr_grid = 5,15", "psnr_grid = -4000")],
+         "[experiment] psnr_grid"),
+        ("posterior-map", [("psnr_db = 15.0", "psnr_db = -4000")], "[channel] psnr_db"),
+        ("gen-data", [("kind = rings", "kind = table")], "config error: [data] kind=table"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
@@ -379,7 +391,10 @@ class TestEvalCommand:
             "train-learning_rate-zero", "train-learning_rate-negative", "train-psnr_low-nan",
             "train-psnr_high-inf", "eval-psnr_grid-nan", "compare-psnr_grid-nan",
             "validate-approx-taylor_psnr_grid-nan", "posterior-map-extent_std-nan",
-            "posterior-map-psnr_db-nan"])
+            "posterior-map-psnr_db-nan", "train-psnr_db-overflow", "train-psnr_low-overflow",
+            "eval-psnr_grid-overflow", "compare-psnr_grid-overflow",
+            "validate-approx-taylor_psnr_grid-overflow", "reg-track-psnr_grid-overflow",
+            "posterior-map-psnr_db-overflow", "gen-data-table-without-files"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""
@@ -567,7 +582,7 @@ class TestEvalCommand:
 
 
 class TestCompareCommand:
-    def test_self_compare_all_ties_and_row_count(self, tmp_path, data_dir):
+    def test_self_compare_all_ties_and_row_count(self, tmp_path, data_dir, capsys):
         train_config = tmp_path / "train.ini"
         model_out = tmp_path / "m"
         write_config(train_config, model_out, data_dir, epochs=1)
@@ -577,7 +592,9 @@ class TestCompareCommand:
         out = tmp_path / "cmp_out"
         write_config(config, out, data_dir,
                      extra=f"checkpoint_a = {ckpt}\ncheckpoint_b = {ckpt}")
+        capsys.readouterr()
         assert main(["compare", "--config", str(config)]) == EXIT_OK
+        assert "a better at 0, b better at 0, ties 2 of 2 PSNRs" in capsys.readouterr().out
         lines = (out / "compare.csv").read_text().splitlines()
         assert len(lines) == 2 + 2  # schema, header, one row per grid PSNR
         for row in lines[2:]:

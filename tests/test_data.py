@@ -1,10 +1,12 @@
-"""Synthetic datasets, normalization, and the delimited-table loader."""
+"""Synthetic datasets, normalization, the delimited-table loader and the CSV writer."""
+
+import math
 
 import numpy as np
 import pytest
 
 from fisherjscc.data import (DataError, Dataset, Normalizer, load_table,
-                             make_blobs, make_rings, save_table)
+                             make_blobs, make_rings, save_table, write_csv)
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.train import FixedPsnr, TrainConfig, train
 
@@ -153,6 +155,30 @@ class TestLoadTable:
         path.write_text("x1,x2,label\n1.0,2.0,a\n3.0,4.0,b\n")
         ds = load_table(path, has_header=True)
         assert len(ds) == 2
+
+
+class TestWriteCsv:
+    def test_schema_line_header_and_cells(self, tmp_path):
+        """float, np.float64 and inf come out as repr(float); int and str as they are."""
+        path = tmp_path / "out.csv"
+        write_csv(path, "fisherjscc.test.v1", ("n", "x", "y", "label"),
+                  [(3, 0.1, np.float64(1 / 3), "a<b"), [-1, math.inf, np.float64(-0.0), "tie"]])
+        assert path.read_bytes() == (b"# schema=fisherjscc.test.v1\n"
+                                     b"n,x,y,label\n"
+                                     b"3,0.1,0.3333333333333333,a<b\n"
+                                     b"-1,inf,-0.0,tie\n")
+
+    def test_float_cells_read_back_bit_for_bit(self, tmp_path):
+        values = np.array([1e-300, 2.0 ** -1074, 1.7976931348623157e308, 0.1 + 0.2])
+        path = tmp_path / "out.csv"
+        write_csv(path, "s", ("v",), [(v,) for v in values])
+        cells = path.read_text().splitlines()[2:]
+        np.testing.assert_array_equal([float(cell) for cell in cells], values)
+
+    def test_empty_rows_give_the_header_only(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "s", ["a", "b"], [])
+        assert path.read_text() == "# schema=s\na,b\n"
 
 
 class TestDatasetInvariants:

@@ -5,10 +5,11 @@ import pytest
 
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
-from fisherjscc.experiments import (error_sweep, paired_compare, posterior_grid,
-                                    regularizer_track, taylor_validation,
-                                    top_two_components, write_posterior_csv,
-                                    write_sweep_csv)
+from fisherjscc.data import write_csv
+from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, SWEEP_SCHEMA, SweepRow,
+                                    error_sweep, paired_compare, posterior_grid,
+                                    posterior_rows, regularizer_track, taylor_validation,
+                                    top_two_components)
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
@@ -87,6 +88,17 @@ class TestErrorSweep:
             error_sweep(encoder, decoder, test_set, [10.0, 10.0], "awgn", trials=3, seed=1)
         assert calls == []
 
+    def test_overflowing_psnr_rejected_before_any_cell(self, trained_pair, monkeypatch):
+        """A PSNR whose noise variance overflows is refused, naming the grid, before
+        the sweep encodes or decodes anything."""
+        encoder, decoder, _, test_set = trained_pair
+        calls = []
+        monkeypatch.setattr(encoder, "encode", lambda x: calls.append("encode"))
+        monkeypatch.setattr(decoder, "decode", lambda z: calls.append("decode"))
+        with pytest.raises(ValueError, match="psnr_grid: PSNR -4000.0 dB"):
+            error_sweep(encoder, decoder, test_set, [5.0, -4000.0], "awgn", trials=3, seed=1)
+        assert calls == []
+
     def test_rayleigh_family_runs(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
         result = error_sweep(encoder, decoder, test_set, [10.0], "rayleigh",
@@ -163,7 +175,7 @@ class TestTaylorValidation:
 class TestRegularizerTrack:
     def test_penalty_linear_in_sigma2(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
-        rows = regularizer_track([("m", encoder, decoder)], [20.0, 10.0], test_set)
+        rows = regularizer_track(encoder, decoder, [20.0, 10.0], test_set)
         sigma_a, reg_a = rows[0][2], rows[0][4]
         sigma_b, reg_b = rows[1][2], rows[1][4]
         assert reg_b / reg_a == pytest.approx(sigma_b / sigma_a, rel=1e-12)
@@ -171,7 +183,7 @@ class TestRegularizerTrack:
     def test_zero_weight_decoder_zero_everywhere(self):
         encoder, decoder = uniform_pair()
         ds = make_rings(4, 20, noise=0.1, seed=43)
-        rows = regularizer_track([("u", encoder, decoder)], [20.0, 5.0], ds)
+        rows = regularizer_track(encoder, decoder, [20.0, 5.0], ds)
         assert all(row[4] == 0.0 for row in rows)
 
     def test_regularized_twin_has_lower_trace(self):
@@ -186,7 +198,7 @@ class TestRegularizerTrack:
             train(TrainConfig(lam=lam, epochs=25, batch_size=32, seed=seed,
                               psnr=FixedPsnr(20.0), omit_sigma2=(lam > 0)),
                   ds, encoder, decoder)
-            rows = regularizer_track([("m", encoder, decoder)], [10.0], ds)
+            rows = regularizer_track(encoder, decoder, [10.0], ds)
             traces[lam] = rows[0][3]
         assert traces[0.5] < traces[0.0]
 
@@ -284,11 +296,13 @@ class TestPosteriorGrid:
         grid = posterior_grid(encoder, decoder, ds, 0, resolution=8,
                               extent_std=1.0, sigma2=0.05)
         path = tmp_path / "grid.csv"
-        write_posterior_csv(grid, path)
+        write_csv(path, POSTERIOR_SCHEMA, POSTERIOR_HEADER, posterior_rows(grid))
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema=fisherjscc.posterior.v1"
         assert lines[1] == "a,b,neg_log_posterior"
         assert len(lines) == 2 + 64
+        a, b, value = (float(cell) for cell in lines[2 + 8 + 3].split(","))
+        assert (a, b, value) == (grid.offsets1[1], grid.offsets2[3], grid.values[1, 3])
 
 
 class TestPairedCompare:
@@ -297,7 +311,7 @@ class TestPairedCompare:
         rows = paired_compare(encoder, decoder, encoder, decoder, test_set,
                               [5.0, 15.0], "awgn", trials=5, seed=11)
         assert len(rows) == 2
-        assert all(r["delta"] == 0.0 and r["sign"] == "tie" for r in rows)
+        assert all(r.delta == 0.0 and r.sign == "tie" for r in rows)
 
     def test_row_count_matches_grid(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
@@ -312,9 +326,10 @@ class TestSweepCsv:
         result = error_sweep(encoder, decoder, test_set, [5.0, 10.0], "awgn",
                              trials=3, seed=13)
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(result, path_a)
-        write_sweep_csv(error_sweep(encoder, decoder, test_set, [5.0, 10.0], "awgn",
-                                    trials=3, seed=13), path_b)
+        write_csv(path_a, SWEEP_SCHEMA, SweepRow._fields, result)
+        write_csv(path_b, SWEEP_SCHEMA, SweepRow._fields,
+                  error_sweep(encoder, decoder, test_set, [5.0, 10.0], "awgn",
+                              trials=3, seed=13))
         assert path_a.read_bytes() == path_b.read_bytes()
         assert path_a.read_text().splitlines()[:2] == [
             "# schema=fisherjscc.sweep.v2",

@@ -1,12 +1,15 @@
 """Source hygiene: every name a package module imports is used in that module,
-and every public module-level function and class is used by the package.
+every public module-level function and class is used by the package, and
+only `data` imports `csv`.
 
 No linter is a declared dependency, so this reads the source with the
 standard library's `ast`. An import counts as used when its name appears as
 a name expression anywhere in the module (annotations included) or is listed
 in the module's `__all__`. A public function or class counts as used when
 some package module refers to it, as a name or as an attribute, outside its
-own definition: API that only tests call belongs in the tests.
+own definition: API that only tests call belongs in the tests. The CSV
+artifact format (schema line, header, float cells) is `data.write_csv`'s
+alone, so no other module needs the `csv` module.
 """
 
 import ast
@@ -73,6 +76,17 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def imports_csv(source: str) -> bool:
+    """Whether the source imports the standard library's `csv` module or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "csv"
+                                                for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "csv":
+            return True
+    return False
+
+
 def test_modules_found():
     assert {path.name for path in MODULES} >= {"cli.py", "models.py", "experiments.py"}
 
@@ -103,3 +117,15 @@ def test_checker_flags_an_unreferenced_definition():
     assert unreferenced_definitions(sources) == ["a.Unused"]
     sources["b"] = "from a import used\nprint(used())\n"
     assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused"]
+
+
+def test_only_data_imports_csv():
+    assert [path.name for path in MODULES
+            if path.stem != "data" and imports_csv(path.read_text(encoding="utf-8"))] == []
+
+
+def test_checker_flags_a_csv_import():
+    assert imports_csv("import csv\n")
+    assert imports_csv("import os, csv as table\n")
+    assert imports_csv("def f():\n    from csv import writer\n    return writer\n")
+    assert not imports_csv("import csvkit\nfrom . import csv\ntext = 'import csv'\n")

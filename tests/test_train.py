@@ -11,8 +11,9 @@ from fisherjscc.data import make_blobs, make_rings
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.robustness import mean_fisher_trace
-from fisherjscc.train import (AdamState, EpochStats, FixedPsnr, TrainConfig,
-                              TrainDivergenceError, TrainLog, UniformPsnr,
+from fisherjscc.data import write_csv
+from fisherjscc.train import (TRAINLOG_HEADER, TRAINLOG_SCHEMA, AdamState, EpochStats,
+                              FixedPsnr, TrainConfig, TrainDivergenceError, UniformPsnr,
                               _accuracy, adam_step, regularized_loss, train)
 
 from _oracles import finite_diff_grad, max_rel_err
@@ -172,8 +173,7 @@ class TestTrainLoop:
         before_enc = values(encoder.params)
         before_dec = values(decoder.params)
         ds = make_blobs(3, 10, dim=3, spread=0.3, seed=21)
-        _, _, log = train(TrainConfig(epochs=0, seed=0), ds, encoder, decoder)
-        assert log.rows == []
+        assert train(TrainConfig(epochs=0, seed=0), ds, encoder, decoder) == []
         for name, value in before_enc.items():
             np.testing.assert_array_equal(encoder.params[name].data, value)
         for name, value in before_dec.items():
@@ -205,9 +205,9 @@ class TestTrainLoop:
         def on_epoch(stats):
             seen.append((stats, values(decoder.params)))
 
-        _, _, log = train(TrainConfig(epochs=2, batch_size=16, seed=36), ds,
-                          encoder, decoder, on_epoch=on_epoch)
-        assert [stats for stats, _ in seen] == log.rows
+        log = train(TrainConfig(epochs=2, batch_size=16, seed=36), ds,
+                    encoder, decoder, on_epoch=on_epoch)
+        assert [stats for stats, _ in seen] == log
         for name, value in seen[-1][1].items():
             np.testing.assert_array_equal(decoder.params[name].data, value)
         assert any(not np.array_equal(seen[0][1][n], seen[1][1][n]) for n in seen[0][1])
@@ -215,9 +215,9 @@ class TestTrainLoop:
     def test_separable_blobs_reach_95_percent(self):
         ds = make_blobs(4, 50, dim=4, spread=0.3, seed=25)
         encoder, decoder = small_models(26, input_dim=4, repr_dim=4, classes=4, hidden=16)
-        _, _, log = train(TrainConfig(lam=0.0, epochs=50, batch_size=32, seed=27,
-                                      psnr=FixedPsnr(20.0)), ds, encoder, decoder)
-        assert log.rows[-1].accuracy >= 0.95
+        log = train(TrainConfig(lam=0.0, epochs=50, batch_size=32, seed=27,
+                                psnr=FixedPsnr(20.0)), ds, encoder, decoder)
+        assert log[-1].accuracy >= 0.95
 
     def test_uniform_psnr_regime_runs_and_differs_from_fixed(self):
         ds = make_blobs(3, 20, dim=3, spread=0.3, seed=28)
@@ -255,9 +255,9 @@ class TestTrainLoop:
             for lam in (0.0, 0.3, 1.0):
                 encoder, decoder = small_models(seed, input_dim=2, repr_dim=4,
                                                 classes=3, hidden=24)
-                _, _, log = train(TrainConfig(lam=lam, epochs=20, batch_size=32,
-                                              seed=seed, psnr=FixedPsnr(10.0)),
-                                  ds, encoder, decoder)
+                train(TrainConfig(lam=lam, epochs=20, batch_size=32,
+                                  seed=seed, psnr=FixedPsnr(10.0)),
+                      ds, encoder, decoder)
                 # Mean penalty at shared weighting so values are comparable.
                 z = encoder.encode(ds.features)
                 finals.append(mean_fisher_trace(decoder, z))
@@ -291,11 +291,13 @@ class TestTrainLoop:
 
 class TestTrainLog:
     def test_csv_round_trip_values(self, tmp_path):
-        log = TrainLog([EpochStats(0, 1.25, 0.5, 0.75, 0.001),
-                        EpochStats(1, 0.5, 0.25, 1.0, 0.002)])
+        """The trainlog columns are EpochStats fields; wall time is not among them."""
+        stats = [EpochStats(0, 1.25, 0.5, 0.75, 0.001), EpochStats(1, 0.5, 0.25, 1.0, 0.002)]
         path = tmp_path / "log.csv"
-        log.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# schema=")
-        assert lines[1] == "epoch,cross_entropy,fisher_penalty,accuracy"
-        assert lines[2].split(",")[1] == "1.25"
+        write_csv(path, TRAINLOG_SCHEMA, TRAINLOG_HEADER,
+                  [[getattr(s, column) for column in TRAINLOG_HEADER] for s in stats])
+        assert path.read_text().splitlines() == [
+            "# schema=fisherjscc.trainlog.v1",
+            "epoch,cross_entropy,fisher_penalty,accuracy",
+            "0,1.25,0.5,0.75",
+            "1,0.5,0.25,1.0"]
