@@ -225,6 +225,19 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         fh.write("\n")
 
 
+def _manifest_digests(path: Path) -> dict:
+    """The `output_digests` map of a manifest; a file that holds none is a data error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:       # not JSON, or not UTF-8
+        raise DataError(f"unreadable manifest {path}: {exc}") from None
+    digests = manifest.get("output_digests") if isinstance(manifest, dict) else None
+    if not isinstance(digests, dict):
+        raise DataError(f"manifest {path} holds no output_digests map")
+    return digests
+
+
 def _noise_variance(psnr_db: float, power: float, key: str) -> float:
     """psnr_to_sigma2 of a configured PSNR; one that overflows is a config error on key."""
     try:
@@ -353,16 +366,15 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
     if verify:
         if not manifest_path.exists():
             raise DataError(f"no manifest to verify at {manifest_path}")
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        for name, digest in manifest["output_digests"].items():
+        digests = _manifest_digests(manifest_path)
+        for name, digest in digests.items():
             path = out_dir / name
             if not path.exists():
                 raise DataError(f"verify failed: {name} is missing")
             actual = _sha256(path)
             if actual != digest:
                 raise DataError(f"verify failed: {name} digest {actual} != manifest {digest}")
-        print(f"verified {len(manifest['output_digests'])} files against {manifest_path}")
+        print(f"verified {len(digests)} files against {manifest_path}")
         return EXIT_OK
 
     out_dir = _check_out(config["run"]["out"], force)
@@ -487,8 +499,11 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                                                  test_set)
             name, schema, header = "regtrack.csv", REGTRACK_SCHEMA, REGTRACK_HEADER
         else:  # posterior-map
-            sigma2 = _noise_variance(config["channel"]["psnr_db"], encoder.power,
-                                     "[channel] psnr_db")
+            psnr_db = config["channel"]["psnr_db"]
+            sigma2 = _noise_variance(psnr_db, encoder.power, "[channel] psnr_db")
+            if sigma2 == 0.0:
+                raise ConfigError(f"[channel] psnr_db = {psnr_db}: the map spans extent_std "
+                                  f"noise standard deviations, and there is no noise")
             grid = experiments.posterior_grid(encoder, decoder, test_set,
                                               section["sample_index"], section["resolution"],
                                               section["extent_std"], sigma2)
@@ -551,7 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--threads", type=int, default=1,
                        help="eval/compare sweep workers (default 1); any count gives the same "
-                            "bytes; validate-approx ignores it")
+                            "bytes; validate-approx ignores it and overlaps its noise draws "
+                            "with decoding on one helper thread; BLAS runs one thread per "
+                            "process unless OPENBLAS_NUM_THREADS is set")
 
     p = sub.add_parser("gen-data", help="generate dataset files and a manifest")
     common(p)
@@ -571,8 +588,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     # An overflow, a division by zero or an invalid operation raises instead of
-    # warning, so it ends as a numerical abort; the sweep's pool threads take
-    # this policy from the thread that starts them.
+    # warning, so it ends as a numerical abort; the sweep's pool threads and the
+    # sampled KL's noise helper take this policy from the thread that starts them.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         return _run(args)
 

@@ -19,6 +19,8 @@ training loss and be differentiated once more.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from . import autodiff as ad
@@ -79,17 +81,35 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
     """KL(q(.|z_i) || q(.|z_i + noise)) per AWGN draw: returns array [n, samples].
 
     A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
+
+    The draws come in blocks of about KL_CHUNK_ROWS decoded rows. One helper
+    thread draws block i+1 while this thread decodes block i; it is the only
+    user of rng and draws the blocks in order, so the values are those of a
+    serial loop. It runs under the caller's numpy error policy.
     """
     n, k = z_batch.shape
-    p = decoder.decode(z_batch)
     out = np.empty((n, samples))
     draws_per_chunk = max(1, KL_CHUNK_ROWS // max(n, 1))
-    done = 0
-    while done < samples:
-        take = min(draws_per_chunk, samples - done)
-        z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
-        z_hat += z_batch          # in place; noise + z and z + noise are the same bits
-        q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
-        out[:, done:done + take] = _kl_rows(p, q).T
-        done += take
+    takes = [min(draws_per_chunk, samples - done) for done in range(0, samples, draws_per_chunk)]
+    error_policy = np.geterr()      # the helper thread does not inherit the caller's np.errstate
+
+    def draw(take: int) -> np.ndarray:
+        with np.errstate(**error_policy):
+            z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
+            z_hat += z_batch      # in place; noise + z and z + noise are the same bits
+        return z_hat
+
+    # Leaving the `with` joins the helper, after a raise too; a draw still pending
+    # then is discarded, since the caller's exception is the one to report.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        block = helper.submit(draw, takes[0]) if takes else None
+        p = decoder.decode(z_batch)
+        done = 0
+        for i, take in enumerate(takes):
+            z_hat = block.result()
+            if i + 1 < len(takes):
+                block = helper.submit(draw, takes[i + 1])
+            q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
+            out[:, done:done + take] = _kl_rows(p, q).T
+            done += take
     return out

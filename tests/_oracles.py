@@ -139,6 +139,27 @@ def fisher_matrix(decoder, z) -> np.ndarray:
     return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)
 
 
+def expected_kl_rows_serial(decoder, z_batch, sigma2, samples, rng) -> np.ndarray:
+    """`robustness._expected_kl_rows` as a serial loop: draw a block, decode it, take
+    its KL rows, with the library's KL_CHUNK_ROWS block sizes, all on this thread."""
+    from fisherjscc import robustness
+    from fisherjscc.channel import channel_noise
+
+    n, k = z_batch.shape
+    p = decoder.decode(z_batch)
+    out = np.empty((n, samples))
+    draws_per_chunk = max(1, robustness.KL_CHUNK_ROWS // max(n, 1))
+    done = 0
+    while done < samples:
+        take = min(draws_per_chunk, samples - done)
+        z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
+        z_hat += z_batch
+        q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
+        out[:, done:done + take] = robustness._kl_rows(p, q).T
+        done += take
+    return out
+
+
 def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> float:
     """Plain softmax regression on raw features; returns test accuracy.
 

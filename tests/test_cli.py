@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,18 @@ class TestGenData:
             fh.write("9.9,9.9,tampered\n")
         assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_DATA
         assert "digest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "{}"], ids=["not-json", "no-digests"])
+    def test_verify_bad_manifest_is_a_data_error(self, tmp_path, capsys, text):
+        config = tmp_path / "run.ini"
+        out = tmp_path / "data"
+        write_config(config, out, out)
+        assert main(["gen-data", "--config", str(config)]) == EXIT_OK
+        (out / "manifest.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "manifest.json" in err and "Traceback" not in err
 
 
 @pytest.fixture()
@@ -374,6 +390,7 @@ class TestEvalCommand:
         ("eval", [("kind = sweep", "kind = reg-track"), ("psnr_grid = 5,15", "psnr_grid = -4000")],
          "[experiment] psnr_grid"),
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = -4000")], "[channel] psnr_db"),
+        ("posterior-map", [("psnr_db = 15.0", "psnr_db = inf")], "[channel] psnr_db"),
         ("gen-data", [("kind = rings", "kind = table")], "config error: [data] kind=table"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
@@ -394,7 +411,8 @@ class TestEvalCommand:
             "posterior-map-psnr_db-nan", "train-psnr_db-overflow", "train-psnr_low-overflow",
             "eval-psnr_grid-overflow", "compare-psnr_grid-overflow",
             "validate-approx-taylor_psnr_grid-overflow", "reg-track-psnr_grid-overflow",
-            "posterior-map-psnr_db-overflow", "gen-data-table-without-files"])
+            "posterior-map-psnr_db-overflow", "posterior-map-psnr_db-inf",
+            "gen-data-table-without-files"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""
@@ -571,6 +589,25 @@ class TestEvalCommand:
                      extra=f"checkpoint = {checkpoint}\nmc_samples = 50\nsample_limit = 8")
         assert main(["validate-approx", "--config", str(config)]) == EXIT_OK
         assert (out / "taylor.csv").exists()
+
+    def test_validate_approx_bytes_do_not_depend_on_blas_threads(self, tmp_path, data_dir,
+                                                                 checkpoint):
+        """Fresh interpreters at 1 and 2 OpenBLAS threads write the same taylor.csv; 120
+        points x 1,200 draws make three noise blocks per PSNR cell."""
+        config = tmp_path / "eval.ini"
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"taylor_blas{threads}"
+            write_config(config, out, data_dir,
+                         extra=f"checkpoint = {checkpoint}\nmc_samples = 1200\n"
+                               f"sample_limit = 120")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            subprocess.run([sys.executable, "-m", "fisherjscc.cli", "validate-approx",
+                            "--config", str(config)], env=env, check=True,
+                           capture_output=True)
+            outputs.append((out / "taylor.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_posterior_map_alias(self, tmp_path, data_dir, checkpoint):
         config = tmp_path / "eval.ini"

@@ -10,15 +10,24 @@ some package module refers to it, as a name or as an attribute, outside its
 own definition: API that only tests call belongs in the tests. The CSV
 artifact format (schema line, header, float cells) is `data.write_csv`'s
 alone, so no other module needs the `csv` module.
+
+The package sets OPENBLAS_NUM_THREADS to 1 unless it is already set, and
+OpenBLAS reads it once, when NumPy loads: so in `__init__.py` the
+`os.environ.setdefault` call must come before every import but `import os`.
+Fresh interpreters check that the pin takes effect and yields to the caller.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "fisherjscc"
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 
 
@@ -87,6 +96,35 @@ def imports_csv(source: str) -> bool:
     return False
 
 
+def blas_pin_precedes_imports(source: str) -> bool:
+    """Whether a module-level `os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)`
+    statement comes before every import statement other than `import os`."""
+    tree = ast.parse(source)
+    pins = [node.lineno for node in tree.body
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "os.environ.setdefault"
+            and node.value.args and isinstance(node.value.args[0], ast.Constant)
+            and node.value.args[0].value == BLAS_THREADS]
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and ast.unparse(node) != "import os"]
+    return bool(pins) and all(line > pins[0] for line in imports)
+
+
+def after_import(env: dict) -> tuple[str, int | None]:
+    """OPENBLAS_NUM_THREADS and the process's thread count (None where /proc/self/task
+    is absent) after `import fisherjscc` in a fresh interpreter given env."""
+    env = dict(env, PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = ("import os, fisherjscc\n"
+            "tasks = '/proc/self/task'\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    value, threads = done.stdout.split()
+    return value, None if threads == "None" else int(threads)
+
+
 def test_modules_found():
     assert {path.name for path in MODULES} >= {"cli.py", "models.py", "experiments.py"}
 
@@ -129,3 +167,25 @@ def test_checker_flags_a_csv_import():
     assert imports_csv("import os, csv as table\n")
     assert imports_csv("def f():\n    from csv import writer\n    return writer\n")
     assert not imports_csv("import csvkit\nfrom . import csv\ntext = 'import csv'\n")
+
+
+def test_blas_pin_precedes_every_import():
+    assert blas_pin_precedes_imports((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+
+
+def test_checker_flags_a_late_blas_pin():
+    pin = "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')\n"
+    assert blas_pin_precedes_imports("import os\n" + pin + "import numpy\nfrom . import a\n")
+    assert not blas_pin_precedes_imports("import os\nimport numpy\n" + pin)
+    assert not blas_pin_precedes_imports("import os\n" + pin.replace("OPENBLAS", "OMP"))
+    assert not blas_pin_precedes_imports("import os, numpy\n" + pin)
+    assert not blas_pin_precedes_imports("import os\ndef f():\n    " + pin)
+    assert not blas_pin_precedes_imports("import os\n" + pin.replace("setdefault", "get"))
+
+
+def test_import_pins_one_blas_thread_unless_set():
+    """Unset, the pin holds and NumPy loads no BLAS worker; a caller's value wins."""
+    unset = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
+    value, threads = after_import(unset)
+    assert value == "1" and threads in (1, None)
+    assert after_import(dict(unset, OPENBLAS_NUM_THREADS="2"))[0] == "2"

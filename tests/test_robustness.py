@@ -1,17 +1,21 @@
 """Core math: row-wise KL, Fisher information and trace, sampled KL against the penalty."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
+from fisherjscc import robustness
 from fisherjscc.models import DecoderModel
 from fisherjscc.robustness import _expected_kl_rows, _kl_rows, fisher_trace_node
 from fisherjscc.rng import CounterRng
 
-from _oracles import (finite_diff_grad, finite_diff_hessian, fisher_matrix, fisher_trace,
-                      kl_reference, max_rel_err, per_class_fisher, per_class_fisher_matrix)
+from _oracles import (expected_kl_rows_serial, finite_diff_grad, finite_diff_hessian,
+                      fisher_matrix, fisher_trace, kl_reference, max_rel_err, per_class_fisher,
+                      per_class_fisher_matrix)
 
 
 def kl(p, q) -> float:
@@ -245,6 +249,56 @@ class TestExpectedKlMc:
         first = _expected_kl_rows(decoder, z, 0.05, 200, CounterRng(43))
         second = _expected_kl_rows(decoder, z, 0.05, 200, CounterRng(43))
         assert np.array_equal(first, second)
+
+
+class TestPipelinedKl:
+    """The helper-thread pipeline gives the serial loop's values and fails like it."""
+
+    @pytest.mark.parametrize("n, samples, chunk_rows", [
+        (2, 200, None), (256, 2_000, None), (3, 25, 1),
+    ], ids=["one-block", "uneven-last-block", "one-draw-per-block"])
+    def test_equals_serial_loop(self, monkeypatch, n, samples, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", chunk_rows)
+        decoder = random_decoder(47)
+        z = CounterRng(48).normals(n * 4).reshape(n, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # hand the interpreter between the threads often
+        try:
+            pipelined = _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(49))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = expected_kl_rows_serial(decoder, z, 0.05, samples, CounterRng(49))
+        assert pipelined.shape == (n, samples)
+        assert np.array_equal(pipelined, serial)
+
+    def test_overflow_in_the_helper_reaches_the_caller(self, monkeypatch):
+        def overflowing_noise(shape, sigma2, family, rng):
+            return np.full(shape, 1e300) * 1e300
+
+        monkeypatch.setattr(robustness, "channel_noise", overflowing_noise)
+        decoder = random_decoder(50)
+        z = CounterRng(51).normals(8).reshape(2, 4)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            _expected_kl_rows(decoder, z, 0.05, 50, CounterRng(52))
+
+    def test_failed_decode_leaves_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", 8)
+        decoder = random_decoder(53)
+        z = CounterRng(54).normals(8).reshape(2, 4)
+        decode, calls = decoder.decode, []
+
+        def failing_decode(z_rows):
+            calls.append(len(z_rows))
+            if len(calls) > 1:
+                raise RuntimeError("decode failed")
+            return decode(z_rows)
+
+        monkeypatch.setattr(decoder, "decode", failing_decode)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decode failed"):
+            _expected_kl_rows(decoder, z, 0.05, 200, CounterRng(55))
+        assert threading.active_count() == before
 
 
 class TestCovariancePenalty:
