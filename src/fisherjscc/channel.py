@@ -44,17 +44,21 @@ def psnr_to_sigma2(psnr_db: float, power: float) -> float:
 
 
 def gaussian_noise(shape, sigma2: float, rng: CounterRng) -> np.ndarray:
+    """N(0, sigma2) noise of rng.stream_shape + shape: one block of `shape` per stream."""
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
+    full_shape = rng.stream_shape + shape
     if sigma2 == 0.0:
-        return np.zeros(shape)
-    return math.sqrt(sigma2) * rng.normals(int(np.prod(shape))).reshape(shape)
+        return np.zeros(full_shape)
+    noise = rng.normals(math.prod(shape)).reshape(full_shape)
+    noise *= math.sqrt(sigma2)
+    return noise
 
 
 def draw_fading_coefficients(n: int, rng: CounterRng) -> np.ndarray:
-    """n complex h ~ CN(0,1): independent N(0, 1/2) real and imaginary parts."""
+    """n complex h ~ CN(0,1) per stream: independent N(0, 1/2) real and imaginary parts."""
     parts = rng.normals(2 * n) * math.sqrt(0.5)
-    return parts[:n] + 1j * parts[n:]
+    return parts[..., :n] + 1j * parts[..., n:]
 
 
 def equalization_gains(h: np.ndarray) -> np.ndarray:
@@ -67,17 +71,19 @@ def equalization_gains(h: np.ndarray) -> np.ndarray:
 
 
 def channel_noise(shape, sigma2: float, family: str, rng: CounterRng) -> np.ndarray:
-    """Effective additive channel noise of the given shape.
+    """Effective additive channel noise of rng.stream_shape + shape.
 
-    All Gaussian noise is drawn first, over the whole shape. Under Rayleigh
-    fading (and sigma2 > 0) one h per row of shape[:-1] follows on the same
-    generator, and each row is divided by its floored |h|.
+    Per stream, all Gaussian noise is drawn first, over the whole shape.
+    Under Rayleigh fading (and sigma2 > 0) one h per row of shape[:-1]
+    follows on the same stream, and each row is divided by its floored |h|.
+    A multi-stream generator gives each stream's block the values a
+    single-stream generator of that seed would.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
     noise = gaussian_noise(shape, sigma2, rng)
     if family == "rayleigh" and sigma2 > 0.0:
         rows = shape[:-1]
-        h = draw_fading_coefficients(int(np.prod(rows)), rng).reshape(rows)
-        noise = noise / equalization_gains(h)[..., None]
+        h = draw_fading_coefficients(math.prod(rows), rng).reshape(rng.stream_shape + rows)
+        noise /= equalization_gains(h)[..., None]
     return noise

@@ -90,7 +90,11 @@ def _parse_psnr(text: str) -> float:
 
 
 def _parse_psnr_list(text: str) -> list[float]:
-    return [_parse_psnr(part) for part in text.split(",") if part.strip()]
+    """A comma-separated PSNR grid of at least one value: an empty grid has no rows to write."""
+    grid = [_parse_psnr(part) for part in text.split(",") if part.strip()]
+    if not grid:
+        raise ValueError("expected at least one PSNR")
+    return grid
 
 
 def _parse_int_list(text: str) -> list[int]:

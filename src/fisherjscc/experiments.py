@@ -26,6 +26,7 @@ TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
 REGTRACK_SCHEMA = "fisherjscc.regtrack.v1"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
+SWEEP_BLOCK_ROWS = 4096     # noisy rows per channel_noise call in an error_sweep cell
 
 
 class SweepRow(NamedTuple):
@@ -50,11 +51,16 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
 
     The same draws also feed the per-sample KL between the noise-free and
     noisy posteriors, reported as mean_expected_kl. A prediction is the
-    argmax of `decode`. Each (PSNR, trial) cell draws from its own generator
+    argmax of `decode`. Each (PSNR, trial) pair draws from its own generator
     derived from the seed by labeled counters, and the pool's `threads`
     workers return the rows in grid order, so the result is identical for
     any thread count; they run under the caller's numpy error policy. A PSNR
     listed twice or whose noise variance overflows is refused before any cell.
+
+    A cell draws the noise of about SWEEP_BLOCK_ROWS rows, a block of trials,
+    in one call on a generator holding those trials' streams, which gives
+    every trial the values of its own generator. Each trial is still decoded
+    on its own: a stacked decode can sum in another order on some BLAS builds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -66,6 +72,7 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     p_clean = decoder.decode(z)
     clean_predictions = np.argmax(p_clean, axis=1)
     labels = dataset.labels
+    block_trials = max(1, SWEEP_BLOCK_ROWS // len(labels))
     error_policy = np.geterr()      # pool threads do not inherit the caller's np.errstate
 
     def evaluate_cell(psnr_index):
@@ -76,11 +83,15 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
         wrong = 0
         kl_sum = 0.0
         with np.errstate(**error_policy):
-            for t in range(trials):
-                rng = CounterRng(derive_seed(seed, "sweep", family, psnr_index, t))
-                q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
-                wrong += int(np.sum(np.argmax(q, axis=1) != labels))
-                kl_sum += float(_kl_rows(p_clean, q).sum())
+            for start in range(0, trials, block_trials):
+                rng = CounterRng([derive_seed(seed, "sweep", family, psnr_index, t)
+                                  for t in range(start, min(start + block_trials, trials))])
+                z_hat = channel_noise(z.shape, sigma2, family, rng)
+                z_hat += z      # in place; noise + z and z + noise are the same bits
+                for z_trial in z_hat:
+                    q = decoder.decode(z_trial)
+                    wrong += int(np.sum(np.argmax(q, axis=1) != labels))
+                    kl_sum += float(_kl_rows(p_clean, q).sum())
         return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
                         kl_sum / (trials * len(labels)))
 
@@ -187,6 +198,8 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
     """
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    if not extent_std > 0.0:
+        raise ValueError(f"extent_std must be > 0, got {extent_std}")
     if not 0 <= sample_index < len(dataset.labels):
         raise ValueError(f"sample_index {sample_index} is outside the "
                          f"{len(dataset.labels)} samples of the dataset")

@@ -6,12 +6,19 @@ and independent substreams are cheap to derive. Words and uniforms do not
 depend on call granularity; Box-Muller normals do, since each call takes a
 block of u1 words and then a block of u2 words: normals(4) differs from
 normals(2) followed by normals(2).
+
+One generator can also carry many streams at once, one per seed of a
+sequence. Every draw then has a leading stream axis whose row i holds the
+values `CounterRng(seed_i)` would give for the same calls: the splitmix64
+words and the Box-Muller transforms are elementwise, so drawing a block of
+streams in one call changes no value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,44 +58,77 @@ class CounterRng:
     Word k of stream `seed` is the splitmix64 finalizer applied to
     seed + (k+1) * golden_gamma, computed with wrapping 64-bit arithmetic.
     The whole word block for a request is produced vectorized in numpy.
+
+    Given a sequence of S seeds instead of one, the generator advances S
+    streams in lockstep: `stream_shape` is (S,) rather than (), and every
+    array it returns gains that leading axis.
     """
 
-    def __init__(self, seed: int):
-        self._key = np.uint64(seed & _MASK64)
+    def __init__(self, seed: int | Sequence[int]):
+        if isinstance(seed, (int, np.integer)):
+            self._key = np.uint64(seed & _MASK64)
+            self.stream_shape: tuple[int, ...] = ()
+        else:
+            self._key = np.array([int(s) & _MASK64 for s in seed], dtype=np.uint64)[:, None]
+            self.stream_shape = (len(self._key),)
         self._counter = 0
 
     def _words(self, n: int) -> np.ndarray:
         start = self._counter
         self._counter += n
         with np.errstate(over="ignore"):
-            idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-            z = self._key + idx * _GOLDEN
-            z = (z ^ (z >> np.uint64(30))) * _MIX1
-            z = (z ^ (z >> np.uint64(27))) * _MIX2
-            return z ^ (z >> np.uint64(31))
+            z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+            z *= _GOLDEN
+            z = self._key + z
+            z ^= z >> np.uint64(30)
+            z *= _MIX1
+            z ^= z >> np.uint64(27)
+            z *= _MIX2
+            z ^= z >> np.uint64(31)
+            return z
+
+    def _single_stream(self, what: str) -> None:
+        if self.stream_shape:
+            raise ValueError(f"{what} needs a single-stream generator, "
+                             f"this one has {self.stream_shape[0]} streams")
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n float64 values uniform on [0, 1)."""
+        """n float64 values uniform on [0, 1) per stream."""
         return (self._words(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniform(self, low: float, high: float) -> float:
+        self._single_stream("uniform")
         return low + (high - low) * float(self.uniforms(1)[0])
 
     def normals(self, n: int) -> np.ndarray:
-        """n float64 standard normal values via Box-Muller pairs.
+        """n float64 standard normal values per stream via Box-Muller pairs.
 
         Consumes 2 * ceil(n / 2) words: the u1 block, then the u2 block.
-        When n is odd the second half of the final pair is discarded.
+        When n is odd the second half of the final pair is discarded. Both
+        blocks come from one word request and are transformed in place, so
+        a large draw holds one float buffer and one half-size temporary.
         """
         pairs = (n + 1) // 2
+        words = self._words(2 * pairs)
+        words >>= np.uint64(11)
+        out = words.astype(np.float64)
+        del words
         # u1 on (0, 1] so the log is always finite; u2 on [0, 1).
-        u1 = ((self._words(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self._words(pairs) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = _TWO_PI * u2
-        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-        return out[:n]
+        radius, angle = out[..., :pairs], out[..., pairs:]
+        radius += 1.0
+        radius *= 2.0**-53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0**-53
+        angle *= _TWO_PI
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        return out[..., :n]
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of a uniform block."""
+        self._single_stream("permutation")
         return np.argsort(self.uniforms(n), kind="stable")

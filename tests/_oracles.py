@@ -10,6 +10,10 @@ path to be compared with. The single-point `fisher_trace` and
 `fisher_matrix` read the library's own stacked pass
 (`robustness._class_terms`), so the identities checked through them are
 checked on the pass that training and evaluation run.
+
+The Box-Muller and error-sweep references keep the loop forms the library
+replaced with vectorised ones: two word requests per normals call, and one
+generator, one noise draw and one decode per sweep trial.
 """
 
 from __future__ import annotations
@@ -158,6 +162,48 @@ def expected_kl_rows_serial(decoder, z_batch, sigma2, samples, rng) -> np.ndarra
         out[:, done:done + take] = robustness._kl_rows(p, q).T
         done += take
     return out
+
+
+def normals_two_calls(rng, n: int) -> np.ndarray:
+    """`CounterRng.normals` as two word requests, u1 block then u2 block, each
+    transformed into a new array; a multi-stream rng gets a leading stream axis."""
+    pairs = (n + 1) // 2
+    u1 = ((rng._words(pairs) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (rng._words(pairs) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return out[..., :n]
+
+
+def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, seed):
+    """`experiments.error_sweep` as a serial loop over cells and trials: each trial
+    builds its own single-stream generator, draws its noise and decodes it."""
+    from fisherjscc.channel import channel_noise, psnr_to_sigma2
+    from fisherjscc.experiments import SweepRow
+    from fisherjscc.robustness import _kl_rows
+    from fisherjscc.rng import CounterRng, derive_seed
+
+    z = encoder.encode(dataset.features)
+    p_clean = decoder.decode(z)
+    labels = dataset.labels
+    rows = []
+    for psnr_index, psnr_db in enumerate(psnr_grid):
+        sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
+        if sigma2 == 0.0:
+            error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
+            rows.append(SweepRow("model", float(psnr_db), family, error, 0.0))
+            continue
+        wrong = 0
+        kl_sum = 0.0
+        for t in range(trials):
+            rng = CounterRng(derive_seed(seed, "sweep", family, psnr_index, t))
+            q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
+            wrong += int(np.sum(np.argmax(q, axis=1) != labels))
+            kl_sum += float(_kl_rows(p_clean, q).sum())
+        rows.append(SweepRow("model", float(psnr_db), family, wrong / (trials * len(labels)),
+                             kl_sum / (trials * len(labels))))
+    return rows
 
 
 def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> float:

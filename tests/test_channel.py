@@ -6,7 +6,7 @@ import pytest
 from fisherjscc import channel
 from fisherjscc.channel import (H_FLOOR, channel_noise, draw_fading_coefficients,
                                 gaussian_noise, psnr_to_sigma2)
-from fisherjscc.rng import CounterRng
+from fisherjscc.rng import CounterRng, derive_seed
 
 
 class TestPsnrConversion:
@@ -91,6 +91,17 @@ class TestStreamLayout:
     def test_awgn_is_gaussian_noise(self, shape):
         np.testing.assert_array_equal(channel_noise(shape, 0.3, "awgn", CounterRng(12)),
                                       gaussian_noise(shape, 0.3, CounterRng(12)))
+
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3])
+    @pytest.mark.parametrize("shape", [(600, 8), (3, 5, 8)])
+    def test_stream_axis_rows_equal_per_stream_calls(self, family, sigma2, shape):
+        seeds = [derive_seed(5, "trial", t) for t in range(4)]
+        stacked = channel_noise(shape, sigma2, family, CounterRng(seeds))
+        assert stacked.shape == (len(seeds), *shape)
+        assert np.array_equal(stacked, np.stack([channel_noise(shape, sigma2, family,
+                                                               CounterRng(seed))
+                                                 for seed in seeds]))
 
     @pytest.mark.parametrize("shape", [(5, 3), (4, 5, 3)])
     def test_rayleigh_noise_then_one_h_per_row(self, shape):

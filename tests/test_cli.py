@@ -378,6 +378,16 @@ class TestEvalCommand:
          "[experiment] taylor_psnr_grid"),
         ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nextent_std = nan")],
          "[experiment] extent_std"),
+        ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nextent_std = 0")],
+         "[experiment] extent_std"),
+        ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nextent_std = -1")],
+         "[experiment] extent_std"),
+        ("eval", [("psnr_grid = 5,15", "psnr_grid =")], "[experiment] psnr_grid"),
+        ("eval", [("kind = sweep", "kind = reg-track"), ("psnr_grid = 5,15", "psnr_grid =")],
+         "[experiment] psnr_grid"),
+        ("compare", [("psnr_grid = 5,15", "psnr_grid = ,")], "[experiment] psnr_grid"),
+        ("validate-approx", [("sample_limit = 8", "sample_limit = 8\ntaylor_psnr_grid =")],
+         "[experiment] taylor_psnr_grid"),
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = nan")], "[channel] psnr_db"),
         ("train", [("psnr_db = 15.0", "psnr_db = -4000")], "[channel] psnr_db"),
         ("train", [("learning_rate = 0.001",
@@ -408,6 +418,9 @@ class TestEvalCommand:
             "train-learning_rate-zero", "train-learning_rate-negative", "train-psnr_low-nan",
             "train-psnr_high-inf", "eval-psnr_grid-nan", "compare-psnr_grid-nan",
             "validate-approx-taylor_psnr_grid-nan", "posterior-map-extent_std-nan",
+            "posterior-map-extent_std-zero", "posterior-map-extent_std-negative",
+            "eval-psnr_grid-empty", "reg-track-psnr_grid-empty", "compare-psnr_grid-empty",
+            "validate-approx-taylor_psnr_grid-empty",
             "posterior-map-psnr_db-nan", "train-psnr_db-overflow", "train-psnr_low-overflow",
             "eval-psnr_grid-overflow", "compare-psnr_grid-overflow",
             "validate-approx-taylor_psnr_grid-overflow", "reg-track-psnr_grid-overflow",

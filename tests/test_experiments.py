@@ -6,15 +6,15 @@ import pytest
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
-from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, SWEEP_SCHEMA, SweepRow,
-                                    error_sweep, paired_compare, posterior_grid,
+from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, SWEEP_BLOCK_ROWS,
+                                    SWEEP_SCHEMA, SweepRow, error_sweep, paired_compare, posterior_grid,
                                     posterior_rows, regularizer_track, taylor_validation,
                                     top_two_components)
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
 
-from _oracles import spearman
+from _oracles import error_sweep_per_trial, spearman
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,28 @@ class TestErrorSweep:
         threaded = error_sweep(encoder, decoder, test_set, grid, "awgn",
                                trials=4, seed=17, threads=2)
         assert serial == threaded
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("trials", [1, 6, 13])
+    def test_trial_blocks_equal_the_per_trial_loop(self, trained_pair, trials, family,
+                                                   threads):
+        """600 rows make blocks of 6 trials, so 13 trials end on a block of one."""
+        encoder, decoder, _, _ = trained_pair
+        test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
+        assert SWEEP_BLOCK_ROWS // len(test_set) == 6
+        grid = [5.0, float("inf"), 15.0]
+        assert (error_sweep(encoder, decoder, test_set, grid, family, trials, seed=21,
+                            threads=threads)
+                == error_sweep_per_trial(encoder, decoder, test_set, grid, family, trials, 21))
+
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_more_rows_than_a_block_draw_one_trial_per_call(self, trained_pair, family):
+        encoder, decoder, _, _ = trained_pair
+        test_set = make_rings(3, 1366, noise=0.15, seed=derive_seed(900, "data"), split="test")
+        assert len(test_set) > SWEEP_BLOCK_ROWS
+        assert (error_sweep(encoder, decoder, test_set, [10.0], family, 3, seed=22)
+                == error_sweep_per_trial(encoder, decoder, test_set, [10.0], family, 3, 22))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
@@ -271,6 +293,13 @@ class TestPosteriorGrid:
         with pytest.raises(ValueError):
             posterior_grid(encoder, decoder, ds, 0, resolution=7,
                            extent_std=1.0, sigma2=0.05)
+
+    @pytest.mark.parametrize("extent_std", [0.0, -1.0])
+    def test_extent_must_be_positive(self, trained_pair, extent_std):
+        encoder, decoder, ds, _ = trained_pair
+        with pytest.raises(ValueError, match="extent_std"):
+            posterior_grid(encoder, decoder, ds, 0, resolution=8,
+                           extent_std=extent_std, sigma2=0.05)
 
     @pytest.mark.parametrize("where", ["negative", "past_end"])
     def test_sample_index_out_of_range_rejected(self, trained_pair, where):

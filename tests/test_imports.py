@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in that module,
-every public module-level function and class is used by the package, and
-only `data` imports `csv`.
+every public module-level function and class is used by the package, only
+`data` imports `csv`, and only `channel` and `data` call `.normals(`.
 
 No linter is a declared dependency, so this reads the source with the
 standard library's `ast`. An import counts as used when its name appears as
@@ -9,7 +9,9 @@ in the module's `__all__`. A public function or class counts as used when
 some package module refers to it, as a name or as an attribute, outside its
 own definition: API that only tests call belongs in the tests. The CSV
 artifact format (schema line, header, float cells) is `data.write_csv`'s
-alone, so no other module needs the `csv` module.
+alone, so no other module needs the `csv` module. Channel noise has one
+implementation, `channel.channel_noise`, so outside `data`'s seeded datasets
+no module draws normals but `channel`.
 
 The package sets OPENBLAS_NUM_THREADS to 1 unless it is already set, and
 OpenBLAS reads it once, when NumPy loads: so in `__init__.py` the
@@ -96,6 +98,12 @@ def imports_csv(source: str) -> bool:
     return False
 
 
+def calls_normals(source: str) -> bool:
+    """Whether the source calls a `normals` attribute, as in `rng.normals(n)`."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "normals" for node in ast.walk(ast.parse(source)))
+
+
 def blas_pin_precedes_imports(source: str) -> bool:
     """Whether a module-level `os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)`
     statement comes before every import statement other than `import os`."""
@@ -167,6 +175,18 @@ def test_checker_flags_a_csv_import():
     assert imports_csv("import os, csv as table\n")
     assert imports_csv("def f():\n    from csv import writer\n    return writer\n")
     assert not imports_csv("import csvkit\nfrom . import csv\ntext = 'import csv'\n")
+
+
+def test_only_channel_and_data_draw_normals():
+    assert [path.name for path in MODULES if path.stem not in ("channel", "data")
+            and calls_normals(path.read_text(encoding="utf-8"))] == []
+
+
+def test_checker_flags_a_normals_call():
+    assert calls_normals("noise = rng.normals(8)\n")
+    assert calls_normals("def f(seed):\n    return CounterRng(seed).normals(3) * 2.0\n")
+    assert not calls_normals("def normals(self, n):\n    return n\n")
+    assert not calls_normals("draw = rng.normals\ntext = 'rng.normals(3)'\nnormals(3)\n")
 
 
 def test_blas_pin_precedes_every_import():

@@ -5,6 +5,8 @@ import pytest
 
 from fisherjscc.rng import CounterRng, derive_seed
 
+from _oracles import normals_two_calls
+
 
 class TestDeterminism:
     def test_same_seed_same_stream(self):
@@ -31,6 +33,37 @@ class TestDeterminism:
         pieces = np.concatenate([rng.normals(2), rng.normals(2)])
         assert not np.array_equal(whole, pieces)
         assert CounterRng(9).normals(0).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 3, 512, 2**19])
+    def test_normals_equal_the_two_call_box_muller(self, n):
+        """One word request transformed in place gives the two-request values, mid-stream too."""
+        rng, reference = CounterRng(77), CounterRng(77)
+        assert np.array_equal(rng.normals(5), normals_two_calls(reference, 5))
+        assert np.array_equal(rng.normals(n), normals_two_calls(reference, n))
+
+
+class TestManyStreams:
+    """A generator over a sequence of seeds: row i is CounterRng(seed_i)."""
+
+    SEEDS = [derive_seed(4, "stream", i) for i in range(3)] + [0, 2**64 - 1]
+
+    @pytest.mark.parametrize("method", ["normals", "uniforms"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 512, 4801])
+    def test_rows_equal_per_seed_generators(self, method, n):
+        stacked = CounterRng(self.SEEDS)
+        singles = [CounterRng(seed) for seed in self.SEEDS]
+        assert stacked.stream_shape == (len(self.SEEDS),) and singles[0].stream_shape == ()
+        for _ in range(2):
+            rows = getattr(stacked, method)(n)
+            assert rows.shape == (len(self.SEEDS), n)
+            assert np.array_equal(rows, np.stack([getattr(rng, method)(n) for rng in singles]))
+
+    @pytest.mark.parametrize("call", [lambda rng: rng.uniform(0.0, 1.0),
+                                      lambda rng: rng.permutation(4)],
+                             ids=["uniform", "permutation"])
+    def test_scalar_draws_refuse_many_streams(self, call):
+        with pytest.raises(ValueError, match="single-stream"):
+            call(CounterRng([1, 2]))
 
 
 class TestStatistics:
