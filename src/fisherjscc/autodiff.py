@@ -3,10 +3,12 @@
 Every backward rule is expressed with the tape's own primitives, so the
 gradients returned by `backward` are tape nodes themselves. An expression
 assembled from those gradient nodes (for example a squared input-gradient
-norm inside a training loss) can therefore be differentiated by one more
-ordinary backward pass; no dedicated higher-order machinery exists or is
-needed. Non-differentiable factors (the relu mask) enter the tape as
-detached constants, whose zero derivative is exact almost everywhere.
+norm) can therefore be differentiated by one more ordinary backward pass;
+the tests' Fisher-trace references rely on that. Training runs one backward
+per step: the Fisher trace enters it as one node whose gradients are
+computed in closed form (`robustness.fisher_trace_node`). Non-differentiable
+factors (the relu mask) enter the tape as detached constants, whose zero
+derivative is exact almost everywhere.
 
 relu'(0) is defined as 0. Every node checks its value on construction: a
 non-finite value raises FloatingPointError the moment it enters the graph.

@@ -118,7 +118,7 @@ _SCHEMA = {
     },
     "data": {
         "kind": (_choice(("rings", "blobs", "table")), "rings"),
-        "classes": (int, 3),
+        "classes": (_int_at_least(2), 3),
         "per_class_train": (_int_at_least(1), 200),
         "per_class_test": (_int_at_least(1), 200),
         "dim": (_int_at_least(1), 2),           # blobs only

@@ -10,26 +10,28 @@ expected KL divergence between the noise-free posterior q(.|z) and the noisy
 posterior q(.|z_hat) to second order. That scaled trace is the closed-form
 training penalty; the Monte-Carlo expected KL here is its independent check.
 
-The trace is computed exactly and recorded on the tape. The batch of
-representations is tiled once per class, so one decoder forward and one
-backward pass give every per-class input-gradient as a tape node; with the
-posterior weights q(y|z) kept differentiable, the trace can sit inside a
-training loss and be differentiated once more.
+The trace has a closed form for the decoder family the package builds (relu
+hidden layers, a log-softmax head), computed in NumPy by `_ClosedForm`.
+`fisher_trace_node` records it as one tape node whose vector-Jacobian
+products are computed in the same closed form, so the penalty can sit inside
+a training loss without a backward pass inside the forward;
+`mean_fisher_trace` reads the same closed form as a value.
 """
 
 from __future__ import annotations
 
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import autodiff as ad
 from .channel import channel_noise
-from .models import DecoderModel
+from .models import DecoderModel, _batch_values
 from .rng import CounterRng
 
 KL_LOG_CLAMP = 1e-12
-TRACE_CHUNK = 512           # representations per fisher_trace_node call in mean_fisher_trace
+TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
 KL_CHUNK_ROWS = 65536       # decoded rows per block of noise draws in _expected_kl_rows
 
 
@@ -41,29 +43,111 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
-def _class_terms(decoder: DecoderModel, z_node: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
-    """q(y|z_i) as a [C, b] node and grad_z log q(y|z_i) as a [C, b, k] node.
+class _ClosedForm:
+    """Tr(I(z_i)) per row of a decoder batch and its vector-Jacobian products, in NumPy.
 
-    z is tiled once per class on the tape, so one decoder forward and one
-    backward pass cover every class: row y*b + i of the tiled batch asks for
-    class y at z_i, and the decoder treats rows independently. Both returned
-    nodes stay attached to the graph that produced z_node, so expressions of
-    them remain differentiable.
+    The decoder is affine layers with relu between them and a log-softmax
+    head. Per row, M = d logits / dz is the k x C product W0 D0 W1 D1 ... W_last
+    of the weights and the relu masks D_i = diag(a_i > 0); relu'' = 0 almost
+    everywhere and relu'(0) = 0, so the masks are constants. Column c of
+    D = M - (Mq)1^T is grad_z log q(c|z), and the trace is the sum of
+    nonnegative terms sum_c q_c ||D_c||^2. The difference form
+    sum_c q_c ||M_c||^2 - ||Mq||^2 is the same number but cancels on rows
+    whose posterior is nearly one-hot, and so does M_r - Mq for the most
+    probable class r; D is therefore built from the differences M_c - M_r.
+
+    Every product is a 2-D matmul. The first mask enters linearly: the rows'
+    W0 D0 W1 are m0 @ E with E[d, k, e] = W0[k, d] W1[d, e], one matrix for the
+    batch. Deeper layers push each row's k Jacobian rows on as b*k rows.
     """
-    batch, k = z_node.data.shape
-    classes = decoder.num_classes
-    tiled = ad.tile_rows(z_node, classes)
-    labels = np.repeat(np.arange(classes, dtype=np.int64), batch)
-    logq = ad.gather_labels(decoder.log_posterior_all(tiled), labels)
-    grads = ad.backward(ad.sum_all(logq), [tiled])[tiled]
-    return (ad.reshape(ad.exp(logq), (classes, batch)),
-            ad.reshape(grads, (classes, batch, k)))
+
+    def __init__(self, decoder: DecoderModel, z):
+        z = _batch_values(z, decoder.repr_dim, "decoder expects representations")
+        layers = len(decoder.sizes) - 1
+        self.weights = [decoder.params[f"W{i}"].data for i in range(layers)]
+        biases = [decoder.params[f"b{i}"].data for i in range(layers)]
+        self.inputs, self.masks = [], []     # each layer's input; each hidden relu's mask
+        h = z
+        for i, (weight, bias) in enumerate(zip(self.weights, biases)):
+            self.inputs.append(h)
+            a = ad.check_finite(h @ weight + bias)
+            if i < layers - 1:
+                mask = (a > 0.0).astype(np.float64)
+                self.masks.append(mask)
+                h = a * mask
+        log_q = a - a.max(axis=1, keepdims=True)
+        log_q -= np.log(np.exp(log_q).sum(axis=1, keepdims=True))
+        # Finite logits more than the largest double apart overflow the shift.
+        self.q = np.exp(ad.check_finite(log_q))
+
+        batch, k = z.shape
+        if layers == 1:
+            jac = np.broadcast_to(self.weights[0], (batch, k, decoder.num_classes))
+        else:
+            self.pair = self.weights[0].T[:, :, None] * self.weights[1][:, None, :]
+            jac = (self.masks[0] @ self.pair.reshape(len(self.pair), -1)).reshape(batch, k, -1)
+        self.deeper = []                     # layer i >= 2's Jacobian input, [b*k, width]
+        for weight, mask in zip(self.weights[2:], self.masks[1:]):
+            self.deeper.append((jac * mask[:, None, :]).reshape(batch * k, -1))
+            jac = (self.deeper[-1] @ weight).reshape(batch, k, -1)
+        # D from the columns' differences to the most probable class r, so D_r is the small
+        # sum -sum_j q_j (M_j - M_r), not M_r minus a nearly equal Mq.
+        top = np.argmax(self.q, axis=1)[:, None, None]
+        delta = jac - np.take_along_axis(jac, top, axis=2)
+        self.diff = delta - delta @ self.q[:, :, None]              # D, [b, k, C]
+        self.norms = np.einsum("bkc,bkc->bc", self.diff, self.diff)
+        self.trace = ad.check_finite(np.einsum("bc,bc->b", self.q, self.norms))
+
+    def gradients(self, weight: np.ndarray) -> list[np.ndarray]:
+        """d(sum_i weight_i Tr(I(z_i))) for z, then W0, b0, W1, b1, ..."""
+        batch, k, _ = self.diff.shape
+        layers = len(self.weights)
+        # Through the posterior: d logits, then the decoder's ordinary backprop.
+        d_a = weight[:, None] * self.q * (self.norms - self.trace[:, None])
+        d_weights, d_biases = [None] * layers, [None] * layers
+        for i in reversed(range(layers)):
+            d_weights[i] = self.inputs[i].T @ d_a
+            d_biases[i] = d_a.sum(axis=0)
+            d_a = d_a @ self.weights[i].T
+            if i > 0:
+                d_a *= self.masks[i - 1]
+        # Through the Jacobian: dT/dM = 2 D diag(q), back along the product that built M.
+        d_jac = (2.0 * weight[:, None, None]) * self.diff * self.q[:, None, :]
+        for i in reversed(range(2, layers)):
+            flat = d_jac.reshape(batch * k, -1)
+            d_weights[i] += self.deeper[i - 2].T @ flat
+            d_jac = (flat @ self.weights[i].T).reshape(batch, k, -1) * self.masks[i - 1][:, None, :]
+        if layers == 1:
+            d_weights[0] += d_jac.sum(axis=0)
+        else:
+            d_pair = (self.masks[0].T @ d_jac.reshape(batch, -1)).reshape(self.pair.shape)
+            d_weights[0] += np.einsum("dke,de->kd", d_pair, self.weights[1])
+            d_weights[1] += np.einsum("dke,kd->de", d_pair, self.weights[0])
+        return [d_a, *(g for pair in zip(d_weights, d_biases) for g in pair)]
 
 
 def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor) -> ad.Tensor:
-    """Per-sample Tr(I(z)) = sum_y q(y|z) ||grad_z log q(y|z)||^2 as a node, shape [b]."""
-    probs, grads = _class_terms(decoder, z_node)
-    return ad.sum_axis(ad.mul(probs, ad.sum_axis(ad.square(grads), 2)), 0)
+    """Per-sample Tr(I(z)) = sum_y q(y|z) ||grad_z log q(y|z)||^2 as one node, shape [b].
+
+    Its parents are z_node and the decoder's parameters. The tape hands every
+    parent's rule the same upstream gradient, so all of them are computed on
+    the first call and reused. The gradients are leaves: the node can be
+    differentiated once, not twice.
+    """
+    form = _ClosedForm(decoder, z_node.data)
+    parents = (z_node, *(decoder.params[f"{kind}{i}"]
+                         for i in range(len(form.weights)) for kind in "Wb"))
+    cached: list = [None, None]     # a weak reference to the last upstream g, its gradients
+
+    def vjp(g: ad.Tensor, position: int) -> ad.Tensor:
+        if cached[0] is None or cached[0]() is not g:
+            grads = form.gradients(g.data)
+            grads[0] = grads[0].reshape(z_node.data.shape)
+            cached[:] = [weakref.ref(g), grads]
+        return ad.Tensor(cached[1][position])
+
+    return ad.Tensor(form.trace, parents,
+                     tuple(lambda g, i=i: vjp(g, i) for i in range(len(parents))))
 
 
 def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
@@ -71,8 +155,7 @@ def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
     z_batch = np.asarray(z_batch, dtype=np.float64)
     total = 0.0
     for start in range(0, z_batch.shape[0], TRACE_CHUNK):
-        node = fisher_trace_node(decoder, ad.Tensor(z_batch[start:start + TRACE_CHUNK]))
-        total += float(node.data.sum())
+        total += float(_ClosedForm(decoder, z_batch[start:start + TRACE_CHUNK]).trace.sum())
     return total / z_batch.shape[0]
 
 

@@ -13,6 +13,11 @@ exposed as the `omit_sigma2` flag and is off by default so lambda keeps the
 same meaning across PSNRs. Either way `regularized_loss` receives the
 penalty's multiplier as one coefficient, set per step by `train`.
 
+A step records the encoder, the L noise draws' cross-entropy and the Fisher
+trace on the tape and runs one `backward` over it; the trace is a single
+node whose gradients are computed in closed form, so no backward runs
+inside the loss.
+
 The tape checks every value it records, and a training step runs with
 numpy's overflow, divide and invalid errors raised, so a step that turns
 non-finite raises FloatingPointError; `train` reports it as a

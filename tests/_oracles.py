@@ -4,12 +4,14 @@ These deliberately avoid the library's own differentiation paths: gradients
 come from central finite differences on plain float evaluations, Hessians
 from second differences, and high-precision reference values from fsum or
 mpmath. Expected values asserted in tests were computed with these oracles.
-Two exceptions use the tape. The per-class Fisher reference runs it one
-class at a time, so the library's stacked pass has a structurally different
-path to be compared with. The single-point `fisher_trace` and
-`fisher_matrix` read the library's own stacked pass
-(`robustness._class_terms`), so the identities checked through them are
-checked on the pass that training and evaluation run.
+Some use the tape. The stacked pass (`_class_terms`, `stacked_fisher_trace`)
+tiles z once per class and differentiates the per-class input-gradients a
+second time; it is the reference for the library's closed-form
+`robustness.fisher_trace_node`. The per-class Fisher reference runs one
+backward per class, so the stacked pass has a structurally different path to
+be compared with. The single-point `fisher_trace` reads the library's node,
+so the identities checked through it are checked on the trace that training
+and evaluation use; `fisher_matrix` reads the stacked pass.
 
 The Box-Muller and error-sweep references keep the loop forms the library
 replaced with vectorised ones: two word requests per normals call, and one
@@ -86,6 +88,35 @@ def softmax_reference(logits, dps: int = 50) -> np.ndarray:
         return np.array([float(e / total) for e in exps])
 
 
+def _class_terms(decoder, z_node):
+    """q(y|z_i) as a [C, b] node and grad_z log q(y|z_i) as a [C, b, k] node.
+
+    z is tiled once per class on the tape, so one decoder forward and one
+    backward pass cover every class: row y*b + i of the tiled batch asks for
+    class y at z_i, and the decoder treats rows independently. Both returned
+    nodes stay attached to the graph that produced z_node, so expressions of
+    them remain differentiable.
+    """
+    from fisherjscc import autodiff as ad
+
+    batch, k = z_node.data.shape
+    classes = decoder.num_classes
+    tiled = ad.tile_rows(z_node, classes)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), batch)
+    logq = ad.gather_labels(decoder.log_posterior_all(tiled), labels)
+    grads = ad.backward(ad.sum_all(logq), [tiled])[tiled]
+    return (ad.reshape(ad.exp(logq), (classes, batch)),
+            ad.reshape(grads, (classes, batch, k)))
+
+
+def stacked_fisher_trace(decoder, z_node):
+    """Tr(I(z_i)) as a [b] tape node from `_class_terms`, differentiable twice."""
+    from fisherjscc import autodiff as ad
+
+    probs, grads = _class_terms(decoder, z_node)
+    return ad.sum_axis(ad.mul(probs, ad.sum_axis(ad.square(grads), 2)), 0)
+
+
 def per_class_fisher(decoder, z_node):
     """Tr(I(z)) node [b] and the per-class input-gradients, one backward per class.
 
@@ -128,16 +159,14 @@ def _single_point(z):
 
 
 def fisher_trace(decoder, z) -> float:
-    """Exact Tr(I(z)) at a single representation z[k], from the stacked pass."""
+    """Exact Tr(I(z)) at a single representation z[k], from the library's closed-form node."""
     from fisherjscc.robustness import fisher_trace_node
 
     return float(fisher_trace_node(decoder, _single_point(z)).data[0])
 
 
 def fisher_matrix(decoder, z) -> np.ndarray:
-    """Full k x k Fisher information matrix at a single z[k], from the stacked pass."""
-    from fisherjscc.robustness import _class_terms
-
+    """Full k x k Fisher information matrix at a single z[k], from the stacked tape pass."""
     probs, grads = _class_terms(decoder, _single_point(z))
     gradients = grads.data[:, 0, :]                              # [C, k]
     return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)

@@ -347,7 +347,7 @@ class TestEvalCommand:
         ("train", [("repr_dim = 4", "repr_dim = 0")], "layer widths"),
         ("train", [("encoder_hidden = 16", "encoder_hidden = 16,0")], "layer widths"),
         ("train", [("decoder_hidden = 16", "decoder_hidden = 0")], "layer widths"),
-        ("gen-data", [("classes = 3", "classes = 1")], "num_classes"),
+        ("gen-data", [("classes = 3", "classes = 1")], "[data] classes"),
         ("gen-data", [("spread = 0.15", "spread = nan")], "[data] spread"),
         ("gen-data", [("spread = 0.15", "spread = inf")], "[data] spread"),
         ("gen-data", [("per_class_train = 40", "per_class_train = 0")],

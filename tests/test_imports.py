@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in that module,
 every public module-level function and class is used by the package, only
-`data` imports `csv`, and only `channel` and `data` call `.normals(`.
+`data` imports `csv`, only `channel` and `data` call `.normals(`, and only
+`train` calls `backward`.
 
 No linter is a declared dependency, so this reads the source with the
 standard library's `ast`. An import counts as used when its name appears as
@@ -11,7 +12,9 @@ own definition: API that only tests call belongs in the tests. The CSV
 artifact format (schema line, header, float cells) is `data.write_csv`'s
 alone, so no other module needs the `csv` module. Channel noise has one
 implementation, `channel.channel_noise`, so outside `data`'s seeded datasets
-no module draws normals but `channel`.
+no module draws normals but `channel`. A training step runs one backward
+pass, in `train`; the Fisher trace is one node with closed-form gradients,
+so no other module needs a backward pass of its own.
 
 The package sets OPENBLAS_NUM_THREADS to 1 unless it is already set, and
 OpenBLAS reads it once, when NumPy loads: so in `__init__.py` the
@@ -104,6 +107,14 @@ def calls_normals(source: str) -> bool:
                and node.func.attr == "normals" for node in ast.walk(ast.parse(source)))
 
 
+def calls_backward(source: str) -> bool:
+    """Whether the source calls `backward`, as a name or as an attribute like `ad.backward`."""
+    return any(isinstance(node, ast.Call)
+               and (isinstance(node.func, ast.Attribute) and node.func.attr == "backward"
+                    or isinstance(node.func, ast.Name) and node.func.id == "backward")
+               for node in ast.walk(ast.parse(source)))
+
+
 def blas_pin_precedes_imports(source: str) -> bool:
     """Whether a module-level `os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)`
     statement comes before every import statement other than `import os`."""
@@ -187,6 +198,19 @@ def test_checker_flags_a_normals_call():
     assert calls_normals("def f(seed):\n    return CounterRng(seed).normals(3) * 2.0\n")
     assert not calls_normals("def normals(self, n):\n    return n\n")
     assert not calls_normals("draw = rng.normals\ntext = 'rng.normals(3)'\nnormals(3)\n")
+
+
+def test_only_train_calls_backward():
+    assert [path.name for path in MODULES if path.stem != "train"
+            and calls_backward(path.read_text(encoding="utf-8"))] == []
+
+
+def test_checker_flags_a_backward_call():
+    assert calls_backward("grads = ad.backward(loss, params)\n")
+    assert calls_backward("from .autodiff import backward\ng = backward(root, [z])[z]\n")
+    assert calls_backward("def f(t):\n    return autodiff.backward(t, [t])\n")
+    assert not calls_backward("def backward(root, wrt):\n    return {}\n")
+    assert not calls_backward("step = ad.backward\ntext = 'ad.backward(x)'\nbackwards(1)\n")
 
 
 def test_blas_pin_precedes_every_import():

@@ -15,7 +15,7 @@ from fisherjscc.rng import CounterRng
 
 from _oracles import (expected_kl_rows_serial, finite_diff_grad, finite_diff_hessian,
                       fisher_matrix, fisher_trace, kl_reference, max_rel_err, per_class_fisher,
-                      per_class_fisher_matrix)
+                      per_class_fisher_matrix, stacked_fisher_trace)
 
 
 def kl(p, q) -> float:
@@ -169,6 +169,113 @@ class TestStackedAgainstPerClass:
         expected = per_class_fisher_matrix(decoder, z)
         assert max_rel_err(fisher_matrix(decoder, z), expected,
                            floor=np.abs(expected).max()) <= 1e-12
+
+
+# STACKED_SHAPES plus a linear decoder and a three-hidden-layer one, both at C = 10 > k = 2.
+NODE_SHAPES = STACKED_SHAPES + [(2, 10, ()), (2, 10, (32, 16, 8))]
+
+
+def difference_form(decoder: DecoderModel, z: np.ndarray) -> np.ndarray:
+    """sum_c q_c ||M_c||^2 - ||Mq||^2 per row of z, for a one-hidden-layer decoder.
+
+    M = W0 diag(a0 > 0) W1 is d logits / dz. The value equals the trace but is
+    a difference of two nearly equal terms when q is nearly one-hot.
+    """
+    w0, b0, w1 = (decoder.params[name].data for name in ("W0", "b0", "W1"))
+    masks = (z @ w0 + b0) > 0.0
+    q = decoder.decode(z)
+    out = []
+    for mask, q_row in zip(masks, q):
+        jac = (w0 * mask) @ w1
+        mean = jac @ q_row
+        out.append(q_row @ (jac * jac).sum(axis=0) - mean @ mean)
+    return np.array(out)
+
+
+class TestClosedFormNode:
+    """fisher_trace_node against the stacked tape reference, at 1e-12 of each tensor's
+    largest entry, under a per-row upstream weight like the fading penalty's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k,classes,hidden", NODE_SHAPES)
+    def test_value_and_every_gradient(self, seed, k, classes, hidden):
+        decoder = random_decoder(700 + seed, repr_dim=k, classes=classes, hidden=hidden)
+        z_node = ad.Tensor(CounterRng(800 + seed).normals(5 * k).reshape(5, k))
+        weight = ad.Tensor(0.1 + CounterRng(900 + seed).uniforms(5))
+        wrt = [z_node, *decoder.params.values()]
+        node = fisher_trace_node(decoder, z_node)
+        reference = stacked_fisher_trace(decoder, z_node)
+        assert max_rel_err(node.data, reference.data,
+                           floor=np.abs(reference.data).max()) <= 1e-12
+        got = ad.backward(ad.sum_all(ad.mul(node, weight)), wrt)
+        expected = ad.backward(ad.sum_all(ad.mul(reference, weight)), wrt)
+        for tensor in wrt:
+            scale = max(np.abs(expected[tensor].data).max(), 1e-300)
+            assert max_rel_err(got[tensor].data, expected[tensor].data, floor=scale) <= 1e-12
+
+    def test_saturated_row_keeps_its_digits(self):
+        """Row 3 has a nearly one-hot posterior and a trace of about 1.8e-12. The
+        difference form loses most of its digits there; the node keeps them."""
+        decoder = random_decoder(100, repr_dim=8, classes=3, hidden=(64,))
+        z = CounterRng(200).normals(40).reshape(5, 8)
+        reference = stacked_fisher_trace(decoder, ad.Tensor(z)).data
+        assert reference[3] < 1e-11
+        node = fisher_trace_node(decoder, ad.Tensor(z)).data
+        assert max_rel_err(node, reference, floor=1e-300) <= 1e-12
+        assert max_rel_err(difference_form(decoder, z), reference, floor=1e-300) > 1e-6
+
+    def test_one_gradient_computation_per_upstream_gradient(self, monkeypatch):
+        decoder = random_decoder(71, hidden=(6, 5))
+        z_node = ad.Tensor(CounterRng(72).normals(12).reshape(3, 4))
+        calls = []
+        gradients = robustness._ClosedForm.gradients
+
+        def counted(self, weight):
+            calls.append(1)
+            return gradients(self, weight)
+
+        monkeypatch.setattr(robustness._ClosedForm, "gradients", counted)
+        root = ad.sum_all(fisher_trace_node(decoder, z_node))
+        ad.backward(root, [z_node, *decoder.params.values()])
+        assert len(calls) == 1
+        ad.backward(root, [z_node])
+        assert len(calls) == 2
+
+    def test_gradients_are_leaves(self):
+        decoder = random_decoder(73)
+        z_node = ad.Tensor(CounterRng(74).normals(8).reshape(2, 4))
+        grads = ad.backward(ad.sum_all(fisher_trace_node(decoder, z_node)),
+                            [z_node, *decoder.params.values()])
+        assert all(g._parents == () for g in grads.values())
+
+    def test_vector_input_is_one_row(self):
+        decoder = random_decoder(75)
+        z = CounterRng(76).normals(4)
+        z_node = ad.Tensor(z)
+        node = fisher_trace_node(decoder, z_node)
+        assert node.data.shape == (1,)
+        assert node.data[0] == pytest.approx(fisher_trace(decoder, z), rel=1e-12)
+        assert ad.backward(ad.sum_all(node), [z_node])[z_node].data.shape == (4,)
+
+    def test_mean_trace_is_the_reference_mean_over_chunks(self, monkeypatch, tensors_built_by):
+        monkeypatch.setattr(robustness, "TRACE_CHUNK", 2)
+        decoder = random_decoder(77, hidden=(6, 5))
+        z = CounterRng(78).normals(20).reshape(5, 4)
+        expected = stacked_fisher_trace(decoder, ad.Tensor(z)).data.mean()
+        assert robustness.mean_fisher_trace(decoder, z) == pytest.approx(expected, rel=1e-12)
+        assert tensors_built_by(robustness.mean_fisher_trace, decoder, z) == 0
+
+    def test_non_finite_values_raise(self):
+        """An overflowing layer, and finite logits 2e308 apart, as the tape's checks catch them."""
+        decoder = random_decoder(79)
+        decoder.params["W0"].data[:] = 1e308
+        linear = DecoderModel(2, 2, hidden=(), seed=80)
+        linear.params["W0"].data[:] = np.eye(2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError):
+                fisher_trace_node(decoder, ad.Tensor(np.full((2, 4), 10.0)))
+            with pytest.raises(FloatingPointError):
+                fisher_trace_node(linear, ad.Tensor(np.array([[1e308, -1e308]])))
 
 
 class TestFisherMatrix:

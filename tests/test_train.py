@@ -86,6 +86,30 @@ class TestRegularizedLoss:
         assert parts.fisher_penalty == pytest.approx(expected, rel=1e-12)
         assert parts.total.item() == pytest.approx(parts.cross_entropy + expected, rel=1e-12)
 
+    def test_penalized_step_is_one_backward_over_a_small_tape(self, monkeypatch,
+                                                               tensors_built_by):
+        """The benchmark's shapes: rings (2 -> 3 classes), k = 8, encoder 64-64,
+        decoder 64, a 64-row batch, L = 4. The trace adds one node and no backward."""
+        data = make_rings(3, 64, 0.15, seed=1)
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(64, 64), seed=2)
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=3)
+        params = [*encoder.params.values(), *decoder.params.values()]
+        backward, calls = ad.backward, []
+
+        def counted(root, wrt):
+            calls.append(1)
+            return backward(root, wrt)
+
+        monkeypatch.setattr(ad, "backward", counted)
+
+        def step():
+            parts = regularized_loss(data.features[:64], data.labels[:64], encoder, decoder,
+                                     sigma2=0.01, coeff=0.5, noise_draws=4, rng=CounterRng(4))
+            ad.backward(parts.total, params)
+
+        assert tensors_built_by(step) <= 100
+        assert len(calls) == 1
+
     def test_hand_computed_two_class_linear_model(self):
         """Single sample, L=1, trivial encoder, identity-like decoder."""
         encoder = EncoderModel(1, 1, power=1.0, hidden=(), seed=0)
