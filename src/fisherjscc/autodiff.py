@@ -1,22 +1,23 @@
 """Reverse-mode differentiation on a dynamic tape of float64 numpy arrays.
 
-Every backward rule is expressed with the tape's own primitives, so the
-gradients returned by `backward` are tape nodes themselves. An expression
-assembled from those gradient nodes (for example a squared input-gradient
-norm) can therefore be differentiated by one more ordinary backward pass;
-the tests' Fisher-trace references rely on that. Training runs one backward
-per step: the Fisher trace enters it as one node whose gradients are
-computed in closed form (`robustness.fisher_trace_node`). Non-differentiable
-factors (the relu mask) enter the tape as detached constants, whose zero
-derivative is exact almost everywhere.
+The tape keeps the glue of a training loss: adding, tiling and reshaping
+arrays, picking each row's label and summing. The models and the Fisher
+trace enter it as `closed_form` nodes, whose value and gradients are
+computed in NumPy, so a training step runs one `backward` over a short
+tape. A closed-form node's gradients are leaves: it can be differentiated
+once, not twice.
 
-relu'(0) is defined as 0. Every node checks its value on construction: a
-non-finite value raises FloatingPointError the moment it enters the graph.
+Every other backward rule is expressed with the tape's own primitives, so
+the gradients `backward` returns through them are tape nodes themselves and
+an expression of them can be differentiated again. The tests build their
+twice-differentiable reference models from these primitives plus the
+elementwise and matrix ops in `tests/_oracles.py`.
+
+Every node checks its value on construction: a non-finite value raises
+FloatingPointError the moment it enters the graph.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -33,9 +34,11 @@ class Tensor:
 
     Leaves have no parents. `_vjps[i]` maps the upstream gradient node to the
     gradient node for `_parents[i]`; both sides of the mapping live on the
-    same tape. A rule that needs the node's own output holds it through a
-    weak reference: a strong one would make every graph a reference cycle
-    that lives until the cyclic collector runs.
+    same tape. A `closed_form` node holds instead one function from the
+    upstream gradient array to every parent's gradient array. A rule that
+    needs the node's own output holds it through a weak reference: a strong
+    one would make every graph a reference cycle that lives until the cyclic
+    collector runs.
     """
 
     __slots__ = ("data", "_parents", "_vjps", "__weakref__")
@@ -72,56 +75,10 @@ def add(a, b) -> Tensor:
     )
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(-a.data, (a,), (lambda g: neg(g),))
-
-
-def sub(a, b) -> Tensor:
-    return add(a, neg(b))
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
-        a.data * b.data,
-        (a, b),
-        (
-            lambda g, o=b, s=a.data.shape: _sum_to(mul(g, o), s),
-            lambda g, o=a, s=b.data.shape: _sum_to(mul(g, o), s),
-        ),
-    )
-
-
 def scale(a, factor: float) -> Tensor:
     a = as_tensor(a)
     c = float(factor)
     return Tensor(a.data * c, (a,), (lambda g: scale(g, c),))
-
-
-def square(a) -> Tensor:
-    return mul(a, a)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    return Tensor(
-        a.data @ b.data,
-        (a, b),
-        (
-            lambda g, o=b: matmul(g, transpose(o)),
-            lambda g, o=a: matmul(transpose(o), g),
-        ),
-    )
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data.T, (a,), (lambda g: transpose(g),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -177,65 +134,6 @@ def sum_all(a) -> Tensor:
     return Tensor(a.data.sum(), (a,), (vjp,))
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g, src=a):
-        # Detached mask: derivative 0 at the kink and w.r.t. everything else.
-        return mul(g, Tensor((src.data > 0.0).astype(np.float64)))
-
-    return Tensor(np.maximum(a.data, 0.0), (a,), (vjp,))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.tanh(a.data), (a,))
-    out._vjps = (lambda g, ref=weakref.ref(out): mul(g, sub(1.0, square(ref()))),)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.exp(a.data), (a,))
-    out._vjps = (lambda g, ref=weakref.ref(out): mul(g, ref()),)
-    return out
-
-
-def affine(inputs, weight, bias) -> Tensor:
-    """inputs[b, d_in] @ weight[d_in, d_out] + bias[d_out], shape-checked up front."""
-    inputs, weight, bias = as_tensor(inputs), as_tensor(weight), as_tensor(bias)
-    if inputs.data.ndim != 2 or weight.data.ndim != 2 or bias.data.ndim != 1:
-        raise ValueError(
-            "affine expects input[b,d_in], weight[d_in,d_out], bias[d_out]; got "
-            f"{inputs.data.shape}, {weight.data.shape}, {bias.data.shape}"
-        )
-    if inputs.data.shape[1] != weight.data.shape[0] or weight.data.shape[1] != bias.data.shape[0]:
-        raise ValueError(
-            f"affine shapes do not conform: {inputs.data.shape}, "
-            f"{weight.data.shape}, {bias.data.shape}"
-        )
-    return add(matmul(inputs, weight), bias)
-
-
-def log_softmax(logits) -> Tensor:
-    """Row-wise log softmax with max subtraction; rows must have >= 2 entries."""
-    x = as_tensor(logits)
-    if x.data.ndim != 2:
-        raise ValueError(f"log_softmax expects a 2-D batch of logits, got {x.data.shape}")
-    if x.data.shape[1] < 2:
-        raise ValueError("log_softmax needs at least two classes per row")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor(out_data, (x,))
-
-    def vjp(g, ref=weakref.ref(out)):
-        soft = exp(ref())
-        return sub(g, mul(soft, sum_axis(g, 1, keepdims=True)))
-
-    out._vjps = (vjp,)
-    return out
-
-
 def gather_labels(a, labels) -> Tensor:
     """Pick a[i, labels[i]] for each row; gradient scatters back to the rows."""
     a = as_tensor(a)
@@ -263,6 +161,18 @@ def scatter_labels(g, labels, num_cols: int) -> Tensor:
         return gather_labels(g2, idx)
 
     return Tensor(out_data, (g,), (vjp,))
+
+
+def closed_form(value, parents, gradients) -> Tensor:
+    """A node whose value and gradients are computed off the tape.
+
+    `gradients(g)` maps the upstream gradient array to one array per parent,
+    in the order of `parents`, each with as many entries as its parent;
+    `backward` calls it once per node and gives each array its parent's
+    shape (a [k] leaf read as one [1, k] row, say). The gradients enter the
+    tape as leaves.
+    """
+    return Tensor(value, tuple(parents), gradients)
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -313,12 +223,17 @@ def backward(root: Tensor, wrt) -> dict[Tensor, Tensor]:
         g = grads.get(id(node))
         if g is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
-            if not needed[id(parent)]:
-                continue
-            contribution = vjp(g)
-            previous = grads.get(id(parent))
-            grads[id(parent)] = contribution if previous is None else add(previous, contribution)
+        if callable(node._vjps):    # closed_form: one call gives every parent's gradient
+            contributions = (Tensor(d.reshape(p.data.shape)) if needed[id(p)] else None
+                             for p, d in zip(node._parents, node._vjps(g.data)))
+        else:
+            contributions = (vjp(g) if needed[id(p)] else None
+                             for p, vjp in zip(node._parents, node._vjps))
+        for parent, contribution in zip(node._parents, contributions):
+            if contribution is not None:
+                previous = grads.get(id(parent))
+                grads[id(parent)] = (contribution if previous is None
+                                     else add(previous, contribution))
 
     result: dict[Tensor, Tensor] = {}
     for leaf in wrt:

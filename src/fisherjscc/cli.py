@@ -251,11 +251,14 @@ def _noise_variance(psnr_db: float, power: float, key: str) -> float:
 
 
 def _check_out(out: str, force: bool) -> Path:
-    """The output directory, refused up front if it holds files and force is off.
+    """The output directory, refused up front if it is not a directory, or if it holds
+    files and force is off.
 
     Commands create it only once they have something to write.
     """
     out_dir = Path(out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output path {out} exists and is not a directory")
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty; pass --force to overwrite")
     return out_dir
@@ -328,7 +331,7 @@ def _load_checkpoint_checked(path, config: dict):
         normalizer = Normalizer.from_dict(normalizer_doc) if normalizer_doc else None
         if normalizer and normalizer.mean.shape + normalizer.std.shape != (encoder.input_dim,) * 2:
             raise ValueError(f"its normalizer does not have {encoder.input_dim} features")
-    except (ValueError, KeyError) as exc:
+    except (ValueError, OSError) as exc:     # OSError: a directory, say
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
     model = config["model"]
     declared = {

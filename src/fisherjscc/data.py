@@ -114,8 +114,12 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Normalizer":
-        return cls(mean=np.array(doc["mean"], dtype=np.float64),
-                   std=np.array(doc["std"], dtype=np.float64))
+        """ValueError unless doc is an object whose "mean" and "std" read as float arrays."""
+        try:
+            return cls(mean=np.array(doc["mean"], dtype=np.float64),
+                       std=np.array(doc["std"], dtype=np.float64))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed normalizer: {exc!r}") from None
 
 
 def save_table(dataset: Dataset, path) -> None:
@@ -146,13 +150,16 @@ def load_table(path, delimiter: str = ",", has_header: bool = False,
     rejected.
     """
     rows: list[list[str]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=1):
-            if line_no == 1 and has_header:
-                continue
-            if row:
-                rows.append(row)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            for line_no, row in enumerate(reader, start=1):
+                if line_no == 1 and has_header:
+                    continue
+                if row:
+                    rows.append(row)
+    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
+        raise DataError(f"{path}: unreadable: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file contains no data rows")
     width = len(rows[0])

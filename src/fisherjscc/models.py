@@ -6,10 +6,14 @@ squashed through sqrt(P) * tanh, so every coordinate satisfies z_i^2 <= P.
 The decoder maps a (possibly noise-corrupted) representation to a
 categorical posterior over classes.
 
-Training reads both models as tape nodes (`forward_node`,
-`log_posterior_all`). Evaluation reads values (`encode`, `decode`) from a
-plain NumPy forward that repeats the tape's ops in the tape's order, so the
-two give the same bits, and it builds no tape.
+Each model has one forward, in NumPy (`_mlp_values`). Evaluation reads its
+values (`encode`, `decode`) and builds no tape. Training reads each model as
+one tape node (`forward_node`, `log_posterior_all`) whose value comes from
+the same forward, kept layer by layer, and whose gradients come from one MLP
+backprop (`_mlp_backprop`) behind the model's head: sqrt(P) * tanh for the
+encoder, log-softmax for the decoder. `robustness` reads the decoder's kept
+forward for the Fisher trace. Every product runs in the order of the tests'
+tape reference, so the gradients are that reference's bits.
 """
 
 from __future__ import annotations
@@ -35,7 +39,10 @@ def _power_sqrt_floor(power: float) -> float:
 
 
 def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
-    """Glorot-uniform weights W{i} and zero biases b{i}, drawn from a labeled substream."""
+    """Glorot-uniform weights W{i} and zero biases b{i}, drawn from a labeled substream.
+
+    The order W0, b0, W1, b1, ... is that of `_mlp_backprop`'s gradients.
+    """
     if min(sizes) < 1:
         raise ValueError(f"{prefix} layer widths must be >= 1, got {list(sizes)}")
     params = {}
@@ -48,29 +55,42 @@ def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
     return params
 
 
-def _mlp_forward(params: dict[str, ad.Tensor], h: ad.Tensor, n_layers: int) -> ad.Tensor:
-    """Affine layers with relu between them, none after the last."""
-    for i in range(n_layers):
-        h = ad.affine(h, params[f"W{i}"], params[f"b{i}"])
-        if i < n_layers - 1:
-            h = ad.relu(h)
-    return h
-
-
-def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int) -> np.ndarray:
-    """The value of `_mlp_forward` without a tape, bit for bit: the same ops in the same order.
+def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int,
+                layers: list | None = None) -> np.ndarray:
+    """Affine layers with relu between them, none after the last; the last affine output.
 
     The bias add and relu work in place on the fresh matmul output, so one
     [rows, width] buffer per layer is alive. Each affine output is checked
-    finite, as the tape checks every node; relu cannot make it non-finite.
+    finite; relu cannot make it non-finite. Given a list `layers`, each
+    layer's (input, weight) pair is appended to it for `_mlp_backprop`.
     """
     for i in range(n_layers):
-        h = h @ params[f"W{i}"].data
+        weight = params[f"W{i}"].data
+        if layers is not None:
+            layers.append((h, weight))
+        h = h @ weight
         h += params[f"b{i}"].data
         ad.check_finite(h)
         if i < n_layers - 1:
             np.maximum(h, 0.0, out=h)
     return h
+
+
+def _mlp_backprop(layers: list, d_out: np.ndarray) -> list[np.ndarray]:
+    """[d input, dW0, db0, dW1, db1, ...] of the forward `_mlp_values` kept in `layers`,
+    from d_out, the gradient of its last affine output.
+
+    A hidden relu's mask is read back from its output, the next layer's input,
+    as > 0, so relu'(0) = 0.
+    """
+    grads = []
+    for i in reversed(range(len(layers))):
+        h, weight = layers[i]
+        grads[:0] = (h.T @ d_out, d_out.sum(axis=0))
+        d_out = d_out @ weight.T
+        if i > 0:
+            d_out *= h > 0.0
+    return [d_out, *grads]
 
 
 def _batch_shape(shape: tuple, width: int, expects: str) -> tuple:
@@ -82,13 +102,6 @@ def _batch_shape(shape: tuple, width: int, expects: str) -> tuple:
     if shape[1] != width:
         raise ValueError(f"{expects} of dimension {width}, got {shape[1]}")
     return shape
-
-
-def _batch_node(x, width: int, expects: str) -> ad.Tensor:
-    """x as a [b, width] tape node; a vector becomes one row on the tape."""
-    node = ad.as_tensor(x)
-    shape = _batch_shape(node.data.shape, width, expects)
-    return node if node.data.shape == shape else ad.reshape(node, shape)
 
 
 def _batch_values(x, width: int, expects: str) -> np.ndarray:
@@ -118,15 +131,25 @@ class EncoderModel:
     def repr_dim(self) -> int:
         return self.sizes[-1]
 
+    def _pre_activation(self, x, layers: list | None = None) -> np.ndarray:
+        h = _batch_values(x, self.input_dim, "encoder expects inputs")
+        return _mlp_values(self.params, h, len(self.sizes) - 1, layers)
+
     def forward_node(self, x) -> ad.Tensor:
-        h = _batch_node(x, self.input_dim, "encoder expects inputs")
-        pre = _mlp_forward(self.params, h, len(self.sizes) - 1)
-        return ad.scale(ad.tanh(pre), self._scale)
+        """z = sqrt(P) tanh(MLP(x)) as one tape node, shape [b, k], whose parents are the
+        parameters; x is data, not a node. The value is `encode(x)`'s, bit for bit."""
+        layers = []
+        t = np.tanh(self._pre_activation(x, layers))
+        z = t * self._scale
+
+        def gradients(g: np.ndarray) -> list[np.ndarray]:
+            return _mlp_backprop(layers, (g * self._scale) * (1.0 - t * t))[1:]
+
+        return ad.closed_form(z, self.params.values(), gradients)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """The value of `forward_node(x)`, bit for bit, built without a tape."""
-        h = _batch_values(x, self.input_dim, "encoder expects inputs")
-        z = _mlp_values(self.params, h, len(self.sizes) - 1)
+        """z = sqrt(P) tanh(MLP(x)) per row, built without a tape."""
+        z = self._pre_activation(x)
         np.tanh(z, out=z)
         z *= self._scale
         peak = float(np.max(z * z)) if z.size else 0.0
@@ -154,14 +177,23 @@ class DecoderModel:
         return self.sizes[-1]
 
     def log_posterior_all(self, z) -> ad.Tensor:
-        """log q(y|z) for every class as a tape node, shape [b, C]; z may be a leaf."""
-        h = _batch_node(z, self.repr_dim, "decoder expects representations")
-        return ad.log_softmax(_mlp_forward(self.params, h, len(self.sizes) - 1))
+        """log q(y|z) for every class as one tape node, shape [b, C]; z may be a leaf,
+        of shape [b, k] or [k]. The value is `_log_posterior(z)`'s."""
+        z = ad.as_tensor(z)
+        layers = []
+        log_q = self._log_posterior(z.data, layers)
 
-    def _log_posterior(self, z) -> np.ndarray:
-        """The value of `log_posterior_all(z)`, bit for bit, built without a tape."""
+        def gradients(g: np.ndarray) -> list[np.ndarray]:
+            # The log-softmax rule, then the MLP's.
+            return _mlp_backprop(layers, g - np.exp(log_q) * g.sum(axis=1, keepdims=True))
+
+        return ad.closed_form(log_q, (z, *self.params.values()), gradients)
+
+    def _log_posterior(self, z, layers: list | None = None) -> np.ndarray:
+        """log q(y|z) for every class, [b, C], built without a tape; given a list
+        `layers`, each layer's input and weight are kept there (see `_mlp_values`)."""
         h = _batch_values(z, self.repr_dim, "decoder expects representations")
-        logits = _mlp_values(self.params, h, len(self.sizes) - 1)
+        logits = _mlp_values(self.params, h, len(self.sizes) - 1, layers)
         logits -= logits.max(axis=1, keepdims=True)
         logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
         # Finite logits more than the largest double apart overflow the shift.
@@ -206,23 +238,42 @@ def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
         fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (encoder, decoder, normalizer_dict, meta).
 
     Raises ValueError for a document that is not a checkpoint of this version,
-    whose parameter names or shapes differ from those its declared sizes
-    build, or that holds a non-finite parameter.
+    whose power is not a finite number, whose model sections do not hold
+    integer sizes and seed and a params object, whose parameter names or
+    shapes differ from those its declared sizes build, or that holds a
+    malformed or non-finite parameter.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a checkpoint file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    power = doc.get("power")
+    if isinstance(power, bool) or not isinstance(power, (int, float)) or not math.isfinite(power):
+        raise ValueError(f"power must be a finite number, got {power!r}")
+    sections = [doc.get("encoder"), doc.get("decoder")]
+    for name, section in zip(("encoder", "decoder"), sections):
+        if not (isinstance(section, dict) and isinstance(section.get("params"), dict)):
+            raise ValueError(f"{name} must be an object with a params object")
+        sizes = section.get("sizes")
+        if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_int, sizes))):
+            raise ValueError(f"{name}.sizes must be a list of at least two integers, "
+                             f"got {sizes!r}")
+        if not _is_int(section.get("seed")):
+            raise ValueError(f"{name}.seed must be an integer, got {section.get('seed')!r}")
 
-    enc_doc, dec_doc = doc["encoder"], doc["decoder"]
+    enc_doc, dec_doc = sections
     enc_sizes = enc_doc["sizes"]
-    encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], doc["power"],
+    encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], power,
                            hidden=enc_sizes[1:-1], seed=enc_doc["seed"])
     dec_sizes = dec_doc["sizes"]
     decoder = DecoderModel(dec_sizes[0], dec_sizes[-1],
@@ -232,7 +283,10 @@ def load_checkpoint(path):
             raise ValueError("parameter names do not match the declared sizes")
         for name, tensor in model.params.items():
             entry = section["params"][name]
-            value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            try:
+                value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed parameter {name!r}: {exc}") from None
             if value.shape != tensor.data.shape:
                 raise ValueError(f"shape mismatch for parameter {name!r}")
             if not np.isfinite(value).all():

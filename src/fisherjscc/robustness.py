@@ -11,23 +11,23 @@ posterior q(.|z_hat) to second order. That scaled trace is the closed-form
 training penalty; the Monte-Carlo expected KL here is its independent check.
 
 The trace has a closed form for the decoder family the package builds (relu
-hidden layers, a log-softmax head), computed in NumPy by `_ClosedForm`.
-`fisher_trace_node` records it as one tape node whose vector-Jacobian
-products are computed in the same closed form, so the penalty can sit inside
-a training loss without a backward pass inside the forward;
-`mean_fisher_trace` reads the same closed form as a value.
+hidden layers, a log-softmax head), computed in NumPy by `_ClosedForm` from
+the decoder's own forward, kept layer by layer. `fisher_trace_node` records
+it as one `autodiff.closed_form` node whose vector-Jacobian products are
+computed in the same closed form, so the penalty can sit inside a training
+loss without a backward pass inside the forward; `mean_fisher_trace` reads
+the same closed form as a value.
 """
 
 from __future__ import annotations
 
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import autodiff as ad
 from .channel import channel_noise
-from .models import DecoderModel, _batch_values
+from .models import DecoderModel, _mlp_backprop
 from .rng import CounterRng
 
 KL_LOG_CLAMP = 1e-12
@@ -62,26 +62,15 @@ class _ClosedForm:
     """
 
     def __init__(self, decoder: DecoderModel, z):
-        z = _batch_values(z, decoder.repr_dim, "decoder expects representations")
-        layers = len(decoder.sizes) - 1
-        self.weights = [decoder.params[f"W{i}"].data for i in range(layers)]
-        biases = [decoder.params[f"b{i}"].data for i in range(layers)]
-        self.inputs, self.masks = [], []     # each layer's input; each hidden relu's mask
-        h = z
-        for i, (weight, bias) in enumerate(zip(self.weights, biases)):
-            self.inputs.append(h)
-            a = ad.check_finite(h @ weight + bias)
-            if i < layers - 1:
-                mask = (a > 0.0).astype(np.float64)
-                self.masks.append(mask)
-                h = a * mask
-        log_q = a - a.max(axis=1, keepdims=True)
-        log_q -= np.log(np.exp(log_q).sum(axis=1, keepdims=True))
-        # Finite logits more than the largest double apart overflow the shift.
-        self.q = np.exp(ad.check_finite(log_q))
+        self.layers = []                     # each layer's (input, weight), kept by the forward
+        self.q = np.exp(decoder._log_posterior(z, self.layers))
+        self.weights = [weight for _, weight in self.layers]
+        # Each hidden relu's mask, from its output: the next layer's input.
+        self.masks = [(h > 0.0).astype(np.float64) for h, _ in self.layers[1:]]
+        depth = len(self.layers)
 
-        batch, k = z.shape
-        if layers == 1:
+        batch, k = self.layers[0][0].shape
+        if depth == 1:
             jac = np.broadcast_to(self.weights[0], (batch, k, decoder.num_classes))
         else:
             self.pair = self.weights[0].T[:, :, None] * self.weights[1][:, None, :]
@@ -101,53 +90,34 @@ class _ClosedForm:
     def gradients(self, weight: np.ndarray) -> list[np.ndarray]:
         """d(sum_i weight_i Tr(I(z_i))) for z, then W0, b0, W1, b1, ..."""
         batch, k, _ = self.diff.shape
-        layers = len(self.weights)
+        depth = len(self.weights)
         # Through the posterior: d logits, then the decoder's ordinary backprop.
         d_a = weight[:, None] * self.q * (self.norms - self.trace[:, None])
-        d_weights, d_biases = [None] * layers, [None] * layers
-        for i in reversed(range(layers)):
-            d_weights[i] = self.inputs[i].T @ d_a
-            d_biases[i] = d_a.sum(axis=0)
-            d_a = d_a @ self.weights[i].T
-            if i > 0:
-                d_a *= self.masks[i - 1]
+        d_z, *grads = _mlp_backprop(self.layers, d_a)
+        d_weights = grads[0::2]             # the same arrays: += below adds into grads
         # Through the Jacobian: dT/dM = 2 D diag(q), back along the product that built M.
         d_jac = (2.0 * weight[:, None, None]) * self.diff * self.q[:, None, :]
-        for i in reversed(range(2, layers)):
+        for i in reversed(range(2, depth)):
             flat = d_jac.reshape(batch * k, -1)
             d_weights[i] += self.deeper[i - 2].T @ flat
             d_jac = (flat @ self.weights[i].T).reshape(batch, k, -1) * self.masks[i - 1][:, None, :]
-        if layers == 1:
+        if depth == 1:
             d_weights[0] += d_jac.sum(axis=0)
         else:
             d_pair = (self.masks[0].T @ d_jac.reshape(batch, -1)).reshape(self.pair.shape)
             d_weights[0] += np.einsum("dke,de->kd", d_pair, self.weights[1])
             d_weights[1] += np.einsum("dke,kd->de", d_pair, self.weights[0])
-        return [d_a, *(g for pair in zip(d_weights, d_biases) for g in pair)]
+        return [d_z, *grads]
 
 
 def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor) -> ad.Tensor:
     """Per-sample Tr(I(z)) = sum_y q(y|z) ||grad_z log q(y|z)||^2 as one node, shape [b].
 
-    Its parents are z_node and the decoder's parameters. The tape hands every
-    parent's rule the same upstream gradient, so all of them are computed on
-    the first call and reused. The gradients are leaves: the node can be
-    differentiated once, not twice.
+    Its parents are z_node and the decoder's parameters; all of their gradients
+    come from one `_ClosedForm.gradients` call per upstream gradient.
     """
     form = _ClosedForm(decoder, z_node.data)
-    parents = (z_node, *(decoder.params[f"{kind}{i}"]
-                         for i in range(len(form.weights)) for kind in "Wb"))
-    cached: list = [None, None]     # a weak reference to the last upstream g, its gradients
-
-    def vjp(g: ad.Tensor, position: int) -> ad.Tensor:
-        if cached[0] is None or cached[0]() is not g:
-            grads = form.gradients(g.data)
-            grads[0] = grads[0].reshape(z_node.data.shape)
-            cached[:] = [weakref.ref(g), grads]
-        return ad.Tensor(cached[1][position])
-
-    return ad.Tensor(form.trace, parents,
-                     tuple(lambda g, i=i: vjp(g, i) for i in range(len(parents))))
+    return ad.closed_form(form.trace, (z_node, *decoder.params.values()), form.gradients)
 
 
 def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:

@@ -13,10 +13,11 @@ exposed as the `omit_sigma2` flag and is off by default so lambda keeps the
 same meaning across PSNRs. Either way `regularized_loss` receives the
 penalty's multiplier as one coefficient, set per step by `train`.
 
-A step records the encoder, the L noise draws' cross-entropy and the Fisher
-trace on the tape and runs one `backward` over it; the trace is a single
-node whose gradients are computed in closed form, so no backward runs
-inside the loss.
+A step records the loss on the tape and runs one `backward` over it. The
+encoder, the decoder over the L stacked noise draws, and the Fisher trace
+are one node each, whose values and gradients are computed in closed form
+(`autodiff.closed_form`); the tape holds only the glue between them: tiling
+z, adding the noise, picking each row's label, summing and scaling.
 
 The tape checks every value it records, and a training step runs with
 numpy's overflow, divide and invalid errors raised, so a step that turns

@@ -4,14 +4,21 @@ These deliberately avoid the library's own differentiation paths: gradients
 come from central finite differences on plain float evaluations, Hessians
 from second differences, and high-precision reference values from fsum or
 mpmath. Expected values asserted in tests were computed with these oracles.
-Some use the tape. The stacked pass (`_class_terms`, `stacked_fisher_trace`)
-tiles z once per class and differentiates the per-class input-gradients a
-second time; it is the reference for the library's closed-form
-`robustness.fisher_trace_node`. The per-class Fisher reference runs one
-backward per class, so the stacked pass has a structurally different path to
-be compared with. The single-point `fisher_trace` reads the library's node,
-so the identities checked through it are checked on the trace that training
-and evaluation use; `fisher_matrix` reads the stacked pass.
+
+Some use the tape. The library's models and Fisher trace are closed-form
+nodes, differentiable once; the reference here is twice differentiable. It
+is the tape's generic ops below (`affine`, `matmul`, `transpose`, `relu`,
+`tanh`, `exp`, `log_softmax`, `mul`, `neg`, `sub`, `square`), built on
+`autodiff`'s glue and backward rules written in the same ops, and a tape
+forward of each model from them (`encoder_tape`, `decoder_tape`). The
+stacked pass (`_class_terms`, `stacked_fisher_trace`) tiles z once per class
+and differentiates the per-class input-gradients a second time; it is the
+reference for `robustness.fisher_trace_node`. The per-class Fisher
+reference runs one backward per class, so the stacked pass has a
+structurally different path to be compared with. The single-point
+`fisher_trace` reads the library's node, so the identities checked through
+it are checked on the trace that training and evaluation use;
+`fisher_matrix` reads the stacked pass.
 
 The Box-Muller and error-sweep references keep the loop forms the library
 replaced with vectorised ones: two word requests per normals call, and one
@@ -21,8 +28,154 @@ generator, one noise draw and one decode per sweep trial.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
+
+from fisherjscc import autodiff as ad
+from fisherjscc.autodiff import Tensor, _sum_to, add, as_tensor, sum_axis
+
+
+# ---------------------------------------------------------------------------
+# The tape's generic ops: each backward rule is written in these ops, so its
+# gradients can be differentiated again.
+
+
+def neg(a) -> Tensor:
+    a = as_tensor(a)
+    return Tensor(-a.data, (a,), (lambda g: neg(g),))
+
+
+def sub(a, b) -> Tensor:
+    return add(a, neg(b))
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return Tensor(
+        a.data * b.data,
+        (a, b),
+        (
+            lambda g, o=b, s=a.data.shape: _sum_to(mul(g, o), s),
+            lambda g, o=a, s=b.data.shape: _sum_to(mul(g, o), s),
+        ),
+    )
+
+
+def square(a) -> Tensor:
+    return mul(a, a)
+
+
+def matmul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
+    return Tensor(
+        a.data @ b.data,
+        (a, b),
+        (
+            lambda g, o=b: matmul(g, transpose(o)),
+            lambda g, o=a: matmul(transpose(o), g),
+        ),
+    )
+
+
+def transpose(a) -> Tensor:
+    a = as_tensor(a)
+    return Tensor(a.data.T, (a,), (lambda g: transpose(g),))
+
+
+def relu(a) -> Tensor:
+    """relu'(0) = 0: the mask enters as a detached constant."""
+    a = as_tensor(a)
+
+    def vjp(g, src=a):
+        # Detached mask: derivative 0 at the kink and w.r.t. everything else.
+        return mul(g, Tensor((src.data > 0.0).astype(np.float64)))
+
+    return Tensor(np.maximum(a.data, 0.0), (a,), (vjp,))
+
+
+def tanh(a) -> Tensor:
+    a = as_tensor(a)
+    out = Tensor(np.tanh(a.data), (a,))
+    out._vjps = (lambda g, ref=weakref.ref(out): mul(g, sub(1.0, square(ref()))),)
+    return out
+
+
+def exp(a) -> Tensor:
+    a = as_tensor(a)
+    out = Tensor(np.exp(a.data), (a,))
+    out._vjps = (lambda g, ref=weakref.ref(out): mul(g, ref()),)
+    return out
+
+
+def affine(inputs, weight, bias) -> Tensor:
+    """inputs[b, d_in] @ weight[d_in, d_out] + bias[d_out], shape-checked up front."""
+    inputs, weight, bias = as_tensor(inputs), as_tensor(weight), as_tensor(bias)
+    if inputs.data.ndim != 2 or weight.data.ndim != 2 or bias.data.ndim != 1:
+        raise ValueError(
+            "affine expects input[b,d_in], weight[d_in,d_out], bias[d_out]; got "
+            f"{inputs.data.shape}, {weight.data.shape}, {bias.data.shape}"
+        )
+    if inputs.data.shape[1] != weight.data.shape[0] or weight.data.shape[1] != bias.data.shape[0]:
+        raise ValueError(
+            f"affine shapes do not conform: {inputs.data.shape}, "
+            f"{weight.data.shape}, {bias.data.shape}"
+        )
+    return add(matmul(inputs, weight), bias)
+
+
+def log_softmax(logits) -> Tensor:
+    """Row-wise log softmax with max subtraction; rows must have >= 2 entries."""
+    x = as_tensor(logits)
+    if x.data.ndim != 2:
+        raise ValueError(f"log_softmax expects a 2-D batch of logits, got {x.data.shape}")
+    if x.data.shape[1] < 2:
+        raise ValueError("log_softmax needs at least two classes per row")
+    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = Tensor(out_data, (x,))
+
+    def vjp(g, ref=weakref.ref(out)):
+        soft = exp(ref())
+        return sub(g, mul(soft, sum_axis(g, 1, keepdims=True)))
+
+    out._vjps = (vjp,)
+    return out
+
+
+def _mlp_tape(params, h, n_layers: int) -> Tensor:
+    """Affine layers with relu between them, none after the last."""
+    for i in range(n_layers):
+        h = affine(h, params[f"W{i}"], params[f"b{i}"])
+        if i < n_layers - 1:
+            h = relu(h)
+    return h
+
+
+def _rows(x, width: int) -> Tensor:
+    """x as a [b, width] node; a vector becomes one row on the tape."""
+    node = as_tensor(x)
+    return node if node.data.ndim == 2 else ad.reshape(node, (1, width))
+
+
+def encoder_tape(encoder, x) -> Tensor:
+    """`EncoderModel.forward_node(x)` as a tape expression; x may be a leaf."""
+    pre = _mlp_tape(encoder.params, _rows(x, encoder.input_dim), len(encoder.sizes) - 1)
+    return ad.scale(tanh(pre), encoder._scale)
+
+
+def decoder_tape(decoder, z) -> Tensor:
+    """`DecoderModel.log_posterior_all(z)` as a tape expression, differentiable twice."""
+    logits = _mlp_tape(decoder.params, _rows(z, decoder.repr_dim), len(decoder.sizes) - 1)
+    return log_softmax(logits)
+
+
+# ---------------------------------------------------------------------------
+# Finite differences, exact references and the references built on the tape.
 
 
 def finite_diff_grad(f, array: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -97,24 +250,20 @@ def _class_terms(decoder, z_node):
     nodes stay attached to the graph that produced z_node, so expressions of
     them remain differentiable.
     """
-    from fisherjscc import autodiff as ad
-
     batch, k = z_node.data.shape
     classes = decoder.num_classes
     tiled = ad.tile_rows(z_node, classes)
     labels = np.repeat(np.arange(classes, dtype=np.int64), batch)
-    logq = ad.gather_labels(decoder.log_posterior_all(tiled), labels)
+    logq = ad.gather_labels(decoder_tape(decoder, tiled), labels)
     grads = ad.backward(ad.sum_all(logq), [tiled])[tiled]
-    return (ad.reshape(ad.exp(logq), (classes, batch)),
+    return (ad.reshape(exp(logq), (classes, batch)),
             ad.reshape(grads, (classes, batch, k)))
 
 
 def stacked_fisher_trace(decoder, z_node):
     """Tr(I(z_i)) as a [b] tape node from `_class_terms`, differentiable twice."""
-    from fisherjscc import autodiff as ad
-
     probs, grads = _class_terms(decoder, z_node)
-    return ad.sum_axis(ad.mul(probs, ad.sum_axis(ad.square(grads), 2)), 0)
+    return ad.sum_axis(mul(probs, ad.sum_axis(square(grads), 2)), 0)
 
 
 def per_class_fisher(decoder, z_node):
@@ -123,9 +272,7 @@ def per_class_fisher(decoder, z_node):
     The gradients come back as a list over classes of [b, k] nodes next to the
     [b, C] log-posterior node; the trace sums q(y|z) ||grad||^2 class by class.
     """
-    from fisherjscc import autodiff as ad
-
-    logq = decoder.log_posterior_all(z_node)
+    logq = decoder_tape(decoder, z_node)
     batch = z_node.data.shape[0]
     trace, grads = None, []
     for y in range(decoder.num_classes):
@@ -133,15 +280,13 @@ def per_class_fisher(decoder, z_node):
         picked = ad.gather_labels(logq, labels)
         g = ad.backward(ad.sum_all(picked), [z_node])[z_node]
         grads.append(g)
-        term = ad.mul(ad.exp(picked), ad.sum_axis(ad.square(g), 1))
+        term = mul(exp(picked), ad.sum_axis(square(g), 1))
         trace = term if trace is None else ad.add(trace, term)
     return trace, logq, grads
 
 
 def per_class_fisher_matrix(decoder, z: np.ndarray) -> np.ndarray:
     """k x k Fisher matrix at a single z from the per-class gradients."""
-    from fisherjscc import autodiff as ad
-
     _, logq, grads = per_class_fisher(decoder, ad.Tensor(np.asarray(z).reshape(1, -1)))
     probs = np.exp(logq.data[0])
     gradients = np.stack([g.data[0] for g in grads])
@@ -150,8 +295,6 @@ def per_class_fisher_matrix(decoder, z: np.ndarray) -> np.ndarray:
 
 def _single_point(z):
     """A single representation z[k] as a [1, k] leaf."""
-    from fisherjscc import autodiff as ad
-
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("expected a single representation vector z[k]")
@@ -241,15 +384,14 @@ def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> 
     Kept separate from the package's encoder/decoder pipeline so dataset
     separability claims are checked by a genuinely linear model.
     """
-    from fisherjscc import autodiff as ad
     from fisherjscc.train import AdamState, adam_step
 
     params = {"W": ad.Tensor(np.zeros((train_set.dim, train_set.num_classes))),
               "b": ad.Tensor(np.zeros(train_set.num_classes))}
     state = AdamState.init(params)
     for _ in range(epochs):
-        logits = ad.affine(ad.Tensor(train_set.features), params["W"], params["b"])
-        picked = ad.gather_labels(ad.log_softmax(logits), train_set.labels)
+        logits = affine(ad.Tensor(train_set.features), params["W"], params["b"])
+        picked = ad.gather_labels(log_softmax(logits), train_set.labels)
         loss = ad.scale(ad.sum_all(picked), -1.0 / len(train_set))
         grad_map = ad.backward(loss, list(params.values()))
         grads = {name: grad_map[t].data for name, t in params.items()}

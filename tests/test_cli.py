@@ -122,6 +122,17 @@ class TestGenData:
         assert "force" in capsys.readouterr().err
         assert main(["gen-data", "--config", str(config), "--force"]) == EXIT_OK
 
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+    def test_output_path_naming_a_file_is_a_config_error(self, tmp_path, capsys, force):
+        config = tmp_path / "run.ini"
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        write_config(config, out, out)
+        assert main(["gen-data", "--config", str(config), *force]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert out.read_text() == "keep\n"
+
     def test_verify_detects_tampering(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
         out = tmp_path / "data"
@@ -190,6 +201,22 @@ class TestTrainCommand:
         config = tmp_path / "train.ini"
         write_config(config, tmp_path / "out", tmp_path / "missing")
         assert main(["train", "--config", str(config)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("defect", ["directory", "not_utf8"])
+    def test_unreadable_data_file_is_a_data_error(self, tmp_path, data_dir, capsys, defect):
+        train_csv = data_dir / "train.csv"
+        train_csv.unlink()
+        if defect == "directory":
+            train_csv.mkdir()
+        else:
+            train_csv.write_bytes(b"\xff\xfe1.0,2.0,a\n")
+        config = tmp_path / "train.ini"
+        out = tmp_path / "out"
+        write_config(config, out, data_dir)
+        assert main(["train", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_divergence_is_a_numerical_abort(self, tmp_path, data_dir, capsys):
         """A step that turns non-finite exits 4 and leaves its snapshot, no traceback."""
@@ -290,11 +317,26 @@ class TestEvalCommand:
             assert abs(error - (1.0 - 1.0 / 3.0)) <= 0.02
 
     @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format", "normalizer_width",
-                                        "shape_mismatch", "missing_param"])
+                                        "shape_mismatch", "missing_param", "not_an_object",
+                                        "power_null", "power_text", "encoder_list",
+                                        "sizes_null", "shape_text", "normalizer_list",
+                                        "directory"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
-        if defect == "nan_weight":
+        if defect == "not_an_object":
+            doc = [doc]
+        elif defect in ("power_null", "power_text"):
+            doc["power"] = None if defect == "power_null" else "x"
+        elif defect == "encoder_list":
+            doc["encoder"] = [1]
+        elif defect == "sizes_null":
+            doc["encoder"]["sizes"] = None
+        elif defect == "shape_text":
+            doc["decoder"]["params"]["b0"]["shape"] = "q"
+        elif defect == "normalizer_list":
+            doc["normalizer"] = [1]
+        elif defect == "nan_weight":
             doc["decoder"]["params"]["W0"]["data"][0] = float("nan")
         elif defect == "normalizer_width":
             doc["normalizer"]["mean"].append(0.0)
@@ -304,10 +346,13 @@ class TestEvalCommand:
             entry["shape"] = [len(entry["data"])]
         elif defect == "missing_param":
             del doc["encoder"]["params"]["b1"]
-        else:
+        elif defect == "wrong_format":
             doc["format"] = "something-else"
         bad = tmp_path / "bad_checkpoint.json"
-        bad.write_text(json.dumps(doc))
+        if defect == "directory":
+            bad.mkdir()
+        else:
+            bad.write_text(json.dumps(doc))
         config = tmp_path / "eval.ini"
         out = tmp_path / "eval_bad"
         write_config(config, out, data_dir, extra=f"checkpoint = {bad}")

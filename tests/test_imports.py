@@ -1,20 +1,21 @@
 """Source hygiene: every name a package module imports is used in that module,
-every public module-level function and class is used by the package, only
-`data` imports `csv`, only `channel` and `data` call `.normals(`, and only
-`train` calls `backward`.
+every public module-level function and class, and every public method of a
+module-level class, is used by the package, only `data` imports `csv`, only
+`channel` and `data` call `.normals(`, and only `train` calls `backward`.
 
 No linter is a declared dependency, so this reads the source with the
 standard library's `ast`. An import counts as used when its name appears as
 a name expression anywhere in the module (annotations included) or is listed
 in the module's `__all__`. A public function or class counts as used when
 some package module refers to it, as a name or as an attribute, outside its
-own definition: API that only tests call belongs in the tests. The CSV
-artifact format (schema line, header, float cells) is `data.write_csv`'s
-alone, so no other module needs the `csv` module. Channel noise has one
-implementation, `channel.channel_noise`, so outside `data`'s seeded datasets
-no module draws normals but `channel`. A training step runs one backward
-pass, in `train`; the Fisher trace is one node with closed-form gradients,
-so no other module needs a backward pass of its own.
+own definition, and so does a public method: API that only tests call
+belongs in the tests. The CSV artifact format (schema line, header, float
+cells) is `data.write_csv`'s alone, so no other module needs the `csv`
+module. Channel noise has one implementation, `channel.channel_noise`, so
+outside `data`'s seeded datasets no module draws normals but `channel`. A
+training step runs one backward pass, in `train`; the models and the Fisher
+trace are nodes with closed-form gradients, so no other module needs a
+backward pass of its own.
 
 The package sets OPENBLAS_NUM_THREADS to 1 unless it is already set, and
 OpenBLAS reads it once, when NumPy loads: so in `__init__.py` the
@@ -76,17 +77,25 @@ def references(node: ast.AST) -> Counter:
     return counts
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """module.name of each public top-level def or class no module refers to."""
+    """module.name of each public top-level def or class, and module.Class.name of each
+    public method of a top-level class, that no module refers to."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     total = sum((references(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in sorted(trees.items()):
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and total[node.name] == references(node)[node.name]):
-                unused.append(f"{module}.{node.name}")
+            if not isinstance(node, DEFINITIONS):
+                continue
+            members = [(f"{node.name}.", member) for member in node.body
+                       if isinstance(node, ast.ClassDef) and isinstance(member, DEFINITIONS)]
+            for prefix, definition in [("", node), *members]:
+                if (not definition.name.startswith("_")
+                        and total[definition.name] == references(definition)[definition.name]):
+                    unused.append(f"{module}.{prefix}{definition.name}")
     return unused
 
 
@@ -174,6 +183,18 @@ def test_checker_flags_an_unreferenced_definition():
     assert unreferenced_definitions(sources) == ["a.Unused"]
     sources["b"] = "from a import used\nprint(used())\n"
     assert unreferenced_definitions(sources) == ["a.recursive", "a.Unused"]
+    methods = {
+        "c": "class Model:\n"
+             "    def predict(self):\n        return self.helper()\n\n"
+             "    def helper(self):\n        return 1\n\n"
+             "    def orphan(self):\n        return self.orphan()\n\n"
+             "    @property\n    def width(self):\n        return 2\n\n"
+             "    def _private(self):\n        pass\n",
+        "d": "from c import Model\nprint(Model().predict(), Model().width)\n",
+    }
+    assert unreferenced_definitions(methods) == ["c.Model.orphan"]
+    methods["d"] = "from c import Model\nprint(Model().predict())\n"
+    assert unreferenced_definitions(methods) == ["c.Model.orphan", "c.Model.width"]
 
 
 def test_only_data_imports_csv():

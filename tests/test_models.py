@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
+from fisherjscc.data import make_rings
 from fisherjscc.models import (DecoderModel, EncoderModel, load_checkpoint,
                                save_checkpoint)
 from fisherjscc.rng import CounterRng
 
-from _oracles import finite_diff_grad, max_rel_err, softmax_reference
+from _oracles import (decoder_tape, encoder_tape, finite_diff_grad, max_rel_err, mul,
+                      softmax_reference)
+from test_robustness import STACKED_SHAPES, random_decoder
 
 
 class TestEncoder:
@@ -137,13 +140,13 @@ class TestTapeFreeForward:
     def test_decode_bit_equal_to_tape(self, hidden, classes, rows):
         decoder = DecoderModel(6, classes, hidden=hidden, seed=40 + classes)
         z = CounterRng(rows).normals(6 * rows).reshape(rows, 6) * 2.0
-        assert np.array_equal(decoder.decode(z), np.exp(decoder.log_posterior_all(z).data))
+        assert np.array_equal(decoder.decode(z), np.exp(decoder_tape(decoder, z).data))
 
     @pytest.mark.parametrize("rows", [1, 7, 4096])
     def test_encode_bit_equal_to_tape(self, rows):
         encoder = EncoderModel(3, 8, power=2.0, hidden=(64, 64), seed=44)
         x = CounterRng(rows + 1).normals(3 * rows).reshape(rows, 3) * 3.0
-        assert np.array_equal(encoder.encode(x), encoder.forward_node(x).data)
+        assert np.array_equal(encoder.encode(x), encoder_tape(encoder, x).data)
 
     def test_vector_input_is_one_row(self):
         encoder = EncoderModel(3, 4, power=1.0, seed=45)
@@ -213,6 +216,94 @@ class TestTapeFreeForward:
         decoder = DecoderModel(2, 2, seed=61)
         with pytest.raises(FloatingPointError, match="non-finite"):
             decoder.decode(np.array([[0.0, value]]))
+
+
+def node_and_tape_gradients(node, reference, parents, upstream):
+    """(node's, tape's) gradient of sum(upstream * output) for each parent."""
+    got = ad.backward(ad.sum_all(mul(node, upstream)), parents)
+    expected = ad.backward(ad.sum_all(mul(reference, upstream)), parents)
+    return [(got[p].data, expected[p].data) for p in parents]
+
+
+def benchmark_shapes():
+    """Rings (2 features, 3 classes), k = 8, encoder 64-64, decoder 64, a 64-row batch
+    and its L = 4 noisy copies, at initialization."""
+    data = make_rings(3, 64, 0.15, seed=1)
+    encoder = EncoderModel(2, 8, power=1.0, hidden=(64, 64), seed=2)
+    decoder = DecoderModel(8, 3, hidden=(64,), seed=3)
+    x = data.features[:64]
+    noise = 0.1 * CounterRng(4).normals(256 * 8).reshape(256, 8)
+    return encoder, decoder, x, np.tile(encoder.encode(x), (4, 1)) + noise
+
+
+class TestClosedFormNodes:
+    """`forward_node` and `log_posterior_all` against the tests' tape forward: the value
+    and every parent's gradient under a per-entry upstream weight."""
+
+    def test_bit_equal_to_tape_on_the_benchmark_shapes(self):
+        encoder, decoder, x, z_hat = benchmark_shapes()
+        node, reference = encoder.forward_node(x), encoder_tape(encoder, x)
+        assert np.array_equal(node.data, reference.data)
+        upstream = ad.Tensor(CounterRng(5).normals(64 * 8).reshape(64, 8))
+        params = list(encoder.params.values())
+        for got, expected in node_and_tape_gradients(node, reference, params, upstream):
+            assert np.array_equal(got, expected)
+
+        z_node = ad.Tensor(z_hat)
+        node, reference = decoder.log_posterior_all(z_node), decoder_tape(decoder, z_node)
+        assert np.array_equal(node.data, reference.data)
+        upstream = ad.Tensor(CounterRng(6).normals(256 * 3).reshape(256, 3))
+        parents = [z_node, *decoder.params.values()]
+        for got, expected in node_and_tape_gradients(node, reference, parents, upstream):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("hidden", [(8,), (8, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_encoder_within_1e12_of_tape(self, seed, hidden):
+        encoder = EncoderModel(3, 4, power=2.0, hidden=hidden, seed=900 + seed)
+        rng = CounterRng(910 + seed)
+        for tensor in encoder.params.values():
+            tensor.data += 0.5 * rng.normals(tensor.data.size).reshape(tensor.data.shape)
+        x = rng.normals(15).reshape(5, 3)
+        node, reference = encoder.forward_node(x), encoder_tape(encoder, x)
+        assert max_rel_err(node.data, reference.data, floor=np.abs(reference.data).max()) <= 1e-12
+        upstream = ad.Tensor(rng.normals(20).reshape(5, 4))
+        params = list(encoder.params.values())
+        for got, expected in node_and_tape_gradients(node, reference, params, upstream):
+            assert max_rel_err(got, expected, floor=np.abs(expected).max()) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k,classes,hidden", STACKED_SHAPES)
+    def test_decoder_within_1e12_of_tape(self, seed, k, classes, hidden):
+        decoder = random_decoder(920 + seed, repr_dim=k, classes=classes, hidden=hidden)
+        z_node = ad.Tensor(CounterRng(930 + seed).normals(5 * k).reshape(5, k))
+        node, reference = decoder.log_posterior_all(z_node), decoder_tape(decoder, z_node)
+        assert max_rel_err(node.data, reference.data, floor=np.abs(reference.data).max()) <= 1e-12
+        upstream = ad.Tensor(CounterRng(940 + seed).normals(5 * classes).reshape(5, classes))
+        parents = [z_node, *decoder.params.values()]
+        for got, expected in node_and_tape_gradients(node, reference, parents, upstream):
+            assert max_rel_err(got, expected, floor=max(np.abs(expected).max(), 1e-300)) <= 1e-12
+
+    def test_vector_input_and_vector_leaf(self):
+        encoder = EncoderModel(3, 4, power=1.0, hidden=(8,), seed=950)
+        decoder = DecoderModel(4, 3, hidden=(8,), seed=951)
+        x = CounterRng(952).normals(3)
+        node = encoder.forward_node(x)
+        assert node.data.shape == (1, 4)
+        assert np.array_equal(node.data, encoder.encode(x))
+        z_node = ad.Tensor(node.data[0])
+        node, reference = decoder.log_posterior_all(z_node), decoder_tape(decoder, z_node)
+        assert node.data.shape == (1, 3) and np.array_equal(node.data, reference.data)
+        upstream = ad.Tensor(np.array([[0.5, -1.0, 2.0]]))
+        (got, expected), *_ = node_and_tape_gradients(node, reference, [z_node], upstream)
+        assert got.shape == (4,) and np.array_equal(got, expected)
+
+    def test_each_node_is_one_tensor(self, tensors_built_by):
+        encoder, decoder, x, z_hat = benchmark_shapes()
+        z_node = ad.Tensor(z_hat)
+        assert tensors_built_by(encoder.forward_node, x) == 1
+        assert tensors_built_by(decoder.log_posterior_all, z_node) == 1
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):

@@ -14,8 +14,8 @@ from fisherjscc.robustness import _expected_kl_rows, _kl_rows, fisher_trace_node
 from fisherjscc.rng import CounterRng
 
 from _oracles import (expected_kl_rows_serial, finite_diff_grad, finite_diff_hessian,
-                      fisher_matrix, fisher_trace, kl_reference, max_rel_err, per_class_fisher,
-                      per_class_fisher_matrix, stacked_fisher_trace)
+                      fisher_matrix, fisher_trace, kl_reference, max_rel_err, mul,
+                      per_class_fisher, per_class_fisher_matrix, stacked_fisher_trace)
 
 
 def kl(p, q) -> float:
@@ -207,8 +207,8 @@ class TestClosedFormNode:
         reference = stacked_fisher_trace(decoder, z_node)
         assert max_rel_err(node.data, reference.data,
                            floor=np.abs(reference.data).max()) <= 1e-12
-        got = ad.backward(ad.sum_all(ad.mul(node, weight)), wrt)
-        expected = ad.backward(ad.sum_all(ad.mul(reference, weight)), wrt)
+        got = ad.backward(ad.sum_all(mul(node, weight)), wrt)
+        expected = ad.backward(ad.sum_all(mul(reference, weight)), wrt)
         for tensor in wrt:
             scale = max(np.abs(expected[tensor].data).max(), 1e-300)
             assert max_rel_err(got[tensor].data, expected[tensor].data, floor=scale) <= 1e-12

@@ -89,7 +89,8 @@ class TestRegularizedLoss:
     def test_penalized_step_is_one_backward_over_a_small_tape(self, monkeypatch,
                                                                tensors_built_by):
         """The benchmark's shapes: rings (2 -> 3 classes), k = 8, encoder 64-64,
-        decoder 64, a 64-row batch, L = 4. The trace adds one node and no backward."""
+        decoder 64, a 64-row batch, L = 4. The encoder, the decoder and the trace are one
+        node each, and none runs a backward of its own: 14 tensors forward, 32 backward."""
         data = make_rings(3, 64, 0.15, seed=1)
         encoder = EncoderModel(2, 8, power=1.0, hidden=(64, 64), seed=2)
         decoder = DecoderModel(8, 3, hidden=(64,), seed=3)
@@ -107,7 +108,7 @@ class TestRegularizedLoss:
                                      sigma2=0.01, coeff=0.5, noise_draws=4, rng=CounterRng(4))
             ad.backward(parts.total, params)
 
-        assert tensors_built_by(step) <= 100
+        assert tensors_built_by(step) <= 46
         assert len(calls) == 1
 
     def test_hand_computed_two_class_linear_model(self):
