@@ -499,7 +499,8 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                            for p in section["taylor_psnr_grid"]]
             rows = experiments.taylor_validation(encoder, decoder,
                                                  test_set.features[:limit], sigma2_grid,
-                                                 section["mc_samples"], eval_seed)
+                                                 section["mc_samples"], eval_seed,
+                                                 threads=threads)
             name, schema, header = "taylor.csv", TAYLOR_SCHEMA, TaylorRow._fields
         elif kind == "reg-track":
             rows = experiments.regularizer_track(encoder, decoder, section["psnr_grid"],
@@ -572,10 +573,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override [run] out directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--threads", type=int, default=1,
-                       help="eval/compare sweep workers (default 1); any count gives the same "
-                            "bytes; validate-approx ignores it and overlaps its noise draws "
-                            "with decoding on one helper thread; BLAS runs one thread per "
-                            "process unless OPENBLAS_NUM_THREADS is set")
+                       help="workers for the PSNR cells of eval, compare and validate-approx "
+                            "(default 1); any count gives the same bytes; BLAS runs one "
+                            "thread per process unless OPENBLAS_NUM_THREADS is set")
 
     p = sub.add_parser("gen-data", help="generate dataset files and a manifest")
     common(p)
@@ -595,8 +595,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     # An overflow, a division by zero or an invalid operation raises instead of
-    # warning, so it ends as a numerical abort; the sweep's pool threads and the
-    # sampled KL's noise helper take this policy from the thread that starts them.
+    # warning, so it ends as a numerical abort; the PSNR cells' pool threads take
+    # this policy from the thread that starts them.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         return _run(args)
 
@@ -620,7 +620,8 @@ def _run(args) -> int:
         if args.command == "compare":
             return cmd_compare(config, seed, args.force, threads=args.threads)
         if args.command == "validate-approx":
-            return cmd_eval(config, seed, args.force, kind_override="taylor")
+            return cmd_eval(config, seed, args.force, kind_override="taylor",
+                            threads=args.threads)
         if args.command == "posterior-map":
             return cmd_eval(config, seed, args.force, kind_override="posterior-map")
         raise ConfigError(f"unknown command {args.command!r}")

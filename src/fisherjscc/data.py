@@ -114,12 +114,19 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Normalizer":
-        """ValueError unless doc is an object whose "mean" and "std" read as float arrays."""
+        """ValueError unless doc is an object whose "mean" reads as a finite float array
+        and whose "std" reads as a finite float array of entries > 0."""
         try:
-            return cls(mean=np.array(doc["mean"], dtype=np.float64),
-                       std=np.array(doc["std"], dtype=np.float64))
+            mean = np.array(doc["mean"], dtype=np.float64)
+            std = np.array(doc["std"], dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed normalizer: {exc!r}") from None
+        if not np.isfinite(mean).all():
+            raise ValueError("normalizer mean has a non-finite entry")
+        # isfinite first: a NaN never reaches the comparison.
+        if not (np.isfinite(std).all() and (std > 0.0).all()):
+            raise ValueError("normalizer std has an entry that is not finite and > 0")
+        return cls(mean=mean, std=std)
 
 
 def save_table(dataset: Dataset, path) -> None:

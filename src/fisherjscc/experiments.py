@@ -44,6 +44,22 @@ def _sigma2_grid(psnr_grid, power: float) -> list[float]:
         raise ValueError(f"psnr_grid: {exc}") from None
 
 
+def _map_cells(fn, count: int, threads: int) -> list:
+    """[fn(0), ..., fn(count - 1)] from a pool of `threads` workers, in index order.
+
+    Pool threads do not inherit the caller's np.errstate, so each cell runs
+    under the error policy of the thread that calls this.
+    """
+    error_policy = np.geterr()
+
+    def cell(index):
+        with np.errstate(**error_policy):
+            return fn(index)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(cell, range(count)))
+
+
 def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                 psnr_grid, family: str, trials: int, seed: int,
                 threads: int = 1) -> list[SweepRow]:
@@ -73,7 +89,6 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     clean_predictions = np.argmax(p_clean, axis=1)
     labels = dataset.labels
     block_trials = max(1, SWEEP_BLOCK_ROWS // len(labels))
-    error_policy = np.geterr()      # pool threads do not inherit the caller's np.errstate
 
     def evaluate_cell(psnr_index):
         psnr_db, sigma2 = grid[psnr_index], sigma2_grid[psnr_index]
@@ -82,21 +97,19 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                             float(np.mean(clean_predictions != labels)), 0.0)
         wrong = 0
         kl_sum = 0.0
-        with np.errstate(**error_policy):
-            for start in range(0, trials, block_trials):
-                rng = CounterRng([derive_seed(seed, "sweep", family, psnr_index, t)
-                                  for t in range(start, min(start + block_trials, trials))])
-                z_hat = channel_noise(z.shape, sigma2, family, rng)
-                z_hat += z      # in place; noise + z and z + noise are the same bits
-                for z_trial in z_hat:
-                    q = decoder.decode(z_trial)
-                    wrong += int(np.sum(np.argmax(q, axis=1) != labels))
-                    kl_sum += float(_kl_rows(p_clean, q).sum())
+        for start in range(0, trials, block_trials):
+            rng = CounterRng([derive_seed(seed, "sweep", family, psnr_index, t)
+                              for t in range(start, min(start + block_trials, trials))])
+            z_hat = channel_noise(z.shape, sigma2, family, rng)
+            z_hat += z      # in place; noise + z and z + noise are the same bits
+            for z_trial in z_hat:
+                q = decoder.decode(z_trial)
+                wrong += int(np.sum(np.argmax(q, axis=1) != labels))
+                kl_sum += float(_kl_rows(p_clean, q).sum())
         return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
                         kl_sum / (trials * len(labels)))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate_cell, range(len(grid))))
+    return _map_cells(evaluate_cell, len(grid), threads)
 
 
 class TaylorRow(NamedTuple):
@@ -109,24 +122,33 @@ class TaylorRow(NamedTuple):
 
 
 def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
-                      sigma2_grid, samples: int, seed: int) -> list[TaylorRow]:
+                      sigma2_grid, samples: int, seed: int,
+                      threads: int = 1) -> list[TaylorRow]:
     """Check the closed-form penalty against the sampled expected KL under AWGN.
 
     Per noise level: dataset-mean MC expected KL over `samples` channel draws
     per point, dataset-mean penalty sigma2/2 * Tr(I(z)), their ratio and gap.
     There is no fading variant: under Rayleigh fading E[1/|h|^2] is infinite,
     so the unconditional KL has no finite penalty to be compared with.
+
+    Each noise level is a cell with its own generator derived from the seed,
+    and the pool's `threads` workers return the rows in grid order, so the
+    result is identical for any thread count; they run under the caller's
+    numpy error policy. Within a cell the draws, decodes and KL run serially;
+    `_expected_kl_rows` decodes in slices of at least KL_SLICE_ROWS = 16,384
+    rows, since smaller slices take another OpenBLAS path and change bits.
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
+    sigma2_grid = list(sigma2_grid)
     z = encoder.encode(np.asarray(features, dtype=np.float64))
     mean_trace = mean_fisher_trace(decoder, z)
-    rows = []
-    for grid_index, sigma2 in enumerate(sigma2_grid):
-        reg = 0.5 * sigma2 * mean_trace
+
+    def evaluate_cell(grid_index):
+        sigma2 = sigma2_grid[grid_index]
         if sigma2 == 0.0:
-            rows.append(TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
-            continue
+            return TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        reg = 0.5 * sigma2 * mean_trace
         rng = CounterRng(derive_seed(seed, "taylor", grid_index))
         draws = _expected_kl_rows(decoder, z, sigma2, samples, rng)
         kl_mean = float(draws.mean())
@@ -135,9 +157,9 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
             ratio = 1.0 if kl_mean == 0.0 else math.inf
         else:
             ratio = kl_mean / reg
-        rows.append(TaylorRow(float(sigma2), kl_mean, kl_stderr, reg, ratio,
-                              abs(kl_mean - reg)))
-    return rows
+        return TaylorRow(float(sigma2), kl_mean, kl_stderr, reg, ratio, abs(kl_mean - reg))
+
+    return _map_cells(evaluate_cell, len(sigma2_grid), threads)
 
 
 REGTRACK_HEADER = ("model", "psnr_db", "sigma2", "mean_trace", "mean_regularizer")

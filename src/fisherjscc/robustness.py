@@ -21,8 +21,6 @@ the same closed form as a value.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import autodiff as ad
@@ -32,7 +30,8 @@ from .rng import CounterRng
 
 KL_LOG_CLAMP = 1e-12
 TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
-KL_CHUNK_ROWS = 65536       # decoded rows per block of noise draws in _expected_kl_rows
+KL_CHUNK_ROWS = 65536       # rows per block of noise draws in _expected_kl_rows
+KL_SLICE_ROWS = 16384       # fewest rows per decode of a block; smaller slices change bits
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -135,34 +134,27 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
 
     A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
 
-    The draws come in blocks of about KL_CHUNK_ROWS decoded rows. One helper
-    thread draws block i+1 while this thread decodes block i; it is the only
-    user of rng and draws the blocks in order, so the values are those of a
-    serial loop. It runs under the caller's numpy error policy.
+    The draws come in blocks of about KL_CHUNK_ROWS rows, one `channel_noise`
+    call each; the `normals` bytes depend on that granularity. A block is
+    decoded in slices of KL_SLICE_ROWS rows into one posterior buffer, which
+    keeps each decode's hidden activations cache-sized. No slice is shorter
+    than KL_SLICE_ROWS unless the whole block is: OpenBLAS takes another path
+    for small row counts, and its sums then differ in the last bits from the
+    whole-block decode.
     """
     n, k = z_batch.shape
     out = np.empty((n, samples))
+    p = decoder.decode(z_batch)
     draws_per_chunk = max(1, KL_CHUNK_ROWS // max(n, 1))
-    takes = [min(draws_per_chunk, samples - done) for done in range(0, samples, draws_per_chunk)]
-    error_policy = np.geterr()      # the helper thread does not inherit the caller's np.errstate
-
-    def draw(take: int) -> np.ndarray:
-        with np.errstate(**error_policy):
-            z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
-            z_hat += z_batch      # in place; noise + z and z + noise are the same bits
-        return z_hat
-
-    # Leaving the `with` joins the helper, after a raise too; a draw still pending
-    # then is discarded, since the caller's exception is the one to report.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        block = helper.submit(draw, takes[0]) if takes else None
-        p = decoder.decode(z_batch)
-        done = 0
-        for i, take in enumerate(takes):
-            z_hat = block.result()
-            if i + 1 < len(takes):
-                block = helper.submit(draw, takes[i + 1])
-            q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
-            out[:, done:done + take] = _kl_rows(p, q).T
-            done += take
+    for done in range(0, samples, draws_per_chunk):
+        take = min(draws_per_chunk, samples - done)
+        z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
+        z_hat += z_batch      # in place; noise + z and z + noise are the same bits
+        rows = z_hat.reshape(take * n, k)
+        q = np.empty((take * n, p.shape[1]))
+        # Slice starts every KL_SLICE_ROWS rows; a shorter remainder joins the last slice.
+        edges = [*range(0, max(len(rows) - KL_SLICE_ROWS, 0) + 1, KL_SLICE_ROWS), len(rows)]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            q[start:stop] = decoder.decode(rows[start:stop])
+        out[:, done:done + take] = _kl_rows(p, q.reshape(take, n, -1)).T
     return out

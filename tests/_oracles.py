@@ -316,8 +316,8 @@ def fisher_matrix(decoder, z) -> np.ndarray:
 
 
 def expected_kl_rows_serial(decoder, z_batch, sigma2, samples, rng) -> np.ndarray:
-    """`robustness._expected_kl_rows` as a serial loop: draw a block, decode it, take
-    its KL rows, with the library's KL_CHUNK_ROWS block sizes, all on this thread."""
+    """`robustness._expected_kl_rows` with each block decoded whole: draw a block,
+    decode it in one call, take its KL rows, with the library's KL_CHUNK_ROWS blocks."""
     from fisherjscc import robustness
     from fisherjscc.channel import channel_noise
 

@@ -320,7 +320,8 @@ class TestEvalCommand:
                                         "shape_mismatch", "missing_param", "not_an_object",
                                         "power_null", "power_text", "encoder_list",
                                         "sizes_null", "shape_text", "normalizer_list",
-                                        "directory"])
+                                        "directory", "std_zero", "std_negative", "std_nan",
+                                        "mean_nan"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -348,6 +349,12 @@ class TestEvalCommand:
             del doc["encoder"]["params"]["b1"]
         elif defect == "wrong_format":
             doc["format"] = "something-else"
+        elif defect in ("std_zero", "std_negative"):
+            doc["normalizer"]["std"] = [0.0 if defect == "std_zero" else -1.0, 1.0]
+        elif defect == "std_nan":
+            doc["normalizer"]["std"][0] = float("nan")
+        elif defect == "mean_nan":
+            doc["normalizer"]["mean"][0] = float("nan")
         bad = tmp_path / "bad_checkpoint.json"
         if defect == "directory":
             bad.mkdir()
@@ -647,6 +654,20 @@ class TestEvalCommand:
                      extra=f"checkpoint = {checkpoint}\nmc_samples = 50\nsample_limit = 8")
         assert main(["validate-approx", "--config", str(config)]) == EXIT_OK
         assert (out / "taylor.csv").exists()
+
+    def test_validate_approx_threads_flag_preserves_bytes(self, tmp_path, data_dir,
+                                                          checkpoint):
+        config = tmp_path / "eval.ini"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"taylor_t{threads}"
+            write_config(config, out, data_dir,
+                         extra=f"checkpoint = {checkpoint}\nmc_samples = 200\n"
+                               f"sample_limit = 40")
+            assert main(["validate-approx", "--config", str(config),
+                         "--threads", threads]) == EXIT_OK
+            outputs.append((out / "taylor.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_validate_approx_bytes_do_not_depend_on_blas_threads(self, tmp_path, data_dir,
                                                                  checkpoint):

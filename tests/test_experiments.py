@@ -187,6 +187,31 @@ class TestTaylorValidation:
         assert abs(small.mean_expected_kl - large.mean_expected_kl) \
             <= 5.0 * max(small.kl_stderr, 1e-12)
 
+    def test_thread_count_does_not_change_results(self, trained_pair):
+        """Per-cell generators plus ordered merge: threads=2 equals threads=1."""
+        encoder, decoder, ds, _ = trained_pair
+        grid = [psnr_to_sigma2(p, 1.0) for p in (25.0, 20.0, 15.0, 10.0)] + [0.0]
+        serial = taylor_validation(encoder, decoder, ds.features[:40], grid,
+                                   samples=300, seed=9, threads=1)
+        threaded = taylor_validation(encoder, decoder, ds.features[:40], grid,
+                                     samples=300, seed=9, threads=2)
+        assert serial == threaded
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pool_cells_follow_the_callers_error_policy(self, threads):
+        """A decoder that overflows only on noisy inputs: with overflow raised in the
+        calling thread, the cells raise numpy's error instead of warning."""
+        encoder = EncoderModel(2, 2, power=1.0, hidden=(8,), seed=3)
+        decoder = DecoderModel(2, 2, hidden=(1,), seed=3)
+        # relu(1e10 * (z_0 - 1)) is 0 at every clean z (|z_0| <= 1) and huge past it.
+        decoder.params["W0"].data[:] = [[1e10], [0.0]]
+        decoder.params["b0"].data[:] = -1e10
+        decoder.params["W1"].data[:] = [[1e300, -1e300]]
+        ds = make_rings(2, 20, noise=0.1, seed=5)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            taylor_validation(encoder, decoder, ds.features, [1.0, 0.5], samples=50, seed=6,
+                              threads=threads)
+
     def test_sample_floor_enforced(self, trained_pair):
         encoder, decoder, ds, _ = trained_pair
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Core math: row-wise KL, Fisher information and trace, sampled KL against the penalty."""
 
 import math
-import sys
 import threading
 
 import numpy as np
@@ -9,7 +8,8 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc import robustness
-from fisherjscc.models import DecoderModel
+from fisherjscc.experiments import taylor_validation
+from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.robustness import _expected_kl_rows, _kl_rows, fisher_trace_node
 from fisherjscc.rng import CounterRng
 
@@ -358,53 +358,67 @@ class TestExpectedKlMc:
         assert np.array_equal(first, second)
 
 
-class TestPipelinedKl:
-    """The helper-thread pipeline gives the serial loop's values and fails like it."""
+class TestSlicedKl:
+    """Decoding each noise block in slices gives the whole-block decode's values."""
 
     @pytest.mark.parametrize("n, samples, chunk_rows", [
-        (2, 200, None), (256, 2_000, None), (3, 25, 1),
-    ], ids=["one-block", "uneven-last-block", "one-draw-per-block"])
-    def test_equals_serial_loop(self, monkeypatch, n, samples, chunk_rows):
+        (2, 200, None), (256, 2_000, None), (300, 700, None), (3, 25, 1),
+    ], ids=["one-block", "uneven-last-block", "n-does-not-divide-slice", "one-draw-per-block"])
+    def test_equals_whole_block_decode(self, monkeypatch, n, samples, chunk_rows):
         if chunk_rows is not None:
             monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", chunk_rows)
         decoder = random_decoder(47)
         z = CounterRng(48).normals(n * 4).reshape(n, 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)     # hand the interpreter between the threads often
-        try:
-            pipelined = _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(49))
-        finally:
-            sys.setswitchinterval(interval)
-        serial = expected_kl_rows_serial(decoder, z, 0.05, samples, CounterRng(49))
-        assert pipelined.shape == (n, samples)
-        assert np.array_equal(pipelined, serial)
+        sliced = _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(49))
+        whole = expected_kl_rows_serial(decoder, z, 0.05, samples, CounterRng(49))
+        assert sliced.shape == (n, samples)
+        assert np.array_equal(sliced, whole)
 
-    def test_overflow_in_the_helper_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("n, samples, expected", [
+        (2, 200, [400]),
+        (256, 512, [16384] * 8),
+        (300, 700, [16384, 16384, 32632] * 3 + [13800]),
+        (100, 400, [16384, 23616]),
+    ], ids=["one-block", "whole-slices", "remainder-joins-last", "two-slices"])
+    def test_no_slice_is_shorter_than_the_floor(self, monkeypatch, n, samples, expected):
+        """A slice under KL_SLICE_ROWS rows appears only when its whole block is that short."""
+        decoder = random_decoder(56)
+        z = CounterRng(57).normals(n * 4).reshape(n, 4)
+        decode, sizes = decoder.decode, []
+
+        def recording_decode(z_rows):
+            sizes.append(len(z_rows))
+            return decode(z_rows)
+
+        monkeypatch.setattr(decoder, "decode", recording_decode)
+        _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(58))
+        assert sizes[1:] == expected       # sizes[0] is the clean decode of z
+
+    def test_overflow_in_a_cell_reaches_the_caller(self, monkeypatch):
         def overflowing_noise(shape, sigma2, family, rng):
             return np.full(shape, 1e300) * 1e300
 
         monkeypatch.setattr(robustness, "channel_noise", overflowing_noise)
-        decoder = random_decoder(50)
-        z = CounterRng(51).normals(8).reshape(2, 4)
+        encoder, decoder = EncoderModel(2, 4, power=1.0, seed=50), random_decoder(50)
+        features = CounterRng(51).normals(16).reshape(8, 2)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            _expected_kl_rows(decoder, z, 0.05, 50, CounterRng(52))
+            taylor_validation(encoder, decoder, features, [0.05, 0.1], 50, seed=52, threads=2)
 
-    def test_failed_decode_leaves_no_thread_behind(self, monkeypatch):
-        monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", 8)
-        decoder = random_decoder(53)
-        z = CounterRng(54).normals(8).reshape(2, 4)
+    def test_failed_decode_in_a_cell_leaves_no_thread_behind(self, monkeypatch):
+        encoder, decoder = EncoderModel(2, 4, power=1.0, seed=53), random_decoder(53)
+        features = CounterRng(54).normals(16).reshape(8, 2)
         decode, calls = decoder.decode, []
 
         def failing_decode(z_rows):
             calls.append(len(z_rows))
-            if len(calls) > 1:
+            if len(calls) > 2:
                 raise RuntimeError("decode failed")
             return decode(z_rows)
 
         monkeypatch.setattr(decoder, "decode", failing_decode)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="decode failed"):
-            _expected_kl_rows(decoder, z, 0.05, 200, CounterRng(55))
+            taylor_validation(encoder, decoder, features, [0.05, 0.1], 200, seed=55, threads=2)
         assert threading.active_count() == before
 
 
