@@ -101,6 +101,12 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _one_character(text: str) -> str:
+    if len(text) != 1:
+        raise ValueError("expected exactly one character")
+    return text
+
+
 def _choice(options, fold_case: bool = False):
     """Parser accepting only the listed values (lower-cased first if fold_case)."""
     def parse(text: str) -> str:
@@ -127,7 +133,7 @@ _SCHEMA = {
         "dir": (str, ""),                       # where gen-data wrote its files
         "train_file": (str, ""),                # table kind only
         "test_file": (str, ""),
-        "delimiter": (str, ","),
+        "delimiter": (_one_character, ","),
         "has_header": (_parse_bool, False),
     },
     "model": {
@@ -173,8 +179,8 @@ def load_config(path) -> dict:
     """Parse and validate an INI config; unknown sections or keys are rejected."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -376,8 +382,9 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         digests = _manifest_digests(manifest_path)
         for name, digest in digests.items():
             path = out_dir / name
-            if not path.exists():
-                raise DataError(f"verify failed: {name} is missing")
+            if Path(name).name != name or name == ".." or path.is_symlink() or not path.is_file():
+                raise DataError(f"verify failed: {name!r} is missing or not a regular file "
+                                f"directly in {out_dir}")
             actual = _sha256(path)
             if actual != digest:
                 raise DataError(f"verify failed: {name} digest {actual} != manifest {digest}")

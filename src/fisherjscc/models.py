@@ -7,13 +7,14 @@ The decoder maps a (possibly noise-corrupted) representation to a
 categorical posterior over classes.
 
 Each model has one forward, in NumPy (`_mlp_values`). Evaluation reads its
-values (`encode`, `decode`) and builds no tape. Training reads each model as
-one tape node (`forward_node`, `log_posterior_all`) whose value comes from
-the same forward, kept layer by layer, and whose gradients come from one MLP
-backprop (`_mlp_backprop`) behind the model's head: sqrt(P) * tanh for the
-encoder, log-softmax for the decoder. `robustness` reads the decoder's kept
-forward for the Fisher trace. Every product runs in the order of the tests'
-tape reference, so the gradients are that reference's bits.
+values (`encode`, `decode`) and builds no graph. Training reads each model as
+one `autodiff.Tensor` node (`forward_node`, `log_posterior_all`) whose value
+comes from the same forward, kept layer by layer, and whose gradients come
+from one MLP backprop (`_mlp_backprop`) behind the model's head:
+sqrt(P) * tanh for the encoder, log-softmax for the decoder. `robustness`
+reads the decoder's kept forward for the Fisher trace. Every product runs in
+the order of the tests' reference tape, so the gradients are that
+reference's bits.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _batch_shape(shape: tuple, width: int, expects: str) -> tuple:
 
 
 def _batch_values(x, width: int, expects: str) -> np.ndarray:
-    """x as a finite float64 [b, width] array, without a tape."""
+    """x as a finite float64 [b, width] array, without a graph."""
     h = np.asarray(x, dtype=np.float64)
     return ad.check_finite(h.reshape(_batch_shape(h.shape, width, expects)))
 
@@ -136,7 +137,7 @@ class EncoderModel:
         return _mlp_values(self.params, h, len(self.sizes) - 1, layers)
 
     def forward_node(self, x) -> ad.Tensor:
-        """z = sqrt(P) tanh(MLP(x)) as one tape node, shape [b, k], whose parents are the
+        """z = sqrt(P) tanh(MLP(x)) as one node, shape [b, k], whose parents are the
         parameters; x is data, not a node. The value is `encode(x)`'s, bit for bit."""
         layers = []
         t = np.tanh(self._pre_activation(x, layers))
@@ -145,10 +146,10 @@ class EncoderModel:
         def gradients(g: np.ndarray) -> list[np.ndarray]:
             return _mlp_backprop(layers, (g * self._scale) * (1.0 - t * t))[1:]
 
-        return ad.closed_form(z, self.params.values(), gradients)
+        return ad.Tensor(z, self.params.values(), gradients)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """z = sqrt(P) tanh(MLP(x)) per row, built without a tape."""
+        """z = sqrt(P) tanh(MLP(x)) per row, built without a graph."""
         z = self._pre_activation(x)
         np.tanh(z, out=z)
         z *= self._scale
@@ -176,10 +177,9 @@ class DecoderModel:
     def num_classes(self) -> int:
         return self.sizes[-1]
 
-    def log_posterior_all(self, z) -> ad.Tensor:
-        """log q(y|z) for every class as one tape node, shape [b, C]; z may be a leaf,
-        of shape [b, k] or [k]. The value is `_log_posterior(z)`'s."""
-        z = ad.as_tensor(z)
+    def log_posterior_all(self, z: ad.Tensor) -> ad.Tensor:
+        """log q(y|z) for every class as one node, shape [b, C]; the node z has shape
+        [b, k] or [k]. The value is `_log_posterior(z.data)`'s."""
         layers = []
         log_q = self._log_posterior(z.data, layers)
 
@@ -187,10 +187,10 @@ class DecoderModel:
             # The log-softmax rule, then the MLP's.
             return _mlp_backprop(layers, g - np.exp(log_q) * g.sum(axis=1, keepdims=True))
 
-        return ad.closed_form(log_q, (z, *self.params.values()), gradients)
+        return ad.Tensor(log_q, (z, *self.params.values()), gradients)
 
     def _log_posterior(self, z, layers: list | None = None) -> np.ndarray:
-        """log q(y|z) for every class, [b, C], built without a tape; given a list
+        """log q(y|z) for every class, [b, C], built without a graph; given a list
         `layers`, each layer's input and weight are kept there (see `_mlp_values`)."""
         h = _batch_values(z, self.repr_dim, "decoder expects representations")
         logits = _mlp_values(self.params, h, len(self.sizes) - 1, layers)

@@ -13,10 +13,10 @@ training penalty; the Monte-Carlo expected KL here is its independent check.
 The trace has a closed form for the decoder family the package builds (relu
 hidden layers, a log-softmax head), computed in NumPy by `_ClosedForm` from
 the decoder's own forward, kept layer by layer. `fisher_trace_node` records
-it as one `autodiff.closed_form` node whose vector-Jacobian products are
-computed in the same closed form, so the penalty can sit inside a training
-loss without a backward pass inside the forward; `mean_fisher_trace` reads
-the same closed form as a value.
+it as one `autodiff.Tensor` node whose vector-Jacobian products are computed
+in the same closed form, so the penalty can sit inside a training loss
+without a backward pass inside the forward; `mean_fisher_trace` reads the
+same closed form as a value.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor) -> ad.Tensor:
     come from one `_ClosedForm.gradients` call per upstream gradient.
     """
     form = _ClosedForm(decoder, z_node.data)
-    return ad.closed_form(form.trace, (z_node, *decoder.params.values()), form.gradients)
+    return ad.Tensor(form.trace, (z_node, *decoder.params.values()), form.gradients)
 
 
 def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:

@@ -13,15 +13,16 @@ exposed as the `omit_sigma2` flag and is off by default so lambda keeps the
 same meaning across PSNRs. Either way `regularized_loss` receives the
 penalty's multiplier as one coefficient, set per step by `train`.
 
-A step records the loss on the tape and runs one `backward` over it. The
-encoder, the decoder over the L stacked noise draws, and the Fisher trace
-are one node each, whose values and gradients are computed in closed form
-(`autodiff.closed_form`); the tape holds only the glue between them: tiling
-z, adding the noise, picking each row's label, summing and scaling.
+A step records five `autodiff.Tensor` nodes and runs one `backward` over
+them: the encoder, the L noisy copies of z stacked into one batch, the
+decoder over that batch, the Fisher trace at the noise-free z, and the loss.
+Each node's value and gradients are computed in NumPy; the loss node picks
+each row's label, sums and scales the cross-entropy and the trace, and its
+gradient places the scale back at the labels and on every trace entry.
 
-The tape checks every value it records, and a training step runs with
-numpy's overflow, divide and invalid errors raised, so a step that turns
-non-finite raises FloatingPointError; `train` reports it as a
+Every node value and every summed gradient is checked finite, and a training
+step runs with numpy's overflow, divide and invalid errors raised, so a step
+that turns non-finite raises FloatingPointError; `train` reports it as a
 TrainDivergenceError with the step's epoch, batch and sigma2 (CLI exit 4).
 """
 
@@ -133,24 +134,34 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
         raise ValueError("sigma2 must be nonnegative")
     if noise_draws < 1:
         raise ValueError("noise_draws must be >= 1")
-    labels = np.asarray(labels, dtype=np.int64)
-    batch = labels.shape[0]
-
     z = encoder.forward_node(features)
+    batch, k = z.data.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (batch,) or labels.min() < 0 or labels.max() >= decoder.num_classes:
+        raise ValueError(f"expected one label in [0, {decoder.num_classes}) per row")
+
     noise = np.concatenate([channel_noise(z.data.shape, sigma2, family, rng)
                             for _ in range(noise_draws)])
-    z_hat = ad.add(ad.tile_rows(z, noise_draws), ad.Tensor(noise))
-    log_likelihood = ad.gather_labels(decoder.log_posterior_all(z_hat),
-                                      np.tile(labels, noise_draws))
-    ce = ad.scale(ad.sum_all(log_likelihood), -1.0 / (batch * noise_draws))
+    # Row l*b + i is z_i plus its l-th draw, so z_i's gradient sums its L rows.
+    z_hat = ad.Tensor(np.tile(z.data, (noise_draws, 1)) + noise, (z,),
+                      lambda g: [g.reshape(noise_draws, batch, k).sum(axis=0)])
+    log_q = decoder.log_posterior_all(z_hat)
+    picked = (np.arange(batch * noise_draws), np.tile(labels, noise_draws))
+    ce_scale = -1.0 / (batch * noise_draws)
+    cross_entropy = float(log_q.data[picked].sum() * ce_scale)
+    d_cross_entropy = np.zeros(log_q.data.shape)      # d cross_entropy / d log_q
+    d_cross_entropy[picked] = ce_scale
 
     if coeff == 0.0:
-        return LossParts(total=ce, cross_entropy=ce.item(), fisher_penalty=0.0)
+        total = ad.Tensor(cross_entropy, (log_q,), lambda g: [g * d_cross_entropy])
+        return LossParts(total=total, cross_entropy=cross_entropy, fisher_penalty=0.0)
 
     trace = fisher_trace_node(decoder, z)
-    penalty = ad.scale(ad.sum_all(trace), coeff / batch)
-    return LossParts(total=ad.add(ce, penalty), cross_entropy=ce.item(),
-                     fisher_penalty=penalty.item())
+    penalty_scale = coeff / batch
+    penalty = float(trace.data.sum() * penalty_scale)
+    total = ad.Tensor(cross_entropy + penalty, (log_q, trace),
+                      lambda g: [g * d_cross_entropy, np.full(batch, g * penalty_scale)])
+    return LossParts(total=total, cross_entropy=cross_entropy, fisher_penalty=penalty)
 
 
 @dataclass
@@ -198,8 +209,8 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
     Returns the stats of each epoch in order; the models are updated in place.
     `on_epoch`, if given, is called with each epoch's stats once that epoch's
     updates are done, so it sees the models as they stand after the epoch.
-    A non-finite value anywhere in a step (the tape's FloatingPointError, or
-    numpy's for an overflow) aborts with a TrainDivergenceError carrying the
+    A non-finite value anywhere in a step (a node's or a gradient's
+    FloatingPointError, or numpy's for an overflow) aborts with a TrainDivergenceError carrying the
     epoch, batch and sigma2 of that step.
     """
     features, labels = dataset.features, dataset.labels
@@ -229,13 +240,13 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
 
             coeff = config.lam if config.omit_sigma2 else 0.5 * config.lam * sigma2
             try:
-                # An overflow in numpy raises the tape's exception type where it happens.
+                # An overflow in numpy raises the finite checks' exception type where it happens.
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
                                              sigma2, coeff, config.noise_draws,
                                              noise_rng, family=config.family)
                     grad_map = ad.backward(parts.total, params.values())
-                    grads = {name: grad_map[tensor].data for name, tensor in params.items()}
+                    grads = {name: grad_map[tensor] for name, tensor in params.items()}
                     adam_step(params, grads, state, config.learning_rate)
             except FloatingPointError as exc:
                 raise TrainDivergenceError(

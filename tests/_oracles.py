@@ -5,15 +5,22 @@ come from central finite differences on plain float evaluations, Hessians
 from second differences, and high-precision reference values from fsum or
 mpmath. Expected values asserted in tests were computed with these oracles.
 
-Some use the tape. The library's models and Fisher trace are closed-form
-nodes, differentiable once; the reference here is twice differentiable. It
-is the tape's generic ops below (`affine`, `matmul`, `transpose`, `relu`,
-`tanh`, `exp`, `log_softmax`, `mul`, `neg`, `sub`, `square`), built on
-`autodiff`'s glue and backward rules written in the same ops, and a tape
-forward of each model from them (`encoder_tape`, `decoder_tape`). The
-stacked pass (`_class_terms`, `stacked_fisher_trace`) tiles z once per class
-and differentiates the per-class input-gradients a second time; it is the
-reference for `robustness.fisher_trace_node`. The per-class Fisher
+Some use a tape. The library's nodes (`autodiff.Tensor`) are closed-form,
+differentiable once, and its `backward` returns arrays. The reference here
+is a twice-differentiable tape of its own: a `Tensor` with one
+vector-Jacobian product per parent, each written in the tape's own ops, and
+a `backward` that returns gradient nodes. Its ops are the glue (`add`,
+`scale`, `reshape`, `broadcast_to`, `tile_rows`, `sum_axis`, `sum_all`,
+`gather_labels`, `scatter_labels`) and the layers (`affine`, `matmul`,
+`transpose`, `relu`, `tanh`, `exp`, `log_softmax`, `mul`, `neg`, `sub`,
+`square`), with a tape forward of each model from them (`encoder_tape`,
+`decoder_tape`). The models' parameters, library leaves, enter the tape as
+leaves. `weighted_sum` is the one library node the tests build: the root
+through which they read the library's gradients of a node.
+
+The stacked pass (`_class_terms`, `stacked_fisher_trace`) tiles z once per
+class and differentiates the per-class input-gradients a second time; it is
+the reference for `robustness.fisher_trace_node`. The per-class Fisher
 reference runs one backward per class, so the stacked pass has a
 structurally different path to be compared with. The single-point
 `fisher_trace` reads the library's node, so the identities checked through
@@ -33,12 +40,203 @@ import weakref
 import numpy as np
 
 from fisherjscc import autodiff as ad
-from fisherjscc.autodiff import Tensor, _sum_to, add, as_tensor, sum_axis
 
 
 # ---------------------------------------------------------------------------
-# The tape's generic ops: each backward rule is written in these ops, so its
-# gradients can be differentiated again.
+# The reference tape: nodes, glue and backward. Each backward rule is written
+# in the tape's ops, so its gradients can be differentiated again.
+
+
+class Tensor:
+    """A float64 array plus its position on the reference tape.
+
+    `_vjps[i]` maps the upstream gradient node to the gradient node for
+    `_parents[i]`. A rule that needs the node's own output holds it through a
+    weak reference: a strong one would make every graph a reference cycle
+    that lives until the cyclic collector runs.
+    """
+
+    __slots__ = ("data", "_parents", "_vjps", "__weakref__")
+
+    def __init__(self, data, parents=(), vjps=()):
+        self.data = ad.check_finite(np.asarray(data, dtype=np.float64))
+        self._parents = parents
+        self._vjps = vjps
+
+    def item(self) -> float:
+        return float(self.data)
+
+
+def as_tensor(value):
+    """value as a tape node; a library leaf (a model parameter, say) stays itself."""
+    if isinstance(value, ad.Tensor):
+        if value._parents:
+            raise TypeError("the reference tape takes library tensors as leaves only")
+        return value
+    return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def _sum_to(g: Tensor, shape: tuple) -> Tensor:
+    """Reduce a broadcast gradient back to the shape of the original operand."""
+    while g.data.ndim > len(shape):
+        g = sum_axis(g, 0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and g.data.shape[axis] != 1:
+            g = sum_axis(g, axis, keepdims=True)
+    return g
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return Tensor(
+        a.data + b.data,
+        (a, b),
+        (lambda g, s=a.data.shape: _sum_to(g, s), lambda g, s=b.data.shape: _sum_to(g, s)),
+    )
+
+
+def scale(a, factor: float) -> Tensor:
+    a = as_tensor(a)
+    c = float(factor)
+    return Tensor(a.data * c, (a,), (lambda g: scale(g, c),))
+
+
+def reshape(a, shape) -> Tensor:
+    a = as_tensor(a)
+    shape = tuple(shape)
+    return Tensor(
+        a.data.reshape(shape), (a,), (lambda g, s=a.data.shape: reshape(g, s),)
+    )
+
+
+def broadcast_to(a, shape) -> Tensor:
+    a = as_tensor(a)
+    shape = tuple(shape)
+    return Tensor(
+        np.broadcast_to(a.data, shape).copy(),
+        (a,),
+        (lambda g, s=a.data.shape: _sum_to(g, s),),
+    )
+
+
+def tile_rows(a, times: int) -> Tensor:
+    """Stack `times` copies of a[b, d] into [times*b, d]; row t*b + i is a[i].
+
+    A composite of reshape and broadcast_to, so its gradient sums the copies.
+    """
+    a = as_tensor(a)
+    rows, cols = a.data.shape
+    stacked = broadcast_to(reshape(a, (1, rows, cols)), (times, rows, cols))
+    return reshape(stacked, (times * rows, cols))
+
+
+def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
+    a = as_tensor(a)
+    in_shape = a.data.shape
+
+    def vjp(g, axis=axis, keepdims=keepdims, in_shape=in_shape):
+        if not keepdims:
+            kept = list(in_shape)
+            kept[axis] = 1
+            g = reshape(g, kept)
+        return broadcast_to(g, in_shape)
+
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), (vjp,))
+
+
+def sum_all(a) -> Tensor:
+    a = as_tensor(a)
+    in_shape = a.data.shape
+
+    def vjp(g, in_shape=in_shape):
+        return broadcast_to(reshape(g, (1,) * len(in_shape)), in_shape)
+
+    return Tensor(a.data.sum(), (a,), (vjp,))
+
+
+def gather_labels(a, labels) -> Tensor:
+    """Pick a[i, labels[i]] for each row; gradient scatters back to the rows."""
+    a = as_tensor(a)
+    idx = np.asarray(labels, dtype=np.int64)
+    if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
+        raise ValueError("gather_labels expects a[b,C] and one label per row")
+    if idx.min() < 0 or idx.max() >= a.data.shape[1]:
+        raise ValueError("label index out of range")
+    rows = np.arange(a.data.shape[0])
+
+    def vjp(g, idx=idx, shape=a.data.shape):
+        return scatter_labels(g, idx, shape[1])
+
+    return Tensor(a.data[rows, idx], (a,), (vjp,))
+
+
+def scatter_labels(g, labels, num_cols: int) -> Tensor:
+    """Adjoint of gather_labels: place g[i] at column labels[i] of row i."""
+    g = as_tensor(g)
+    idx = np.asarray(labels, dtype=np.int64)
+    out_data = np.zeros((g.data.shape[0], num_cols))
+    out_data[np.arange(g.data.shape[0]), idx] = g.data
+
+    def vjp(g2, idx=idx):
+        return gather_labels(g2, idx)
+
+    return Tensor(out_data, (g,), (vjp,))
+
+
+def backward(root: Tensor, wrt) -> dict:
+    """Gradients of a scalar root with respect to the given leaves, as tape nodes.
+
+    Returns {leaf: gradient node}; gradient shapes equal the leaf shapes, and
+    an expression of the gradients can be differentiated again. The call
+    does not mutate the graph. Only subgraphs that can reach a requested leaf
+    are traversed.
+    """
+    wrt = list(wrt)
+    if root.data.size != 1:
+        raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
+    order = ad._topological_order(root)
+    in_graph = {id(n) for n in order}
+    for leaf in wrt:
+        if id(leaf) not in in_graph:
+            raise ValueError("a requested leaf is not reachable from the root")
+
+    wanted = {id(leaf) for leaf in wrt}
+    needed: dict[int, bool] = {}
+    for node in order:  # parents precede children here
+        needed[id(node)] = id(node) in wanted or any(
+            needed[id(p)] for p in node._parents
+        )
+
+    grads: dict[int, Tensor] = {id(root): Tensor(np.ones_like(root.data))}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None or not node._parents:     # a leaf, maybe the library's
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            if needed[id(parent)]:
+                contribution = vjp(g)
+                previous = grads.get(id(parent))
+                grads[id(parent)] = (contribution if previous is None
+                                     else add(previous, contribution))
+
+    result = {}
+    for leaf in wrt:
+        g = grads[id(leaf)]
+        if g.data.shape != leaf.data.shape:
+            raise AssertionError("gradient shape does not match leaf shape")
+        result[leaf] = g
+    return result
+
+
+def weighted_sum(node, weight=1.0):
+    """sum(weight * node) as a library node whose one parent is node; its gradient
+    is g * weight. The tests read the library's gradients of a node through it."""
+    weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), node.data.shape)
+    return ad.Tensor((node.data * weight).sum(), (node,), lambda g: [g * weight])
+
+
+# ---------------------------------------------------------------------------
+# The tape's layers.
 
 
 def neg(a) -> Tensor:
@@ -159,13 +357,13 @@ def _mlp_tape(params, h, n_layers: int) -> Tensor:
 def _rows(x, width: int) -> Tensor:
     """x as a [b, width] node; a vector becomes one row on the tape."""
     node = as_tensor(x)
-    return node if node.data.ndim == 2 else ad.reshape(node, (1, width))
+    return node if node.data.ndim == 2 else reshape(node, (1, width))
 
 
 def encoder_tape(encoder, x) -> Tensor:
     """`EncoderModel.forward_node(x)` as a tape expression; x may be a leaf."""
     pre = _mlp_tape(encoder.params, _rows(x, encoder.input_dim), len(encoder.sizes) - 1)
-    return ad.scale(tanh(pre), encoder._scale)
+    return scale(tanh(pre), encoder._scale)
 
 
 def decoder_tape(decoder, z) -> Tensor:
@@ -252,18 +450,18 @@ def _class_terms(decoder, z_node):
     """
     batch, k = z_node.data.shape
     classes = decoder.num_classes
-    tiled = ad.tile_rows(z_node, classes)
+    tiled = tile_rows(z_node, classes)
     labels = np.repeat(np.arange(classes, dtype=np.int64), batch)
-    logq = ad.gather_labels(decoder_tape(decoder, tiled), labels)
-    grads = ad.backward(ad.sum_all(logq), [tiled])[tiled]
-    return (ad.reshape(exp(logq), (classes, batch)),
-            ad.reshape(grads, (classes, batch, k)))
+    logq = gather_labels(decoder_tape(decoder, tiled), labels)
+    grads = backward(sum_all(logq), [tiled])[tiled]
+    return (reshape(exp(logq), (classes, batch)),
+            reshape(grads, (classes, batch, k)))
 
 
 def stacked_fisher_trace(decoder, z_node):
     """Tr(I(z_i)) as a [b] tape node from `_class_terms`, differentiable twice."""
     probs, grads = _class_terms(decoder, z_node)
-    return ad.sum_axis(mul(probs, ad.sum_axis(square(grads), 2)), 0)
+    return sum_axis(mul(probs, sum_axis(square(grads), 2)), 0)
 
 
 def per_class_fisher(decoder, z_node):
@@ -277,24 +475,25 @@ def per_class_fisher(decoder, z_node):
     trace, grads = None, []
     for y in range(decoder.num_classes):
         labels = np.full(batch, y, dtype=np.int64)
-        picked = ad.gather_labels(logq, labels)
-        g = ad.backward(ad.sum_all(picked), [z_node])[z_node]
+        picked = gather_labels(logq, labels)
+        g = backward(sum_all(picked), [z_node])[z_node]
         grads.append(g)
-        term = mul(exp(picked), ad.sum_axis(square(g), 1))
-        trace = term if trace is None else ad.add(trace, term)
+        term = mul(exp(picked), sum_axis(square(g), 1))
+        trace = term if trace is None else add(trace, term)
     return trace, logq, grads
 
 
 def per_class_fisher_matrix(decoder, z: np.ndarray) -> np.ndarray:
     """k x k Fisher matrix at a single z from the per-class gradients."""
-    _, logq, grads = per_class_fisher(decoder, ad.Tensor(np.asarray(z).reshape(1, -1)))
+    _, logq, grads = per_class_fisher(decoder, Tensor(np.asarray(z).reshape(1, -1)))
     probs = np.exp(logq.data[0])
     gradients = np.stack([g.data[0] for g in grads])
     return np.einsum("c,ci,cj->ij", probs, gradients, gradients)
 
 
 def _single_point(z):
-    """A single representation z[k] as a [1, k] leaf."""
+    """A single representation z[k] as a [1, k] library leaf, which the library's
+    nodes and the reference tape both read."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("expected a single representation vector z[k]")
@@ -386,14 +585,14 @@ def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> 
     """
     from fisherjscc.train import AdamState, adam_step
 
-    params = {"W": ad.Tensor(np.zeros((train_set.dim, train_set.num_classes))),
-              "b": ad.Tensor(np.zeros(train_set.num_classes))}
+    params = {"W": Tensor(np.zeros((train_set.dim, train_set.num_classes))),
+              "b": Tensor(np.zeros(train_set.num_classes))}
     state = AdamState.init(params)
     for _ in range(epochs):
-        logits = affine(ad.Tensor(train_set.features), params["W"], params["b"])
-        picked = ad.gather_labels(log_softmax(logits), train_set.labels)
-        loss = ad.scale(ad.sum_all(picked), -1.0 / len(train_set))
-        grad_map = ad.backward(loss, list(params.values()))
+        logits = affine(Tensor(train_set.features), params["W"], params["b"])
+        picked = gather_labels(log_softmax(logits), train_set.labels)
+        loss = scale(sum_all(picked), -1.0 / len(train_set))
+        grad_map = backward(loss, list(params.values()))
         grads = {name: grad_map[t].data for name, t in params.items()}
         adam_step(params, grads, state, lr)
     test_logits = test_set.features @ params["W"].data + params["b"].data

@@ -68,7 +68,7 @@ def test_criterion_1_gradient_correctness():
     def loss_value():
         return regularized_loss(features, labels, encoder, decoder, sigma2,
                                 coeff=0.5 * 1.0 * sigma2, noise_draws=2,
-                                rng=CounterRng(13)).total.item()
+                                rng=CounterRng(13)).total.data.item()
 
     parts = regularized_loss(features, labels, encoder, decoder, sigma2,
                              coeff=0.5 * 1.0 * sigma2, noise_draws=2, rng=CounterRng(13))
@@ -78,7 +78,7 @@ def test_criterion_1_gradient_correctness():
     for model in (encoder, decoder):
         for name, tensor in model.params.items():
             fd = finite_diff_grad(loss_value, tensor.data, step=1e-5)
-            worst = max(worst, max_rel_err(grad_map[tensor].data, fd))
+            worst = max(worst, max_rel_err(grad_map[tensor], fd))
     elapsed = time.perf_counter() - started
     report(1, "gradient correctness", worst <= 1e-4 and elapsed < 10.0,
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")

@@ -1,7 +1,10 @@
-"""Differentiation-core tests: op semantics, gradient oracles, graph rules.
+"""Differentiation tests: the library's `backward` over closed-form nodes, and
+the tests' reference tape in `_oracles` op by op.
 
-The generic ops (`affine`, `relu`, `tanh`, ...) are the tests' own, in
-`_oracles`; they sit on `autodiff`'s glue and backward, checked here together.
+The reference tape's ops (`affine`, `relu`, `tanh`, `sum_all`, ...) and its
+`backward` are the tests' own; the library's nodes are `autodiff.Tensor`s
+whose gradients come from one function each, and its `backward` returns
+arrays.
 """
 
 import gc
@@ -16,8 +19,9 @@ from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng
 from fisherjscc.robustness import fisher_trace_node
 
-from _oracles import (affine, exp, finite_diff_grad, log_softmax, matmul, max_rel_err, mul,
-                      neg, relu, square, sub, tanh, transpose)
+from _oracles import (Tensor, add, affine, backward, exp, finite_diff_grad, gather_labels,
+                      log_softmax, matmul, max_rel_err, mul, neg, relu, reshape, scale, square,
+                      sub, sum_all, sum_axis, tanh, tile_rows, transpose, weighted_sum)
 
 
 class TestAffine:
@@ -37,14 +41,14 @@ class TestAffine:
 
     def test_weight_gradient_matches_finite_differences(self):
         rng = CounterRng(41)
-        x = ad.Tensor(rng.normals(6).reshape(3, 2))
-        w = ad.Tensor(rng.normals(4).reshape(2, 2))
-        b = ad.Tensor(rng.normals(2))
+        x = Tensor(rng.normals(6).reshape(3, 2))
+        w = Tensor(rng.normals(4).reshape(2, 2))
+        b = Tensor(rng.normals(2))
 
         def value():
-            return ad.sum_all(affine(x, w, b)).item()
+            return sum_all(affine(x, w, b)).item()
 
-        grad = ad.backward(ad.sum_all(affine(x, w, b)), [w])[w].data
+        grad = backward(sum_all(affine(x, w, b)), [w])[w].data
         assert max_rel_err(grad, finite_diff_grad(value, w.data)) <= 1e-6
 
 
@@ -57,17 +61,17 @@ class TestActivations:
         assert tanh(np.array([0.0])).data[0] == 0.0
 
     def test_tanh_gradient_matches_finite_differences(self):
-        x = ad.Tensor(np.array([0.5]))
+        x = Tensor(np.array([0.5]))
 
         def value():
-            return ad.sum_all(tanh(x)).item()
+            return sum_all(tanh(x)).item()
 
-        grad = ad.backward(ad.sum_all(tanh(x)), [x])[x].data
+        grad = backward(sum_all(tanh(x)), [x])[x].data
         assert max_rel_err(grad, finite_diff_grad(value, x.data)) <= 1e-8
 
     def test_relu_derivative_zero_at_kink(self):
-        x = ad.Tensor(np.array([0.0]))
-        grad = ad.backward(ad.sum_all(relu(x)), [x])[x].data
+        x = Tensor(np.array([0.0]))
+        grad = backward(sum_all(relu(x)), [x])[x].data
         assert grad[0] == 0.0
 
 
@@ -94,27 +98,27 @@ class TestLogSoftmax:
 
     def test_pick_entry_gradient_matches_finite_differences(self):
         rng = CounterRng(23)
-        x = ad.Tensor(rng.normals(8).reshape(2, 4))
+        x = Tensor(rng.normals(8).reshape(2, 4))
         labels = np.array([1, 3])
 
         def value():
-            return ad.sum_all(ad.gather_labels(log_softmax(x), labels)).item()
+            return sum_all(gather_labels(log_softmax(x), labels)).item()
 
-        root = ad.sum_all(ad.gather_labels(log_softmax(x), labels))
-        grad = ad.backward(root, [x])[x].data
+        root = sum_all(gather_labels(log_softmax(x), labels))
+        grad = backward(root, [x])[x].data
         assert max_rel_err(grad, finite_diff_grad(value, x.data)) <= 1e-6
 
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = ad.Tensor(np.array([1.0, 2.0, 3.0]))
-        grad = ad.backward(ad.sum_all(x), [x])[x].data
+        x = Tensor(np.array([1.0, 2.0, 3.0]))
+        grad = backward(sum_all(x), [x])[x].data
         np.testing.assert_array_equal(grad, [1.0, 1.0, 1.0])
 
     def test_zero_times_function_gives_zero_gradient(self):
-        x = ad.Tensor(np.array([1.0, -2.0]))
-        root = ad.scale(ad.sum_all(tanh(x)), 0.0)
-        grad = ad.backward(root, [x])[x].data
+        x = Tensor(np.array([1.0, -2.0]))
+        root = scale(sum_all(tanh(x)), 0.0)
+        grad = backward(root, [x])[x].data
         np.testing.assert_array_equal(grad, [0.0, 0.0])
 
     def test_non_scalar_root_rejected(self):
@@ -126,50 +130,50 @@ class TestBackward:
         x = ad.Tensor(np.ones(2))
         other = ad.Tensor(np.ones(2))
         with pytest.raises(ValueError):
-            ad.backward(ad.sum_all(x), [other])
+            ad.backward(weighted_sum(x), [other])
 
     def test_repeated_backward_is_idempotent(self):
-        x = ad.Tensor(np.array([0.3, -0.8]))
-        root = ad.sum_all(mul(tanh(x), x))
-        first = ad.backward(root, [x])[x].data
-        second = ad.backward(root, [x])[x].data
+        x = Tensor(np.array([0.3, -0.8]))
+        root = sum_all(mul(tanh(x), x))
+        first = backward(root, [x])[x].data
+        second = backward(root, [x])[x].data
         np.testing.assert_array_equal(first, second)
 
     def test_two_layer_network_gradients(self):
         """All parameter and input gradients of a random 2-layer net vs FD."""
         rng = CounterRng(7)
-        x = ad.Tensor(rng.normals(6).reshape(2, 3))
-        w1 = ad.Tensor(rng.normals(12).reshape(3, 4) * 0.7)
-        b1 = ad.Tensor(rng.normals(4) * 0.1)
-        w2 = ad.Tensor(rng.normals(8).reshape(4, 2) * 0.7)
-        b2 = ad.Tensor(rng.normals(2) * 0.1)
+        x = Tensor(rng.normals(6).reshape(2, 3))
+        w1 = Tensor(rng.normals(12).reshape(3, 4) * 0.7)
+        b1 = Tensor(rng.normals(4) * 0.1)
+        w2 = Tensor(rng.normals(8).reshape(4, 2) * 0.7)
+        b2 = Tensor(rng.normals(2) * 0.1)
 
         def net():
             h = tanh(affine(x, w1, b1))
-            return ad.sum_all(tanh(affine(h, w2, b2)))
+            return sum_all(tanh(affine(h, w2, b2)))
 
-        grads = ad.backward(net(), [x, w1, b1, w2, b2])
+        grads = backward(net(), [x, w1, b1, w2, b2])
         for leaf in (x, w1, b1, w2, b2):
             fd = finite_diff_grad(lambda: net().item(), leaf.data)
             assert max_rel_err(grads[leaf].data, fd) <= 1e-5
 
     def test_shared_subexpression_accumulates(self):
         """Reusing one node must equal building duplicate nodes explicitly."""
-        x = ad.Tensor(np.array([0.7, -1.1]))
+        x = Tensor(np.array([0.7, -1.1]))
         shared = mul(x, x)
-        root_shared = ad.sum_all(ad.add(shared, shared))
+        root_shared = sum_all(add(shared, shared))
         # Unrolled twin: two structurally separate squaring nodes.
-        root_unrolled = ad.sum_all(ad.add(mul(x, x), mul(x, x)))
-        g_shared = ad.backward(root_shared, [x])[x].data
-        g_unrolled = ad.backward(root_unrolled, [x])[x].data
+        root_unrolled = sum_all(add(mul(x, x), mul(x, x)))
+        g_shared = backward(root_shared, [x])[x].data
+        g_unrolled = backward(root_unrolled, [x])[x].data
         np.testing.assert_array_equal(g_shared, g_unrolled)
         np.testing.assert_allclose(g_shared, 4.0 * x.data, rtol=1e-15)
 
     def test_gradient_shapes_match_leaves(self):
-        x = ad.Tensor(np.ones((3, 2)))
-        w = ad.Tensor(np.ones((2, 4)))
-        root = ad.sum_all(matmul(x, w))
-        grads = ad.backward(root, [x, w])
+        x = Tensor(np.ones((3, 2)))
+        w = Tensor(np.ones((2, 4)))
+        root = sum_all(matmul(x, w))
+        grads = backward(root, [x, w])
         assert grads[x].data.shape == (3, 2)
         assert grads[w].data.shape == (2, 4)
 
@@ -179,15 +183,15 @@ class TestOpGradientSweep:
 
     UNARY = {
         "tanh": tanh,
-        "exp": lambda t: exp(ad.scale(t, 0.3)),
+        "exp": lambda t: exp(scale(t, 0.3)),
         "relu": relu,
         "neg": neg,
         "square": square,
-        "scale": lambda t: ad.scale(t, 1.7),
-        "transpose": lambda t: transpose(ad.reshape(t, (2, 3))),
-        "reshape": lambda t: ad.reshape(t, (3, 2)),
-        "sum_axis": lambda t: ad.sum_axis(ad.reshape(t, (2, 3)), 1),
-        "tile_rows": lambda t: ad.tile_rows(ad.reshape(t, (2, 3)), 3),
+        "scale": lambda t: scale(t, 1.7),
+        "transpose": lambda t: transpose(reshape(t, (2, 3))),
+        "reshape": lambda t: reshape(t, (3, 2)),
+        "sum_axis": lambda t: sum_axis(reshape(t, (2, 3)), 1),
+        "tile_rows": lambda t: tile_rows(reshape(t, (2, 3)), 3),
     }
 
     @pytest.mark.parametrize("name", sorted(UNARY))
@@ -200,12 +204,12 @@ class TestOpGradientSweep:
             if name == "relu":
                 # relu'(0) = 0 by convention; keep FD probes away from the kink.
                 values = np.where(np.abs(values) < 1e-3, 0.5, values)
-            x = ad.Tensor(values)
+            x = Tensor(values)
 
             def f():
-                return ad.sum_all(op(x)).item()
+                return sum_all(op(x)).item()
 
-            grad = ad.backward(ad.sum_all(op(x)), [x])[x].data
+            grad = backward(sum_all(op(x)), [x])[x].data
             if max_rel_err(grad, finite_diff_grad(f, x.data)) > 1e-5:
                 failures += 1
         assert failures == 0
@@ -213,20 +217,20 @@ class TestOpGradientSweep:
     def test_binary_ops(self):
         for trial in range(10):
             rng = CounterRng(5000 + trial)
-            a = ad.Tensor(rng.normals(6).reshape(2, 3))
-            b = ad.Tensor(rng.normals(6).reshape(2, 3))
-            for op in (ad.add, sub, mul):
+            a = Tensor(rng.normals(6).reshape(2, 3))
+            b = Tensor(rng.normals(6).reshape(2, 3))
+            for op in (add, sub, mul):
                 def f():
-                    return ad.sum_all(op(a, b)).item()
+                    return sum_all(op(a, b)).item()
 
-                grads = ad.backward(ad.sum_all(op(a, b)), [a, b])
+                grads = backward(sum_all(op(a, b)), [a, b])
                 for leaf in (a, b):
                     assert max_rel_err(grads[leaf].data, finite_diff_grad(f, leaf.data)) <= 1e-5
 
     def test_broadcast_add_reduces_gradient(self):
-        a = ad.Tensor(np.ones((3, 2)))
-        b = ad.Tensor(np.array([1.0, 2.0]))
-        grads = ad.backward(ad.sum_all(ad.add(a, b)), [a, b])
+        a = Tensor(np.ones((3, 2)))
+        b = Tensor(np.array([1.0, 2.0]))
+        grads = backward(sum_all(add(a, b)), [a, b])
         np.testing.assert_array_equal(grads[b].data, [3.0, 3.0])
 
 
@@ -259,6 +263,8 @@ class TestGraphLifetime:
 
 
 class TestClosedForm:
+    """The library's nodes: one gradient function each, summed per parent into arrays."""
+
     def test_one_call_gives_every_needed_parent_its_gradient(self, tensors_built_by):
         a, b = ad.Tensor(np.array([1.0, 2.0])), ad.Tensor(np.array([3.0, -1.0]))
         calls = []
@@ -267,16 +273,35 @@ class TestClosedForm:
             calls.append(g.copy())
             return [g * b.data, g * a.data]
 
-        node = ad.closed_form(a.data * b.data, (a, b), gradients)
-        root = ad.sum_all(ad.add(node, a))
+        node = ad.Tensor(a.data * b.data, (a, b), gradients)
+        # sum(node + a): a reaches the root along two paths.
+        root = ad.Tensor((node.data + a.data).sum(), (node, a),
+                         lambda g: [g * np.ones(2), g * np.ones(2)])
         grads = ad.backward(root, [a, b])
-        np.testing.assert_array_equal(grads[a].data, b.data + 1.0)
-        np.testing.assert_array_equal(grads[b].data, a.data)
+        np.testing.assert_array_equal(grads[a], b.data + 1.0)
+        np.testing.assert_array_equal(grads[b], a.data)
         assert len(calls) == 1 and np.array_equal(calls[0], [1.0, 1.0])
-        assert grads[b]._parents == ()
-        # Without b asked for, only a's closed-form gradient enters the tape: the root's
-        # seed, sum_all's reshape and broadcast, that gradient and its sum with add's.
-        assert tensors_built_by(ad.backward, root, [a]) == 5
+        assert all(type(g) is np.ndarray for g in grads.values())
+        # Without b asked for, only a's gradient comes back, and no node is built.
+        assert tensors_built_by(ad.backward, root, [a]) == 0
+        assert list(ad.backward(root, [a])) == [a]
+
+    def test_shared_parent_gets_the_sum_of_its_arrays(self):
+        rng = CounterRng(81)
+        shared = ad.Tensor(rng.normals(6).reshape(2, 3))
+        first, second = rng.normals(6).reshape(2, 3), rng.normals(6).reshape(2, 3)
+        left = ad.Tensor(shared.data * 2.0, (shared,), lambda g: [first])
+        right = ad.Tensor(shared.data * 3.0, (shared,), lambda g: [second])
+        root = ad.Tensor(left.data.sum() + right.data.sum(), (left, right),
+                         lambda g: [g * np.ones((2, 3)), g * np.ones((2, 3))])
+        grad = ad.backward(root, [shared])[shared]
+        assert np.array_equal(grad, first + second)
+
+    def test_nan_gradient_raises(self):
+        leaf = ad.Tensor(np.array([1.0, 2.0]))
+        node = ad.Tensor(leaf.data, (leaf,), lambda g: [np.array([0.0, np.nan])])
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ad.backward(weighted_sum(node), [leaf])
 
 
 class TestFiniteChecks:

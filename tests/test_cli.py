@@ -94,6 +94,18 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         assert "epocks" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        out = tmp_path / "out"
+        write_config(config, out, out)
+        config.write_bytes(config.read_bytes().replace(b"kind = rings", b"kind = rings\n# \xff"))
+        with pytest.raises(ConfigError, match="malformed config"):
+            load_config(config)
+        assert main(["gen-data", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGenData:
     def test_same_config_same_digests(self, tmp_path):
@@ -155,6 +167,29 @@ class TestGenData:
         assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "manifest.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["directory", "parent"])
+    def test_verify_entry_that_is_not_a_file_in_the_output_is_a_data_error(
+            self, tmp_path, capsys, entry):
+        """A directory, and a file outside the output directory whose digest matches."""
+        config = tmp_path / "run.ini"
+        out = tmp_path / "data"
+        write_config(config, out, out)
+        assert main(["gen-data", "--config", str(config)]) == EXIT_OK
+        outside = tmp_path / "t.csv"
+        outside.write_text("outside\n")
+        if entry == "directory":
+            (out / "sub").mkdir()
+            name, digest = "sub", "0" * 64
+        else:
+            name, digest = "../t.csv", sha256(outside)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["output_digests"][name] = digest
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and name in err and "Traceback" not in err
 
 
 @pytest.fixture()
@@ -454,6 +489,8 @@ class TestEvalCommand:
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = -4000")], "[channel] psnr_db"),
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = inf")], "[channel] psnr_db"),
         ("gen-data", [("kind = rings", "kind = table")], "config error: [data] kind=table"),
+        ("gen-data", [("kind = rings", "kind = table\ndelimiter =")], "[data] delimiter"),
+        ("gen-data", [("kind = rings", "kind = table\ndelimiter = ;;")], "[data] delimiter"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
@@ -477,7 +514,8 @@ class TestEvalCommand:
             "eval-psnr_grid-overflow", "compare-psnr_grid-overflow",
             "validate-approx-taylor_psnr_grid-overflow", "reg-track-psnr_grid-overflow",
             "posterior-map-psnr_db-overflow", "posterior-map-psnr_db-inf",
-            "gen-data-table-without-files"])
+            "gen-data-table-without-files", "gen-data-delimiter-empty",
+            "gen-data-delimiter-two-characters"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fisherjscc import autodiff as ad
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
@@ -298,7 +299,7 @@ class TestPosteriorGrid:
         grid = posterior_grid(encoder, decoder, ds, sample_index=3, resolution=9,
                               extent_std=2.0, sigma2=0.01)
         z0 = encoder.encode(ds.features)[3]
-        expected = -decoder.log_posterior_all(z0).data[0, int(ds.labels[3])]
+        expected = -decoder.log_posterior_all(ad.Tensor(z0)).data[0, int(ds.labels[3])]
         assert grid.values[4, 4] == pytest.approx(expected, rel=1e-12)
 
     def test_builds_no_tensor(self, trained_pair, tensors_built_by):
