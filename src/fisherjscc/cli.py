@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import hashlib
 import json
 import logging
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _one_character(text: str) -> str:
+    """One character, or `tab` for the tab, which configparser strips from a value."""
+    if text == "tab":
+        return "\t"
     if len(text) != 1:
         raise ValueError("expected exactly one character")
     return text
@@ -219,20 +224,36 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    inputs, outputs) -> None:
-    doc = {
-        "tool": "fisherjscc",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "input_digests": {Path(p).name: _sha256(p) for p in inputs},
-        "output_digests": {Path(p).name: _sha256(p) for p in outputs},
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _publish(out_dir: Path, command: str, config: dict, seed: int,
+             inputs: dict, writers: dict) -> None:
+    """Write each artifact by `writers[name](path)`, then the manifest of `inputs` (key ->
+    path) and the artifacts, to temporary names in out_dir; rename them in, the manifest
+    last. An OSError is a config error, and leaves no temporary file and no artifact
+    without its manifest; a failed write leaves a previous run's files as they were."""
+    staged = {}     # nothing is staged until out_dir exists
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            staged[name] = out_dir / f"{name}.partial"
+            write(staged[name])
+        doc = {
+            "tool": "fisherjscc",
+            "version": __version__,
+            "command": command,
+            "seed": seed,
+            "config": config,
+            "input_digests": {key: _sha256(path) for key, path in inputs.items()},
+            "output_digests": {name: _sha256(path) for name, path in staged.items()},
+        }
+        staged["manifest.json"] = out_dir / "manifest.json.partial"
+        staged["manifest.json"].write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        (out_dir / "manifest.json").unlink(missing_ok=True)
+        for name, path in staged.items():
+            os.replace(path, out_dir / name)
+    except OSError as exc:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from None
 
 
 def _manifest_digests(path: Path) -> dict:
@@ -257,15 +278,13 @@ def _noise_variance(psnr_db: float, power: float, key: str) -> float:
 
 
 def _check_out(out: str, force: bool) -> Path:
-    """The output directory, refused up front if it is not a directory, or if it holds
-    files and force is off.
-
-    Commands create it only once they have something to write.
-    """
+    """The output directory, refused up front if it or the nearest of its parents that
+    exists is not a directory, or if it holds files and force is off; `_publish` makes it."""
     out_dir = Path(out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"output path {out} exists and is not a directory")
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
+    nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output path {out}: {nearest} exists and is not a directory")
+    if nearest == out_dir and any(out_dir.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty; pass --force to overwrite")
     return out_dir
 
@@ -398,11 +417,8 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         raise
     except ValueError as exc:
         raise ConfigError(f"[data] {exc}") from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / "train.csv", out_dir / "test.csv"]
-    save_table(train_set, outputs[0])
-    save_table(test_set, outputs[1])
-    _write_manifest(out_dir, "gen-data", config, seed, inputs=[], outputs=outputs)
+    _publish(out_dir, "gen-data", config, seed, {}, {"train.csv": partial(save_table, train_set),
+                                                     "test.csv": partial(save_table, test_set)})
     print(f"wrote {len(train_set)} train rows and {len(test_set)} test rows to {out_dir}")
     return EXIT_OK
 
@@ -426,6 +442,7 @@ def _train_config_from(config: dict, seed: int) -> TrainConfig:
 
 
 def cmd_train(config: dict, seed: int, force: bool) -> int:
+    out_dir = _check_out(config["run"]["out"], force)
     train_config = _train_config_from(config, seed)
     train_set, _ = _load_datasets_from_dir(config)
     normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
@@ -435,41 +452,32 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     section, key = (("channel", "psnr_db") if config["train"]["psnr_mode"] == "fixed"
                     else ("train", "psnr_low"))
     _noise_variance(config[section][key], encoder.power, f"[{section}] {key}")
-    out_dir = _check_out(config["run"]["out"], force)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoints: list[Path] = []
-
-    def write_checkpoint(name: str, epochs: int) -> Path:
-        path = out_dir / name
-        save_checkpoint(path, encoder, decoder,
-                        normalizer=normalizer.to_dict() if normalizer else None,
-                        meta={"seed": seed, "epochs": epochs})
-        checkpoints.append(path)
-        return path
-
+    inputs = {name: Path(config["data"]["dir"]) / name for name in ("train.csv", "test.csv")}
     every = config["train"]["checkpoint_every"]
+    snapshots = {}  # checkpoint name -> (encoder, decoder, epochs), written when training ends
 
     def on_epoch(stats) -> None:
         done = stats.epoch + 1
         if every and done % every == 0:
-            write_checkpoint(f"checkpoint_epoch{done:04d}.json", done)
+            snapshots[f"checkpoint_epoch{done:04d}.json"] = copy.deepcopy((encoder, decoder, done))
 
     try:
         stats = train(train_config, train_set, encoder, decoder, on_epoch=on_epoch)
     except TrainDivergenceError as exc:
-        with open(out_dir / "divergence.json", "w", encoding="utf-8") as fh:
-            json.dump(exc.snapshot, fh, indent=1)
-            fh.write("\n")
         logger.error("training diverged: %s", exc.snapshot)
+        _publish(out_dir, "train", config, seed, inputs, {"divergence.json": partial(
+            Path.write_text, data=json.dumps(exc.snapshot, indent=1) + "\n")})
         raise
-    checkpoint_path = write_checkpoint("checkpoint.json", train_config.epochs)
-    log_path = out_dir / "trainlog.csv"
-    write_csv(log_path, TRAINLOG_SCHEMA, TRAINLOG_HEADER,
-              [[getattr(s, column) for column in TRAINLOG_HEADER] for s in stats])
-    data_dir = Path(config["data"]["dir"])
-    _write_manifest(out_dir, "train", config, seed,
-                    inputs=[data_dir / "train.csv", data_dir / "test.csv"],
-                    outputs=[*checkpoints, log_path])
+    snapshots["checkpoint.json"] = (encoder, decoder, train_config.epochs)
+    normalizer_doc = normalizer.to_dict() if normalizer else None
+    writers = {name: partial(save_checkpoint, encoder=e, decoder=d, normalizer=normalizer_doc,
+                             meta={"seed": seed, "epochs": epochs})
+               for name, (e, d, epochs) in snapshots.items()}
+    writers["trainlog.csv"] = partial(
+        write_csv, schema=TRAINLOG_SCHEMA, header=TRAINLOG_HEADER,
+        rows=[[getattr(s, column) for column in TRAINLOG_HEADER] for s in stats])
+    _publish(out_dir, "train", config, seed, inputs, writers)
+    checkpoint_path = out_dir / "checkpoint.json"
     if stats:
         print(f"trained {train_config.epochs} epochs; "
               f"final accuracy {stats[-1].accuracy:.4f}; checkpoint at {checkpoint_path}")
@@ -487,9 +495,9 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
         raise ConfigError(f"the taylor experiment supports [channel] family = awgn only, "
                           f"got {family!r}: the unconditional fading KL has no finite "
                           f"penalty to compare with")
+    out_dir = _check_out(config["run"]["out"], force)
     encoder, decoder, normalizer, _ = _load_checkpoint_checked(section["checkpoint"], config)
     test_set = _test_set_for(config, encoder, normalizer)
-    out_dir = _check_out(config["run"]["out"], force)
     eval_seed = derive_seed(seed, "eval")
 
     try:
@@ -527,24 +535,21 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
     except ValueError as exc:
         raise ConfigError(f"[experiment] {exc}") from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write_csv(path, schema, header, rows)
-    _write_manifest(out_dir, f"eval:{kind}", config, seed,
-                    inputs=[section["checkpoint"]], outputs=[path])
-    print(f"wrote {path}")
+    _publish(out_dir, f"eval:{kind}", config, seed, {"checkpoint": section["checkpoint"]},
+             {name: partial(write_csv, schema=schema, header=header, rows=rows)})
+    print(f"wrote {out_dir / name}")
     return EXIT_OK
 
 
 def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
     section = config["experiment"]
+    out_dir = _check_out(config["run"]["out"], force)
     encoder_a, decoder_a, norm_a, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
     encoder_b, decoder_b, norm_b, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
     if (norm_a and norm_a.to_dict()) != (norm_b and norm_b.to_dict()):
         raise ConfigError("checkpoint_a and checkpoint_b normalize their inputs differently, "
                           "so no one test set feeds both")
     test_set = _test_set_for(config, encoder_a, norm_a)
-    out_dir = _check_out(config["run"]["out"], force)
     try:
         rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
                                           test_set, section["psnr_grid"],
@@ -553,13 +558,11 @@ def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
                                           threads=threads)
     except ValueError as exc:
         raise ConfigError(f"[experiment] {exc}") from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "compare.csv"
-    write_csv(path, COMPARE_SCHEMA, CompareRow._fields, rows)
-    _write_manifest(out_dir, "compare", config, seed,
-                    inputs=[section["checkpoint_a"], section["checkpoint_b"]], outputs=[path])
+    inputs = {key: section[key] for key in ("checkpoint_a", "checkpoint_b")}
+    _publish(out_dir, "compare", config, seed, inputs, {"compare.csv": partial(
+        write_csv, schema=COMPARE_SCHEMA, header=CompareRow._fields, rows=rows)})
     signs = [r.sign for r in rows]
-    print(f"wrote {path}; sign summary: a better at {signs.count('a<b')}, "
+    print(f"wrote {out_dir / 'compare.csv'}; sign summary: a better at {signs.count('a<b')}, "
           f"b better at {signs.count('a>b')}, ties {signs.count('tie')} of {len(rows)} PSNRs")
     return EXIT_OK
 

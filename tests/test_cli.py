@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fisherjscc import cli
 from fisherjscc.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                             load_config, main)
 
@@ -136,14 +137,33 @@ class TestGenData:
 
     @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
     def test_output_path_naming_a_file_is_a_config_error(self, tmp_path, capsys, force):
+        """--out naming a file, or a path below one, is refused before any data is read:
+        train's missing data directory would otherwise be a data error."""
         config = tmp_path / "run.ini"
-        out = tmp_path / "taken"
-        out.write_text("keep\n")
-        write_config(config, out, out)
-        assert main(["gen-data", "--config", str(config), *force]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert str(out) in err and "Traceback" not in err
-        assert out.read_text() == "keep\n"
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        for out in (taken, taken / "sub"):
+            for command in ("gen-data", "train"):
+                write_config(config, out, tmp_path / "missing")
+                assert main([command, "--config", str(config), *force]) == EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert "config error" in err and str(out) in err and "Traceback" not in err
+                assert taken.read_text() == "keep\n"
+
+    def test_tab_separated_table_loads(self, tmp_path):
+        """`delimiter = tab` names the tab, which configparser strips from a literal value."""
+        for split, rows in (("train", ["0.5\t1.0\ta", "-1.5\t2.0\tb"]), ("test", ["1.0\t0.0\tb"])):
+            (tmp_path / f"{split}.tsv").write_text("\n".join(rows) + "\n")
+        config = tmp_path / "run.ini"
+        out = tmp_path / "data"
+        write_config(config, out, out, kind="table")
+        config.write_text(config.read_text().replace(
+            "kind = table", f"kind = table\ntrain_file = {tmp_path / 'train.tsv'}\n"
+                            f"test_file = {tmp_path / 'test.tsv'}\ndelimiter = tab"))
+        assert load_config(config)["data"]["delimiter"] == "\t"
+        assert main(["gen-data", "--config", str(config)]) == EXIT_OK
+        assert (out / "train.csv").read_text() == "0.5,1.0,a\n-1.5,2.0,b\n"
+        assert (out / "test.csv").read_text() == "1.0,0.0,b\n"
 
     def test_verify_detects_tampering(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -266,7 +286,10 @@ class TestTrainCommand:
         assert "numerical abort" in err and "Traceback" not in err
         snapshot = json.loads((out / "divergence.json").read_text())
         assert set(snapshot) == {"epoch", "batch", "sigma2"}
-        assert not (out / "checkpoint.json").exists()
+        assert sorted(path.name for path in out.iterdir()) == ["divergence.json",
+                                                               "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["output_digests"] == {"divergence.json": sha256(out / "divergence.json")}
 
     def test_manifest_records_inputs_and_outputs(self, tmp_path, data_dir):
         config = tmp_path / "train.ini"
@@ -754,6 +777,87 @@ class TestCompareCommand:
         for row in lines[2:]:
             assert row.split(",")[4] == "0.0"
             assert row.endswith("tie")
+
+    def test_manifest_records_both_checkpoints(self, tmp_path, data_dir):
+        """Two checkpoints of one file name are two inputs, keyed by role."""
+        config = tmp_path / "train.ini"
+        for name, lam in (("ma", 0.0), ("mb", 1.0)):
+            write_config(config, tmp_path / name, data_dir, epochs=1, lam=lam)
+            assert main(["train", "--config", str(config)]) == EXIT_OK
+        ckpt_a, ckpt_b = (tmp_path / name / "checkpoint.json" for name in ("ma", "mb"))
+        out = tmp_path / "cmp_out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint_a = {ckpt_a}\ncheckpoint_b = {ckpt_b}")
+        assert main(["compare", "--config", str(config)]) == EXIT_OK
+        inputs = json.loads((out / "manifest.json").read_text())["input_digests"]
+        assert inputs == {"checkpoint_a": sha256(ckpt_a), "checkpoint_b": sha256(ckpt_b)}
+        assert inputs["checkpoint_a"] != inputs["checkpoint_b"]
+
+
+def unlisted_files(out: Path) -> list[str]:
+    """Files in out that its manifest does not list: every file when it has none."""
+    manifest = out / "manifest.json"
+    listed = json.loads(manifest.read_text())["output_digests"] if manifest.exists() else {}
+    return sorted(path.name for path in out.iterdir()
+                  if path.name not in listed and path != manifest)
+
+
+def fail_writer(patch, failing: str) -> None:
+    """Make the CLI's artifact writers, once they have written the file of the artifact
+    named `failing` (under any temporary suffix), raise OSError."""
+    for name in ("save_table", "write_csv", "save_checkpoint"):
+        def write(*args, real=getattr(cli, name), **kwargs):
+            real(*args, **kwargs)
+            if any(isinstance(arg, Path) and arg.name.split(".partial")[0] == failing
+                   for arg in args):
+                raise OSError(28, "No space left on device")
+        patch.setattr(cli, name, write)
+
+
+class TestPublish:
+    @pytest.mark.parametrize("command, failing", [
+        ("gen-data", "train.csv"), ("gen-data", "test.csv"),
+        ("train", "checkpoint_epoch0001.json"), ("train", "checkpoint_epoch0002.json"),
+        ("train", "checkpoint.json"), ("train", "trainlog.csv"),
+        ("eval", "sweep.csv"), ("compare", "compare.csv"),
+    ])
+    def test_failed_write_leaves_no_partial_and_no_unlisted_artifact(
+            self, tmp_path, data_dir, capsys, monkeypatch, command, failing):
+        """A write that fails is exit 2 and leaves nothing behind; under --force over a
+        finished run it leaves every file and the manifest as they were."""
+        config = tmp_path / "run.ini"
+        model = tmp_path / "model"
+        write_config(config, model, data_dir)
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        checkpoint = model / "checkpoint.json"
+        out = tmp_path / "out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint = {checkpoint}\ncheckpoint_a = {checkpoint}\n"
+                           f"checkpoint_b = {checkpoint}")
+        config.write_text(config.read_text().replace(
+            "learning_rate = 0.001", "learning_rate = 0.001\ncheckpoint_every = 1"))
+        args = [command, "--config", str(config)]
+        for force in ([], ["--force"]):
+            before = {path.name: path.read_bytes() for path in out.iterdir()} if force else {}
+            capsys.readouterr()
+            with monkeypatch.context() as patch:
+                fail_writer(patch, failing)
+                assert main([*args, *force]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error" in err and "No space left" in err and "Traceback" not in err
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+            assert unlisted_files(out) == []
+            assert main([*args, "--force"]) == EXIT_OK
+            assert failing in json.loads((out / "manifest.json").read_text())["output_digests"]
+
+    def test_output_below_a_file_is_a_config_error(self, tmp_path):
+        """Cleanup after a directory that was never made raises nothing of its own."""
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        with pytest.raises(ConfigError, match="cannot write"):
+            cli._publish(taken / "sub", "gen-data", {}, 1, {},
+                         {"train.csv": lambda path: path.write_text("row\n")})
+        assert taken.read_text() == "keep\n"
 
 
 class TestSeedOverride:

@@ -15,7 +15,11 @@ module. Channel noise has one implementation, `channel.channel_noise`, so
 outside `data`'s seeded datasets no module draws normals but `channel`. A
 training step runs one backward pass, in `train`; the models and the Fisher
 trace are nodes with closed-form gradients, so no other module needs a
-backward pass of its own.
+backward pass of its own. In `cli`, an artifact reaches disk only through
+`_publish`, which stages each file and renames it in before the manifest:
+no other code there creates a directory, renames a file, calls an artifact
+writer or opens a file in a write mode; commands hand `_publish` the
+writers, uncalled.
 
 The package sets OPENBLAS_NUM_THREADS to 1 unless it is already set, and
 OpenBLAS reads it once, when NumPy loads: so in `__init__.py` the
@@ -122,6 +126,37 @@ def calls_backward(source: str) -> bool:
                and (isinstance(node.func, ast.Attribute) and node.func.attr == "backward"
                     or isinstance(node.func, ast.Name) and node.func.id == "backward")
                for node in ast.walk(ast.parse(source)))
+
+
+WRITERS = {"mkdir", "makedirs", "rename", "write_csv", "save_table", "save_checkpoint",
+           "write_text", "write_bytes"}
+
+
+def writes(call: ast.Call) -> bool:
+    """Whether the call creates a directory, renames a file, writes one through a writer
+    function, or opens one in a mode that is not a constant read mode."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in WRITERS or ast.unparse(func) == "os.replace":
+        return True
+    if name != "open":
+        return False
+    positional = call.args[1:] if isinstance(func, ast.Name) else call.args  # open(path, mode)
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                positional[0] if positional else None)
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(mode.value) <= set("rbt"))
+
+
+def writes_outside(source: str, owner: str) -> list[str]:
+    """`line N: callee` for each writing call outside the top-level function owner."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef)
+              and top.name == owner for node in ast.walk(top)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in inside and writes(node)]
+    return [f"line {node.lineno}: {ast.unparse(node.func)}"
+            for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset))]
 
 
 def blas_pin_precedes_imports(source: str) -> bool:
@@ -232,6 +267,41 @@ def test_checker_flags_a_backward_call():
     assert calls_backward("def f(t):\n    return autodiff.backward(t, [t])\n")
     assert not calls_backward("def backward(root, wrt):\n    return {}\n")
     assert not calls_backward("step = ad.backward\ntext = 'ad.backward(x)'\nbackwards(1)\n")
+
+
+def test_only_publish_writes_in_cli():
+    assert writes_outside((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"),
+                          "_publish") == []
+
+
+def test_checker_flags_a_write_outside_the_owner():
+    allowed = ("def _publish(out, writers):\n"
+               "    out.mkdir(parents=True)\n"
+               "    with open(out / 'm', 'w') as fh:\n"
+               "        fh.write('x')\n"
+               "    os.replace(out / 'm', out / 'n')\n"
+               "    for write in writers:\n"
+               "        write(out)\n\n"
+               "def cmd(path, rows):\n"
+               "    open(path)\n"
+               "    open(path, 'rb')\n"
+               "    path.open(mode='r')\n"
+               "    text = 'a'.replace('a', 'b')\n"
+               "    return partial(write_csv, rows=rows)\n")
+    assert writes_outside(allowed, "_publish") == []
+    flagged = ("def cmd(path, table, mode):\n"
+               "    path.parent.mkdir()\n"
+               "    open(path, 'a')\n"
+               "    path.open('w')\n"
+               "    open(path, mode=mode)\n"
+               "    os.replace(path, path)\n"
+               "    save_table(table, path)\n"
+               "    return lambda p: p.write_text('x')\n")
+    assert writes_outside(flagged, "_publish") == [
+        "line 2: path.parent.mkdir", "line 3: open", "line 4: path.open", "line 5: open",
+        "line 6: os.replace", "line 7: save_table", "line 8: p.write_text"]
+    assert writes_outside(allowed.replace("_publish", "_other"), "_publish") == [
+        "line 2: out.mkdir", "line 3: open", "line 5: os.replace"]
 
 
 def test_blas_pin_precedes_every_import():
