@@ -850,7 +850,7 @@ class TestPublish:
             assert main([*args, "--force"]) == EXIT_OK
             assert failing in json.loads((out / "manifest.json").read_text())["output_digests"]
 
-    def test_output_below_a_file_is_a_config_error(self, tmp_path):
+    def test_publish_below_a_file_is_a_config_error(self, tmp_path):
         """Cleanup after a directory that was never made raises nothing of its own."""
         taken = tmp_path / "taken"
         taken.write_text("keep\n")
