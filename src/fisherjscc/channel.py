@@ -9,6 +9,7 @@ where P is the per-symbol peak power budget.
 
 `channel_noise` is the one implementation of the effective noise n or n/|h|;
 training, the Monte-Carlo KL and the error sweep all draw through it.
+Training asks it for its L noise draws at once, from one word request.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .rng import CounterRng
+from .rng import CounterRng, NormalRounds
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +44,7 @@ def psnr_to_sigma2(psnr_db: float, power: float) -> float:
     return sigma2
 
 
-def gaussian_noise(shape, sigma2: float, rng: CounterRng) -> np.ndarray:
+def gaussian_noise(shape, sigma2: float, rng: CounterRng | NormalRounds) -> np.ndarray:
     """N(0, sigma2) noise of rng.stream_shape + shape: one block of `shape` per stream."""
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
@@ -55,7 +56,7 @@ def gaussian_noise(shape, sigma2: float, rng: CounterRng) -> np.ndarray:
     return noise
 
 
-def draw_fading_coefficients(n: int, rng: CounterRng) -> np.ndarray:
+def draw_fading_coefficients(n: int, rng: CounterRng | NormalRounds) -> np.ndarray:
     """n complex h ~ CN(0,1) per stream: independent N(0, 1/2) real and imaginary parts."""
     parts = rng.normals(2 * n) * math.sqrt(0.5)
     return parts[..., :n] + 1j * parts[..., n:]
@@ -70,7 +71,8 @@ def equalization_gains(h: np.ndarray) -> np.ndarray:
     return np.maximum(magnitude, H_FLOOR)
 
 
-def channel_noise(shape, sigma2: float, family: str, rng: CounterRng) -> np.ndarray:
+def channel_noise(shape, sigma2: float, family: str, rng: CounterRng,
+                  draws: int | None = None) -> np.ndarray:
     """Effective additive channel noise of rng.stream_shape + shape.
 
     Per stream, all Gaussian noise is drawn first, over the whole shape.
@@ -78,12 +80,22 @@ def channel_noise(shape, sigma2: float, family: str, rng: CounterRng) -> np.ndar
     follows on the same stream, and each row is divided by its floored |h|.
     A multi-stream generator gives each stream's block the values a
     single-stream generator of that seed would.
+
+    Given `draws`, the result is rng.stream_shape + (draws,) + shape: draw l
+    holds what the l-th of `draws` sequential calls would return, and every
+    draw comes from one word request.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
+    fading = family == "rayleigh" and sigma2 > 0.0
+    rows = shape[:-1]
+    if draws is not None:
+        # What the calls below ask `normals` for, in their order: the noise, then h.
+        sizes = (math.prod(shape),) if sigma2 > 0.0 else ()
+        sizes += (2 * math.prod(rows),) if fading else ()
+        rng = rng.normal_rounds(sizes, draws)
     noise = gaussian_noise(shape, sigma2, rng)
-    if family == "rayleigh" and sigma2 > 0.0:
-        rows = shape[:-1]
+    if fading:
         h = draw_fading_coefficients(math.prod(rows), rng).reshape(rng.stream_shape + rows)
         noise /= equalization_gains(h)[..., None]
     return noise

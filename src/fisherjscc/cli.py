@@ -43,6 +43,11 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# Floats a training step may hold in one block: the noise, the noisy copies of z and
+# every decoder activation are noise_draws x batch_size rows of one of repr_dim, the
+# decoder's hidden widths and the classes. 2^27 float64 values are 1 GiB.
+STEP_BLOCK_BUDGET = 2**27
+
 logger = logging.getLogger("fisherjscc")
 
 
@@ -229,8 +234,10 @@ def _publish(out_dir: Path, command: str, config: dict, seed: int,
     """Write each artifact by `writers[name](path)`, then the manifest of `inputs` (key ->
     path) and the artifacts, to temporary names in out_dir; rename them in, the manifest
     last. An OSError is a config error, and leaves no temporary file and no artifact
-    without its manifest; a failed write leaves a previous run's files as they were."""
+    without its manifest; a failed write leaves a previous run's files as they were,
+    and removes the directories this call made."""
     staged = {}     # nothing is staged until out_dir exists
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in writers.items():
@@ -253,6 +260,11 @@ def _publish(out_dir: Path, command: str, config: dict, seed: int,
     except OSError as exc:
         for path in staged.values():
             path.unlink(missing_ok=True)
+        for path in made:               # deepest first
+            try:
+                path.rmdir()
+            except OSError:
+                break
         raise ConfigError(f"cannot write output directory {out_dir}: {exc}") from None
 
 
@@ -417,8 +429,12 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         raise
     except ValueError as exc:
         raise ConfigError(f"[data] {exc}") from exc
-    _publish(out_dir, "gen-data", config, seed, {}, {"train.csv": partial(save_table, train_set),
-                                                     "test.csv": partial(save_table, test_set)})
+    section = config["data"]
+    inputs = ({key: section[key] for key in ("train_file", "test_file")}
+              if section["kind"] == "table" else {})
+    _publish(out_dir, "gen-data", config, seed, inputs,
+             {"train.csv": partial(save_table, train_set),
+              "test.csv": partial(save_table, test_set)})
     print(f"wrote {len(train_set)} train rows and {len(test_set)} test rows to {out_dir}")
     return EXIT_OK
 
@@ -441,10 +457,23 @@ def _train_config_from(config: dict, seed: int) -> TrainConfig:
         raise ConfigError(f"[train] {exc}") from exc
 
 
+def _check_step_block(config: dict, classes: int) -> None:
+    """Refuse a [train] noise_draws whose step block passes STEP_BLOCK_BUDGET floats."""
+    section = config["train"]
+    widths = (config["model"]["repr_dim"], *config["model"]["decoder_hidden"], classes)
+    floats = section["noise_draws"] * section["batch_size"] * max(widths)
+    if floats > STEP_BLOCK_BUDGET:
+        raise ConfigError(f"[train] noise_draws = {section['noise_draws']}: a step would hold "
+                          f"{floats} floats in one block (noise_draws x batch_size x the widest "
+                          f"decoder layer), more than the {STEP_BLOCK_BUDGET} allowed")
+
+
 def cmd_train(config: dict, seed: int, force: bool) -> int:
     out_dir = _check_out(config["run"]["out"], force)
     train_config = _train_config_from(config, seed)
+    _check_step_block(config, config["data"]["classes"])
     train_set, _ = _load_datasets_from_dir(config)
+    _check_step_block(config, train_set.num_classes)     # a table's classes can differ
     normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
     train_set = normalizer.apply(train_set) if normalizer else train_set
     encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)

@@ -18,7 +18,13 @@ them: the encoder, the L noisy copies of z stacked into one batch, the
 decoder over that batch, the Fisher trace at the noise-free z, and the loss.
 Each node's value and gradients are computed in NumPy; the loss node picks
 each row's label, sums and scales the cross-entropy and the trace, and its
-gradient places the scale back at the labels and on every trace entry.
+gradient places the scale back at the labels and on every trace entry. The
+L noise draws are one `channel_noise` request, for AWGN and Rayleigh alike.
+
+`train` holds both models' parameters in one float64 vector for the whole
+run; each parameter's array is a view of its slice. A step concatenates the
+leaf gradients once, in the same order, and `adam_step` updates the vector
+and its moments with whole-vector operations.
 
 Every node value and every summed gradient is checked finite, and a training
 step runs with numpy's overflow, divide and invalid errors raised, so a step
@@ -125,10 +131,10 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
                      rng: CounterRng, family: str = "awgn") -> LossParts:
     """Noise-averaged cross-entropy plus coeff times the mean Fisher trace at noise-free z.
 
-    The L noise draws go through one decoder pass over z tiled L times; draw
-    l fills rows l*b .. (l+1)*b - 1 and is drawn in the same order as a
-    per-draw loop would draw it. `train` passes coeff = lambda * sigma2 / 2,
-    or lambda under the fixed-PSNR simplification.
+    The L noise draws come from one `channel_noise` request and go through one
+    decoder pass; draw l fills rows l*b .. (l+1)*b - 1 and holds the values
+    the l-th of L sequential `channel_noise` calls would. `train` passes
+    coeff = lambda * sigma2 / 2, or lambda under the fixed-PSNR simplification.
     """
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
@@ -140,10 +146,10 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     if labels.shape != (batch,) or labels.min() < 0 or labels.max() >= decoder.num_classes:
         raise ValueError(f"expected one label in [0, {decoder.num_classes}) per row")
 
-    noise = np.concatenate([channel_noise(z.data.shape, sigma2, family, rng)
-                            for _ in range(noise_draws)])
+    noisy = channel_noise(z.data.shape, sigma2, family, rng, draws=noise_draws)
+    noisy += z.data         # in place; noise + z and z + noise are the same bits
     # Row l*b + i is z_i plus its l-th draw, so z_i's gradient sums its L rows.
-    z_hat = ad.Tensor(np.tile(z.data, (noise_draws, 1)) + noise, (z,),
+    z_hat = ad.Tensor(noisy.reshape(noise_draws * batch, k), (z,),
                       lambda g: [g.reshape(noise_draws, batch, k).sum(axis=0)])
     log_q = decoder.log_posterior_all(z_hat)
     picked = (np.arange(batch * noise_draws), np.tile(labels, noise_draws))
@@ -166,32 +172,44 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def init(cls, params: dict[str, ad.Tensor]) -> "AdamState":
-        return cls(m={n: np.zeros_like(t.data) for n, t in params.items()},
-                   v={n: np.zeros_like(t.data) for n, t in params.items()})
+    def init(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(params: dict[str, ad.Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float,
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """One bias-corrected Adam update; mutates params in place, returns state."""
+    """One bias-corrected Adam update of the parameter vector theta; updates theta,
+    state.m and state.v in place and returns state.
+
+    Each element sees the textbook order of operations, beta1*m + (1-beta1)*g,
+    beta2*v + ((1-beta2)*g)*g and theta - (lr*m_hat)/(sqrt(v_hat)+eps), in
+    whole-vector operations with two temporaries.
+    """
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
     state.t += 1
     correction1 = 1.0 - beta1**state.t
     correction2 = 1.0 - beta2**state.t
-    for name, tensor in params.items():
-        g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / correction1
-        v_hat = state.v[name] / correction2
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    scratch = np.multiply(grad, 1.0 - beta1)
+    m *= beta1
+    m += scratch
+    np.multiply(grad, 1.0 - beta2, out=scratch)
+    scratch *= grad
+    v *= beta2
+    v += scratch
+    np.divide(v, correction2, out=scratch)          # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    update = np.divide(m, correction1)              # m_hat
+    update *= lr
+    update /= scratch
+    theta -= update
     return state
 
 
@@ -218,10 +236,14 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
         raise ValueError("dataset is empty")
     n = features.shape[0]
 
-    # Joint parameter view: encoder and decoder are updated by one optimizer.
-    params = {**{f"enc.{name}": t for name, t in encoder.params.items()},
-              **{f"dec.{name}": t for name, t in decoder.params.items()}}
-    state = AdamState.init(params)
+    # One parameter vector for both models: each leaf's array becomes a view of its slice.
+    leaves = [*encoder.params.values(), *decoder.params.values()]
+    theta = np.concatenate([leaf.data for leaf in leaves], axis=None)
+    start = 0
+    for leaf in leaves:
+        leaf.data = theta[start:start + leaf.data.size].reshape(leaf.data.shape)
+        start += leaf.data.size
+    state = AdamState.init(theta)
 
     log = []
     for epoch in range(config.epochs):
@@ -245,9 +267,9 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
                     parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
                                              sigma2, coeff, config.noise_draws,
                                              noise_rng, family=config.family)
-                    grad_map = ad.backward(parts.total, params.values())
-                    grads = {name: grad_map[tensor] for name, tensor in params.items()}
-                    adam_step(params, grads, state, config.learning_rate)
+                    grad_map = ad.backward(parts.total, leaves)
+                    grad = np.concatenate([grad_map[leaf] for leaf in leaves], axis=None)
+                    adam_step(theta, grad, state, config.learning_rate)
             except FloatingPointError as exc:
                 raise TrainDivergenceError(
                     {"epoch": epoch, "batch": batch_index, "sigma2": sigma2}) from exc

@@ -27,9 +27,10 @@ structurally different path to be compared with. The single-point
 it are checked on the trace that training and evaluation use;
 `fisher_matrix` reads the stacked pass.
 
-The Box-Muller and error-sweep references keep the loop forms the library
-replaced with vectorised ones: two word requests per normals call, and one
-generator, one noise draw and one decode per sweep trial.
+The Box-Muller, error-sweep and Adam references keep the loop forms the
+library replaced with vectorised ones: two word requests per normals call,
+one generator, one noise draw and one decode per sweep trial, and one Adam
+update per parameter array.
 """
 
 from __future__ import annotations
@@ -577,24 +578,53 @@ def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, 
     return rows
 
 
+class PerParameterAdam:
+    """Adam moments per parameter name, for `adam_step_per_parameter`."""
+
+    def __init__(self, params: dict):
+        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.t = 0
+
+
+def adam_step_per_parameter(params: dict, grads: dict, state: PerParameterAdam, lr: float,
+                            beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One bias-corrected Adam update, one parameter array at a time: the reference for
+    `train.adam_step`'s whole-vector update. Rebinds each tensor's data."""
+    state.t += 1
+    correction1 = 1.0 - beta1**state.t
+    correction2 = 1.0 - beta2**state.t
+    for name, tensor in params.items():
+        g = grads[name]
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m_hat = state.m[name] / correction1
+        v_hat = state.v[name] / correction2
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def fit_linear_probe(train_set, test_set, epochs: int = 80, lr: float = 0.1) -> float:
     """Plain softmax regression on raw features; returns test accuracy.
 
     Kept separate from the package's encoder/decoder pipeline so dataset
-    separability claims are checked by a genuinely linear model.
+    separability claims are checked by a genuinely linear model. W and b are
+    views of one parameter vector, which the package's Adam updates.
     """
     from fisherjscc.train import AdamState, adam_step
 
-    params = {"W": Tensor(np.zeros((train_set.dim, train_set.num_classes))),
-              "b": Tensor(np.zeros(train_set.num_classes))}
-    state = AdamState.init(params)
+    dim, classes = train_set.dim, train_set.num_classes
+    theta = np.zeros(dim * classes + classes)
+    params = {"W": Tensor(np.zeros((dim, classes))), "b": Tensor(np.zeros(classes))}
+    params["W"].data = theta[:dim * classes].reshape(dim, classes)
+    params["b"].data = theta[dim * classes:]
+    state = AdamState.init(theta)
     for _ in range(epochs):
         logits = affine(Tensor(train_set.features), params["W"], params["b"])
         picked = gather_labels(log_softmax(logits), train_set.labels)
         loss = scale(sum_all(picked), -1.0 / len(train_set))
         grad_map = backward(loss, list(params.values()))
-        grads = {name: grad_map[t].data for name, t in params.items()}
-        adam_step(params, grads, state, lr)
+        grad = np.concatenate([grad_map[t].data for t in params.values()], axis=None)
+        adam_step(theta, grad, state, lr)
     test_logits = test_set.features @ params["W"].data + params["b"].data
     return float(np.mean(np.argmax(test_logits, axis=1) == test_set.labels))
 

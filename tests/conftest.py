@@ -1,8 +1,10 @@
 """Fixtures shared across the test modules."""
 
+import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
+from fisherjscc import models
 
 
 @pytest.fixture
@@ -22,3 +24,19 @@ def tensors_built_by():
         return len(built)
 
     return count
+
+
+@pytest.fixture
+def nan_in_second_step_gradient(monkeypatch):
+    """Plant a NaN in one parameter's gradient, W0's, in the third `models._mlp_backprop`
+    call: a training step makes two, the encoder's and the decoder's, so in step two."""
+    backprop, calls = models._mlp_backprop, []
+
+    def planted(layers, d_out):
+        grads = backprop(layers, d_out)
+        calls.append(1)
+        if len(calls) == 3:
+            grads[1][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(models, "_mlp_backprop", planted)

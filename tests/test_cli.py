@@ -164,6 +164,9 @@ class TestGenData:
         assert main(["gen-data", "--config", str(config)]) == EXIT_OK
         assert (out / "train.csv").read_text() == "0.5,1.0,a\n-1.5,2.0,b\n"
         assert (out / "test.csv").read_text() == "1.0,0.0,b\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digests"] == {"train_file": sha256(tmp_path / "train.tsv"),
+                                             "test_file": sha256(tmp_path / "test.tsv")}
 
     def test_verify_detects_tampering(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -686,6 +689,78 @@ class TestEvalCommand:
             sweeps.append((eval_out / "sweep.csv").read_bytes())
         assert sweeps[0] == sweeps[1]
 
+    def test_first_periodic_checkpoint_is_a_one_epoch_run(self, tmp_path, data_dir):
+        """checkpoint_epoch0001.json holds the parameters after epoch 1, not a view of
+        the ones training went on to update: the bytes of a separate one-epoch run's
+        checkpoint.json, and not those of the final checkpoint."""
+        config = tmp_path / "train.ini"
+        periodic, single = tmp_path / "periodic", tmp_path / "single"
+        write_config(config, periodic, data_dir, epochs=2, lam=0.3)
+        config.write_text(config.read_text().replace(
+            "learning_rate = 0.001", "learning_rate = 0.001\ncheckpoint_every = 1"))
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        write_config(config, single, data_dir, epochs=1, lam=0.3)
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        first = (periodic / "checkpoint_epoch0001.json").read_bytes()
+        assert first == (single / "checkpoint.json").read_bytes()
+        assert first != (periodic / "checkpoint.json").read_bytes()
+
+    def test_nan_in_one_leaf_gradient_is_a_numerical_abort(self, tmp_path, data_dir, capsys,
+                                                           nan_in_second_step_gradient):
+        """A NaN planted in one parameter's gradient in training's second step: exit 4
+        with the step's snapshot, no traceback."""
+        config = tmp_path / "train.ini"
+        out = tmp_path / "planted"
+        write_config(config, out, data_dir, epochs=1, lam=0.3)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "Traceback" not in err
+        snapshot = json.loads((out / "divergence.json").read_text())
+        assert (snapshot["epoch"], snapshot["batch"]) == (0, 1)
+
+    @pytest.mark.parametrize("draws, code", [(32768, EXIT_DATA), (32769, EXIT_CONFIG),
+                                             (999999999, EXIT_CONFIG)])
+    def test_noise_draws_past_the_step_budget_refused_up_front(self, tmp_path, capsys,
+                                                               draws, code):
+        """batch 64 x the 64-wide decoder layer: 32,768 draws fill the 2^27-float budget
+        and pass on to reading the data, which is missing (exit 3); one more draw is a
+        config error naming the key. Neither allocates a step or makes the output."""
+        config = tmp_path / "train.ini"
+        out = tmp_path / "out"
+        write_config(config, out, tmp_path / "missing")
+        config.write_text(config.read_text()
+                          .replace("noise_draws = 2", f"noise_draws = {draws}")
+                          .replace("batch_size = 32", "batch_size = 64")
+                          .replace("decoder_hidden = 16", "decoder_hidden = 64"))
+        assert 32768 * 64 * 64 == cli.STEP_BLOCK_BUDGET
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        assert ("[train] noise_draws" in err) == (code == EXIT_CONFIG)
+        assert "Traceback" not in err and not out.exists()
+
+    def test_step_budget_counts_a_tables_classes(self, tmp_path, capsys):
+        """A table's class count is known once it is read: 65 classes widen the block
+        past the budget that [data] classes = 3 left room in, a config error before
+        any output directory exists. Zero epochs: were the check gone, no step runs."""
+        (tmp_path / "rows.csv").write_text("".join(f"{i}.0,0.5,c{i}\n" for i in range(65)))
+        config = tmp_path / "run.ini"
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_config(config, data, data, kind="table")
+        config.write_text(config.read_text().replace(
+            "kind = table", f"kind = table\ntrain_file = {tmp_path / 'rows.csv'}\n"
+                            f"test_file = {tmp_path / 'rows.csv'}"))
+        assert main(["gen-data", "--config", str(config)]) == EXIT_OK
+        write_config(config, out, data, epochs=0)
+        config.write_text(config.read_text().replace("noise_draws = 2", "noise_draws = 32768")
+                          .replace("batch_size = 32", "batch_size = 64")
+                          .replace("decoder_hidden = 16", "decoder_hidden = 64"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[train] noise_draws" in err and "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "eval --threads 2", "compare",
                                          "validate-approx", "posterior-map"])
     def test_overflow_is_a_numerical_abort(self, tmp_path, data_dir, checkpoint, capsys,
@@ -823,8 +898,9 @@ class TestPublish:
     ])
     def test_failed_write_leaves_no_partial_and_no_unlisted_artifact(
             self, tmp_path, data_dir, capsys, monkeypatch, command, failing):
-        """A write that fails is exit 2 and leaves nothing behind; under --force over a
-        finished run it leaves every file and the manifest as they were."""
+        """A write that fails is exit 2 and leaves nothing behind, not even the output
+        directory; under --force over a finished run it leaves every file and the
+        manifest as they were."""
         config = tmp_path / "run.ini"
         model = tmp_path / "model"
         write_config(config, model, data_dir)
@@ -845,10 +921,24 @@ class TestPublish:
                 assert main([*args, *force]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "config error" in err and "No space left" in err and "Traceback" not in err
-            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
-            assert unlisted_files(out) == []
+            if force:
+                assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+                assert unlisted_files(out) == []
+            else:
+                assert not out.exists()
             assert main([*args, "--force"]) == EXIT_OK
             assert failing in json.loads((out / "manifest.json").read_text())["output_digests"]
+
+    def test_failed_publish_removes_only_the_directories_it_made(self, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+
+        def fail(path):
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(ConfigError, match="No space left"):
+            cli._publish(kept / "a" / "b", "gen-data", {}, 1, {}, {"train.csv": fail})
+        assert kept.is_dir() and list(kept.iterdir()) == []
 
     def test_publish_below_a_file_is_a_config_error(self, tmp_path):
         """Cleanup after a directory that was never made raises nothing of its own."""

@@ -16,7 +16,8 @@ from fisherjscc.train import (TRAINLOG_HEADER, TRAINLOG_SCHEMA, AdamState, Epoch
                               FixedPsnr, TrainConfig, TrainDivergenceError, UniformPsnr,
                               _accuracy, adam_step, regularized_loss, train)
 
-from _oracles import finite_diff_grad, max_rel_err
+from _oracles import (PerParameterAdam, adam_step_per_parameter, finite_diff_grad,
+                      max_rel_err)
 
 
 def small_models(seed: int = 0, input_dim: int = 3, repr_dim: int = 2,
@@ -112,6 +113,24 @@ class TestRegularizedLoss:
         assert tensors_built_by(step) <= 5
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_penalized_step_draws_its_noise_in_one_word_request(self, monkeypatch, family):
+        """The benchmark's shapes, L = 4: the noise rng hands out words once per step."""
+        data = make_rings(3, 64, 0.15, seed=1)
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(64, 64), seed=2)
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=3)
+        words, requests = CounterRng._words, []
+
+        def counted(rng, n):
+            requests.append(n)
+            return words(rng, n)
+
+        monkeypatch.setattr(CounterRng, "_words", counted)
+        regularized_loss(data.features[:64], data.labels[:64], encoder, decoder, sigma2=0.01,
+                         coeff=0.5, noise_draws=4, rng=CounterRng(4), family=family)
+        per_draw = 64 * 8 + (2 * 64 if family == "rayleigh" else 0)
+        assert requests == [4 * per_draw]
+
     def test_hand_computed_two_class_linear_model(self):
         """Single sample, L=1, trivial encoder, identity-like decoder."""
         encoder = EncoderModel(1, 1, power=1.0, hidden=(), seed=0)
@@ -172,32 +191,53 @@ class TestRegularizedLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        params = {"w": ad.Tensor(np.array([1.0, -2.0]))}
-        state = AdamState.init(params)
-        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-        np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
+        theta = np.array([1.0, -2.0])
+        state = AdamState.init(theta)
+        adam_step(theta, np.zeros(2), state, lr=0.1)
+        np.testing.assert_array_equal(theta, [1.0, -2.0])
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
         """Bias correction makes the first update ~ lr * sign(gradient)."""
-        params = {"w": ad.Tensor(np.array([0.0]))}
-        state = AdamState.init(params)
-        adam_step(params, {"w": np.array([0.37])}, state, lr=0.01)
-        assert params["w"].data[0] == pytest.approx(-0.01, rel=1e-6)
+        theta = np.array([0.0])
+        state = AdamState.init(theta)
+        adam_step(theta, np.array([0.37]), state, lr=0.01)
+        assert theta[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_converges_on_quadratic(self):
         """100 steps on f(w) = w^2 from w = 1 with lr 0.1 reaches |w| < 0.1."""
-        params = {"w": ad.Tensor(np.array([1.0]))}
-        state = AdamState.init(params)
+        theta = np.array([1.0])
+        state = AdamState.init(theta)
         for _ in range(100):
-            gradient = {"w": 2.0 * params["w"].data}
-            adam_step(params, gradient, state, lr=0.1)
-        assert abs(params["w"].data[0]) < 0.1
+            adam_step(theta, 2.0 * theta, state, lr=0.1)
+        assert abs(theta[0]) < 0.1
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": ad.Tensor(np.zeros(2))}
+        theta = np.zeros(2)
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.zeros(3)}, AdamState.init(params), lr=0.1)
+            adam_step(theta, np.zeros(3), AdamState.init(theta), lr=0.1)
+
+    def test_whole_vector_update_equals_the_per_parameter_reference(self):
+        """The benchmark's shapes (encoder 2-64-64-8, decoder 8-64-3), three steps: the
+        vector and every parameter array stay the reference's bits."""
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(64, 64), seed=2)
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=3)
+        params = {**{f"enc.{n}": t for n, t in encoder.params.items()},
+                  **{f"dec.{n}": t for n, t in decoder.params.items()}}
+        theta = np.concatenate([t.data for t in params.values()], axis=None)
+        reference = PerParameterAdam(params)
+        state = AdamState.init(theta)
+        rng = CounterRng(61)
+        for _ in range(3):
+            grads = {name: rng.normals(t.data.size).reshape(t.data.shape) * 0.1
+                     for name, t in params.items()}
+            adam_step(theta, np.concatenate(list(grads.values()), axis=None), state, lr=1e-3)
+            adam_step_per_parameter(params, grads, reference, lr=1e-3)
+        assert state.t == reference.t == 3
+        assert np.array_equal(theta, np.concatenate([t.data for t in params.values()],
+                                                    axis=None))
+        assert np.array_equal(state.m, np.concatenate(list(reference.m.values()), axis=None))
+        assert np.array_equal(state.v, np.concatenate(list(reference.v.values()), axis=None))
 
 
 class TestTrainLoop:
@@ -271,6 +311,17 @@ class TestTrainLoop:
         with pytest.raises(TrainDivergenceError) as info:
             train(TrainConfig(lam=0.0, epochs=1, seed=33), ds, encoder, decoder)
         assert info.value.snapshot["epoch"] == 0 and info.value.snapshot["batch"] == 0
+
+    def test_nan_in_one_leaf_gradient_aborts_with_snapshot(self, nan_in_second_step_gradient):
+        """A NaN planted in one parameter's gradient in the second step (batch 1) ends
+        the run as TrainDivergenceError, before Adam carries it into the parameters."""
+        ds = make_blobs(3, 20, dim=3, spread=0.3, seed=31)
+        encoder, decoder = small_models(32)
+        with pytest.raises(TrainDivergenceError) as info:
+            train(TrainConfig(lam=0.3, epochs=1, batch_size=16, seed=33), ds, encoder, decoder)
+        assert (info.value.snapshot["epoch"], info.value.snapshot["batch"]) == (0, 1)
+        for model in (encoder, decoder):
+            assert all(np.isfinite(t.data).all() for t in model.params.values())
 
     def test_shuffle_covers_dataset_exactly(self):
         """Each epoch's batches form a seeded permutation of the dataset."""
