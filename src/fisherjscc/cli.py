@@ -43,10 +43,11 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# Floats a training step may hold in one block: the noise, the noisy copies of z and
-# every decoder activation are noise_draws x batch_size rows of one of repr_dim, the
-# decoder's hidden widths and the classes. 2^27 float64 values are 1 GiB.
-STEP_BLOCK_BUDGET = 2**27
+# Floats one array of a run may hold; 2^27 float64 values are 1 GiB. A training step's
+# noise, noisy copies of z and decoder activations are noise_draws x batch_size rows of
+# one of repr_dim, the decoder's hidden widths and the classes; the taylor experiment's
+# KL table is one row per test point and one column per draw.
+FLOAT_BUDGET = 2**27
 
 logger = logging.getLogger("fisherjscc")
 
@@ -458,14 +459,14 @@ def _train_config_from(config: dict, seed: int) -> TrainConfig:
 
 
 def _check_step_block(config: dict, classes: int) -> None:
-    """Refuse a [train] noise_draws whose step block passes STEP_BLOCK_BUDGET floats."""
+    """Refuse a [train] noise_draws whose step block passes FLOAT_BUDGET floats."""
     section = config["train"]
     widths = (config["model"]["repr_dim"], *config["model"]["decoder_hidden"], classes)
     floats = section["noise_draws"] * section["batch_size"] * max(widths)
-    if floats > STEP_BLOCK_BUDGET:
+    if floats > FLOAT_BUDGET:
         raise ConfigError(f"[train] noise_draws = {section['noise_draws']}: a step would hold "
                           f"{floats} floats in one block (noise_draws x batch_size x the widest "
-                          f"decoder layer), more than the {STEP_BLOCK_BUDGET} allowed")
+                          f"decoder layer), more than the {FLOAT_BUDGET} allowed")
 
 
 def cmd_train(config: dict, seed: int, force: bool) -> int:
@@ -516,7 +517,7 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
 
 
 def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = None,
-             threads: int = 1) -> int:
+             threads: int | None = None) -> int:
     section = config["experiment"]
     kind = kind_override or section["kind"]
     family = config["channel"]["family"]
@@ -539,6 +540,11 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
             if section["sample_limit"] < 1:
                 raise ValueError("sample_limit must be >= 1")
             limit = min(section["sample_limit"], len(test_set))
+            if limit * section["mc_samples"] > FLOAT_BUDGET:
+                raise ConfigError(f"[experiment] mc_samples = {section['mc_samples']}: the KL "
+                                  f"table of {limit} test points would hold "
+                                  f"{limit * section['mc_samples']} floats, more than the "
+                                  f"{FLOAT_BUDGET} allowed")
             sigma2_grid = [_noise_variance(p, encoder.power, "[experiment] taylor_psnr_grid")
                            for p in section["taylor_psnr_grid"]]
             rows = experiments.taylor_validation(encoder, decoder,
@@ -570,7 +576,7 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
     return EXIT_OK
 
 
-def cmd_compare(config: dict, seed: int, force: bool, threads: int = 1) -> int:
+def cmd_compare(config: dict, seed: int, force: bool, threads: int | None = None) -> int:
     section = config["experiment"]
     out_dir = _check_out(config["run"]["out"], force)
     encoder_a, decoder_a, norm_a, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
@@ -611,19 +617,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         p.add_argument("--out", default=None, help="override [run] out directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.add_argument("--threads", type=int, default=1,
-                       help="workers for the PSNR cells of eval, compare and validate-approx "
-                            "(default 1); any count gives the same bytes; BLAS runs one "
-                            "thread per process unless OPENBLAS_NUM_THREADS is set")
+        return p
 
-    p = sub.add_parser("gen-data", help="generate dataset files and a manifest")
-    common(p)
+    def pooled(p):
+        common(p).add_argument(
+            "--threads", type=int, default=None,
+            help="workers for the PSNR cells (default: one per CPU this process may run "
+                 "on, at most one per cell); any count gives the same bytes; BLAS runs "
+                 "one thread per process unless OPENBLAS_NUM_THREADS is set")
+
+    p = common(sub.add_parser("gen-data", help="generate dataset files and a manifest"))
     p.add_argument("--verify", action="store_true",
                    help="verify existing files against the manifest digests")
     common(sub.add_parser("train", help="train a model pair, write checkpoint + log"))
-    common(sub.add_parser("eval", help="run the experiment configured in [experiment]"))
-    common(sub.add_parser("compare", help="paired sweep of two checkpoints"))
-    common(sub.add_parser("validate-approx", help="alias for eval with kind=taylor"))
+    pooled(sub.add_parser("eval", help="run the experiment configured in [experiment]"))
+    pooled(sub.add_parser("compare", help="paired sweep of two checkpoints"))
+    pooled(sub.add_parser("validate-approx", help="alias for eval with kind=taylor"))
     common(sub.add_parser("posterior-map", help="alias for eval with kind=posterior-map"))
     return parser
 
@@ -642,8 +651,9 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
         config = load_config(args.config)
         if args.seed is not None:
             config["run"]["seed"] = args.seed
@@ -655,12 +665,12 @@ def _run(args) -> int:
         if args.command == "train":
             return cmd_train(config, seed, args.force)
         if args.command == "eval":
-            return cmd_eval(config, seed, args.force, threads=args.threads)
+            return cmd_eval(config, seed, args.force, threads=threads)
         if args.command == "compare":
-            return cmd_compare(config, seed, args.force, threads=args.threads)
+            return cmd_compare(config, seed, args.force, threads=threads)
         if args.command == "validate-approx":
             return cmd_eval(config, seed, args.force, kind_override="taylor",
-                            threads=args.threads)
+                            threads=threads)
         if args.command == "posterior-map":
             return cmd_eval(config, seed, args.force, kind_override="posterior-map")
         raise ConfigError(f"unknown command {args.command!r}")

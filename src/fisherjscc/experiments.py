@@ -10,6 +10,7 @@ or a header tuple); figures are produced from the CSV by external tooling.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,34 +45,40 @@ def _sigma2_grid(psnr_grid, power: float) -> list[float]:
         raise ValueError(f"psnr_grid: {exc}") from None
 
 
-def _map_cells(fn, count: int, threads: int) -> list:
+def _map_cells(fn, count: int, threads: int | None) -> list:
     """[fn(0), ..., fn(count - 1)] from a pool of `threads` workers, in index order.
 
-    Pool threads do not inherit the caller's np.errstate, so each cell runs
-    under the error policy of the thread that calls this.
+    `threads=None` takes one worker per CPU this process may run on. The pool
+    never has more workers than cells. Pool threads do not inherit the
+    caller's np.errstate, so each cell runs under the error policy of the
+    thread that calls this.
     """
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     error_policy = np.geterr()
 
     def cell(index):
         with np.errstate(**error_policy):
             return fn(index)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, max(count, 1))) as pool:
         return list(pool.map(cell, range(count)))
 
 
 def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                 psnr_grid, family: str, trials: int, seed: int,
-                threads: int = 1) -> list[SweepRow]:
+                threads: int | None = None) -> list[SweepRow]:
     """Misclassification rate over the test PSNR grid, T channel draws per sample.
 
     The same draws also feed the per-sample KL between the noise-free and
     noisy posteriors, reported as mean_expected_kl. A prediction is the
     argmax of `decode`. Each (PSNR, trial) pair draws from its own generator
     derived from the seed by labeled counters, and the pool's `threads`
-    workers return the rows in grid order, so the result is identical for
-    any thread count; they run under the caller's numpy error policy. A PSNR
-    listed twice or whose noise variance overflows is refused before any cell.
+    workers (default: one per CPU, see `_map_cells`) return the rows in grid
+    order, so the result is identical for any thread count; they run under
+    the caller's numpy error policy. A PSNR listed twice or whose noise
+    variance overflows is refused before any cell.
 
     A cell draws the noise of about SWEEP_BLOCK_ROWS rows, a block of trials,
     in one call on a generator holding those trials' streams, which gives
@@ -123,7 +130,7 @@ class TaylorRow(NamedTuple):
 
 def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
                       sigma2_grid, samples: int, seed: int,
-                      threads: int = 1) -> list[TaylorRow]:
+                      threads: int | None = None) -> list[TaylorRow]:
     """Check the closed-form penalty against the sampled expected KL under AWGN.
 
     Per noise level: dataset-mean MC expected KL over `samples` channel draws
@@ -132,11 +139,12 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
     so the unconditional KL has no finite penalty to be compared with.
 
     Each noise level is a cell with its own generator derived from the seed,
-    and the pool's `threads` workers return the rows in grid order, so the
-    result is identical for any thread count; they run under the caller's
-    numpy error policy. Within a cell the draws, decodes and KL run serially;
-    `_expected_kl_rows` decodes in slices of at least KL_SLICE_ROWS = 16,384
-    rows, since smaller slices take another OpenBLAS path and change bits.
+    and the pool's `threads` workers (default: one per CPU, see `_map_cells`)
+    return the rows in grid order, so the result is identical for any thread
+    count; they run under the caller's numpy error policy. Within a cell the
+    draws, decodes and KL run serially; `_expected_kl_rows` decodes in slices
+    of at least KL_SLICE_ROWS = 16,384 rows, since smaller slices take another
+    OpenBLAS path and change bits.
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
@@ -264,7 +272,7 @@ class CompareRow(NamedTuple):
 
 def paired_compare(encoder_a, decoder_a, encoder_b, decoder_b, dataset,
                    psnr_grid, family: str, trials: int, seed: int,
-                   threads: int = 1) -> list[CompareRow]:
+                   threads: int | None = None) -> list[CompareRow]:
     """Shared-seed paired sweep of two model pairs; per-PSNR error deltas."""
     sweep_a = error_sweep(encoder_a, decoder_a, dataset, psnr_grid, family,
                           trials, seed, threads=threads)

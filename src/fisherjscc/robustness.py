@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import channel_noise
-from .models import DecoderModel, _mlp_backprop
+from .models import DecoderModel, _class_sum, _mlp_backprop
 from .rng import CounterRng
 
 KL_LOG_CLAMP = 1e-12
@@ -39,7 +39,7 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     clamped inside the logs, 0 * log 0 is 0."""
     q = np.maximum(q, KL_LOG_CLAMP)
     terms = np.where(p > 0.0, p * (np.log(np.maximum(p, KL_LOG_CLAMP)) - np.log(q)), 0.0)
-    return terms.sum(axis=-1)
+    return _class_sum(terms)
 
 
 class _ClosedForm:

@@ -373,6 +373,15 @@ def decoder_tape(decoder, z) -> Tensor:
     return log_softmax(logits)
 
 
+def log_posterior_by_axis(decoder, z) -> np.ndarray:
+    """`DecoderModel._log_posterior` with NumPy's reductions over the class axis, which
+    the library's column folds replaced: the tape's log-softmax of the library's logits."""
+    from fisherjscc.models import _mlp_values
+
+    h = np.asarray(z, dtype=np.float64)
+    return log_softmax(_mlp_values(decoder.params, h, len(decoder.sizes) - 1)).data
+
+
 # ---------------------------------------------------------------------------
 # Finite differences, exact references and the references built on the tape.
 

@@ -1,10 +1,12 @@
 """Fixtures shared across the test modules."""
 
-import numpy as np
-import pytest
-
+# fisherjscc before NumPy: importing it pins OpenBLAS to one thread, which NumPy reads
+# when it loads, so the PSNR cells' pool workers do not share cores with BLAS threads.
 from fisherjscc import autodiff as ad
 from fisherjscc import models
+
+import numpy as np
+import pytest
 
 
 @pytest.fixture

@@ -656,15 +656,70 @@ class TestEvalCommand:
         assert "config error" in err and "normalize" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint):
+    def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint, monkeypatch):
+        """--threads 1, 2 and the default, here one worker per cell of four CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         config = tmp_path / "eval.ini"
         outputs = []
-        for attempt, threads in (("t1", "1"), ("t2", "2")):
+        for attempt, flag in (("t1", ["--threads", "1"]), ("t2", ["--threads", "2"]),
+                              ("default", [])):
             out = tmp_path / f"eval_{attempt}"
             write_config(config, out, data_dir, extra=f"checkpoint = {checkpoint}")
-            assert main(["eval", "--config", str(config), "--threads", threads]) == EXIT_OK
+            assert main(["eval", "--config", str(config), *flag]) == EXIT_OK
             outputs.append((out / "sweep.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "posterior-map"])
+    def test_threads_refused_where_no_pool_runs(self, tmp_path, data_dir, checkpoint, capsys,
+                                                command):
+        """A usage error, exit 2 without a traceback, before any output exists."""
+        config = tmp_path / "run.ini"
+        out = tmp_path / "out"
+        write_config(config, out, data_dir, extra=f"checkpoint = {checkpoint}")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(config), "--threads", "2"])
+        assert exit_info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate-approx", "eval"])
+    @pytest.mark.parametrize("sample_limit, samples, passes", [
+        (1, 2**27, True), (1, 2**27 + 1, False),
+        (64, 2**21, True), (64, 2**21 + 1, False),
+        (10**6, 2**27 // 120, True), (10**6, 2**27 // 120 + 1, False),
+    ], ids=["one-point-at-budget", "one-point-past", "64-points-at-budget", "64-points-past",
+            "test-set-at-budget", "test-set-past"])
+    def test_kl_table_past_the_budget_refused_up_front(self, tmp_path, data_dir, checkpoint,
+                                                        capsys, monkeypatch, command,
+                                                        sample_limit, samples, passes):
+        """The KL table is min(sample_limit, 120 test points) x mc_samples floats. Up to
+        2^27 the run reaches the Taylor cells, stubbed here, so nothing that size runs;
+        past it, exit 2 names [experiment] mc_samples before any cell or output."""
+        rows = min(sample_limit, 120)
+        if passes:      # one more draw per point would pass the budget
+            assert rows * samples <= cli.FLOAT_BUDGET < rows * (samples + 1)
+        else:           # one draw fewer per point would fit
+            assert rows * (samples - 1) <= cli.FLOAT_BUDGET < rows * samples
+        calls = []
+        monkeypatch.setattr(cli.experiments, "taylor_validation",
+                            lambda *args, **kwargs: calls.append(args[4]) or [])
+        config = tmp_path / "eval.ini"
+        out = tmp_path / "out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint = {checkpoint}\nmc_samples = {samples}\n"
+                           f"sample_limit = {sample_limit}")
+        config.write_text(config.read_text().replace("kind = sweep", "kind = taylor"))
+        capsys.readouterr()
+        code = main([command, "--config", str(config)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if passes:
+            assert code == EXIT_OK and calls == [samples]
+        else:
+            assert code == EXIT_CONFIG and calls == [] and not out.exists()
+            assert "[experiment] mc_samples" in err
 
     def test_periodic_checkpoints_written(self, tmp_path, data_dir):
         """Each periodic checkpoint carries the normalizer and is in the manifest; the
@@ -733,7 +788,7 @@ class TestEvalCommand:
                           .replace("noise_draws = 2", f"noise_draws = {draws}")
                           .replace("batch_size = 32", "batch_size = 64")
                           .replace("decoder_hidden = 16", "decoder_hidden = 64"))
-        assert 32768 * 64 * 64 == cli.STEP_BLOCK_BUDGET
+        assert 32768 * 64 * 64 == cli.FLOAT_BUDGET
         capsys.readouterr()
         assert main(["train", "--config", str(config)]) == code
         err = capsys.readouterr().err
@@ -792,18 +847,20 @@ class TestEvalCommand:
         assert (out / "taylor.csv").exists()
 
     def test_validate_approx_threads_flag_preserves_bytes(self, tmp_path, data_dir,
-                                                          checkpoint):
+                                                          checkpoint, monkeypatch):
+        """--threads 1, 2 and the default, here one worker per cell of four CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         config = tmp_path / "eval.ini"
         outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"taylor_t{threads}"
+        for attempt, flag in (("t1", ["--threads", "1"]), ("t2", ["--threads", "2"]),
+                              ("default", [])):
+            out = tmp_path / f"taylor_{attempt}"
             write_config(config, out, data_dir,
                          extra=f"checkpoint = {checkpoint}\nmc_samples = 200\n"
                                f"sample_limit = 40")
-            assert main(["validate-approx", "--config", str(config),
-                         "--threads", threads]) == EXIT_OK
+            assert main(["validate-approx", "--config", str(config), *flag]) == EXIT_OK
             outputs.append((out / "taylor.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_validate_approx_bytes_do_not_depend_on_blas_threads(self, tmp_path, data_dir,
                                                                  checkpoint):

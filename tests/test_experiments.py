@@ -1,9 +1,12 @@
 """Evaluation harness: sweeps, approximation tables, maps, eigensolver."""
 
+import os
+
 import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
+from fisherjscc import experiments
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
@@ -159,6 +162,58 @@ class TestErrorSweep:
         assert tensors_built_by(error_sweep, encoder, decoder, test_set,
                                 [float("inf"), 10.0], "rayleigh", trials=2, seed=3,
                                 threads=threads) == 0
+
+
+class TestWorkerCount:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool `_map_cells` starts, in order."""
+        sizes = []
+
+        class RecordingPool(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, threads, cells, workers", [
+        (8, None, 3, 3), (2, None, 3, 2), (1, None, 3, 1), (8, 5, 2, 2), (8, 1, 4, 1),
+        (8, None, 0, 1),
+    ])
+    def test_one_worker_per_cpu_and_never_more_than_cells(self, monkeypatch, pool_sizes,
+                                                          cpus, threads, cells, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert experiments._map_cells(lambda i: i * i, cells, threads) == [
+            i * i for i in range(cells)]
+        assert pool_sizes == [workers]
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch, pool_sizes):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        experiments._map_cells(lambda i: i, 5, None)
+        assert pool_sizes == [3]
+
+    def test_default_equals_one_thread(self, trained_pair, monkeypatch, pool_sizes):
+        """Four CPUs: the default runs each function's cells on a pool of one worker
+        per cell, and gives the rows of threads=1."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        encoder, decoder, ds, test_set = trained_pair
+        grid = [5.0, 15.0, 25.0]
+        sigma2_grid = [psnr_to_sigma2(p, 1.0) for p in grid]
+        runs = [(error_sweep, (encoder, decoder, test_set, grid, "rayleigh", 3, 31)),
+                (taylor_validation, (encoder, decoder, ds.features[:40], sigma2_grid, 200, 32)),
+                (paired_compare, (encoder, decoder, encoder, decoder, test_set, grid, "awgn",
+                                  3, 33))]
+        for function, args in runs:
+            del pool_sizes[:]
+            default = function(*args)
+            assert set(pool_sizes) == {3}
+            del pool_sizes[:]
+            assert default == function(*args, threads=1)
+            assert set(pool_sizes) == {1}
 
 
 class TestTaylorValidation:

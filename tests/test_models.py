@@ -7,12 +7,13 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc.data import make_rings
-from fisherjscc.models import (DecoderModel, EncoderModel, load_checkpoint,
-                               save_checkpoint)
+from fisherjscc.models import (DecoderModel, EncoderModel, _class_max, _class_sum,
+                               load_checkpoint, save_checkpoint)
 from fisherjscc.rng import CounterRng
 
-from _oracles import (backward, decoder_tape, encoder_tape, finite_diff_grad, max_rel_err, mul,
-                      softmax_reference, sum_all, weighted_sum)
+from _oracles import (backward, decoder_tape, encoder_tape, finite_diff_grad,
+                      log_posterior_by_axis, max_rel_err, mul, softmax_reference, sum_all,
+                      weighted_sum)
 from test_robustness import STACKED_SHAPES, random_decoder
 
 
@@ -129,6 +130,62 @@ class TestLogPosterior:
         assert grad.shape == (4,)
         assert np.all(np.isfinite(grad))
         assert max_rel_err(grad, finite_diff_grad(value, z.data)) <= 1e-5
+
+
+REDUCTION_ROWS = [1, 7, 64, 600, 16384, 65536]
+REDUCTION_CLASSES = [2, 3, 4, 5, 6, 7, 8, 9, 65]
+
+
+def class_block(shape, seed: int) -> np.ndarray:
+    """Normals scaled over 2^-16 to 2^15, with signed zeros planted, rows of -0.0s, and rows
+    whose maximum is a tie of -0.0 and 0.0 above negative entries."""
+    rng = np.random.default_rng(seed)
+    a = np.ldexp(rng.standard_normal(shape), rng.integers(-16, 16, size=shape, dtype=np.int32))
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    rows = a.reshape(-1, shape[-1])
+    rows[::3] = -np.abs(rows[::3])
+    rows[::3, 0] = -0.0
+    rows[::3, -1] = 0.0
+    rows[1::5] = -0.0
+    return a
+
+
+class TestClassReductions:
+    """The column folds give the bytes of NumPy's reductions over the last axis; bytes,
+    because np.array_equal takes -0.0 and 0.0 as equal."""
+
+    @pytest.mark.parametrize("classes", REDUCTION_CLASSES)
+    @pytest.mark.parametrize("rows", REDUCTION_ROWS)
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "3d"])
+    def test_bytes_of_numpys_max_and_sum(self, lead, rows, classes):
+        a = class_block((*lead, rows, classes), seed=rows * 100 + classes)
+        assert _class_max(a).tobytes() == a.max(axis=-1).tobytes()
+        assert _class_sum(a).tobytes() == a.sum(axis=-1).tobytes()
+
+    def test_ties_of_signed_zeros_are_covered(self):
+        a = class_block((600, 3), seed=1)
+        negative_zero = (a == 0.0) & np.signbit(a)
+        positive_zero = (a == 0.0) & ~np.signbit(a)
+        assert np.any((a.max(axis=-1) == 0.0) & negative_zero.any(axis=-1)
+                      & positive_zero.any(axis=-1))
+        assert np.any(negative_zero.all(axis=-1))
+
+    def test_input_left_unmodified(self):
+        a = class_block((64, 3), seed=2)
+        before = a.tobytes()
+        _class_max(a)
+        _class_sum(a)
+        assert a.tobytes() == before
+
+    @pytest.mark.parametrize("classes", REDUCTION_CLASSES)
+    @pytest.mark.parametrize("rows", REDUCTION_ROWS)
+    def test_log_posterior_bytes_of_the_axis_reductions(self, rows, classes):
+        decoder = DecoderModel(4, classes, hidden=(16,), seed=classes)
+        rng = np.random.default_rng(rows + classes)
+        z = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-3, 3, size=(rows, 1))
+        assert (decoder._log_posterior(z).tobytes()
+                == log_posterior_by_axis(decoder, z).tobytes())
 
 
 class TestTapeFreeForward:
