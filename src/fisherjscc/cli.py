@@ -46,7 +46,10 @@ EXIT_NUMERIC = 4
 # Floats one array of a run may hold; 2^27 float64 values are 1 GiB. A training step's
 # noise, noisy copies of z and decoder activations are noise_draws x batch_size rows of
 # one of repr_dim, the decoder's hidden widths and the classes; the taylor experiment's
-# KL table is one row per test point and one column per draw.
+# KL table is one row per test point and one column per draw; a posterior map decodes
+# resolution^2 points; a generated split is classes x per_class rows of its features.
+# trials has no bound: a sweep holds one block of experiments.SWEEP_BLOCK_ROWS noisy rows
+# at a time, and its time is linear in trials.
 FLOAT_BUDGET = 2**27
 
 logger = logging.getLogger("fisherjscc")
@@ -282,6 +285,14 @@ def _manifest_digests(path: Path) -> dict:
     return digests
 
 
+def _check_budget(floats: int, key: str, value, holder: str) -> None:
+    """Refuse, naming key, a config value whose largest array, `holder`, would hold more
+    than FLOAT_BUDGET floats."""
+    if floats > FLOAT_BUDGET:
+        raise ConfigError(f"{key} = {value}: {holder} would hold {floats} floats, more "
+                          f"than the {FLOAT_BUDGET} allowed")
+
+
 def _noise_variance(psnr_db: float, power: float, key: str) -> float:
     """psnr_to_sigma2 of a configured PSNR; one that overflows is a config error on key."""
     try:
@@ -405,6 +416,18 @@ def _test_set_for(config: dict, encoder: EncoderModel, normalizer: Normalizer | 
 # Commands.
 
 
+def _check_generated_splits(section: dict) -> None:
+    """Refuse a [data] per_class_train or per_class_test whose generated split passes
+    FLOAT_BUDGET floats: classes x per_class rows of 2 features (rings) or dim (blobs)."""
+    features = {"rings": 2, "blobs": section["dim"]}.get(section["kind"])
+    if features is None:        # a table is read, not generated
+        return
+    for key in ("per_class_train", "per_class_test"):
+        _check_budget(section["classes"] * section[key] * features, f"[data] {key}",
+                      section[key], f"a split of {section['classes']} classes x "
+                                    f"{features} features")
+
+
 def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
     out_dir = Path(config["run"]["out"])
     manifest_path = out_dir / "manifest.json"
@@ -424,6 +447,7 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
         return EXIT_OK
 
     out_dir = _check_out(config["run"]["out"], force)
+    _check_generated_splits(config["data"])
     try:
         train_set, test_set = _generate_datasets(config, seed)
     except DataError:
@@ -462,11 +486,16 @@ def _check_step_block(config: dict, classes: int) -> None:
     """Refuse a [train] noise_draws whose step block passes FLOAT_BUDGET floats."""
     section = config["train"]
     widths = (config["model"]["repr_dim"], *config["model"]["decoder_hidden"], classes)
-    floats = section["noise_draws"] * section["batch_size"] * max(widths)
-    if floats > FLOAT_BUDGET:
-        raise ConfigError(f"[train] noise_draws = {section['noise_draws']}: a step would hold "
-                          f"{floats} floats in one block (noise_draws x batch_size x the widest "
-                          f"decoder layer), more than the {FLOAT_BUDGET} allowed")
+    _check_budget(section["noise_draws"] * section["batch_size"] * max(widths),
+                  "[train] noise_draws", section["noise_draws"],
+                  "a step's block (noise_draws x batch_size x the widest decoder layer)")
+
+
+def _check_map_grid(resolution: int, decoder: DecoderModel) -> None:
+    """Refuse an [experiment] resolution whose map passes FLOAT_BUDGET floats: resolution^2
+    points through the widest of repr_dim, the decoder's hidden widths and its classes."""
+    _check_budget(resolution**2 * max(decoder.sizes), "[experiment] resolution", resolution,
+                  "the map (resolution^2 points x the widest decoder layer)")
 
 
 def cmd_train(config: dict, seed: int, force: bool) -> int:
@@ -540,11 +569,8 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
             if section["sample_limit"] < 1:
                 raise ValueError("sample_limit must be >= 1")
             limit = min(section["sample_limit"], len(test_set))
-            if limit * section["mc_samples"] > FLOAT_BUDGET:
-                raise ConfigError(f"[experiment] mc_samples = {section['mc_samples']}: the KL "
-                                  f"table of {limit} test points would hold "
-                                  f"{limit * section['mc_samples']} floats, more than the "
-                                  f"{FLOAT_BUDGET} allowed")
+            _check_budget(limit * section["mc_samples"], "[experiment] mc_samples",
+                          section["mc_samples"], f"the KL table of {limit} test points")
             sigma2_grid = [_noise_variance(p, encoder.power, "[experiment] taylor_psnr_grid")
                            for p in section["taylor_psnr_grid"]]
             rows = experiments.taylor_validation(encoder, decoder,
@@ -562,6 +588,7 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
             if sigma2 == 0.0:
                 raise ConfigError(f"[channel] psnr_db = {psnr_db}: the map spans extent_std "
                                   f"noise standard deviations, and there is no noise")
+            _check_map_grid(section["resolution"], decoder)
             grid = experiments.posterior_grid(encoder, decoder, test_set,
                                               section["sample_index"], section["resolution"],
                                               section["extent_std"], sigma2)

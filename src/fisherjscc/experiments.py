@@ -82,8 +82,12 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
 
     A cell draws the noise of about SWEEP_BLOCK_ROWS rows, a block of trials,
     in one call on a generator holding those trials' streams, which gives
-    every trial the values of its own generator. Each trial is still decoded
-    on its own: a stacked decode can sum in another order on some BLAS builds.
+    every trial the values of its own generator. The block is decoded as one
+    [trials, rows, k] stack, with one KL and one argmax, and each trial's KL
+    sum joins the cell's in trial order. That keeps each trial's bits: the
+    stack's weight products are one BLAS product per trial (a [trials * rows,
+    k] batch would take another BLAS path and other bits), and the rest works
+    entry by entry or row by row.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -109,10 +113,10 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
                               for t in range(start, min(start + block_trials, trials))])
             z_hat = channel_noise(z.shape, sigma2, family, rng)
             z_hat += z      # in place; noise + z and z + noise are the same bits
-            for z_trial in z_hat:
-                q = decoder.decode(z_trial)
-                wrong += int(np.sum(np.argmax(q, axis=1) != labels))
-                kl_sum += float(_kl_rows(p_clean, q).sum())
+            q = decoder.decode(z_hat)
+            wrong += int(np.sum(np.argmax(q, axis=-1) != labels))
+            for trial_kl in _kl_rows(p_clean, q).sum(axis=-1):
+                kl_sum += float(trial_kl)
         return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
                         kl_sum / (trials * len(labels)))
 

@@ -129,21 +129,28 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_shape(shape: tuple, width: int, expects: str) -> tuple:
-    """[b, width] for a width-vector or a batch of them; ValueError otherwise."""
+def _batch_shape(shape: tuple, width: int, expects: str, stacks: bool = False) -> tuple:
+    """[b, width] for a width-vector or a batch of them, and with `stacks` also
+    [T, b, width] for a stack of T batches, kept as it is; ValueError otherwise.
+
+    A stack is a batch's worth of rows per slice: `_mlp_values` multiplies it by
+    each weight with one BLAS product per slice, so every slice gets the bits of
+    its own batch.
+    """
     if len(shape) == 1:
         shape = (1, shape[0])
-    if len(shape) != 2:
+    if not (len(shape) == 2 or stacks and len(shape) == 3):
         raise ValueError(f"expected a vector or a batch of vectors, got shape {shape}")
-    if shape[1] != width:
-        raise ValueError(f"{expects} of dimension {width}, got {shape[1]}")
+    if shape[-1] != width:
+        raise ValueError(f"{expects} of dimension {width}, got {shape[-1]}")
     return shape
 
 
-def _batch_values(x, width: int, expects: str) -> np.ndarray:
-    """x as a finite float64 [b, width] array, without a graph."""
+def _batch_values(x, width: int, expects: str, stacks: bool = False) -> np.ndarray:
+    """x as a finite float64 [b, width] array (or [T, b, width], see `_batch_shape`),
+    without a graph."""
     h = np.asarray(x, dtype=np.float64)
-    return ad.check_finite(h.reshape(_batch_shape(h.shape, width, expects)))
+    return ad.check_finite(h.reshape(_batch_shape(h.shape, width, expects, stacks)))
 
 
 class EncoderModel:
@@ -224,19 +231,26 @@ class DecoderModel:
 
         return ad.Tensor(log_q, (z, *self.params.values()), gradients)
 
-    def _log_posterior(self, z, layers: list | None = None) -> np.ndarray:
-        """log q(y|z) for every class, [b, C], built without a graph; given a list
-        `layers`, each layer's input and weight are kept there (see `_mlp_values`)."""
-        h = _batch_values(z, self.repr_dim, "decoder expects representations")
+    def _log_posterior(self, z, layers: list | None = None,
+                       stacks: bool = False) -> np.ndarray:
+        """log q(y|z) for every class, [b, C] (or [T, b, C] for a stack, see
+        `_batch_shape`), built without a graph; given a list `layers`, each layer's
+        input and weight are kept there (see `_mlp_values`)."""
+        h = _batch_values(z, self.repr_dim, "decoder expects representations", stacks)
         logits = _mlp_values(self.params, h, len(self.sizes) - 1, layers)
-        logits -= _class_max(logits)[:, None]
-        logits -= np.log(_class_sum(np.exp(logits)))[:, None]
+        logits -= _class_max(logits)[..., None]
+        logits -= np.log(_class_sum(np.exp(logits)))[..., None]
         # Finite logits more than the largest double apart overflow the shift.
         return ad.check_finite(logits)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        """Posterior rows (each sums to 1); argmax ties resolve to the lowest index."""
-        log_q = self._log_posterior(z)
+        """Posterior rows (each sums to 1); argmax ties resolve to the lowest index.
+
+        z is a vector, a batch [b, k] or a stack [T, b, k] of batches; a stack's
+        slice t is decode(z[t]) bit for bit: each weight product is one BLAS
+        product per slice, and the rest works entry by entry or row by row.
+        """
+        log_q = self._log_posterior(z, stacks=True)
         return np.exp(log_q, out=log_q)
 
 

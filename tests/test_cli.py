@@ -12,6 +12,7 @@ import pytest
 from fisherjscc import cli
 from fisherjscc.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                             load_config, main)
+from fisherjscc.models import DecoderModel
 
 
 def sha256(path) -> str:
@@ -467,6 +468,14 @@ class TestEvalCommand:
          "[data] per_class_train"),
         ("gen-data", [("per_class_test = 40", "per_class_test = 0")], "[data] per_class_test"),
         ("gen-data", [("kind = rings", "kind = blobs\ndim = 0")], "[data] dim"),
+        ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nresolution = 1000000")],
+         "[experiment] resolution"),
+        ("gen-data", [("per_class_train = 40", "per_class_train = 1000000000")],
+         "[data] per_class_train"),
+        ("gen-data", [("per_class_test = 40", "per_class_test = 1000000000")],
+         "[data] per_class_test"),
+        ("gen-data", [("kind = rings", "kind = blobs\ndim = 1000000000")],
+         "[data] per_class_train"),
         ("train", [("learning_rate = 0.001", "learning_rate = 0.001\ncheckpoint_every = -1")],
          "[train] checkpoint_every"),
         ("eval --threads 0", [], "--threads"),
@@ -527,6 +536,8 @@ class TestEvalCommand:
             "train-repr_dim", "train-encoder_hidden", "train-decoder_hidden",
             "gen-data-classes", "gen-data-spread-nan", "gen-data-spread-inf",
             "gen-data-per_class_train", "gen-data-per_class_test", "gen-data-blobs-dim",
+            "posterior-map-resolution-budget", "gen-data-per_class_train-budget",
+            "gen-data-per_class_test-budget", "gen-data-blobs-dim-budget",
             "train-checkpoint_every", "eval-threads", "train-psnr_db-nan",
             "train-psnr_db-minus-inf", "train-power-inf", "train-lambda-nan",
             "train-lambda-inf", "train-learning_rate-nan", "train-learning_rate-inf",
@@ -888,6 +899,41 @@ class TestEvalCommand:
                      extra=f"checkpoint = {checkpoint}\nresolution = 9")
         assert main(["posterior-map", "--config", str(config)]) == EXIT_OK
         assert (out / "posterior.csv").exists()
+
+
+class TestSizeBudget:
+    """The budget's boundary, by arithmetic on the check functions: nothing is allocated."""
+
+    @pytest.mark.parametrize("kind, classes, dim, per_class", [
+        ("rings", 2, 99, 2**25), ("rings", 3, 1, 2**27 // 6), ("blobs", 4, 8, 2**22),
+        ("blobs", 5, 7, 2**27 // 35),
+    ])
+    def test_generated_split_at_the_budget(self, kind, classes, dim, per_class):
+        """rings have 2 features whatever dim says, blobs have dim."""
+        features = 2 if kind == "rings" else dim
+        assert classes * per_class * features <= cli.FLOAT_BUDGET
+        assert classes * (per_class + 1) * features > cli.FLOAT_BUDGET
+        section = {"kind": kind, "classes": classes, "dim": dim,
+                   "per_class_train": per_class, "per_class_test": per_class}
+        cli._check_generated_splits(section)
+        for key in ("per_class_train", "per_class_test"):
+            with pytest.raises(ConfigError, match=rf"\[data\] {key} = {per_class + 1}:"):
+                cli._check_generated_splits({**section, key: per_class + 1})
+
+    def test_a_table_is_not_generated(self):
+        cli._check_generated_splits({"kind": "table", "classes": 10**9, "dim": 10**9,
+                                     "per_class_train": 10**9, "per_class_test": 10**9})
+
+    @pytest.mark.parametrize("repr_dim, hidden, classes, resolution", [
+        (4, (64,), 3, 1448), (4, (16,), 65, 1436), (128, (16,), 3, 1024), (4, (), 2, 5792),
+    ], ids=["hidden-widest", "classes-widest", "repr_dim-widest", "no-hidden"])
+    def test_map_at_the_budget(self, repr_dim, hidden, classes, resolution):
+        widest = max(repr_dim, *hidden, classes)
+        assert resolution**2 * widest <= cli.FLOAT_BUDGET < (resolution + 1)**2 * widest
+        decoder = DecoderModel(repr_dim, classes, hidden=hidden, seed=0)
+        cli._check_map_grid(resolution, decoder)
+        with pytest.raises(ConfigError, match=rf"\[experiment\] resolution = {resolution + 1}:"):
+            cli._check_map_grid(resolution + 1, decoder)
 
 
 class TestCompareCommand:

@@ -141,6 +141,24 @@ class TestErrorSweep:
         assert (error_sweep(encoder, decoder, test_set, [10.0], family, 3, seed=22)
                 == error_sweep_per_trial(encoder, decoder, test_set, [10.0], family, 3, 22))
 
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_one_decode_per_noise_block(self, trained_pair, monkeypatch, family):
+        """600 rows and 13 trials make blocks of 6, 6 and 1 trials. The clean posteriors
+        take one decode, and each noisy cell one decode per block, of the whole stack."""
+        encoder, decoder, _, _ = trained_pair
+        test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
+        shapes, decode = [], decoder.decode
+
+        def counted(z):
+            shapes.append(np.shape(z))
+            return decode(z)
+
+        monkeypatch.setattr(decoder, "decode", counted)
+        error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
+                    seed=21, threads=1)
+        blocks = [(6, 600, 6), (6, 600, 6), (1, 600, 6)]
+        assert shapes == [(600, 6), *blocks, *blocks]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
         """A decoder that overflows only on noisy inputs: with overflow raised in the

@@ -7,9 +7,10 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc.data import make_rings
-from fisherjscc.models import (DecoderModel, EncoderModel, _class_max, _class_sum,
-                               load_checkpoint, save_checkpoint)
+from fisherjscc.models import (FOLD_CLASSES, DecoderModel, EncoderModel, _class_max,
+                               _class_sum, load_checkpoint, save_checkpoint)
 from fisherjscc.rng import CounterRng
+from fisherjscc.robustness import _ClosedForm
 
 from _oracles import (backward, decoder_tape, encoder_tape, finite_diff_grad,
                       log_posterior_by_axis, max_rel_err, mul, softmax_reference, sum_all,
@@ -225,13 +226,45 @@ class TestTapeFreeForward:
         assert np.array_equal(x, x_before) and np.array_equal(z, z_before)
 
     def test_shape_errors_match_the_tape(self):
+        """A wrong width, a 4-D input and a scalar are refused by both with one message.
+        A stack of batches is decode's alone: the tape refuses it, and decode gives
+        each slice's bytes."""
         decoder = DecoderModel(4, 3, seed=52)
-        for bad in (np.zeros((2, 5)), np.zeros((1, 2, 4)), np.float64(1.0)):
+        for bad in (np.zeros((2, 5)), np.zeros((1, 1, 2, 4)), np.float64(1.0)):
             with pytest.raises(ValueError) as tape_error:
                 decoder.log_posterior_all(ad.Tensor(bad))
             with pytest.raises(ValueError) as plain_error:
                 decoder.decode(bad)
             assert str(plain_error.value) == str(tape_error.value)
+        stack = np.zeros((1, 2, 4))
+        with pytest.raises(ValueError, match="expected a vector or a batch of vectors"):
+            decoder.log_posterior_all(ad.Tensor(stack))
+        assert decoder.decode(stack).tobytes() == decoder.decode(stack[0])[None].tobytes()
+
+    def test_only_decode_takes_a_stack(self):
+        """encode and the closed-form trace refuse a [T, b, k] stack as they always did."""
+        encoder = EncoderModel(3, 4, power=1.0, seed=45)
+        decoder = DecoderModel(4, 3, seed=52)
+        refused = "expected a vector or a batch of vectors, got shape"
+        with pytest.raises(ValueError, match=rf"{refused} \(2, 5, 3\)"):
+            encoder.encode(np.zeros((2, 5, 3)))
+        with pytest.raises(ValueError, match=rf"{refused} \(2, 5, 4\)"):
+            _ClosedForm(decoder, np.zeros((2, 5, 4)))
+        with pytest.raises(ValueError, match="decoder expects representations of dimension 4"):
+            decoder.decode(np.zeros((2, 5, 3)))
+
+    @pytest.mark.parametrize("trials", [6, 1], ids=["sweep-block", "last-block"])
+    @pytest.mark.parametrize("classes", [3, 9, 65])
+    @pytest.mark.parametrize("hidden", [(), (64,)], ids=["depth-1", "depth-2"])
+    def test_stack_is_the_bytes_of_its_slices(self, hidden, classes, trials):
+        """The sweep's noise blocks: trials x 600 rows of an 8-wide representation, on
+        both sides of FOLD_CLASSES."""
+        assert 3 < FOLD_CLASSES <= 9
+        decoder = DecoderModel(8, classes, hidden=hidden, seed=60 + classes)
+        stack = CounterRng(trials + classes).normals(trials * 600 * 8).reshape(trials, 600, 8)
+        stack *= 2.0
+        assert (decoder.decode(stack).tobytes()
+                == np.stack([decoder.decode(s) for s in stack]).tobytes())
 
     def test_builds_no_tensor(self, tensors_built_by):
         encoder = EncoderModel(3, 4, power=1.0, seed=53)
