@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 from functools import partial
 from pathlib import Path
@@ -233,13 +234,32 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _environment() -> dict:
+    """What besides the config and seed shapes a run: byte identity holds within one
+    build (BLAS paths move bits), and thread and malloc settings move time and RSS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):    # older NumPy has no dict form
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "affinity_count": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                           else None),
+        "variables": {key: value for key, value in sorted(os.environ.items())
+                      if key.endswith("_NUM_THREADS") or key.startswith("MALLOC_")},
+    }
+
+
 def _publish(out_dir: Path, command: str, config: dict, seed: int,
              inputs: dict, writers: dict) -> None:
     """Write each artifact by `writers[name](path)`, then the manifest of `inputs` (key ->
-    path) and the artifacts, to temporary names in out_dir; rename them in, the manifest
-    last. An OSError is a config error, and leaves no temporary file and no artifact
-    without its manifest; a failed write leaves a previous run's files as they were,
-    and removes the directories this call made."""
+    path), the artifacts and the `_environment`, to temporary names in out_dir; rename
+    them in, the manifest last. An OSError is a config error, and leaves no temporary
+    file and no artifact without its manifest; a failed write leaves a previous run's
+    files as they were, and removes the directories this call made."""
     staged = {}     # nothing is staged until out_dir exists
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
@@ -255,6 +275,7 @@ def _publish(out_dir: Path, command: str, config: dict, seed: int,
             "config": config,
             "input_digests": {key: _sha256(path) for key, path in inputs.items()},
             "output_digests": {name: _sha256(path) for name, path in staged.items()},
+            "environment": _environment(),
         }
         staged["manifest.json"] = out_dir / "manifest.json.partial"
         staged["manifest.json"].write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

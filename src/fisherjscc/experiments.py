@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,7 +88,9 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     sum joins the cell's in trial order. That keeps each trial's bits: the
     stack's weight products are one BLAS product per trial (a [trials * rows,
     k] batch would take another BLAS path and other bits), and the rest works
-    entry by entry or row by row.
+    entry by entry or row by row. A block's noise and posteriors are released
+    before the next block is drawn, so each worker holds one block and the
+    allocator can place the next block in the chunks this one freed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -117,6 +120,7 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
             wrong += int(np.sum(np.argmax(q, axis=-1) != labels))
             for trial_kl in _kl_rows(p_clean, q).sum(axis=-1):
                 kl_sum += float(trial_kl)
+            del z_hat, q    # before the next draw, so its buffers can reuse these chunks
         return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
                         kl_sum / (trials * len(labels)))
 
@@ -259,10 +263,11 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
 POSTERIOR_HEADER = ("a", "b", "neg_log_posterior")
 
 
-def posterior_rows(grid: PosteriorGrid) -> list[tuple[float, float, float]]:
-    """The map in long format: one (a, b, value) row per cell, a-major."""
-    return [(a, b, grid.values[i, j])
-            for i, a in enumerate(grid.offsets1) for j, b in enumerate(grid.offsets2)]
+def posterior_rows(grid: PosteriorGrid) -> Iterator[tuple[float, float, float]]:
+    """The map in long format: one (a, b, value) row per cell, a-major, made as the
+    writer reads it, so no row outlives its line of the file."""
+    return ((a, b, grid.values[i, j])
+            for i, a in enumerate(grid.offsets1) for j, b in enumerate(grid.offsets2))
 
 
 class CompareRow(NamedTuple):

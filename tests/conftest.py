@@ -1,5 +1,7 @@
 """Fixtures shared across the test modules."""
 
+import weakref
+
 # fisherjscc before NumPy: importing it pins OpenBLAS to one thread, which NumPy reads
 # when it loads, so the PSNR cells' pool workers do not share cores with BLAS threads.
 from fisherjscc import autodiff as ad
@@ -26,6 +28,42 @@ def tensors_built_by():
         return len(built)
 
     return count
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array at the end of `array`'s chain of `.base`: the one that holds its memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.fixture
+def live_at_each_draw(monkeypatch):
+    """live_at_each_draw(module): spy on module.channel_noise and module._kl_rows and
+    return a list that gets, at every draw after the first, how many arrays of the
+    previous block are still alive: the memory of its noise and of each posterior
+    buffer passed to `_kl_rows`."""
+    def spy(module) -> list[int]:
+        block, live = [], []
+        draw, kl_rows = module.channel_noise, module._kl_rows
+
+        def noise(*args, **kwargs):
+            if block:
+                live.append(sum(ref() is not None for ref in block))
+                block.clear()
+            z_hat = draw(*args, **kwargs)
+            block.append(weakref.ref(_owner(z_hat)))
+            return z_hat
+
+        def kl(p, q):
+            block.append(weakref.ref(_owner(q)))
+            return kl_rows(p, q)
+
+        monkeypatch.setattr(module, "channel_noise", noise)
+        monkeypatch.setattr(module, "_kl_rows", kl)
+        return live
+
+    return spy
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fisherjscc import cli
@@ -179,6 +180,34 @@ class TestGenData:
             fh.write("9.9,9.9,tampered\n")
         assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_DATA
         assert "digest" in capsys.readouterr().err
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        """The build, the CPUs and every thread-count and malloc variable; the block is no
+        artifact, so other settings give the same digests and verify still passes."""
+        config = tmp_path / "run.ini"
+        malloc = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_ARENA_MAX": "2"}
+        manifests = []
+        for name, variables in (("plain", {}), ("set", {**malloc, "OMP_NUM_THREADS": "3"})):
+            out = tmp_path / name
+            write_config(config, out, out)
+            with monkeypatch.context() as patch:
+                for key in (*malloc, "OMP_NUM_THREADS"):
+                    patch.delenv(key, raising=False)
+                for key, value in {**variables, "FISHERJSCC_UNRELATED": "1"}.items():
+                    patch.setenv(key, value)
+                assert main(["gen-data", "--config", str(config)]) == EXIT_OK
+                assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_OK
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        plain, changed = (manifest["environment"] for manifest in manifests)
+        assert set(plain) == {"python", "numpy", "blas", "cpu_count", "affinity_count",
+                              "variables"}
+        assert set(plain["blas"]) == {"name", "version"}
+        assert plain["numpy"] == np.__version__ and plain["cpu_count"] == os.cpu_count()
+        assert plain["affinity_count"] == len(os.sched_getaffinity(0))
+        assert plain["variables"]["OPENBLAS_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"]
+        assert changed["variables"] == {**plain["variables"], **malloc, "OMP_NUM_THREADS": "3"}
+        assert "FISHERJSCC_UNRELATED" not in changed["variables"]
+        assert manifests[0]["output_digests"] == manifests[1]["output_digests"]
 
     @pytest.mark.parametrize("text", ["{not json", "{}"], ids=["not-json", "no-digests"])
     def test_verify_bad_manifest_is_a_data_error(self, tmp_path, capsys, text):

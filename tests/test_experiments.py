@@ -1,6 +1,7 @@
 """Evaluation harness: sweeps, approximation tables, maps, eigensolver."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestErrorSweep:
                     seed=21, threads=1)
         blocks = [(6, 600, 6), (6, 600, 6), (1, 600, 6)]
         assert shapes == [(600, 6), *blocks, *blocks]
+
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_one_block_is_live_at_each_draw(self, trained_pair, live_at_each_draw, family):
+        """Blocks of 6, 6 and 1 trials in each noisy cell: nothing of a block is alive
+        when the next is drawn, in its cell or in the next."""
+        encoder, decoder, _, _ = trained_pair
+        test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
+        live = live_at_each_draw(experiments)
+        error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
+                    seed=21, threads=1)
+        assert live == [0] * 5
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
@@ -431,6 +443,23 @@ class TestPosteriorGrid:
         assert len(lines) == 2 + 64
         a, b, value = (float(cell) for cell in lines[2 + 8 + 3].split(","))
         assert (a, b, value) == (grid.offsets1[1], grid.offsets2[3], grid.values[1, 3])
+
+    def test_rows_stream_to_the_file(self, tmp_path):
+        """Writing a 300 x 300 map holds no row per cell: the peak above the grid stays
+        under 1 MiB, where a list of the rows held about 10.9 MB."""
+        offsets = np.linspace(-1.0, 1.0, 300)
+        values = CounterRng(31).normals(300 * 300).reshape(300, 300)
+        grid = experiments.PosteriorGrid(np.eye(2)[0], np.eye(2)[1], offsets, offsets.copy(),
+                                         values)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "grid.csv", POSTERIOR_SCHEMA, POSTERIOR_HEADER,
+                      posterior_rows(grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len((tmp_path / "grid.csv").read_text().splitlines()) == 2 + 300 * 300
 
 
 class TestPairedCompare:

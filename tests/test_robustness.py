@@ -396,6 +396,15 @@ class TestSlicedKl:
         _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(58))
         assert sizes[1:] == expected       # sizes[0] is the clean decode of z
 
+    def test_one_block_is_live_at_each_draw(self, live_at_each_draw):
+        """256 points x 600 draws make blocks of 256, 256 and 88 draws, the first two
+        decoded in four slices; nothing of a block is alive when the next is drawn."""
+        decoder = random_decoder(59)
+        z = CounterRng(60).normals(256 * 4).reshape(256, 4)
+        live = live_at_each_draw(robustness)
+        _expected_kl_rows(decoder, z, 0.05, 600, CounterRng(61))
+        assert live == [0, 0]
+
     def test_overflow_in_a_cell_reaches_the_caller(self, monkeypatch):
         def overflowing_noise(shape, sigma2, family, rng):
             return np.full(shape, 1e300) * 1e300
