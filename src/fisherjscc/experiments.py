@@ -136,13 +136,40 @@ class TaylorRow(NamedTuple):
     abs_gap: float
 
 
+def _point_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
+    """Draw count, per-point mean and per-point M2 (sum of squared deviations from the
+    mean) of [take, n] blocks of draws, one row per draw.
+
+    Each block's own mean and M2 are merged into the running ones, in block
+    order, by Chan, Golub and LeVeque's pairwise update, so only arrays of n
+    values are kept, however many draws there are. Every point has the same
+    draws, so one count serves all of them. The blocks are consumed: each is
+    overwritten with its squared deviations and released before the next is
+    asked for, so a generator's next block can reuse its memory.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for block in blocks:
+        take = len(block)
+        block_mean = block.mean(axis=0)
+        block -= block_mean
+        block *= block
+        total = count + take
+        delta = block_mean - mean
+        mean = mean + delta * (take / total)
+        m2 = m2 + block.sum(axis=0) + delta * delta * (count * take / total)
+        count = total
+        del block       # before the next draw, so its buffers can reuse these chunks
+    return count, mean, m2
+
+
 def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
                       sigma2_grid, samples: int, seed: int,
                       threads: int | None = None) -> list[TaylorRow]:
     """Check the closed-form penalty against the sampled expected KL under AWGN.
 
     Per noise level: dataset-mean MC expected KL over `samples` channel draws
-    per point, dataset-mean penalty sigma2/2 * Tr(I(z)), their ratio and gap.
+    per point, with its standard error; dataset-mean penalty
+    sigma2/2 * Tr(I(z)); their ratio and gap.
     There is no fading variant: under Rayleigh fading E[1/|h|^2] is infinite,
     so the unconditional KL has no finite penalty to be compared with.
 
@@ -152,7 +179,9 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
     count; they run under the caller's numpy error policy. Within a cell the
     draws, decodes and KL run serially; `_expected_kl_rows` decodes in slices
     of at least KL_SLICE_ROWS = 16,384 rows, since smaller slices take another
-    OpenBLAS path and change bits.
+    OpenBLAS path and change bits. A cell keeps no table of draws: it folds
+    each block of KL rows into per-point moments (`_point_moments`) as the
+    block arrives, so its memory does not grow with `samples`.
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
@@ -166,9 +195,14 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
             return TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
         reg = 0.5 * sigma2 * mean_trace
         rng = CounterRng(derive_seed(seed, "taylor", grid_index))
-        draws = _expected_kl_rows(decoder, z, sigma2, samples, rng)
-        kl_mean = float(draws.mean())
-        kl_stderr = float(draws.std(ddof=1) / math.sqrt(draws.size))
+        count, mean, m2 = _point_moments(_expected_kl_rows(decoder, z, sigma2, samples, rng))
+        # Over all count x n draws: the mean of the per-point means, and an M2 that adds to
+        # the per-point M2 count times the squared deviations of the per-point means from it.
+        size = count * len(mean)
+        kl_mean = float(mean.mean())
+        spread = mean - kl_mean
+        pooled_m2 = float(m2.sum()) + count * float((spread * spread).sum())
+        kl_stderr = math.sqrt(pooled_m2 / (size - 1)) / math.sqrt(size)
         if reg == 0.0:
             ratio = 1.0 if kl_mean == 0.0 else math.inf
         else:

@@ -21,6 +21,8 @@ same closed form as a value.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import autodiff as ad
@@ -36,10 +38,9 @@ KL_SLICE_ROWS = 16384       # fewest rows per decode of a block; smaller slices 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """KL(p || q) along the last axis, p broadcast against q; entries below 1e-12 are
-    clamped inside the logs, 0 * log 0 is 0."""
+    clamped inside the logs, so a zero p entry gives a zero term (0 * log 0 is 0)."""
     q = np.maximum(q, KL_LOG_CLAMP)
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, KL_LOG_CLAMP)) - np.log(q)), 0.0)
-    return _class_sum(terms)
+    return _class_sum(p * (np.log(np.maximum(p, KL_LOG_CLAMP)) - np.log(q)))
 
 
 class _ClosedForm:
@@ -129,8 +130,9 @@ def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
 
 
 def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
-                      samples: int, rng: CounterRng) -> np.ndarray:
-    """KL(q(.|z_i) || q(.|z_i + noise)) per AWGN draw: returns array [n, samples].
+                      samples: int, rng: CounterRng) -> Iterator[np.ndarray]:
+    """KL(q(.|z_i) || q(.|z_i + noise)) per AWGN draw, one block of draws at a time:
+    yields [take, n] arrays whose rows, in order, are the `samples` draws.
 
     A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
 
@@ -143,14 +145,15 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
     whole-block decode.
 
     Each block's noise, its row view and its posterior buffer are released
-    before the next block is drawn, so a worker holds one block at a time.
-    While block i is still referenced, block i + 1's buffers go to fresh arena
-    space and the resident set grows past the live peak (with glibc malloc, by
-    8-13 MB per worker on the benchmark's cells); released first, the
-    allocator reuses the same chunks.
+    before its KL rows are yielded, and the KL rows once the caller asks for
+    the next block, so a worker holds one block at a time and nothing here
+    grows with `samples`; the caller folds each block into its own statistics
+    and drops it before asking. While block i is still referenced, block
+    i + 1's buffers go to fresh arena space and the resident set grows past
+    the live peak (with glibc malloc, by 8-13 MB per worker on the benchmark's
+    cells); released first, the allocator reuses the same chunks.
     """
     n, k = z_batch.shape
-    out = np.empty((n, samples))
     p = decoder.decode(z_batch)
     draws_per_chunk = max(1, KL_CHUNK_ROWS // max(n, 1))
     for done in range(0, samples, draws_per_chunk):
@@ -163,6 +166,7 @@ def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
         edges = [*range(0, max(len(rows) - KL_SLICE_ROWS, 0) + 1, KL_SLICE_ROWS), len(rows)]
         for start, stop in zip(edges[:-1], edges[1:]):
             q[start:stop] = decoder.decode(rows[start:stop])
-        out[:, done:done + take] = _kl_rows(p, q.reshape(take, n, -1)).T
+        kl = _kl_rows(p, q.reshape(take, n, -1))
         del z_hat, rows, q    # before the next draw, so its buffers can reuse these chunks
-    return out
+        yield kl
+        del kl                # the caller has folded it; it too is gone before the next draw

@@ -1,13 +1,15 @@
 """Evaluation harness: sweeps, approximation tables, maps, eigensolver."""
 
+import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc import experiments
+from fisherjscc import experiments, robustness
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
@@ -19,7 +21,7 @@ from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
 
-from _oracles import error_sweep_per_trial, spearman
+from _oracles import error_sweep_per_trial, expected_kl_rows_serial, spearman
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +305,72 @@ class TestTaylorValidation:
         with pytest.raises(ValueError):
             taylor_validation(encoder, decoder, ds.features[:8], [0.1],
                               samples=19, seed=8)
+
+    @pytest.mark.parametrize("n, samples, chunk_rows", [(300, 700, None), (3, 25, 1)],
+                             ids=["uneven-last-block", "one-draw-per-block"])
+    def test_moments_equal_the_kl_table(self, trained_pair, monkeypatch, n, samples,
+                                        chunk_rows):
+        """The per-point moments are np.mean and np.var(ddof=1) of the serial oracle's
+        [n, samples] table, and the row's mean and standard error are the table's."""
+        if chunk_rows is not None:
+            monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", chunk_rows)
+        encoder, decoder, ds, _ = trained_pair
+        features, sigma2 = ds.features[:n], psnr_to_sigma2(15.0, 1.0)
+        z = encoder.encode(features)
+        table = expected_kl_rows_serial(decoder, z, sigma2, samples,
+                                        CounterRng(derive_seed(12, "taylor", 0)))
+        count, mean, m2 = experiments._point_moments(robustness._expected_kl_rows(
+            decoder, z, sigma2, samples, CounterRng(derive_seed(12, "taylor", 0))))
+        assert count == samples and mean.shape == m2.shape == (n,)
+        np.testing.assert_allclose(mean, table.mean(axis=1), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(m2 / (count - 1), table.var(axis=1, ddof=1),
+                                   rtol=1e-12, atol=0.0)
+        row = taylor_validation(encoder, decoder, features, [sigma2], samples, seed=12,
+                                threads=1)[0]
+        assert row.mean_expected_kl == pytest.approx(table.mean(), rel=1e-12)
+        assert row.kl_stderr == pytest.approx(table.std(ddof=1) / math.sqrt(table.size),
+                                              rel=1e-12)
+
+    def test_no_kl_block_is_live_at_the_next_draw(self, trained_pair, monkeypatch):
+        """256 points x 600 draws make blocks of 256, 256 and 88 draws; the generator
+        and the fold both drop a block's KL rows before the next block is drawn."""
+        encoder, decoder, ds, _ = trained_pair
+        draw, kl_rows = robustness.channel_noise, robustness._kl_rows
+        block, live = [], []
+
+        def noise(*args, **kwargs):
+            if block:
+                live.append(sum(ref() is not None for ref in block))
+                block.clear()
+            return draw(*args, **kwargs)
+
+        def kl(p, q):
+            rows = kl_rows(p, q)
+            block.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(robustness, "channel_noise", noise)
+        monkeypatch.setattr(robustness, "_kl_rows", kl)
+        taylor_validation(encoder, decoder, ds.features[:256], [psnr_to_sigma2(20.0, 1.0)],
+                          600, seed=14, threads=1)
+        assert live == [0, 0]
+
+    def test_cell_memory_does_not_grow_with_samples(self, trained_pair):
+        """One 256-point cell at threads=1 peaks within 1 MiB at 10,000 draws of its
+        peak at 2,000 (tracemalloc): a [points, draws] table would add 16 MB."""
+        encoder, decoder, ds, _ = trained_pair
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                taylor_validation(encoder, decoder, ds.features[:256],
+                                  [psnr_to_sigma2(20.0, 1.0)], samples, seed=13, threads=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(2_000), peak(10_000)
+        assert many - few <= 2**20, (few, many)
 
 
 class TestRegularizerTrack:

@@ -99,6 +99,13 @@ class TestStatistics:
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 4.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(100_000)
 
+    @pytest.mark.parametrize("low, high", [(10.0, 25.0), (-3.0, 2.0)])
+    def test_scalar_uniform_stays_in_its_range(self, low, high):
+        """uniform(low, high) lies in [low, high) for every seed, and covers the range."""
+        draws = [CounterRng(seed).uniform(low, high) for seed in range(2_000)]
+        assert all(low <= x < high for x in draws)
+        assert min(draws) < low + 0.01 * (high - low) and max(draws) > high - 0.01 * (high - low)
+
     def test_normal_moments(self):
         z = CounterRng(31337).normals(100_000)
         assert abs(z.mean()) < 4.0 / np.sqrt(100_000)

@@ -9,7 +9,7 @@ import pytest
 from fisherjscc import autodiff as ad
 from fisherjscc import robustness
 from fisherjscc.experiments import taylor_validation
-from fisherjscc.models import DecoderModel, EncoderModel
+from fisherjscc.models import DecoderModel, EncoderModel, _class_sum
 from fisherjscc.robustness import _expected_kl_rows, _kl_rows, fisher_trace_node
 from fisherjscc.rng import CounterRng
 
@@ -22,6 +22,12 @@ from _oracles import (backward, expected_kl_rows_serial, finite_diff_grad, finit
 def kl(p, q) -> float:
     """KL(p || q) of two distributions through the program's row-wise `_kl_rows`."""
     return float(_kl_rows(np.array([p], dtype=np.float64), np.array([q], dtype=np.float64))[0])
+
+
+def kl_table(decoder, z, sigma2, samples, rng) -> np.ndarray:
+    """The [n, samples] table of `_expected_kl_rows`'s draws: its yielded [take, n]
+    blocks, run to the end and stacked in order."""
+    return np.concatenate(list(_expected_kl_rows(decoder, z, sigma2, samples, rng))).T
 
 
 def random_decoder(seed: int, repr_dim: int = 4, classes: int = 3,
@@ -60,6 +66,28 @@ class TestKlRows:
             p = decoder.decode(rng.normals(4))[0]
             q = decoder.decode(rng.normals(4))[0]
             assert kl(p, q) >= 0.0
+
+    @pytest.mark.parametrize("classes", [3, 9, 65])
+    def test_zero_p_entries_need_no_mask(self, classes):
+        """With exact zeros in p, the unmasked terms give the masked form's values:
+        log(max(p, 1e-12)) is finite, so a zero p entry already gives a zero term."""
+        rng = CounterRng(84 + classes)
+        p = rng.uniforms(40 * classes).reshape(40, classes)
+        p[p < 0.4] = 0.0
+        p[:, 0] += 1e-3              # no row is all zeros
+        p /= p.sum(axis=1, keepdims=True)
+        q = rng.uniforms(40 * classes).reshape(40, classes)
+        q[q < 0.2] = 0.0
+        q[:, 1] += 1e-3
+        q /= q.sum(axis=1, keepdims=True)
+        q[:5] = p[:5]                # rows whose KL is exactly zero
+        clamped = np.maximum(q, robustness.KL_LOG_CLAMP)
+        masked = _class_sum(np.where(p > 0.0, p * (np.log(np.maximum(p, robustness.KL_LOG_CLAMP))
+                                                   - np.log(clamped)), 0.0))
+        unmasked = _kl_rows(p, q)
+        assert (p == 0.0).any() and not unmasked[:5].any()
+        assert np.array_equal(unmasked, masked)
+        assert np.array_equal(np.signbit(unmasked), np.signbit(masked))
 
 
 class TestFisherTrace:
@@ -333,7 +361,7 @@ class TestExpectedKlMc:
     def test_zero_noise_gives_zero(self):
         decoder = random_decoder(35)
         z = CounterRng(36).normals(4).reshape(1, 4)
-        values = _expected_kl_rows(decoder, z, 0.0, 50, CounterRng(37))
+        values = kl_table(decoder, z, 0.0, 50, CounterRng(37))
         assert values.shape == (1, 50) and not values.any()
 
     def test_matches_trace_prediction_at_small_noise(self):
@@ -341,8 +369,7 @@ class TestExpectedKlMc:
         decoder = random_decoder(38, spread=0.5)
         z = CounterRng(39).normals(4) * 0.5
         sigma2 = 1e-4
-        values = _expected_kl_rows(decoder, z.reshape(1, 4), sigma2, 10_000,
-                                   CounterRng(40))[0]
+        values = kl_table(decoder, z.reshape(1, 4), sigma2, 10_000, CounterRng(40))[0]
         mean, stderr = values.mean(), values.std(ddof=1) / math.sqrt(values.size)
         predicted = 0.5 * sigma2 * fisher_trace(decoder, z)
         assert abs(mean - predicted) <= max(3.0 * stderr, 1e-12)
@@ -350,13 +377,13 @@ class TestExpectedKlMc:
     def test_builds_no_tensor(self, tensors_built_by):
         decoder = random_decoder(44)
         z = CounterRng(45).normals(8).reshape(2, 4)
-        assert tensors_built_by(_expected_kl_rows, decoder, z, 0.05, 50, CounterRng(46)) == 0
+        assert tensors_built_by(kl_table, decoder, z, 0.05, 50, CounterRng(46)) == 0
 
     def test_same_seed_reproducible(self):
         decoder = random_decoder(41)
         z = CounterRng(42).normals(8).reshape(2, 4)
-        first = _expected_kl_rows(decoder, z, 0.05, 200, CounterRng(43))
-        second = _expected_kl_rows(decoder, z, 0.05, 200, CounterRng(43))
+        first = kl_table(decoder, z, 0.05, 200, CounterRng(43))
+        second = kl_table(decoder, z, 0.05, 200, CounterRng(43))
         assert np.array_equal(first, second)
 
 
@@ -371,7 +398,7 @@ class TestSlicedKl:
             monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", chunk_rows)
         decoder = random_decoder(47)
         z = CounterRng(48).normals(n * 4).reshape(n, 4)
-        sliced = _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(49))
+        sliced = kl_table(decoder, z, 0.05, samples, CounterRng(49))
         whole = expected_kl_rows_serial(decoder, z, 0.05, samples, CounterRng(49))
         assert sliced.shape == (n, samples)
         assert np.array_equal(sliced, whole)
@@ -393,7 +420,7 @@ class TestSlicedKl:
             return decode(z_rows)
 
         monkeypatch.setattr(decoder, "decode", recording_decode)
-        _expected_kl_rows(decoder, z, 0.05, samples, CounterRng(58))
+        kl_table(decoder, z, 0.05, samples, CounterRng(58))
         assert sizes[1:] == expected       # sizes[0] is the clean decode of z
 
     def test_one_block_is_live_at_each_draw(self, live_at_each_draw):
@@ -402,7 +429,7 @@ class TestSlicedKl:
         decoder = random_decoder(59)
         z = CounterRng(60).normals(256 * 4).reshape(256, 4)
         live = live_at_each_draw(robustness)
-        _expected_kl_rows(decoder, z, 0.05, 600, CounterRng(61))
+        kl_table(decoder, z, 0.05, 600, CounterRng(61))
         assert live == [0, 0]
 
     def test_overflow_in_a_cell_reaches_the_caller(self, monkeypatch):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc.channel import draw_fading_coefficients, equalization_gains, gaussian_noise
+from fisherjscc import train as train_module
+from fisherjscc.channel import (draw_fading_coefficients, equalization_gains, gaussian_noise,
+                                psnr_to_sigma2)
 from fisherjscc.data import make_blobs, make_rings
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
@@ -32,6 +34,32 @@ def small_models(seed: int = 0, input_dim: int = 3, repr_dim: int = 2,
 def values(params) -> dict:
     """A copy of each parameter's array, by name."""
     return {name: tensor.data.copy() for name, tensor in params.items()}
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    """Spy on the `regularized_loss` that `train` calls: a list that gets, per step,
+    the sigma2 and coeff passed and the LossParts returned."""
+    calls = []
+    loss = train_module.regularized_loss
+
+    def spy(features, labels, encoder, decoder, sigma2, coeff, *args, **kwargs):
+        parts = loss(features, labels, encoder, decoder, sigma2, coeff, *args, **kwargs)
+        calls.append((sigma2, coeff, parts))
+        return parts
+
+    monkeypatch.setattr(train_module, "regularized_loss", spy)
+    return calls
+
+
+def step_sigma2s(config: TrainConfig, epochs: int, batches: int) -> list[float]:
+    """Each step's noise variance at unit power, from the config's PSNR rule, in step
+    order: fixed, or drawn per (epoch, batch) from the "psnr" generator."""
+    if isinstance(config.psnr, FixedPsnr):
+        return [psnr_to_sigma2(config.psnr.psnr_db, 1.0)] * (epochs * batches)
+    return [psnr_to_sigma2(CounterRng(derive_seed(config.seed, "psnr", epoch, batch)).uniform(
+                config.psnr.low_db, config.psnr.high_db), 1.0)
+            for epoch in range(epochs) for batch in range(batches)]
 
 
 class TestRegularizedLoss:
@@ -360,6 +388,61 @@ class TestTrainLoop:
             TrainConfig(psnr=UniformPsnr(10.0, 20.0), omit_sigma2=True)
         with pytest.raises(ValueError, match="family"):
             TrainConfig(family="rician")
+
+    def test_config_boundaries(self):
+        """An empty PSNR range and batch_size = 0 are refused; batch_size = 1 is not."""
+        with pytest.raises(ValueError, match="low_db < high_db"):
+            UniformPsnr(10.0, 10.0)
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
+        assert TrainConfig(batch_size=1).batch_size == 1
+
+    @pytest.mark.parametrize("psnr", [FixedPsnr(15.0), UniformPsnr(10.0, 25.0)],
+                             ids=["fixed", "uniform"])
+    def test_penalty_coefficient_is_half_lambda_sigma2(self, loss_calls, psnr):
+        """The paper's penalty: without omit_sigma2 each step passes coeff
+        0.5 * lambda * sigma2 of that step's PSNR, and that sigma2."""
+        ds = make_blobs(3, 10, dim=3, spread=0.3, seed=37)
+        encoder, decoder = small_models(38)
+        config = TrainConfig(lam=0.3, epochs=2, batch_size=8, seed=39, psnr=psnr)
+        train(config, ds, encoder, decoder)
+        expected = step_sigma2s(config, epochs=2, batches=4)
+        assert [sigma2 for sigma2, _, _ in loss_calls] == expected
+        assert [coeff for _, coeff, _ in loss_calls] == [0.5 * 0.3 * s for s in expected]
+
+    def test_omit_sigma2_coefficient_is_lambda(self, loss_calls):
+        ds = make_blobs(3, 10, dim=3, spread=0.3, seed=37)
+        encoder, decoder = small_models(38)
+        train(TrainConfig(lam=0.3, epochs=1, batch_size=8, seed=39, psnr=FixedPsnr(15.0),
+                          omit_sigma2=True), ds, encoder, decoder)
+        assert [coeff for _, coeff, _ in loss_calls] == [0.3] * 4
+
+    def test_uniform_psnr_is_drawn_inside_its_range(self, loss_calls):
+        """Each step's PSNR lies in [psnr_low, psnr_high], and the steps' PSNRs differ."""
+        ds = make_blobs(3, 10, dim=3, spread=0.3, seed=40)
+        encoder, decoder = small_models(41)
+        train(TrainConfig(lam=0.3, epochs=3, batch_size=8, seed=42,
+                          psnr=UniformPsnr(10.0, 25.0)), ds, encoder, decoder)
+        sigma2s = [sigma2 for sigma2, _, _ in loss_calls]
+        assert len(sigma2s) == 12 and len(set(sigma2s)) == 12
+        assert all(psnr_to_sigma2(25.0, 1.0) <= s <= psnr_to_sigma2(10.0, 1.0) for s in sigma2s)
+
+    def test_epoch_columns_are_step_means(self, loss_calls):
+        """Each epoch's cross_entropy and fisher_penalty, trainlog.csv's columns, are the
+        sum of its steps' values, in step order, over its batch count, exactly."""
+        ds = make_blobs(3, 10, dim=3, spread=0.3, seed=43)
+        encoder, decoder = small_models(44)
+        log = train(TrainConfig(lam=0.3, epochs=2, batch_size=8, seed=45), ds, encoder,
+                    decoder)
+        for stats, steps in zip(log, (loss_calls[:4], loss_calls[4:])):
+            ce_total = penalty_total = 0.0
+            for _, _, parts in steps:
+                ce_total += parts.cross_entropy
+                penalty_total += parts.fisher_penalty
+            assert penalty_total > 0.0
+            assert stats.cross_entropy == ce_total / 4
+            assert stats.fisher_penalty == penalty_total / 4
+        assert len(loss_calls) == 8
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1e-3])
     def test_learning_rate_must_be_finite_and_positive(self, rate):
