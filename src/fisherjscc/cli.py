@@ -48,9 +48,10 @@ EXIT_NUMERIC = 4
 # noise, noisy copies of z and decoder activations are noise_draws x batch_size rows of
 # one of repr_dim, the decoder's hidden widths and the classes; a posterior map decodes
 # resolution^2 points; a generated split is classes x per_class rows of its features.
-# trials and mc_samples have no bound: a sweep holds one block of
-# experiments.SWEEP_BLOCK_ROWS noisy rows at a time, a taylor cell one block of
-# robustness.KL_CHUNK_ROWS draws and per-point moments, and their time is linear in them.
+# trials and mc_samples have no bound: a sweep worker holds one block of
+# experiments.SWEEP_BLOCK_ROWS noisy rows at a time, a taylor worker one block of
+# experiments.TAYLOR_BLOCK_ROWS draws shared by every noise level, and the per-point
+# moments of each level; their time is linear in them.
 FLOAT_BUDGET = 2**27
 
 logger = logging.getLogger("fisherjscc")
@@ -180,9 +181,9 @@ _SCHEMA = {
         "checkpoint_b": (str, ""),
         "psnr_grid": (_parse_psnr_list, [5.0, 10.0, 15.0, 20.0, 25.0]),
         "trials": (int, 20),
-        "mc_samples": (int, 10000),
+        "mc_samples": (_int_at_least(20), 10000),
         "taylor_psnr_grid": (_parse_psnr_list, [25.0, 20.0, 15.0, 10.0]),
-        "sample_limit": (int, 256),
+        "sample_limit": (_int_at_least(1), 256),
         "resolution": (int, 33),
         "extent_std": (_parse_finite_float, 3.0),
         "sample_index": (int, 0),
@@ -587,8 +588,6 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                                            threads=threads)
             name, schema, header = "sweep.csv", SWEEP_SCHEMA, SweepRow._fields
         elif kind == "taylor":
-            if section["sample_limit"] < 1:
-                raise ValueError("sample_limit must be >= 1")
             limit = min(section["sample_limit"], len(test_set))
             sigma2_grid = [_noise_variance(p, encoder.power, "[experiment] taylor_psnr_grid")
                            for p in section["taylor_psnr_grid"]]

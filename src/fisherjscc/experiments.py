@@ -1,8 +1,9 @@
 """Evaluation harness: PSNR sweeps, approximation validation, curvature maps.
 
-All sweeps are deterministic given (models, seed, grid): every cell draws
-from a generator derived from the root seed by labeled counters, so adding
-cells or reordering work cannot perturb other cells' streams. Each CSV's
+All sweeps are deterministic given (models, seed, grid): every PSNR cell, and
+every block of the Taylor check's shared draws, draws from a generator
+derived from the root seed by labeled counters, so adding cells or
+reordering work cannot perturb other cells' streams. Each CSV's
 columns are declared next to the code that makes its rows (NamedTuple fields
 or a header tuple); figures are produced from the CSV by external tooling.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 from .channel import channel_noise, psnr_to_sigma2
 from .models import DecoderModel, EncoderModel
 from .rng import CounterRng, derive_seed
-from .robustness import _expected_kl_rows, _kl_rows, mean_fisher_trace
+from .robustness import _kl_block, _kl_rows, mean_fisher_trace
 
 SWEEP_SCHEMA = "fisherjscc.sweep.v2"
 TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
@@ -29,6 +31,7 @@ REGTRACK_SCHEMA = "fisherjscc.regtrack.v1"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
 SWEEP_BLOCK_ROWS = 4096     # noisy rows per channel_noise call in an error_sweep cell
+TAYLOR_BLOCK_ROWS = 16384   # rows per block of shared Taylor draws, each decoded in one call
 
 
 class SweepRow(NamedTuple):
@@ -46,25 +49,40 @@ def _sigma2_grid(psnr_grid, power: float) -> list[float]:
         raise ValueError(f"psnr_grid: {exc}") from None
 
 
-def _map_cells(fn, count: int, threads: int | None) -> list:
-    """[fn(0), ..., fn(count - 1)] from a pool of `threads` workers, in index order.
+def _map_cells(fn, count: int, threads: int | None) -> Iterator:
+    """fn(0), ..., fn(count - 1) from a pool of `threads` workers, yielded in index order.
 
     `threads=None` takes one worker per CPU this process may run on. The pool
-    never has more workers than cells. Pool threads do not inherit the
+    never has more workers than cells, and it starts when the first result is
+    asked for. At most two tasks per worker are submitted ahead of the result
+    the caller is waiting on, so the pending tasks and unread results do not
+    grow with `count`; once the caller stops reading, or a task raises, the
+    tasks not yet started are cancelled. Pool threads do not inherit the
     caller's np.errstate, so each cell runs under the error policy of the
-    thread that calls this.
+    thread that reads the first result.
     """
     if threads is None:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
+    workers = min(threads, max(count, 1))
     error_policy = np.geterr()
 
     def cell(index):
         with np.errstate(**error_policy):
             return fn(index)
 
-    with ThreadPoolExecutor(max_workers=min(threads, max(count, 1))) as pool:
-        return list(pool.map(cell, range(count)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        try:
+            for index in range(count):
+                pending.append(pool.submit(cell, index))
+                if len(pending) > 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
@@ -124,7 +142,7 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
         return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
                         kl_sum / (trials * len(labels)))
 
-    return _map_cells(evaluate_cell, len(grid), threads)
+    return list(_map_cells(evaluate_cell, len(grid), threads))
 
 
 class TaylorRow(NamedTuple):
@@ -136,30 +154,55 @@ class TaylorRow(NamedTuple):
     abs_gap: float
 
 
-def _point_moments(blocks) -> tuple[int, np.ndarray, np.ndarray]:
+def _point_moments(block: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Draw count, per-point mean and per-point M2 (sum of squared deviations from the
-    mean) of [take, n] blocks of draws, one row per draw.
+    mean) of one [take, n] block of draws, one row per draw. The block is consumed: it is
+    overwritten with its squared deviations."""
+    block_mean = block.mean(axis=0)
+    block -= block_mean
+    block *= block
+    return len(block), block_mean, block.sum(axis=0)
 
-    Each block's own mean and M2 are merged into the running ones, in block
-    order, by Chan, Golub and LeVeque's pairwise update, so only arrays of n
-    values are kept, however many draws there are. Every point has the same
-    draws, so one count serves all of them. The blocks are consumed: each is
-    overwritten with its squared deviations and released before the next is
-    asked for, so a generator's next block can reuse its memory.
+
+def _merge_moments(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """The `_point_moments` of the draws of a and b together, by Chan, Golub and LeVeque's
+    pairwise update; (0, 0.0, 0.0) stands for no draws. Every point has the same draws,
+    so one count serves all of them."""
+    count_a, mean_a, m2_a = a
+    count_b, mean_b, m2_b = b
+    total = count_a + count_b
+    delta = mean_b - mean_a
+    return (total, mean_a + delta * (count_b / total),
+            m2_a + m2_b + delta * delta * (count_a * count_b / total))
+
+
+def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed: int,
+                threads: int | None) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per noise level of `levels`: the `_point_moments` of the KL over `samples` AWGN
+    draws per point of z, every level evaluated on the same draws.
+
+    The draws come in blocks of TAYLOR_BLOCK_ROWS // n draws of the n points (the
+    last block takes the rest). Block b is unit-variance noise from its own
+    generator, derived from the seed by ("taylor", "block", b), and `_kl_block`
+    scales it to every level. The pool's `threads` workers (default: one per CPU,
+    see `_map_cells`) run the blocks under the caller's numpy error policy; each
+    returns its per-level moments, which are merged here in block order as they
+    arrive, so the result is identical for any thread count and only arrays of n
+    values are kept, however many draws there are.
     """
-    count, mean, m2 = 0, 0.0, 0.0
-    for block in blocks:
-        take = len(block)
-        block_mean = block.mean(axis=0)
-        block -= block_mean
-        block *= block
-        total = count + take
-        delta = block_mean - mean
-        mean = mean + delta * (take / total)
-        m2 = m2 + block.sum(axis=0) + delta * delta * (count * take / total)
-        count = total
-        del block       # before the next draw, so its buffers can reuse these chunks
-    return count, mean, m2
+    p = decoder.decode(z)
+    draws_per_block = max(1, TAYLOR_BLOCK_ROWS // max(len(z), 1))
+    blocks = -(-samples // draws_per_block) if levels else 0
+
+    def evaluate_block(index):
+        take = min(draws_per_block, samples - index * draws_per_block)
+        rng = CounterRng(derive_seed(seed, "taylor", "block", index))
+        return [_point_moments(kl) for kl in _kl_block(decoder, z, p, levels, take, rng)]
+
+    moments = [(0, 0.0, 0.0)] * len(levels)
+    for block in _map_cells(evaluate_block, blocks, threads):
+        moments = [_merge_moments(a, b) for a, b in zip(moments, block)]
+    return moments
 
 
 def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
@@ -173,29 +216,31 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
     There is no fading variant: under Rayleigh fading E[1/|h|^2] is infinite,
     so the unconditional KL has no finite penalty to be compared with.
 
-    Each noise level is a cell with its own generator derived from the seed,
-    and the pool's `threads` workers (default: one per CPU, see `_map_cells`)
-    return the rows in grid order, so the result is identical for any thread
-    count; they run under the caller's numpy error policy. Within a cell the
-    draws, decodes and KL run serially; `_expected_kl_rows` decodes in slices
-    of at least KL_SLICE_ROWS = 16,384 rows, since smaller slices take another
-    OpenBLAS path and change bits. A cell keeps no table of draws: it folds
-    each block of KL rows into per-point moments (`_point_moments`) as the
-    block arrives, so its memory does not grow with `samples`.
+    Every nonzero noise level is evaluated on the same draws (`_kl_moments`):
+    common random numbers. A row's values therefore do not depend on which
+    other levels are in the grid, or on their order, and each row's kl_stderr
+    is its own; the rows' errors are correlated, which sharpens comparisons
+    across levels. The draws run in blocks on the pool, and a block's KL is
+    folded into per-point moments as it is made, so neither the memory nor
+    the result depends on the thread count, and the memory does not grow
+    with `samples`.
     """
     if samples < 20:
         raise ValueError("samples must be >= 20")
     sigma2_grid = list(sigma2_grid)
+    if any(sigma2 < 0.0 for sigma2 in sigma2_grid):
+        raise ValueError("sigma2 must be nonnegative")
     z = encoder.encode(np.asarray(features, dtype=np.float64))
     mean_trace = mean_fisher_trace(decoder, z)
+    levels = list(dict.fromkeys(sigma2 for sigma2 in sigma2_grid if sigma2 != 0.0))
+    moments = dict(zip(levels, _kl_moments(decoder, z, levels, samples, seed, threads)))
 
-    def evaluate_cell(grid_index):
-        sigma2 = sigma2_grid[grid_index]
+    rows = []
+    for sigma2 in sigma2_grid:
         if sigma2 == 0.0:
-            return TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-        reg = 0.5 * sigma2 * mean_trace
-        rng = CounterRng(derive_seed(seed, "taylor", grid_index))
-        count, mean, m2 = _point_moments(_expected_kl_rows(decoder, z, sigma2, samples, rng))
+            rows.append(TaylorRow(0.0, 0.0, 0.0, 0.0, 1.0, 0.0))
+            continue
+        count, mean, m2 = moments[sigma2]
         # Over all count x n draws: the mean of the per-point means, and an M2 that adds to
         # the per-point M2 count times the squared deviations of the per-point means from it.
         size = count * len(mean)
@@ -203,13 +248,14 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
         spread = mean - kl_mean
         pooled_m2 = float(m2.sum()) + count * float((spread * spread).sum())
         kl_stderr = math.sqrt(pooled_m2 / (size - 1)) / math.sqrt(size)
+        reg = 0.5 * sigma2 * mean_trace
         if reg == 0.0:
             ratio = 1.0 if kl_mean == 0.0 else math.inf
         else:
             ratio = kl_mean / reg
-        return TaylorRow(float(sigma2), kl_mean, kl_stderr, reg, ratio, abs(kl_mean - reg))
-
-    return _map_cells(evaluate_cell, len(sigma2_grid), threads)
+        rows.append(TaylorRow(float(sigma2), kl_mean, kl_stderr, reg, ratio,
+                              abs(kl_mean - reg)))
+    return rows
 
 
 REGTRACK_HEADER = ("model", "psnr_db", "sigma2", "mean_trace", "mean_regularizer")

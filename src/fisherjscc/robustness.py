@@ -21,6 +21,7 @@ same closed form as a value.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -32,8 +33,6 @@ from .rng import CounterRng
 
 KL_LOG_CLAMP = 1e-12
 TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
-KL_CHUNK_ROWS = 65536       # rows per block of noise draws in _expected_kl_rows
-KL_SLICE_ROWS = 16384       # fewest rows per decode of a block; smaller slices change bits
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -129,44 +128,30 @@ def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
     return total / z_batch.shape[0]
 
 
-def _expected_kl_rows(decoder: DecoderModel, z_batch: np.ndarray, sigma2: float,
-                      samples: int, rng: CounterRng) -> Iterator[np.ndarray]:
-    """KL(q(.|z_i) || q(.|z_i + noise)) per AWGN draw, one block of draws at a time:
-    yields [take, n] arrays whose rows, in order, are the `samples` draws.
+def _kl_block(decoder: DecoderModel, z_batch: np.ndarray, p: np.ndarray, sigma2_grid,
+              draws: int, rng: CounterRng) -> Iterator[np.ndarray]:
+    """KL(q(.|z_i) || q(.|z_i + sqrt(sigma2) n)) for `draws` unit-variance AWGN draws n
+    per point, shared by every sigma2 of the grid: yields one [draws, n] array per sigma2,
+    in grid order. p is decoder.decode(z_batch).
 
     A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
 
-    The draws come in blocks of about KL_CHUNK_ROWS rows, one `channel_noise`
-    call each; the `normals` bytes depend on that granularity. A block is
-    decoded in slices of KL_SLICE_ROWS rows into one posterior buffer, which
-    keeps each decode's hidden activations cache-sized. No slice is shorter
-    than KL_SLICE_ROWS unless the whole block is: OpenBLAS takes another path
-    for small row counts, and its sums then differ in the last bits from the
-    whole-block decode.
-
-    Each block's noise, its row view and its posterior buffer are released
-    before its KL rows are yielded, and the KL rows once the caller asks for
-    the next block, so a worker holds one block at a time and nothing here
-    grows with `samples`; the caller folds each block into its own statistics
-    and drops it before asking. While block i is still referenced, block
-    i + 1's buffers go to fresh arena space and the resident set grows past
-    the live peak (with glibc malloc, by 8-13 MB per worker on the benchmark's
-    cells); released first, the allocator reuses the same chunks.
+    The block is one `channel_noise` request, whatever the grid's length. Each sigma2
+    scales it into a new array, noise * sqrt(sigma2) + z, decoded in one call, so a
+    sigma2's values do not depend on which other sigma2 share the block. Its noisy copy
+    and posteriors are released before its KL rows are yielded, and the KL rows once the
+    caller asks for the next sigma2; the noise goes when the generator ends. A worker
+    thus holds one block's noise and one sigma2's buffers, and nothing here grows with
+    the draws or the grid.
     """
     n, k = z_batch.shape
-    p = decoder.decode(z_batch)
-    draws_per_chunk = max(1, KL_CHUNK_ROWS // max(n, 1))
-    for done in range(0, samples, draws_per_chunk):
-        take = min(draws_per_chunk, samples - done)
-        z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
+    noise = channel_noise((draws, n, k), 1.0, "awgn", rng)
+    for sigma2 in sigma2_grid:
+        z_hat = noise * math.sqrt(sigma2)
         z_hat += z_batch      # in place; noise + z and z + noise are the same bits
-        rows = z_hat.reshape(take * n, k)
-        q = np.empty((take * n, p.shape[1]))
-        # Slice starts every KL_SLICE_ROWS rows; a shorter remainder joins the last slice.
-        edges = [*range(0, max(len(rows) - KL_SLICE_ROWS, 0) + 1, KL_SLICE_ROWS), len(rows)]
-        for start, stop in zip(edges[:-1], edges[1:]):
-            q[start:stop] = decoder.decode(rows[start:stop])
-        kl = _kl_rows(p, q.reshape(take, n, -1))
-        del z_hat, rows, q    # before the next draw, so its buffers can reuse these chunks
+        q = decoder.decode(z_hat.reshape(draws * n, k))
+        del z_hat
+        kl = _kl_rows(p, q.reshape(draws, n, -1))
+        del q                 # before the next sigma2, so its buffers can reuse these chunks
         yield kl
-        del kl                # the caller has folded it; it too is gone before the next draw
+        del kl                # the caller has folded it

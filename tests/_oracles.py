@@ -524,24 +524,24 @@ def fisher_matrix(decoder, z) -> np.ndarray:
     return np.einsum("c,ci,cj->ij", probs.data[:, 0], gradients, gradients)
 
 
-def expected_kl_rows_serial(decoder, z_batch, sigma2, samples, rng) -> np.ndarray:
-    """`robustness._expected_kl_rows` with each block decoded whole: draw a block,
-    decode it in one call, take its KL rows, with the library's KL_CHUNK_ROWS blocks."""
-    from fisherjscc import robustness
-    from fisherjscc.channel import channel_noise
+def expected_kl_rows_serial(decoder, z_batch, sigma2, samples, seed) -> np.ndarray:
+    """The [n, samples] KL table of `taylor_validation`'s draws at one sigma2, serially:
+    block b holds the library's TAYLOR_BLOCK_ROWS // n draws (the last block the rest) of
+    unit normals from CounterRng(derive_seed(seed, "taylor", "block", b)), scaled by
+    sqrt(sigma2), added to z and decoded in one call."""
+    from fisherjscc import experiments, robustness
+    from fisherjscc.rng import CounterRng, derive_seed
 
     n, k = z_batch.shape
     p = decoder.decode(z_batch)
     out = np.empty((n, samples))
-    draws_per_chunk = max(1, robustness.KL_CHUNK_ROWS // max(n, 1))
-    done = 0
-    while done < samples:
-        take = min(draws_per_chunk, samples - done)
-        z_hat = channel_noise((take, n, k), sigma2, "awgn", rng)
-        z_hat += z_batch
+    draws_per_block = max(1, experiments.TAYLOR_BLOCK_ROWS // max(n, 1))
+    for block, done in enumerate(range(0, samples, draws_per_block)):
+        take = min(draws_per_block, samples - done)
+        rng = CounterRng(derive_seed(seed, "taylor", "block", block))
+        z_hat = rng.normals(take * n * k).reshape(take, n, k) * math.sqrt(sigma2) + z_batch
         q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
         out[:, done:done + take] = robustness._kl_rows(p, q).T
-        done += take
     return out
 
 

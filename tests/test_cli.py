@@ -476,8 +476,13 @@ class TestEvalCommand:
         ("train", [("trials = 3", "trials = 3\ntrials = 4")], "malformed config"),
         ("eval", [("[experiment]", "[run]\nseed = 3\n\n[experiment]")], "malformed config"),
         ("gen-data", [("[run]\nseed = 7", "seed = 7\n[run]\nseed = 7")], "malformed config"),
-        ("validate-approx", [("mc_samples = 50", "mc_samples = 10")], "samples"),
-        ("validate-approx", [("sample_limit = 8", "sample_limit = 0")], "sample_limit"),
+        ("validate-approx", [("mc_samples = 50", "mc_samples = 10")], "[experiment] mc_samples"),
+        ("validate-approx", [("sample_limit = 8", "sample_limit = 0")],
+         "[experiment] sample_limit"),
+        ("validate-approx", [("mc_samples = 50", "mc_samples = 5")],
+         "[experiment] mc_samples = '5': expected an integer >= 20"),
+        ("eval", [("kind = sweep", "kind = taylor"), ("sample_limit = 8", "sample_limit = -1")],
+         "[experiment] sample_limit = '-1': expected an integer >= 1"),
         ("eval", [("trials = 3", "trials = 0")], "trials"),
         ("eval", [("psnr_grid = 5,15", "psnr_grid = 5,5")], "duplicate sweep cell"),
         ("compare", [("trials = 3", "trials = 0")], "trials"),
@@ -559,7 +564,8 @@ class TestEvalCommand:
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
             "duplicate-key", "duplicate-section", "no-section-header",
-            "validate-approx-mc_samples", "validate-approx-sample_limit", "eval-trials",
+            "validate-approx-mc_samples", "validate-approx-sample_limit",
+            "validate-approx-mc_samples-five", "eval-taylor-sample_limit-negative", "eval-trials",
             "eval-duplicate-psnr", "compare-trials", "compare-duplicate-psnr",
             "posterior-map-resolution", "posterior-map-sample_index", "train-power",
             "train-repr_dim", "train-encoder_hidden", "train-decoder_hidden",
@@ -697,7 +703,8 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint, monkeypatch):
-        """--threads 1, 2 and the default, here one worker per cell of four CPUs."""
+        """--threads 1, 2 and the default, here one worker per task of four CPUs: 40 points
+        x 1,000 draws make three blocks of draws."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         config = tmp_path / "eval.ini"
         outputs = []
@@ -885,7 +892,8 @@ class TestEvalCommand:
 
     def test_validate_approx_threads_flag_preserves_bytes(self, tmp_path, data_dir,
                                                           checkpoint, monkeypatch):
-        """--threads 1, 2 and the default, here one worker per cell of four CPUs."""
+        """--threads 1, 2 and the default, here one worker per task of four CPUs: 40 points
+        x 1,000 draws make three blocks of draws."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         config = tmp_path / "eval.ini"
         outputs = []
@@ -893,7 +901,7 @@ class TestEvalCommand:
                               ("default", [])):
             out = tmp_path / f"taylor_{attempt}"
             write_config(config, out, data_dir,
-                         extra=f"checkpoint = {checkpoint}\nmc_samples = 200\n"
+                         extra=f"checkpoint = {checkpoint}\nmc_samples = 1000\n"
                                f"sample_limit = 40")
             assert main(["validate-approx", "--config", str(config), *flag]) == EXIT_OK
             outputs.append((out / "taylor.csv").read_bytes())
@@ -902,7 +910,8 @@ class TestEvalCommand:
     def test_validate_approx_bytes_do_not_depend_on_blas_threads(self, tmp_path, data_dir,
                                                                  checkpoint):
         """Fresh interpreters at 1 and 2 OpenBLAS threads write the same taylor.csv; 120
-        points x 1,200 draws make three noise blocks per PSNR cell."""
+        points x 1,200 draws make nine blocks of draws, each decoded as 16,320 rows or
+        fewer at every PSNR."""
         config = tmp_path / "eval.ini"
         src = Path(__file__).resolve().parent.parent / "src"
         outputs = []

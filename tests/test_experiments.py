@@ -218,34 +218,63 @@ class TestWorkerCount:
                                                           cpus, threads, cells, workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert experiments._map_cells(lambda i: i * i, cells, threads) == [
+        assert list(experiments._map_cells(lambda i: i * i, cells, threads)) == [
             i * i for i in range(cells)]
         assert pool_sizes == [workers]
 
     def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch, pool_sizes):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        experiments._map_cells(lambda i: i, 5, None)
+        list(experiments._map_cells(lambda i: i, 5, None))
         assert pool_sizes == [3]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tasks_ahead_of_the_reader_are_bounded(self, threads):
+        """50 cells: while the caller reads, at most two tasks per worker wait beyond the
+        one it reads, so pending tasks do not grow with the cell count."""
+        started = []
+        ahead = []
+        for read, value in enumerate(experiments._map_cells(
+                lambda i: started.append(i) or i, 50, threads)):
+            assert value == read
+            ahead.append(len(started) - read)
+        assert max(ahead) <= 2 * threads + 1 and len(started) == 50
+
+    def test_a_failed_cell_cancels_the_cells_not_started(self):
+        """One worker, 100 cells, cell 3 raises: the cells queued behind it never run."""
+        started = []
+
+        def cell(index):
+            started.append(index)
+            if index == 3:
+                raise RuntimeError("cell failed")
+            return index
+
+        with pytest.raises(RuntimeError, match="cell failed"):
+            list(experiments._map_cells(cell, 100, 1))
+        assert started == [0, 1, 2, 3]
+
     def test_default_equals_one_thread(self, trained_pair, monkeypatch, pool_sizes):
-        """Four CPUs: the default runs each function's cells on a pool of one worker
-        per cell, and gives the rows of threads=1."""
+        """Four CPUs: the default runs each function's three tasks (PSNR cells, or the
+        Taylor blocks of 40 points x 1,000 draws) on a pool of one worker per task, and
+        gives the rows of threads 1, 2 and 3."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         encoder, decoder, ds, test_set = trained_pair
         grid = [5.0, 15.0, 25.0]
         sigma2_grid = [psnr_to_sigma2(p, 1.0) for p in grid]
         runs = [(error_sweep, (encoder, decoder, test_set, grid, "rayleigh", 3, 31)),
-                (taylor_validation, (encoder, decoder, ds.features[:40], sigma2_grid, 200, 32)),
+                (taylor_validation, (encoder, decoder, ds.features[:40], sigma2_grid, 1_000,
+                                     32)),
                 (paired_compare, (encoder, decoder, encoder, decoder, test_set, grid, "awgn",
                                   3, 33))]
         for function, args in runs:
             del pool_sizes[:]
             default = function(*args)
             assert set(pool_sizes) == {3}
-            del pool_sizes[:]
-            assert default == function(*args, threads=1)
-            assert set(pool_sizes) == {1}
+            for threads in (1, 2, 3):
+                del pool_sizes[:]
+                assert default == function(*args, threads=threads)
+                assert set(pool_sizes) == {threads}
 
 
 class TestTaylorValidation:
@@ -276,14 +305,59 @@ class TestTaylorValidation:
             <= 5.0 * max(small.kl_stderr, 1e-12)
 
     def test_thread_count_does_not_change_results(self, trained_pair):
-        """Per-cell generators plus ordered merge: threads=2 equals threads=1."""
+        """Per-block generators plus a merge in block order: 40 points x 1,000 draws are
+        three blocks, and threads 2 and 3 give the rows of threads=1."""
         encoder, decoder, ds, _ = trained_pair
         grid = [psnr_to_sigma2(p, 1.0) for p in (25.0, 20.0, 15.0, 10.0)] + [0.0]
         serial = taylor_validation(encoder, decoder, ds.features[:40], grid,
-                                   samples=300, seed=9, threads=1)
-        threaded = taylor_validation(encoder, decoder, ds.features[:40], grid,
-                                     samples=300, seed=9, threads=2)
-        assert serial == threaded
+                                   samples=1_000, seed=9, threads=1)
+        for threads in (2, 3):
+            assert serial == taylor_validation(encoder, decoder, ds.features[:40], grid,
+                                               samples=1_000, seed=9, threads=threads)
+
+    @pytest.mark.parametrize("first, second", [((20.0,), (10.0, 20.0)),
+                                               ((25.0, 10.0), (10.0, 0.0, 25.0))],
+                             ids=["joined", "reordered"])
+    def test_row_does_not_depend_on_the_rest_of_the_grid(self, trained_pair, first, second):
+        """Every noise level reads the same draws: a level's row has the same bytes
+        whichever other levels share the grid, and in whatever order."""
+        encoder, decoder, ds, _ = trained_pair
+
+        def rows(psnrs):
+            grid = [psnr_to_sigma2(p, 1.0) if p else 0.0 for p in psnrs]
+            table = taylor_validation(encoder, decoder, ds.features[:40], grid,
+                                      samples=1_000, seed=10, threads=2)
+            return {psnr: np.array(row).tobytes() for psnr, row in zip(psnrs, table)}
+
+        alone, together = rows(first), rows(second)
+        assert all(alone[psnr] == together[psnr] for psnr in first)
+
+    @pytest.mark.parametrize("levels", [1, 4])
+    def test_one_noise_request_per_block(self, trained_pair, monkeypatch, levels):
+        """40 points x 1,000 draws are three blocks: three unit-variance requests of
+        [draws, 40, k], one per block, whatever the grid's length; each level decodes
+        each block in one call, after the one clean decode."""
+        encoder, decoder, ds, _ = trained_pair
+        draw, requests = robustness.channel_noise, []
+        decode, decoded = decoder.decode, []
+
+        def noise(shape, sigma2, family, rng):
+            requests.append((shape, sigma2, family))
+            return draw(shape, sigma2, family, rng)
+
+        def recording_decode(z_rows):
+            decoded.append(len(z_rows))
+            return decode(z_rows)
+
+        monkeypatch.setattr(robustness, "channel_noise", noise)
+        monkeypatch.setattr(decoder, "decode", recording_decode)
+        grid = [psnr_to_sigma2(p, 1.0) for p in (25.0, 20.0, 15.0, 10.0)[:levels]]
+        taylor_validation(encoder, decoder, ds.features[:40], grid, samples=1_000, seed=11,
+                          threads=1)
+        k = encoder.repr_dim
+        assert requests == [((409, 40, k), 1.0, "awgn"), ((409, 40, k), 1.0, "awgn"),
+                            ((182, 40, k), 1.0, "awgn")]
+        assert decoded == [40] + [409 * 40] * levels * 2 + [182 * 40] * levels
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
@@ -306,21 +380,26 @@ class TestTaylorValidation:
             taylor_validation(encoder, decoder, ds.features[:8], [0.1],
                               samples=19, seed=8)
 
-    @pytest.mark.parametrize("n, samples, chunk_rows", [(300, 700, None), (3, 25, 1)],
+    def test_negative_sigma2_refused(self, trained_pair):
+        encoder, decoder, ds, _ = trained_pair
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+            taylor_validation(encoder, decoder, ds.features[:8], [0.1, -0.1],
+                              samples=20, seed=8)
+
+    @pytest.mark.parametrize("n, samples, block_rows", [(300, 700, None), (3, 25, 1)],
                              ids=["uneven-last-block", "one-draw-per-block"])
     def test_moments_equal_the_kl_table(self, trained_pair, monkeypatch, n, samples,
-                                        chunk_rows):
+                                        block_rows):
         """The per-point moments are np.mean and np.var(ddof=1) of the serial oracle's
         [n, samples] table, and the row's mean and standard error are the table's."""
-        if chunk_rows is not None:
-            monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", chunk_rows)
+        if block_rows is not None:
+            monkeypatch.setattr(experiments, "TAYLOR_BLOCK_ROWS", block_rows)
         encoder, decoder, ds, _ = trained_pair
         features, sigma2 = ds.features[:n], psnr_to_sigma2(15.0, 1.0)
         z = encoder.encode(features)
-        table = expected_kl_rows_serial(decoder, z, sigma2, samples,
-                                        CounterRng(derive_seed(12, "taylor", 0)))
-        count, mean, m2 = experiments._point_moments(robustness._expected_kl_rows(
-            decoder, z, sigma2, samples, CounterRng(derive_seed(12, "taylor", 0))))
+        table = expected_kl_rows_serial(decoder, z, sigma2, samples, 12)
+        [(count, mean, m2)] = experiments._kl_moments(decoder, z, [sigma2], samples, 12,
+                                                      threads=2)
         assert count == samples and mean.shape == m2.shape == (n,)
         np.testing.assert_allclose(mean, table.mean(axis=1), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(m2 / (count - 1), table.var(axis=1, ddof=1),
@@ -332,8 +411,8 @@ class TestTaylorValidation:
                                               rel=1e-12)
 
     def test_no_kl_block_is_live_at_the_next_draw(self, trained_pair, monkeypatch):
-        """256 points x 600 draws make blocks of 256, 256 and 88 draws; the generator
-        and the fold both drop a block's KL rows before the next block is drawn."""
+        """256 points x 600 draws make nine blocks of 64 draws and one of 24; the block
+        function and the fold both drop a block's KL rows before the next is drawn."""
         encoder, decoder, ds, _ = trained_pair
         draw, kl_rows = robustness.channel_noise, robustness._kl_rows
         block, live = [], []
@@ -353,7 +432,7 @@ class TestTaylorValidation:
         monkeypatch.setattr(robustness, "_kl_rows", kl)
         taylor_validation(encoder, decoder, ds.features[:256], [psnr_to_sigma2(20.0, 1.0)],
                           600, seed=14, threads=1)
-        assert live == [0, 0]
+        assert live == [0] * 9
 
     def test_cell_memory_does_not_grow_with_samples(self, trained_pair):
         """One 256-point cell at threads=1 peaks within 1 MiB at 10,000 draws of its

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc import robustness
+from fisherjscc import experiments, robustness
 from fisherjscc.experiments import taylor_validation
 from fisherjscc.models import DecoderModel, EncoderModel, _class_sum
-from fisherjscc.robustness import _expected_kl_rows, _kl_rows, fisher_trace_node
-from fisherjscc.rng import CounterRng
+from fisherjscc.robustness import _kl_block, _kl_rows, fisher_trace_node
+from fisherjscc.rng import CounterRng, derive_seed
 
 from _oracles import (backward, expected_kl_rows_serial, finite_diff_grad, finite_diff_hessian,
                       fisher_matrix, fisher_trace, kl_reference, max_rel_err, mul,
@@ -24,10 +24,18 @@ def kl(p, q) -> float:
     return float(_kl_rows(np.array([p], dtype=np.float64), np.array([q], dtype=np.float64))[0])
 
 
-def kl_table(decoder, z, sigma2, samples, rng) -> np.ndarray:
-    """The [n, samples] table of `_expected_kl_rows`'s draws: its yielded [take, n]
-    blocks, run to the end and stacked in order."""
-    return np.concatenate(list(_expected_kl_rows(decoder, z, sigma2, samples, rng))).T
+def kl_table(decoder, z, sigma2, samples, seed) -> np.ndarray:
+    """The [n, samples] table of `_kl_block`'s draws at one sigma2 in `taylor_validation`'s
+    layout: blocks of TAYLOR_BLOCK_ROWS // n draws, block b from the generator of
+    derive_seed(seed, "taylor", "block", b), stacked in order."""
+    p = decoder.decode(z)
+    draws_per_block = max(1, experiments.TAYLOR_BLOCK_ROWS // len(z))
+    blocks = []
+    for block, done in enumerate(range(0, samples, draws_per_block)):
+        rng = CounterRng(derive_seed(seed, "taylor", "block", block))
+        [kl] = _kl_block(decoder, z, p, [sigma2], min(draws_per_block, samples - done), rng)
+        blocks.append(kl)
+    return np.concatenate(blocks).T
 
 
 def random_decoder(seed: int, repr_dim: int = 4, classes: int = 3,
@@ -361,7 +369,7 @@ class TestExpectedKlMc:
     def test_zero_noise_gives_zero(self):
         decoder = random_decoder(35)
         z = CounterRng(36).normals(4).reshape(1, 4)
-        values = kl_table(decoder, z, 0.0, 50, CounterRng(37))
+        values = kl_table(decoder, z, 0.0, 50, 37)
         assert values.shape == (1, 50) and not values.any()
 
     def test_matches_trace_prediction_at_small_noise(self):
@@ -369,7 +377,7 @@ class TestExpectedKlMc:
         decoder = random_decoder(38, spread=0.5)
         z = CounterRng(39).normals(4) * 0.5
         sigma2 = 1e-4
-        values = kl_table(decoder, z.reshape(1, 4), sigma2, 10_000, CounterRng(40))[0]
+        values = kl_table(decoder, z.reshape(1, 4), sigma2, 10_000, 40)[0]
         mean, stderr = values.mean(), values.std(ddof=1) / math.sqrt(values.size)
         predicted = 0.5 * sigma2 * fisher_trace(decoder, z)
         assert abs(mean - predicted) <= max(3.0 * stderr, 1e-12)
@@ -377,60 +385,41 @@ class TestExpectedKlMc:
     def test_builds_no_tensor(self, tensors_built_by):
         decoder = random_decoder(44)
         z = CounterRng(45).normals(8).reshape(2, 4)
-        assert tensors_built_by(kl_table, decoder, z, 0.05, 50, CounterRng(46)) == 0
+        assert tensors_built_by(kl_table, decoder, z, 0.05, 50, 46) == 0
 
     def test_same_seed_reproducible(self):
         decoder = random_decoder(41)
         z = CounterRng(42).normals(8).reshape(2, 4)
-        first = kl_table(decoder, z, 0.05, 200, CounterRng(43))
-        second = kl_table(decoder, z, 0.05, 200, CounterRng(43))
+        first = kl_table(decoder, z, 0.05, 200, 43)
+        second = kl_table(decoder, z, 0.05, 200, 43)
         assert np.array_equal(first, second)
 
 
 class TestSlicedKl:
-    """Decoding each noise block in slices gives the whole-block decode's values."""
+    """The Monte-Carlo KL in blocks of shared draws, each decoded in one call."""
 
-    @pytest.mark.parametrize("n, samples, chunk_rows", [
+    @pytest.mark.parametrize("n, samples, block_rows", [
         (2, 200, None), (256, 2_000, None), (300, 700, None), (3, 25, 1),
     ], ids=["one-block", "uneven-last-block", "n-does-not-divide-slice", "one-draw-per-block"])
-    def test_equals_whole_block_decode(self, monkeypatch, n, samples, chunk_rows):
-        if chunk_rows is not None:
-            monkeypatch.setattr(robustness, "KL_CHUNK_ROWS", chunk_rows)
+    def test_equals_whole_block_decode(self, monkeypatch, n, samples, block_rows):
+        """`_kl_block` in `taylor_validation`'s layout gives the serial oracle's bits."""
+        if block_rows is not None:
+            monkeypatch.setattr(experiments, "TAYLOR_BLOCK_ROWS", block_rows)
         decoder = random_decoder(47)
         z = CounterRng(48).normals(n * 4).reshape(n, 4)
-        sliced = kl_table(decoder, z, 0.05, samples, CounterRng(49))
-        whole = expected_kl_rows_serial(decoder, z, 0.05, samples, CounterRng(49))
-        assert sliced.shape == (n, samples)
-        assert np.array_equal(sliced, whole)
-
-    @pytest.mark.parametrize("n, samples, expected", [
-        (2, 200, [400]),
-        (256, 512, [16384] * 8),
-        (300, 700, [16384, 16384, 32632] * 3 + [13800]),
-        (100, 400, [16384, 23616]),
-    ], ids=["one-block", "whole-slices", "remainder-joins-last", "two-slices"])
-    def test_no_slice_is_shorter_than_the_floor(self, monkeypatch, n, samples, expected):
-        """A slice under KL_SLICE_ROWS rows appears only when its whole block is that short."""
-        decoder = random_decoder(56)
-        z = CounterRng(57).normals(n * 4).reshape(n, 4)
-        decode, sizes = decoder.decode, []
-
-        def recording_decode(z_rows):
-            sizes.append(len(z_rows))
-            return decode(z_rows)
-
-        monkeypatch.setattr(decoder, "decode", recording_decode)
-        kl_table(decoder, z, 0.05, samples, CounterRng(58))
-        assert sizes[1:] == expected       # sizes[0] is the clean decode of z
+        blocks = kl_table(decoder, z, 0.05, samples, 49)
+        whole = expected_kl_rows_serial(decoder, z, 0.05, samples, 49)
+        assert blocks.shape == (n, samples)
+        assert np.array_equal(blocks, whole)
 
     def test_one_block_is_live_at_each_draw(self, live_at_each_draw):
-        """256 points x 600 draws make blocks of 256, 256 and 88 draws, the first two
-        decoded in four slices; nothing of a block is alive when the next is drawn."""
-        decoder = random_decoder(59)
-        z = CounterRng(60).normals(256 * 4).reshape(256, 4)
+        """256 points x 600 draws make nine blocks of 64 draws and one of 24, at two
+        noise levels; nothing of a block is alive when the next is drawn."""
+        encoder, decoder = EncoderModel(2, 4, power=1.0, seed=59), random_decoder(59)
+        features = CounterRng(60).normals(256 * 2).reshape(256, 2)
         live = live_at_each_draw(robustness)
-        kl_table(decoder, z, 0.05, 600, CounterRng(61))
-        assert live == [0, 0]
+        taylor_validation(encoder, decoder, features, [0.05, 0.1], 600, seed=61, threads=1)
+        assert live == [0] * 9
 
     def test_overflow_in_a_cell_reaches_the_caller(self, monkeypatch):
         def overflowing_noise(shape, sigma2, family, rng):
@@ -443,6 +432,7 @@ class TestSlicedKl:
             taylor_validation(encoder, decoder, features, [0.05, 0.1], 50, seed=52, threads=2)
 
     def test_failed_decode_in_a_cell_leaves_no_thread_behind(self, monkeypatch):
+        """8 points x 5,000 draws are three blocks on two workers; the third decode fails."""
         encoder, decoder = EncoderModel(2, 4, power=1.0, seed=53), random_decoder(53)
         features = CounterRng(54).normals(16).reshape(8, 2)
         decode, calls = decoder.decode, []
@@ -456,7 +446,7 @@ class TestSlicedKl:
         monkeypatch.setattr(decoder, "decode", failing_decode)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="decode failed"):
-            taylor_validation(encoder, decoder, features, [0.05, 0.1], 200, seed=55, threads=2)
+            taylor_validation(encoder, decoder, features, [0.05, 0.1], 5_000, seed=55, threads=2)
         assert threading.active_count() == before
 
 
