@@ -295,11 +295,11 @@ def _publish(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def _manifest_digests(path: Path) -> dict:
-    """The `output_digests` map of a manifest; a file that holds none is a data error."""
+    """The `output_digests` map of a manifest; a path that holds none is a data error."""
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except ValueError as exc:       # not JSON, or not UTF-8
+    except (ValueError, OSError) as exc:    # not JSON or not UTF-8; missing, or a directory
         raise DataError(f"unreadable manifest {path}: {exc}") from None
     digests = manifest.get("output_digests") if isinstance(manifest, dict) else None
     if not isinstance(digests, dict):
@@ -454,8 +454,6 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
     out_dir = Path(config["run"]["out"])
     manifest_path = out_dir / "manifest.json"
     if verify:
-        if not manifest_path.exists():
-            raise DataError(f"no manifest to verify at {manifest_path}")
         digests = _manifest_digests(manifest_path)
         for name, digest in digests.items():
             path = out_dir / name

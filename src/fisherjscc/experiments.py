@@ -25,9 +25,9 @@ from .models import DecoderModel, EncoderModel
 from .rng import CounterRng, derive_seed
 from .robustness import _kl_block, _kl_rows, mean_fisher_trace
 
-SWEEP_SCHEMA = "fisherjscc.sweep.v2"
+SWEEP_SCHEMA = "fisherjscc.sweep.v3"
 TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
-REGTRACK_SCHEMA = "fisherjscc.regtrack.v1"
+REGTRACK_SCHEMA = "fisherjscc.regtrack.v2"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
 SWEEP_BLOCK_ROWS = 4096     # noisy rows per channel_noise call in an error_sweep cell
@@ -35,7 +35,6 @@ TAYLOR_BLOCK_ROWS = 16384   # rows per block of shared Taylor draws, each decode
 
 
 class SweepRow(NamedTuple):
-    regime: str                 # always "model"; the column stays for the v2 schema
     psnr_db: float
     family: str
     error_rate: float
@@ -125,8 +124,7 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     def evaluate_cell(psnr_index):
         psnr_db, sigma2 = grid[psnr_index], sigma2_grid[psnr_index]
         if sigma2 == 0.0:
-            return SweepRow("model", psnr_db, family,
-                            float(np.mean(clean_predictions != labels)), 0.0)
+            return SweepRow(psnr_db, family, float(np.mean(clean_predictions != labels)), 0.0)
         wrong = 0
         kl_sum = 0.0
         for start in range(0, trials, block_trials):
@@ -139,7 +137,7 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
             for trial_kl in _kl_rows(p_clean, q).sum(axis=-1):
                 kl_sum += float(trial_kl)
             del z_hat, q    # before the next draw, so its buffers can reuse these chunks
-        return SweepRow("model", psnr_db, family, wrong / (trials * len(labels)),
+        return SweepRow(psnr_db, family, wrong / (trials * len(labels)),
                         kl_sum / (trials * len(labels)))
 
     return list(_map_cells(evaluate_cell, len(grid), threads))
@@ -258,18 +256,18 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
     return rows
 
 
-REGTRACK_HEADER = ("model", "psnr_db", "sigma2", "mean_trace", "mean_regularizer")
+REGTRACK_HEADER = ("psnr_db", "sigma2", "mean_trace", "mean_regularizer")
 
 
 def regularizer_track(encoder: EncoderModel, decoder: DecoderModel, psnr_grid,
                       dataset) -> list[tuple]:
-    """Mean penalty of one model, labelled "model", per test noise level.
+    """Mean penalty of the model per test noise level.
 
     Rows follow REGTRACK_HEADER; the penalty is exactly linear in sigma2.
     """
     sigma2_grid = _sigma2_grid(psnr_grid, encoder.power)
     mean_trace = mean_fisher_trace(decoder, encoder.encode(dataset.features))
-    return [("model", float(psnr_db), sigma2, mean_trace, 0.5 * sigma2 * mean_trace)
+    return [(float(psnr_db), sigma2, mean_trace, 0.5 * sigma2 * mean_trace)
             for psnr_db, sigma2 in zip(psnr_grid, sigma2_grid)]
 
 
@@ -300,9 +298,8 @@ class PosteriorGrid:
 
     axis1: np.ndarray            # unit vector in R^k
     axis2: np.ndarray
-    offsets1: np.ndarray         # displacement values along axis1
-    offsets2: np.ndarray
-    values: np.ndarray           # [len(offsets1), len(offsets2)]
+    offsets: np.ndarray          # displacement values along each axis; the grid is square
+    values: np.ndarray           # [len(offsets), len(offsets)]
 
 
 def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
@@ -336,8 +333,7 @@ def posterior_grid(encoder: EncoderModel, decoder: DecoderModel, dataset,
               + grid_b.reshape(-1, 1) * v2[None, :])
     logq = decoder._log_posterior(points)[:, y_true]
     values = -logq.reshape(resolution, resolution)
-    return PosteriorGrid(axis1=v1, axis2=v2, offsets1=offsets.copy(),
-                         offsets2=offsets.copy(), values=values)
+    return PosteriorGrid(axis1=v1, axis2=v2, offsets=offsets, values=values)
 
 
 POSTERIOR_HEADER = ("a", "b", "neg_log_posterior")
@@ -347,7 +343,7 @@ def posterior_rows(grid: PosteriorGrid) -> Iterator[tuple[float, float, float]]:
     """The map in long format: one (a, b, value) row per cell, a-major, made as the
     writer reads it, so no row outlives its line of the file."""
     return ((a, b, grid.values[i, j])
-            for i, a in enumerate(grid.offsets1) for j, b in enumerate(grid.offsets2))
+            for i, a in enumerate(grid.offsets) for j, b in enumerate(grid.offsets))
 
 
 class CompareRow(NamedTuple):

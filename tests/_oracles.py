@@ -573,7 +573,7 @@ def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, 
         sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
         if sigma2 == 0.0:
             error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
-            rows.append(SweepRow("model", float(psnr_db), family, error, 0.0))
+            rows.append(SweepRow(float(psnr_db), family, error, 0.0))
             continue
         wrong = 0
         kl_sum = 0.0
@@ -582,7 +582,7 @@ def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, 
             q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
             wrong += int(np.sum(np.argmax(q, axis=1) != labels))
             kl_sum += float(_kl_rows(p_clean, q).sum())
-        rows.append(SweepRow("model", float(psnr_db), family, wrong / (trials * len(labels)),
+        rows.append(SweepRow(float(psnr_db), family, wrong / (trials * len(labels)),
                              kl_sum / (trials * len(labels))))
     return rows
 

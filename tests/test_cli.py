@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: strict configs, manifests, reproducibility."""
 
+import csv
 import hashlib
 import json
 import os
@@ -18,6 +19,13 @@ from fisherjscc.models import DecoderModel
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def read_table(path) -> list[dict]:
+    """The rows of a CSV artifact keyed by its header, after the schema line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.readline().startswith("# schema=")
+        return list(csv.DictReader(fh))
 
 
 def write_config(path, out_dir, data_dir, *, seed=7, kind="rings", classes=3,
@@ -209,13 +217,18 @@ class TestGenData:
         assert "FISHERJSCC_UNRELATED" not in changed["variables"]
         assert manifests[0]["output_digests"] == manifests[1]["output_digests"]
 
-    @pytest.mark.parametrize("text", ["{not json", "{}"], ids=["not-json", "no-digests"])
-    def test_verify_bad_manifest_is_a_data_error(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("defect", ["not-json", "no-digests", "directory", "missing"])
+    def test_verify_bad_manifest_is_a_data_error(self, tmp_path, capsys, defect):
         config = tmp_path / "run.ini"
         out = tmp_path / "data"
         write_config(config, out, out)
         assert main(["gen-data", "--config", str(config)]) == EXIT_OK
-        (out / "manifest.json").write_text(text, encoding="utf-8")
+        manifest = out / "manifest.json"
+        manifest.unlink()
+        if defect == "directory":
+            manifest.mkdir()
+        elif defect != "missing":
+            manifest.write_text("{not json" if defect == "not-json" else "{}", encoding="utf-8")
         capsys.readouterr()
         assert main(["gen-data", "--config", str(config), "--verify"]) == EXIT_DATA
         err = capsys.readouterr().err
@@ -290,14 +303,16 @@ class TestTrainCommand:
         write_config(config, tmp_path / "out", tmp_path / "missing")
         assert main(["train", "--config", str(config)]) == EXIT_DATA
 
-    @pytest.mark.parametrize("defect", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("defect", ["directory", "not_utf8", "one_column"])
     def test_unreadable_data_file_is_a_data_error(self, tmp_path, data_dir, capsys, defect):
         train_csv = data_dir / "train.csv"
         train_csv.unlink()
         if defect == "directory":
             train_csv.mkdir()
-        else:
+        elif defect == "not_utf8":
             train_csv.write_bytes(b"\xff\xfe1.0,2.0,a\n")
+        else:       # no feature column
+            train_csv.write_text("a\nb\n")
         config = tmp_path / "train.ini"
         out = tmp_path / "out"
         write_config(config, out, data_dir)
@@ -372,8 +387,23 @@ class TestEvalCommand:
         write_config(config, out, data_dir, extra=f"checkpoint = {checkpoint}")
         config.write_text(config.read_text().replace("psnr_grid = 5,15", "psnr_grid = inf,5"))
         assert main(["eval", "--config", str(config)]) == EXIT_OK
-        row = (out / "sweep.csv").read_text().splitlines()[2].split(",")
-        assert row[1] == "inf" and row[4] == "0.0"
+        row = read_table(out / "sweep.csv")[0]
+        assert row["psnr_db"] == "inf" and row["mean_expected_kl"] == "0.0"
+
+    def test_reg_track_writes_one_row_per_psnr(self, tmp_path, data_dir, checkpoint):
+        config = tmp_path / "eval.ini"
+        out = tmp_path / "regtrack"
+        write_config(config, out, data_dir, extra=f"checkpoint = {checkpoint}")
+        config.write_text(config.read_text().replace("kind = sweep", "kind = reg-track")
+                          .replace("psnr_grid = 5,15", "psnr_grid = 25,10,inf"))
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
+        lines = (out / "regtrack.csv").read_text().splitlines()
+        assert lines[:2] == ["# schema=fisherjscc.regtrack.v2",
+                             "psnr_db,sigma2,mean_trace,mean_regularizer"]
+        assert [row["psnr_db"] for row in read_table(out / "regtrack.csv")] == [
+            "25.0", "10.0", "inf"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["output_digests"] == {"regtrack.csv": sha256(out / "regtrack.csv")}
 
     def test_architecture_mismatch_reports_fields(self, tmp_path, data_dir,
                                                   checkpoint, capsys):
@@ -402,17 +432,15 @@ class TestEvalCommand:
         write_config(eval_config, out, data_dir,
                      extra=f"checkpoint = {model_out / 'checkpoint.json'}")
         assert main(["eval", "--config", str(eval_config)]) == EXIT_OK
-        rows = (out / "sweep.csv").read_text().splitlines()[2:]
-        for row in rows:
-            error = float(row.split(",")[3])
-            assert abs(error - (1.0 - 1.0 / 3.0)) <= 0.02
+        for row in read_table(out / "sweep.csv"):
+            assert abs(float(row["error_rate"]) - (1.0 - 1.0 / 3.0)) <= 0.02
 
     @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format", "normalizer_width",
                                         "shape_mismatch", "missing_param", "not_an_object",
                                         "power_null", "power_text", "encoder_list",
                                         "sizes_null", "shape_text", "normalizer_list",
                                         "directory", "std_zero", "std_negative", "std_nan",
-                                        "mean_nan"])
+                                        "mean_nan", "missing", "version", "seed_text"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -446,10 +474,14 @@ class TestEvalCommand:
             doc["normalizer"]["std"][0] = float("nan")
         elif defect == "mean_nan":
             doc["normalizer"]["mean"][0] = float("nan")
+        elif defect == "version":
+            doc["version"] = 2
+        elif defect == "seed_text":
+            doc["encoder"]["seed"] = "7"
         bad = tmp_path / "bad_checkpoint.json"
         if defect == "directory":
             bad.mkdir()
-        else:
+        elif defect != "missing":
             bad.write_text(json.dumps(doc))
         config = tmp_path / "eval.ini"
         out = tmp_path / "eval_bad"
@@ -560,6 +592,12 @@ class TestEvalCommand:
         ("gen-data", [("kind = rings", "kind = table")], "config error: [data] kind=table"),
         ("gen-data", [("kind = rings", "kind = table\ndelimiter =")], "[data] delimiter"),
         ("gen-data", [("kind = rings", "kind = table\ndelimiter = ;;")], "[data] delimiter"),
+        ("gen-data", [("kind = rings", "kind = table\ndelimiter = ;")],
+         "config error: [data] kind=table"),
+        ("train", None, "config file not found"),
+        ("train", [("spread = 0.15", "spread = 0.15\nnormalize = maybe")], "[data] normalize"),
+        ("train", [("\ndir = ", "\ndir =\n# ")], "[data] dir"),
+        ("eval", [("\ncheckpoint = ", "\ncheckpoint =\n# ")], "[experiment] checkpoint"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
@@ -587,20 +625,25 @@ class TestEvalCommand:
             "validate-approx-taylor_psnr_grid-overflow", "reg-track-psnr_grid-overflow",
             "posterior-map-psnr_db-overflow", "posterior-map-psnr_db-inf",
             "gen-data-table-without-files", "gen-data-delimiter-empty",
-            "gen-data-delimiter-two-characters"])
+            "gen-data-delimiter-two-characters", "gen-data-table-semicolon-without-files",
+            "config-file-missing", "train-normalize-not-a-boolean", "train-data-dir-empty",
+            "eval-checkpoint-empty"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
-        """Exit 2 before any output directory exists, without a traceback."""
+        """Exit 2 before any output directory exists, without a traceback; edits None
+        removes the config file."""
         config = tmp_path / "bad.ini"
         out = tmp_path / "bad_out"
         write_config(config, out, data_dir,
                      extra=f"checkpoint = {checkpoint}\ncheckpoint_a = {checkpoint}\n"
                            f"checkpoint_b = {checkpoint}\nmc_samples = 50\nsample_limit = 8")
         text = config.read_text()
-        for old, new in edits:
+        for old, new in edits or []:
             assert old in text
             text = text.replace(old, new)
         config.write_text(text)
+        if edits is None:
+            config.unlink()
         capsys.readouterr()
         assert main([*command.split(), "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -732,24 +775,18 @@ class TestEvalCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate-approx", "eval"])
-    @pytest.mark.parametrize("sample_limit, samples, passes", [
-        (1, 2**27, True), (1, 2**27 + 1, False),
-        (64, 2**21, True), (64, 2**21 + 1, False),
-        (10**6, 2**27 // 120, True), (10**6, 2**27 // 120 + 1, False),
+    @pytest.mark.parametrize("sample_limit, samples", [
+        (1, 2**27), (1, 2**27 + 1),
+        (64, 2**21), (64, 2**21 + 1),
+        (10**6, 2**27 // 120), (10**6, 2**27 // 120 + 1),
     ], ids=["one-point-at-budget", "one-point-past", "64-points-at-budget", "64-points-past",
             "test-set-at-budget", "test-set-past"])
-    def test_kl_table_past_the_budget_refused_up_front(self, tmp_path, data_dir, checkpoint,
-                                                        capsys, monkeypatch, command,
-                                                        sample_limit, samples, passes):
-        """A taylor cell keeps per-point moments, not a min(sample_limit, 120 test points)
-        x mc_samples table, so mc_samples has no budget: on either side of where such a
-        table would pass 2^27 floats, the run reaches the Taylor cells, stubbed here, so
-        nothing that size runs."""
-        rows = min(sample_limit, 120)
-        if passes:      # one more draw per point would pass the budget
-            assert rows * samples <= cli.FLOAT_BUDGET < rows * (samples + 1)
-        else:           # one draw fewer per point would fit
-            assert rows * (samples - 1) <= cli.FLOAT_BUDGET < rows * samples
+    def test_mc_samples_has_no_budget(self, tmp_path, data_dir, checkpoint, capsys,
+                                      monkeypatch, command, sample_limit, samples):
+        """A taylor run keeps per-point moments, not a min(sample_limit, 120 test points)
+        x mc_samples table, so mc_samples has no budget: at and one draw past where such a
+        table would hold FLOAT_BUDGET floats, the run reaches the Taylor cells, stubbed
+        here, so nothing that size runs."""
         calls = []
         monkeypatch.setattr(cli.experiments, "taylor_validation",
                             lambda *args, **kwargs: calls.append(args[4]) or [])
@@ -985,11 +1022,10 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main(["compare", "--config", str(config)]) == EXIT_OK
         assert "a better at 0, b better at 0, ties 2 of 2 PSNRs" in capsys.readouterr().out
-        lines = (out / "compare.csv").read_text().splitlines()
-        assert len(lines) == 2 + 2  # schema, header, one row per grid PSNR
-        for row in lines[2:]:
-            assert row.split(",")[4] == "0.0"
-            assert row.endswith("tie")
+        rows = read_table(out / "compare.csv")
+        assert len(rows) == 2  # one row per grid PSNR
+        for row in rows:
+            assert row["delta"] == "0.0" and row["sign"] == "tie"
 
     def test_manifest_records_both_checkpoints(self, tmp_path, data_dir):
         """Two checkpoints of one file name are two inputs, keyed by role."""

@@ -13,10 +13,10 @@ from fisherjscc import experiments, robustness
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
-from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, SWEEP_BLOCK_ROWS,
-                                    SWEEP_SCHEMA, SweepRow, error_sweep, paired_compare, posterior_grid,
-                                    posterior_rows, regularizer_track, taylor_validation,
-                                    top_two_components)
+from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, REGTRACK_HEADER,
+                                    SWEEP_BLOCK_ROWS, SWEEP_SCHEMA, SweepRow, error_sweep,
+                                    paired_compare, posterior_grid, posterior_rows,
+                                    regularizer_track, taylor_validation, top_two_components)
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
@@ -452,19 +452,23 @@ class TestTaylorValidation:
         assert many - few <= 2**20, (few, many)
 
 
+def track(*args) -> list[dict]:
+    """`regularizer_track`'s rows keyed by REGTRACK_HEADER."""
+    return [dict(zip(REGTRACK_HEADER, row, strict=True)) for row in regularizer_track(*args)]
+
+
 class TestRegularizerTrack:
     def test_penalty_linear_in_sigma2(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
-        rows = regularizer_track(encoder, decoder, [20.0, 10.0], test_set)
-        sigma_a, reg_a = rows[0][2], rows[0][4]
-        sigma_b, reg_b = rows[1][2], rows[1][4]
-        assert reg_b / reg_a == pytest.approx(sigma_b / sigma_a, rel=1e-12)
+        a, b = track(encoder, decoder, [20.0, 10.0], test_set)
+        assert (b["mean_regularizer"] / a["mean_regularizer"]
+                == pytest.approx(b["sigma2"] / a["sigma2"], rel=1e-12))
 
     def test_zero_weight_decoder_zero_everywhere(self):
         encoder, decoder = uniform_pair()
         ds = make_rings(4, 20, noise=0.1, seed=43)
-        rows = regularizer_track(encoder, decoder, [20.0, 5.0], ds)
-        assert all(row[4] == 0.0 for row in rows)
+        assert all(row["mean_regularizer"] == 0.0
+                   for row in track(encoder, decoder, [20.0, 5.0], ds))
 
     def test_regularized_twin_has_lower_trace(self):
         """Shared-seed training with/without penalty: penalty reduces Tr(I)."""
@@ -478,8 +482,7 @@ class TestRegularizerTrack:
             train(TrainConfig(lam=lam, epochs=25, batch_size=32, seed=seed,
                               psnr=FixedPsnr(20.0), omit_sigma2=(lam > 0)),
                   ds, encoder, decoder)
-            rows = regularizer_track(encoder, decoder, [10.0], ds)
-            traces[lam] = rows[0][3]
+            traces[lam] = track(encoder, decoder, [10.0], ds)[0]["mean_trace"]
         assert traces[0.5] < traces[0.0]
 
 
@@ -589,15 +592,14 @@ class TestPosteriorGrid:
         assert lines[1] == "a,b,neg_log_posterior"
         assert len(lines) == 2 + 64
         a, b, value = (float(cell) for cell in lines[2 + 8 + 3].split(","))
-        assert (a, b, value) == (grid.offsets1[1], grid.offsets2[3], grid.values[1, 3])
+        assert (a, b, value) == (grid.offsets[1], grid.offsets[3], grid.values[1, 3])
 
     def test_rows_stream_to_the_file(self, tmp_path):
         """Writing a 300 x 300 map holds no row per cell: the peak above the grid stays
         under 1 MiB, where a list of the rows held about 10.9 MB."""
         offsets = np.linspace(-1.0, 1.0, 300)
         values = CounterRng(31).normals(300 * 300).reshape(300, 300)
-        grid = experiments.PosteriorGrid(np.eye(2)[0], np.eye(2)[1], offsets, offsets.copy(),
-                                         values)
+        grid = experiments.PosteriorGrid(np.eye(2)[0], np.eye(2)[1], offsets, values)
         tracemalloc.start()
         try:
             write_csv(tmp_path / "grid.csv", POSTERIOR_SCHEMA, POSTERIOR_HEADER,
@@ -636,8 +638,8 @@ class TestSweepCsv:
                               trials=3, seed=13))
         assert path_a.read_bytes() == path_b.read_bytes()
         assert path_a.read_text().splitlines()[:2] == [
-            "# schema=fisherjscc.sweep.v2",
-            "regime,psnr_db,family,error_rate,mean_expected_kl"]
+            "# schema=fisherjscc.sweep.v3",
+            "psnr_db,family,error_rate,mean_expected_kl"]
 
 
 class TestSpearman:

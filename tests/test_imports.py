@@ -22,6 +22,11 @@ no other code there creates a directory, renames a file, calls an artifact
 writer or opens a file in a write mode; commands hand `_publish` the
 writers, uncalled.
 
+The README names each CSV table's schema string (`fisherjscc.<table>.vN`),
+and names no other: the set it names equals the set of the package's
+module-level `*_SCHEMA` string constants, so a schema bump that leaves the
+README behind fails here.
+
 The package sets OPENBLAS_NUM_THREADS to 1 unless it is already set, and
 OpenBLAS reads it once, when NumPy loads: so in `__init__.py` the
 `os.environ.setdefault` call must come before every import but `import os`.
@@ -30,6 +35,7 @@ Fresh interpreters check that the pin takes effect and yields to the caller.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -40,6 +46,8 @@ import pytest
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "fisherjscc"
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+README = PACKAGE_DIR.parent.parent / "README.md"
+SCHEMA_NAME = re.compile(r"fisherjscc\.\w+\.v\d+")
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -129,6 +137,16 @@ def calls_backward(source: str) -> bool:
                and (isinstance(node.func, ast.Attribute) and node.func.attr == "backward"
                     or isinstance(node.func, ast.Name) and node.func.id == "backward")
                for node in ast.walk(ast.parse(source)))
+
+
+def schema_constants(source: str) -> set[str]:
+    """The values of the module-level string constants whose names end in `_SCHEMA`."""
+    return {node.value.value for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+            and any(isinstance(target, ast.Name) and target.id.endswith("_SCHEMA")
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target]))}
 
 
 WRITERS = {"mkdir", "makedirs", "rename", "write_csv", "save_table", "save_checkpoint",
@@ -307,6 +325,25 @@ def test_checker_flags_a_write_outside_the_owner():
         "line 6: os.replace", "line 7: save_table", "line 8: p.write_text"]
     assert writes_outside(allowed.replace("_publish", "_other"), "_publish") == [
         "line 2: out.mkdir", "line 3: open", "line 5: os.replace"]
+
+
+def test_readme_names_every_schema_and_no_other():
+    schemas = set().union(*(schema_constants(path.read_text(encoding="utf-8"))
+                            for path in MODULES))
+    assert {schema.split(".")[1] for schema in schemas} == {
+        "sweep", "taylor", "regtrack", "posterior", "compare", "trainlog"}
+    assert set(SCHEMA_NAME.findall(README.read_text(encoding="utf-8"))) == schemas
+
+
+def test_checker_reads_schema_constants():
+    source = ('SWEEP_SCHEMA = "fisherjscc.sweep.v3"\n'
+              'OLD_SCHEMA: str = "fisherjscc.old.v1"\n'
+              'SCHEMA_NOTE = "fisherjscc.note.v1"\n'
+              'WIDTH_SCHEMA = 3\n'
+              'def f():\n    LOCAL_SCHEMA = "fisherjscc.local.v1"\n')
+    assert schema_constants(source) == {"fisherjscc.sweep.v3", "fisherjscc.old.v1"}
+    assert SCHEMA_NAME.findall("`fisherjscc.sweep.v3`: fisherjscc.cli, fisherjscc.a.v12") == [
+        "fisherjscc.sweep.v3", "fisherjscc.a.v12"]
 
 
 def test_blas_pin_precedes_every_import():
