@@ -48,8 +48,9 @@ EXIT_NUMERIC = 4
 # noise, noisy copies of z and decoder activations are noise_draws x batch_size rows of
 # one of repr_dim, the decoder's hidden widths and the classes; a posterior map decodes
 # resolution^2 points; a generated split is classes x per_class rows of its features.
-# trials and mc_samples have no bound: a sweep worker holds one block of
-# experiments.SWEEP_BLOCK_ROWS noisy rows at a time, a taylor worker one block of
+# trials and mc_samples have no bound: a sweep worker holds one block of about
+# experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR, with one PSNR's noisy
+# copy and posteriors at a time, and a taylor worker one block of
 # experiments.TAYLOR_BLOCK_ROWS draws shared by every noise level, and the per-point
 # moments of each level; their time is linear in them.
 FLOAT_BUDGET = 2**27
@@ -180,7 +181,7 @@ _SCHEMA = {
         "checkpoint_a": (str, ""),
         "checkpoint_b": (str, ""),
         "psnr_grid": (_parse_psnr_list, [5.0, 10.0, 15.0, 20.0, 25.0]),
-        "trials": (int, 20),
+        "trials": (_int_at_least(1), 20),
         "mc_samples": (_int_at_least(20), 10000),
         "taylor_psnr_grid": (_parse_psnr_list, [25.0, 20.0, 15.0, 10.0]),
         "sample_limit": (_int_at_least(1), 256),
@@ -665,9 +666,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def pooled(p):
         common(p).add_argument(
             "--threads", type=int, default=None,
-            help="workers for the PSNR cells (default: one per CPU this process may run "
-                 "on, at most one per cell); any count gives the same bytes; BLAS runs "
-                 "one thread per process unless OPENBLAS_NUM_THREADS is set")
+            help="workers for the blocks of sweep trials or Taylor draws (default: one "
+                 "per CPU this process may run on, at most one per block); any count "
+                 "gives the same bytes; BLAS runs one thread per process unless "
+                 "OPENBLAS_NUM_THREADS is set")
 
     p = common(sub.add_parser("gen-data", help="generate dataset files and a manifest"))
     p.add_argument("--verify", action="store_true",
@@ -686,8 +688,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     # An overflow, a division by zero or an invalid operation raises instead of
-    # warning, so it ends as a numerical abort; the PSNR cells' pool threads take
-    # this policy from the thread that starts them.
+    # warning, so it ends as a numerical abort; the pool threads of the Monte-Carlo
+    # blocks take this policy from the thread that starts them.
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         return _run(args)
 

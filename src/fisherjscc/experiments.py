@@ -1,9 +1,11 @@
 """Evaluation harness: PSNR sweeps, approximation validation, curvature maps.
 
-All sweeps are deterministic given (models, seed, grid): every PSNR cell, and
-every block of the Taylor check's shared draws, draws from a generator
-derived from the root seed by labeled counters, so adding cells or
-reordering work cannot perturb other cells' streams. Each CSV's
+All sweeps are deterministic given (models, data, seed, grid): every sweep
+trial, and every block of the Taylor check's draws, draws from a generator
+derived from the root seed by labeled counters, and every noise level of the
+grid is evaluated on that same draw, scaled to it. A row therefore depends on
+its own level, the channel family, the seed and the number of draws, and not
+on the other levels of the grid, their order or the thread count. Each CSV's
 columns are declared next to the code that makes its rows (NamedTuple fields
 or a header tuple); figures are produced from the CSV by external tooling.
 """
@@ -30,7 +32,7 @@ TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
 REGTRACK_SCHEMA = "fisherjscc.regtrack.v2"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
-SWEEP_BLOCK_ROWS = 4096     # noisy rows per channel_noise call in an error_sweep cell
+SWEEP_BLOCK_ROWS = 4096     # rows of noise per channel_noise call in an error_sweep block
 TAYLOR_BLOCK_ROWS = 16384   # rows per block of shared Taylor draws, each decoded in one call
 
 
@@ -91,23 +93,33 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
 
     The same draws also feed the per-sample KL between the noise-free and
     noisy posteriors, reported as mean_expected_kl. A prediction is the
-    argmax of `decode`. Each (PSNR, trial) pair draws from its own generator
-    derived from the seed by labeled counters, and the pool's `threads`
-    workers (default: one per CPU, see `_map_cells`) return the rows in grid
-    order, so the result is identical for any thread count; they run under
-    the caller's numpy error policy. A PSNR listed twice or whose noise
-    variance overflows is refused before any cell.
+    argmax of `decode`. A PSNR listed twice or whose noise variance
+    overflows is refused before anything is drawn.
 
-    A cell draws the noise of about SWEEP_BLOCK_ROWS rows, a block of trials,
-    in one call on a generator holding those trials' streams, which gives
-    every trial the values of its own generator. The block is decoded as one
-    [trials, rows, k] stack, with one KL and one argmax, and each trial's KL
-    sum joins the cell's in trial order. That keeps each trial's bits: the
-    stack's weight products are one BLAS product per trial (a [trials * rows,
-    k] batch would take another BLAS path and other bits), and the rest works
-    entry by entry or row by row. A block's noise and posteriors are released
-    before the next block is drawn, so each worker holds one block and the
-    allocator can place the next block in the chunks this one freed.
+    Every noisy PSNR of a trial shares one draw: common random numbers, as in
+    the Taylor check. Trial t draws unit-variance noise (and, under Rayleigh,
+    its h) once from its own generator, derived from the seed by ("sweep",
+    family, 0, t) (the 0 keeps one-PSNR sweeps on the streams they have
+    always used), and each PSNR scales it to its own variance. A row
+    therefore depends only on (seed, family, PSNR, trials), not on the other
+    PSNRs of the grid or their order, and the rows' errors are correlated,
+    which sharpens comparisons across PSNRs. `paired_compare` passes both
+    models the same seed, so they see the same draws too. A grid whose every
+    PSNR is noise-free draws nothing.
+
+    The trials run in blocks of about SWEEP_BLOCK_ROWS rows on the pool's
+    `threads` workers (default: one per CPU, see `_map_cells`), under the
+    caller's numpy error policy. A block draws its trials' noise in one call
+    on a generator holding their streams, which gives every trial the values
+    of its own generator. Per PSNR it decodes the block as one [trials, rows,
+    k] stack, with one KL and one argmax, and releases the noisy copy and the
+    posteriors before the next PSNR; the noise goes when the block ends. The
+    stack keeps each trial's bits: its weight products are one BLAS product
+    per trial (a [trials * rows, k] batch would take another BLAS path and
+    other bits), and the rest works entry by entry or row by row. The blocks'
+    wrong counts and per-trial KL sums are folded here in block order, so
+    each PSNR adds its trials' KL in trial order and the result is identical
+    for any thread count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -117,30 +129,42 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     sigma2_grid = _sigma2_grid(grid, encoder.power)
     z = encoder.encode(dataset.features)
     p_clean = decoder.decode(z)
-    clean_predictions = np.argmax(p_clean, axis=1)
     labels = dataset.labels
+    clean_error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
+    levels = [sigma2 for sigma2 in sigma2_grid if sigma2 != 0.0]
     block_trials = max(1, SWEEP_BLOCK_ROWS // len(labels))
+    blocks = -(-trials // block_trials) if levels else 0
 
-    def evaluate_cell(psnr_index):
-        psnr_db, sigma2 = grid[psnr_index], sigma2_grid[psnr_index]
-        if sigma2 == 0.0:
-            return SweepRow(psnr_db, family, float(np.mean(clean_predictions != labels)), 0.0)
-        wrong = 0
-        kl_sum = 0.0
-        for start in range(0, trials, block_trials):
-            rng = CounterRng([derive_seed(seed, "sweep", family, psnr_index, t)
-                              for t in range(start, min(start + block_trials, trials))])
-            z_hat = channel_noise(z.shape, sigma2, family, rng)
+    def evaluate_block(index):
+        rng = CounterRng([derive_seed(seed, "sweep", family, 0, t) for t in
+                          range(index * block_trials, min((index + 1) * block_trials, trials))])
+        unit = channel_noise(z.shape, 1.0, family, rng)
+        counts = []
+        for sigma2 in levels:
+            z_hat = unit * math.sqrt(sigma2)
             z_hat += z      # in place; noise + z and z + noise are the same bits
             q = decoder.decode(z_hat)
-            wrong += int(np.sum(np.argmax(q, axis=-1) != labels))
-            for trial_kl in _kl_rows(p_clean, q).sum(axis=-1):
-                kl_sum += float(trial_kl)
-            del z_hat, q    # before the next draw, so its buffers can reuse these chunks
-        return SweepRow(psnr_db, family, wrong / (trials * len(labels)),
-                        kl_sum / (trials * len(labels)))
+            del z_hat
+            counts.append((int(np.sum(np.argmax(q, axis=-1) != labels)),
+                           _kl_rows(p_clean, q).sum(axis=-1)))
+            del q           # before the next level, so its buffers can reuse these chunks
+        return counts
 
-    return list(_map_cells(evaluate_cell, len(grid), threads))
+    wrong, kl_sum = [0] * len(levels), [0.0] * len(levels)
+    for block in _map_cells(evaluate_block, blocks, threads):
+        for level, (block_wrong, trial_kl) in enumerate(block):
+            wrong[level] += block_wrong
+            for value in trial_kl:
+                kl_sum[level] += float(value)
+    draws = trials * len(labels)
+    rows, noisy = [], iter(zip(wrong, kl_sum))
+    for psnr_db, sigma2 in zip(grid, sigma2_grid):
+        if sigma2 == 0.0:
+            rows.append(SweepRow(psnr_db, family, clean_error, 0.0))
+        else:
+            level_wrong, level_kl = next(noisy)
+            rows.append(SweepRow(psnr_db, family, level_wrong / draws, level_kl / draws))
+    return rows
 
 
 class TaylorRow(NamedTuple):

@@ -29,8 +29,8 @@ it are checked on the trace that training and evaluation use;
 
 The Box-Muller, error-sweep and Adam references keep the loop forms the
 library replaced with vectorised ones: two word requests per normals call,
-one generator, one noise draw and one decode per sweep trial, and one Adam
-update per parameter array.
+one generator and one noise draw per sweep trial, decoded once per PSNR, and one
+Adam update per parameter array.
 """
 
 from __future__ import annotations
@@ -558,8 +558,9 @@ def normals_two_calls(rng, n: int) -> np.ndarray:
 
 
 def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, seed):
-    """`experiments.error_sweep` as a serial loop over cells and trials: each trial
-    builds its own single-stream generator, draws its noise and decodes it."""
+    """`experiments.error_sweep` as a serial loop over trials and PSNRs: each trial
+    builds its own single-stream generator and draws one unit-variance noise block,
+    which every noisy PSNR scales to its variance and decodes on its own."""
     from fisherjscc.channel import channel_noise, psnr_to_sigma2
     from fisherjscc.experiments import SweepRow
     from fisherjscc.robustness import _kl_rows
@@ -568,22 +569,25 @@ def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, 
     z = encoder.encode(dataset.features)
     p_clean = decoder.decode(z)
     labels = dataset.labels
+    sigma2_grid = [psnr_to_sigma2(psnr_db, encoder.power) for psnr_db in psnr_grid]
+    wrong = [0] * len(sigma2_grid)
+    kl_sum = [0.0] * len(sigma2_grid)
+    for t in range(trials):
+        unit = channel_noise(z.shape, 1.0, family,
+                             CounterRng(derive_seed(seed, "sweep", family, 0, t)))
+        for i, sigma2 in enumerate(sigma2_grid):
+            if sigma2 != 0.0:
+                q = decoder.decode(z + unit * math.sqrt(sigma2))
+                wrong[i] += int(np.sum(np.argmax(q, axis=1) != labels))
+                kl_sum[i] += float(_kl_rows(p_clean, q).sum())
     rows = []
-    for psnr_index, psnr_db in enumerate(psnr_grid):
-        sigma2 = psnr_to_sigma2(psnr_db, encoder.power)
+    for psnr_db, sigma2, level_wrong, level_kl in zip(psnr_grid, sigma2_grid, wrong, kl_sum):
         if sigma2 == 0.0:
             error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
             rows.append(SweepRow(float(psnr_db), family, error, 0.0))
-            continue
-        wrong = 0
-        kl_sum = 0.0
-        for t in range(trials):
-            rng = CounterRng(derive_seed(seed, "sweep", family, psnr_index, t))
-            q = decoder.decode(z + channel_noise(z.shape, sigma2, family, rng))
-            wrong += int(np.sum(np.argmax(q, axis=1) != labels))
-            kl_sum += float(_kl_rows(p_clean, q).sum())
-        rows.append(SweepRow(float(psnr_db), family, wrong / (trials * len(labels)),
-                             kl_sum / (trials * len(labels))))
+        else:
+            rows.append(SweepRow(float(psnr_db), family, level_wrong / (trials * len(labels)),
+                                 level_kl / (trials * len(labels))))
     return rows
 
 

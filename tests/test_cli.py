@@ -518,6 +518,8 @@ class TestEvalCommand:
         ("eval", [("trials = 3", "trials = 0")], "trials"),
         ("eval", [("psnr_grid = 5,15", "psnr_grid = 5,5")], "duplicate sweep cell"),
         ("compare", [("trials = 3", "trials = 0")], "trials"),
+        ("validate-approx", [("trials = 3", "trials = 0")],
+         "[experiment] trials = '0': expected an integer >= 1"),
         ("compare", [("psnr_grid = 5,15", "psnr_grid = 5,5")], "duplicate sweep cell"),
         ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nresolution = 7")],
          "resolution"),
@@ -604,7 +606,8 @@ class TestEvalCommand:
             "duplicate-key", "duplicate-section", "no-section-header",
             "validate-approx-mc_samples", "validate-approx-sample_limit",
             "validate-approx-mc_samples-five", "eval-taylor-sample_limit-negative", "eval-trials",
-            "eval-duplicate-psnr", "compare-trials", "compare-duplicate-psnr",
+            "eval-duplicate-psnr", "compare-trials", "validate-approx-trials",
+            "compare-duplicate-psnr",
             "posterior-map-resolution", "posterior-map-sample_index", "train-power",
             "train-repr_dim", "train-encoder_hidden", "train-decoder_hidden",
             "gen-data-classes", "gen-data-spread-nan", "gen-data-spread-inf",

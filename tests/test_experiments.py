@@ -113,14 +113,26 @@ class TestErrorSweep:
         assert 0.0 <= result[0].error_rate <= 1.0
 
     def test_thread_count_does_not_change_results(self, trained_pair):
-        """Per-cell generators plus ordered merge: threads=2 equals threads=1."""
+        """Per-trial generators plus a merge in block order: 300 rows and 30 trials make
+        blocks of 13, 13 and 4 trials, and threads=2 equals threads=1."""
         encoder, decoder, _, test_set = trained_pair
         grid = [5.0, 10.0, 15.0, 20.0]
         serial = error_sweep(encoder, decoder, test_set, grid, "awgn",
-                             trials=4, seed=17, threads=1)
+                             trials=30, seed=17, threads=1)
         threaded = error_sweep(encoder, decoder, test_set, grid, "awgn",
-                               trials=4, seed=17, threads=2)
+                               trials=30, seed=17, threads=2)
         assert serial == threaded
+
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_row_does_not_depend_on_the_rest_of_the_grid(self, trained_pair, family):
+        """Every PSNR of a trial shares its draw, so the 15 dB row is the same alone,
+        after another PSNR, and in a reordered grid with a noise-free cell."""
+        encoder, decoder, _, test_set = trained_pair
+        rows = [error_sweep(encoder, decoder, test_set, grid, family, trials=15, seed=19)
+                for grid in ([15.0], [5.0, 15.0], [25.0, float("inf"), 15.0, 5.0])]
+        alone, joined, reordered = ([row for row in sweep if row.psnr_db == 15.0]
+                                    for sweep in rows)
+        assert len(alone) == 1 and alone == joined == reordered
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
@@ -147,7 +159,7 @@ class TestErrorSweep:
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_decode_per_noise_block(self, trained_pair, monkeypatch, family):
         """600 rows and 13 trials make blocks of 6, 6 and 1 trials. The clean posteriors
-        take one decode, and each noisy cell one decode per block, of the whole stack."""
+        take one decode, and each block one decode of its whole stack per noisy PSNR."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
         shapes, decode = [], decoder.decode
@@ -159,19 +171,41 @@ class TestErrorSweep:
         monkeypatch.setattr(decoder, "decode", counted)
         error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
-        blocks = [(6, 600, 6), (6, 600, 6), (1, 600, 6)]
-        assert shapes == [(600, 6), *blocks, *blocks]
+        assert shapes == [(600, 6), *[(6, 600, 6)] * 4, *[(1, 600, 6)] * 2]
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_block_is_live_at_each_draw(self, trained_pair, live_at_each_draw, family):
-        """Blocks of 6, 6 and 1 trials in each noisy cell: nothing of a block is alive
-        when the next is drawn, in its cell or in the next."""
+        """Blocks of 6, 6 and 1 trials, each drawn once for both noisy PSNRs: nothing of
+        a block, its noise or any PSNR's posteriors, is alive when the next is drawn."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
         live = live_at_each_draw(experiments)
         error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
-        assert live == [0] * 5
+        assert live == [0] * 2
+
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_one_level_is_live_at_each_decode(self, trained_pair, monkeypatch, family):
+        """Each block decodes its stack at both noisy PSNRs in turn: no earlier noisy
+        posteriors are alive when the next stack is decoded, in its block or the next."""
+        encoder, decoder, _, _ = trained_pair
+        test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
+        earlier, live, decode = [], [], decoder.decode
+
+        def counted(z):
+            q = decode(z)
+            if np.ndim(z) == 3:
+                live.append(sum(ref() is not None for ref in earlier))
+                owner = q
+                while owner.base is not None:
+                    owner = owner.base
+                earlier.append(weakref.ref(owner))
+            return q
+
+        monkeypatch.setattr(decoder, "decode", counted)
+        error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
+                    seed=21, threads=1)
+        assert live == [0] * 6
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
@@ -255,18 +289,19 @@ class TestWorkerCount:
         assert started == [0, 1, 2, 3]
 
     def test_default_equals_one_thread(self, trained_pair, monkeypatch, pool_sizes):
-        """Four CPUs: the default runs each function's three tasks (PSNR cells, or the
-        Taylor blocks of 40 points x 1,000 draws) on a pool of one worker per task, and
-        gives the rows of threads 1, 2 and 3."""
+        """Four CPUs: the default runs each function's three tasks (the sweep's blocks of
+        6, 6 and 1 trials of 600 rows, or the Taylor blocks of 40 points x 1,000 draws) on
+        a pool of one worker per task, and gives the rows of threads 1, 2 and 3."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        encoder, decoder, ds, test_set = trained_pair
+        encoder, decoder, ds, _ = trained_pair
+        test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
         grid = [5.0, 15.0, 25.0]
         sigma2_grid = [psnr_to_sigma2(p, 1.0) for p in grid]
-        runs = [(error_sweep, (encoder, decoder, test_set, grid, "rayleigh", 3, 31)),
+        runs = [(error_sweep, (encoder, decoder, test_set, grid, "rayleigh", 13, 31)),
                 (taylor_validation, (encoder, decoder, ds.features[:40], sigma2_grid, 1_000,
                                      32)),
                 (paired_compare, (encoder, decoder, encoder, decoder, test_set, grid, "awgn",
-                                  3, 33))]
+                                  13, 33))]
         for function, args in runs:
             del pool_sizes[:]
             default = function(*args)
