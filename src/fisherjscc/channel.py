@@ -8,8 +8,9 @@ transmission. Channel quality is tracked as PSNR = 10 log10(P / sigma2)
 where P is the per-symbol peak power budget.
 
 `channel_noise` is the one implementation of the effective noise n or n/|h|;
-training, the Monte-Carlo KL and the error sweep all draw through it.
-Training asks it for its L noise draws at once, from one word request.
+training, the Monte-Carlo KL and the error sweep all draw through it, each
+asking for one plain shape: training's L noise copies of a batch are one
+(L, b, k) block.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .rng import CounterRng, NormalRounds
+from .rng import CounterRng
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +45,7 @@ def psnr_to_sigma2(psnr_db: float, power: float) -> float:
     return sigma2
 
 
-def gaussian_noise(shape, sigma2: float, rng: CounterRng | NormalRounds) -> np.ndarray:
+def gaussian_noise(shape, sigma2: float, rng: CounterRng) -> np.ndarray:
     """N(0, sigma2) noise of rng.stream_shape + shape: one block of `shape` per stream."""
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
@@ -56,7 +57,7 @@ def gaussian_noise(shape, sigma2: float, rng: CounterRng | NormalRounds) -> np.n
     return noise
 
 
-def draw_fading_coefficients(n: int, rng: CounterRng | NormalRounds) -> np.ndarray:
+def draw_fading_coefficients(n: int, rng: CounterRng) -> np.ndarray:
     """n complex h ~ CN(0,1) per stream: independent N(0, 1/2) real and imaginary parts."""
     parts = rng.normals(2 * n) * math.sqrt(0.5)
     return parts[..., :n] + 1j * parts[..., n:]
@@ -71,8 +72,7 @@ def equalization_gains(h: np.ndarray) -> np.ndarray:
     return np.maximum(magnitude, H_FLOOR)
 
 
-def channel_noise(shape, sigma2: float, family: str, rng: CounterRng,
-                  draws: int | None = None) -> np.ndarray:
+def channel_noise(shape, sigma2: float, family: str, rng: CounterRng) -> np.ndarray:
     """Effective additive channel noise of rng.stream_shape + shape.
 
     Per stream, all Gaussian noise is drawn first, over the whole shape.
@@ -80,22 +80,12 @@ def channel_noise(shape, sigma2: float, family: str, rng: CounterRng,
     follows on the same stream, and each row is divided by its floored |h|.
     A multi-stream generator gives each stream's block the values a
     single-stream generator of that seed would.
-
-    Given `draws`, the result is rng.stream_shape + (draws,) + shape: draw l
-    holds what the l-th of `draws` sequential calls would return, and every
-    draw comes from one word request.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
-    fading = family == "rayleigh" and sigma2 > 0.0
-    rows = shape[:-1]
-    if draws is not None:
-        # What the calls below ask `normals` for, in their order: the noise, then h.
-        sizes = (math.prod(shape),) if sigma2 > 0.0 else ()
-        sizes += (2 * math.prod(rows),) if fading else ()
-        rng = rng.normal_rounds(sizes, draws)
     noise = gaussian_noise(shape, sigma2, rng)
-    if fading:
+    if family == "rayleigh" and sigma2 > 0.0:
+        rows = shape[:-1]
         h = draw_fading_coefficients(math.prod(rows), rng).reshape(rng.stream_shape + rows)
         noise /= equalization_gains(h)[..., None]
     return noise

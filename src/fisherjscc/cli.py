@@ -683,9 +683,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("FISHERJSCC_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    log_name = os.environ.get("FISHERJSCC_LOG", "WARNING")
+    log_level = logging.getLevelName(log_name.upper())
+    if not isinstance(log_level, int):      # getLevelName maps an unknown name to a string
+        print(f"config error: FISHERJSCC_LOG = {log_name!r} names no log level",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=log_level, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     # An overflow, a division by zero or an invalid operation raises instead of
     # warning, so it ends as a numerical abort; the pool threads of the Monte-Carlo

@@ -12,12 +12,6 @@ sequence. Every draw then has a leading stream axis whose row i holds the
 values `CounterRng(seed_i)` would give for the same calls: the splitmix64
 words and the Box-Muller transforms are elementwise, so drawing a block of
 streams in one call changes no value.
-
-A run of repeated calls can be drawn ahead from one word request:
-`normal_rounds(sizes, calls)` fills `calls` consecutive rounds of one
-`normals(n)` call per n in `sizes`, row l of the request holding round l's
-words, and hands the blocks out with a draw axis after the stream axis.
-The values and the counter end where the sequential calls would leave them.
 """
 
 from __future__ import annotations
@@ -109,71 +103,35 @@ class CounterRng:
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard normal values per stream via Box-Muller pairs.
 
-        Consumes 2 * ceil(n / 2) words: the u1 block, then the u2 block.
-        When n is odd the second half of the final pair is discarded.
+        Consumes 2 * ceil(n / 2) words from one request: the u1 block, then the
+        u2 block. When n is odd the second half of the final pair is discarded.
+        The block is transformed in place, so a large draw holds one float
+        buffer and one half-size temporary.
         """
-        return self._normal_rows((n,), 1)[0][..., 0, :]
-
-    def normal_rounds(self, sizes: Sequence[int], calls: int) -> NormalRounds:
-        """`calls` rounds of one normals(n) call per n in sizes, from one word request.
-
-        The returned source's `normals(n)` gives the blocks in their order, each
-        of stream_shape + (calls, n), whose [..., l, :] is the l-th round's call.
-        """
-        return NormalRounds(self._normal_rows(sizes, calls), self.stream_shape + (calls,))
-
-    def _normal_rows(self, sizes: Sequence[int], calls: int) -> list[np.ndarray]:
-        """The Box-Muller body: per n in sizes, stream_shape + (calls, n) values.
-
-        Each round takes 2 * ceil(n / 2) words per size in order, all rounds from
-        one word request. Every block is transformed in place, so a large draw
-        holds one float buffer and one half-size temporary.
-        """
-        widths = [2 * ((n + 1) // 2) for n in sizes]
-        words = self._words(calls * sum(widths))
+        pairs = (n + 1) // 2
+        words = self._words(2 * pairs)
         words >>= np.uint64(11)
-        out = words.astype(np.float64).reshape(self.stream_shape + (calls, sum(widths)))
+        out = words.astype(np.float64)
         del words
-        blocks, start = [], 0
-        for n, width in zip(sizes, widths):
-            pairs = width // 2
-            # u1 on (0, 1] so the log is always finite; u2 on [0, 1).
-            radius = out[..., start:start + pairs]
-            angle = out[..., start + pairs:start + width]
-            radius += 1.0
-            radius *= 2.0**-53
-            np.log(radius, out=radius)
-            radius *= -2.0
-            np.sqrt(radius, out=radius)
-            angle *= 2.0**-53
-            angle *= _TWO_PI
-            cos = np.cos(angle)
-            np.sin(angle, out=angle)
-            angle *= radius
-            radius *= cos
-            del cos
-            blocks.append(out[..., start:start + n])
-            start += width
-        return blocks
+        # u1 on (0, 1] so the log is always finite; u2 on [0, 1).
+        radius = out[..., :pairs]
+        angle = out[..., pairs:]
+        radius += 1.0
+        radius *= 2.0**-53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0**-53
+        angle *= _TWO_PI
+        cos = np.cos(angle)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= cos
+        del cos         # before the returned view is made: that order keeps peak RSS lower
+        return out[..., :n]
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of a uniform block."""
         self._single_stream("permutation")
         return np.argsort(self.uniforms(n), kind="stable")
 
-
-class NormalRounds:
-    """Normal blocks drawn ahead by `CounterRng.normal_rounds`, handed out in order.
-
-    It stands in for the generator in code that draws through `normals` and
-    `stream_shape`, which here carries the draw axis after the stream axis.
-    """
-
-    def __init__(self, blocks: list[np.ndarray], stream_shape: tuple[int, ...]):
-        self._blocks = blocks[::-1]
-        self.stream_shape = stream_shape
-
-    def normals(self, n: int) -> np.ndarray:
-        if not self._blocks or self._blocks[-1].shape[-1] != n:
-            raise ValueError(f"normals({n}) was not drawn ahead next")
-        return self._blocks.pop()

@@ -19,7 +19,8 @@ decoder over that batch, the Fisher trace at the noise-free z, and the loss.
 Each node's value and gradients are computed in NumPy; the loss node picks
 each row's label, sums and scales the cross-entropy and the trace, and its
 gradient places the scale back at the labels and on every trace entry. The
-L noise draws are one `channel_noise` request, for AWGN and Rayleigh alike.
+L noise copies are one (L, b, k) `channel_noise` block, for AWGN and Rayleigh
+alike; under Rayleigh each (draw, row) gets its own h.
 
 `train` holds both models' parameters in one float64 vector for the whole
 run; each parameter's array is a view of its slice. A step concatenates the
@@ -131,9 +132,8 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
                      rng: CounterRng, family: str = "awgn") -> LossParts:
     """Noise-averaged cross-entropy plus coeff times the mean Fisher trace at noise-free z.
 
-    The L noise draws come from one `channel_noise` request and go through one
-    decoder pass; draw l fills rows l*b .. (l+1)*b - 1 and holds the values
-    the l-th of L sequential `channel_noise` calls would. `train` passes
+    The L noise draws are one (L, b, k) `channel_noise` block and go through one
+    decoder pass; draw l fills rows l*b .. (l+1)*b - 1. `train` passes
     coeff = lambda * sigma2 / 2, or lambda under the fixed-PSNR simplification.
     """
     if sigma2 < 0.0:
@@ -146,7 +146,7 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     if labels.shape != (batch,) or labels.min() < 0 or labels.max() >= decoder.num_classes:
         raise ValueError(f"expected one label in [0, {decoder.num_classes}) per row")
 
-    noisy = channel_noise(z.data.shape, sigma2, family, rng, draws=noise_draws)
+    noisy = channel_noise((noise_draws, batch, k), sigma2, family, rng)
     noisy += z.data         # in place; noise + z and z + noise are the same bits
     # Row l*b + i is z_i plus its l-th draw, so z_i's gradient sums its L rows.
     z_hat = ad.Tensor(noisy.reshape(noise_draws * batch, k), (z,),

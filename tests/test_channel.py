@@ -36,9 +36,13 @@ class TestPsnrConversion:
 @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
 class TestChannelNoise:
     def test_zero_sigma_gives_zeros(self, family):
-        noise = channel_noise((5, 8), 0.0, family, CounterRng(4))
-        assert noise.shape == (5, 8)
-        assert np.all(noise == 0.0)
+        """Zeros of the asked shape, training's (L, b, k) included, and no word drawn."""
+        for shape in [(5, 8), (4, 5, 8)]:
+            rng = CounterRng(4)
+            noise = channel_noise(shape, 0.0, family, rng)
+            assert noise.shape == shape
+            assert np.all(noise == 0.0)
+            assert rng._counter == 0
 
     def test_same_seed_identical(self, family):
         a = channel_noise((3, 4), 0.2, family, CounterRng(9))
@@ -102,26 +106,6 @@ class TestStreamLayout:
         assert np.array_equal(stacked, np.stack([channel_noise(shape, sigma2, family,
                                                                CounterRng(seed))
                                                  for seed in seeds]))
-
-    @pytest.mark.parametrize("streams", [None, 3], ids=["one-stream", "three-streams"])
-    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
-    @pytest.mark.parametrize("draws, b, k", [(4, 64, 8), (5, 7, 3), (1, 1, 1)])
-    def test_draw_axis_equals_sequential_calls(self, streams, family, draws, b, k):
-        """One request for `draws` draws: the values of that many sequential calls, on
-        the draw axis after the stream axis, and the counter left on the same word."""
-        seed = 21 if streams is None else [derive_seed(21, "s", i) for i in range(streams)]
-        block_rng, sequential_rng = CounterRng(seed), CounterRng(seed)
-        block = channel_noise((b, k), 0.3, family, block_rng, draws=draws)
-        calls = [channel_noise((b, k), 0.3, family, sequential_rng) for _ in range(draws)]
-        assert np.array_equal(block, np.stack(calls, axis=len(block_rng.stream_shape)))
-        assert block_rng._counter == sequential_rng._counter
-
-    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
-    def test_draw_axis_at_zero_sigma_draws_nothing(self, family):
-        rng = CounterRng(22)
-        noise = channel_noise((3, 2), 0.0, family, rng, draws=4)
-        assert np.array_equal(noise, np.zeros((4, 3, 2)))
-        assert rng._counter == 0
 
     @pytest.mark.parametrize("shape", [(5, 3), (4, 5, 3)])
     def test_rayleigh_noise_then_one_h_per_row(self, shape):

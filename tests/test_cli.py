@@ -117,6 +117,22 @@ class TestConfigParsing:
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("level", ["nope", ""])
+    def test_log_level_that_names_no_level_is_a_config_error(self, tmp_path, level):
+        """In a fresh interpreter, where the root logger has no handler yet."""
+        config = tmp_path / "run.ini"
+        out = tmp_path / "out"
+        write_config(config, out, out)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, FISHERJSCC_LOG=level, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "fisherjscc.cli", "gen-data",
+                               "--config", str(config)], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            f"config error: FISHERJSCC_LOG = {level!r} names no log level"]
+        assert not out.exists()
+
 
 class TestGenData:
     def test_same_config_same_digests(self, tmp_path):

@@ -1,7 +1,7 @@
 """Source hygiene: every name a package module imports is used in that module,
 every public module-level function and class, and every public method of a
 module-level class, is used by the package, only `data` imports `csv`, only
-`channel` and `data` draw normals (`.normals(` or `.normal_rounds(`), and only
+`channel` and `data` draw normals (`.normals(`), and only
 `train` calls `backward`.
 
 No linter is a declared dependency, so this reads the source with the
@@ -124,10 +124,9 @@ def imports_csv(source: str) -> bool:
 
 
 def calls_normals(source: str) -> bool:
-    """Whether the source calls a `normals` or `normal_rounds` attribute, as in
-    `rng.normals(n)` or `rng.normal_rounds(sizes, calls)`."""
+    """Whether the source calls a `normals` attribute, as in `rng.normals(n)`."""
     return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr in ("normals", "normal_rounds")
+               and node.func.attr == "normals"
                for node in ast.walk(ast.parse(source)))
 
 
@@ -273,8 +272,6 @@ def test_only_channel_and_data_draw_normals():
 def test_checker_flags_a_normals_call():
     assert calls_normals("noise = rng.normals(8)\n")
     assert calls_normals("def f(seed):\n    return CounterRng(seed).normals(3) * 2.0\n")
-    assert calls_normals("rounds = rng.normal_rounds((64, 8), 4)\n")
-    assert not calls_normals("def normal_rounds(self, sizes, calls):\n    return calls\n")
     assert not calls_normals("def normals(self, n):\n    return n\n")
     assert not calls_normals("draw = rng.normals\ntext = 'rng.normals(3)'\nnormals(3)\n")
 

@@ -42,33 +42,6 @@ class TestDeterminism:
         assert np.array_equal(rng.normals(n), normals_two_calls(reference, n))
 
 
-class TestNormalRounds:
-    """Rounds of normals calls drawn ahead from one word request."""
-
-    @pytest.mark.parametrize("seed", [3, [3, 4, 5]], ids=["one-stream", "three-streams"])
-    @pytest.mark.parametrize("sizes, calls", [((512,), 4), ((21, 14), 5), ((1, 2), 1),
-                                              ((3, 0, 5), 2)])
-    def test_rounds_equal_sequential_calls(self, seed, sizes, calls):
-        ahead, sequential = CounterRng(seed), CounterRng(seed)
-        rounds = ahead.normal_rounds(sizes, calls)
-        assert rounds.stream_shape == ahead.stream_shape + (calls,)
-        expected = [[sequential.normals(n) for n in sizes] for _ in range(calls)]
-        axis = len(ahead.stream_shape)
-        for i, n in enumerate(sizes):
-            assert np.array_equal(rounds.normals(n),
-                                  np.stack([row[i] for row in expected], axis=axis))
-        assert ahead._counter == sequential._counter
-
-    def test_blocks_are_handed_out_in_their_order(self):
-        rounds = CounterRng(6).normal_rounds((4, 6), 2)
-        with pytest.raises(ValueError, match="normals"):
-            rounds.normals(6)
-        rounds.normals(4)
-        rounds.normals(6)
-        with pytest.raises(ValueError, match="normals"):
-            rounds.normals(4)
-
-
 class TestManyStreams:
     """A generator over a sequence of seeds: row i is CounterRng(seed_i)."""
 

@@ -7,8 +7,7 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc import train as train_module
-from fisherjscc.channel import (draw_fading_coefficients, equalization_gains, gaussian_noise,
-                                psnr_to_sigma2)
+from fisherjscc.channel import channel_noise, psnr_to_sigma2
 from fisherjscc.data import make_blobs, make_rings
 from fisherjscc.models import DecoderModel, EncoderModel
 from fisherjscc.rng import CounterRng, derive_seed
@@ -72,30 +71,33 @@ class TestRegularizedLoss:
         assert parts.fisher_penalty == 0.0
         # Independent assembly of the same quantity from raw pieces.
         z = encoder.encode(x)
-        rng = CounterRng(3)
         total = 0.0
-        for _ in range(3):
-            noise = math.sqrt(0.1) * rng.normals(z.size).reshape(z.shape)
-            logq = decoder.log_posterior_all(ad.Tensor(z + noise)).data
+        for draw in z + channel_noise((3, 4, 2), 0.1, "awgn", CounterRng(3)):
+            logq = decoder.log_posterior_all(ad.Tensor(draw)).data
             total += -logq[np.arange(4), y].sum()
         assert float(parts.total.data) == pytest.approx(total / 12.0, rel=1e-12)
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
-    def test_stacked_draws_match_per_draw_loop(self, family):
-        """One stacked decoder pass equals L separate passes on the same stream."""
+    def test_stacked_draws_match_per_draw_loop(self, monkeypatch, family):
+        """The decoder sees z plus one (L, b, k) channel_noise block, draw l in rows
+        l*b .. (l+1)*b - 1, bit for bit, and one stacked pass equals L separate passes."""
         encoder, decoder = small_models(13)
         x = CounterRng(14).normals(15).reshape(5, 3)
         y = np.array([0, 1, 2, 1, 0])
+        log_posterior_all, seen = decoder.log_posterior_all, []
+
+        def spy(z_hat):
+            seen.append(z_hat.data.copy())
+            return log_posterior_all(z_hat)
+
+        monkeypatch.setattr(decoder, "log_posterior_all", spy)
         parts = regularized_loss(x, y, encoder, decoder, sigma2=0.2, coeff=0.0,
                                  noise_draws=4, rng=CounterRng(15), family=family)
-        z = encoder.encode(x)
-        rng = CounterRng(15)
+        noisy = encoder.encode(x) + channel_noise((4, 5, 2), 0.2, family, CounterRng(15))
+        assert len(seen) == 1 and np.array_equal(seen[0], noisy.reshape(20, 2))
         total = 0.0
-        for _ in range(4):
-            noise = gaussian_noise(z.shape, 0.2, rng)
-            if family == "rayleigh":
-                noise = noise / equalization_gains(draw_fading_coefficients(5, rng))[:, None]
-            logq = decoder.log_posterior_all(ad.Tensor(z + noise)).data
+        for draw in noisy:
+            logq = log_posterior_all(ad.Tensor(draw)).data
             total += -logq[np.arange(5), y].sum()
         assert parts.cross_entropy == pytest.approx(total / 20.0, rel=1e-12)
 
@@ -143,7 +145,8 @@ class TestRegularizedLoss:
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_penalized_step_draws_its_noise_in_one_word_request(self, monkeypatch, family):
-        """The benchmark's shapes, L = 4: the noise rng hands out words once per step."""
+        """The benchmark's shapes, L = 4: the noise rng hands out the words of the whole
+        (L, b, k) noise block in one request, then, under Rayleigh, those of its L * b h."""
         data = make_rings(3, 64, 0.15, seed=1)
         encoder = EncoderModel(2, 8, power=1.0, hidden=(64, 64), seed=2)
         decoder = DecoderModel(8, 3, hidden=(64,), seed=3)
@@ -156,8 +159,7 @@ class TestRegularizedLoss:
         monkeypatch.setattr(CounterRng, "_words", counted)
         regularized_loss(data.features[:64], data.labels[:64], encoder, decoder, sigma2=0.01,
                          coeff=0.5, noise_draws=4, rng=CounterRng(4), family=family)
-        per_draw = 64 * 8 + (2 * 64 if family == "rayleigh" else 0)
-        assert requests == [4 * per_draw]
+        assert requests == [4 * 64 * 8] + ([2 * 4 * 64] if family == "rayleigh" else [])
 
     def test_hand_computed_two_class_linear_model(self):
         """Single sample, L=1, trivial encoder, identity-like decoder."""
