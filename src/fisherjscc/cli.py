@@ -49,8 +49,8 @@ EXIT_NUMERIC = 4
 # one of repr_dim, the decoder's hidden widths and the classes; a posterior map decodes
 # resolution^2 points; a generated split is classes x per_class rows of its features.
 # trials and mc_samples have no bound: a sweep worker holds one block of about
-# experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR, with one PSNR's noisy
-# copy and posteriors at a time, and a taylor worker one block of
+# experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR and model pair, with one
+# pair's noisy copy and posteriors at one PSNR at a time, and a taylor worker one block of
 # experiments.TAYLOR_BLOCK_ROWS draws shared by every noise level, and the per-point
 # moments of each level; their time is linear in them.
 FLOAT_BUDGET = 2**27
@@ -426,12 +426,17 @@ def _load_checkpoint_checked(path, config: dict):
     return encoder, decoder, normalizer, meta
 
 
-def _test_set_for(config: dict, encoder: EncoderModel, normalizer: Normalizer | None):
-    """The test split under the checkpoint's normalizer (raw when it has none), never a refit."""
+def _test_set_for(config: dict, checkpoints: dict, normalizer: Normalizer | None):
+    """The test split under the normalizer (raw when None), never a refit; each of the
+    `checkpoints`, key -> (encoder, decoder), must fit its features and classes."""
     _, test_set = _load_datasets_from_dir(config)
-    if test_set.dim != encoder.input_dim:
-        raise ConfigError(f"[data] dir holds {test_set.dim} features, the checkpoint's "
-                          f"encoder takes {encoder.input_dim}")
+    for key, (encoder, decoder) in checkpoints.items():
+        if test_set.dim != encoder.input_dim:
+            raise ConfigError(f"[data] dir holds {test_set.dim} features, the {key}'s "
+                              f"encoder takes {encoder.input_dim}")
+        if test_set.num_classes != decoder.num_classes:
+            raise ConfigError(f"[data] dir holds {test_set.num_classes} classes, the {key}'s "
+                              f"decoder predicts {decoder.num_classes}")
     return normalizer.apply(test_set) if normalizer else test_set
 
 
@@ -577,14 +582,14 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                           f"penalty to compare with")
     out_dir = _check_out(config["run"]["out"], force)
     encoder, decoder, normalizer, _ = _load_checkpoint_checked(section["checkpoint"], config)
-    test_set = _test_set_for(config, encoder, normalizer)
+    test_set = _test_set_for(config, {"checkpoint": (encoder, decoder)}, normalizer)
     eval_seed = derive_seed(seed, "eval")
 
     try:
         if kind == "sweep":
-            rows = experiments.error_sweep(encoder, decoder, test_set, section["psnr_grid"],
-                                           family, section["trials"], eval_seed,
-                                           threads=threads)
+            [rows] = experiments.error_sweep([(encoder, decoder)], test_set,
+                                             section["psnr_grid"], family, section["trials"],
+                                             eval_seed, threads=threads)
             name, schema, header = "sweep.csv", SWEEP_SCHEMA, SweepRow._fields
         elif kind == "taylor":
             limit = min(section["sample_limit"], len(test_set))
@@ -628,7 +633,8 @@ def cmd_compare(config: dict, seed: int, force: bool, threads: int | None = None
     if (norm_a and norm_a.to_dict()) != (norm_b and norm_b.to_dict()):
         raise ConfigError("checkpoint_a and checkpoint_b normalize their inputs differently, "
                           "so no one test set feeds both")
-    test_set = _test_set_for(config, encoder_a, norm_a)
+    test_set = _test_set_for(config, {"checkpoint_a": (encoder_a, decoder_a),
+                                      "checkpoint_b": (encoder_b, decoder_b)}, norm_a)
     try:
         rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
                                           test_set, section["psnr_grid"],

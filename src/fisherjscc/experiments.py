@@ -25,7 +25,7 @@ import numpy as np
 from .channel import channel_noise, psnr_to_sigma2
 from .models import DecoderModel, EncoderModel
 from .rng import CounterRng, derive_seed
-from .robustness import _kl_block, _kl_rows, mean_fisher_trace
+from .robustness import _kl_rows, mean_fisher_trace
 
 SWEEP_SCHEMA = "fisherjscc.sweep.v3"
 TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
@@ -86,51 +86,55 @@ def _map_cells(fn, count: int, threads: int | None) -> Iterator:
                 future.cancel()
 
 
-def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
-                psnr_grid, family: str, trials: int, seed: int,
-                threads: int | None = None) -> list[SweepRow]:
-    """Misclassification rate over the test PSNR grid, T channel draws per sample.
+def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
+                threads: int | None = None) -> list[list[SweepRow]]:
+    """Misclassification rate over the test PSNR grid, T channel draws per sample, of
+    each (encoder, decoder) pair of the sequence `models`: one list of rows per pair.
 
     The same draws also feed the per-sample KL between the noise-free and
     noisy posteriors, reported as mean_expected_kl. A prediction is the
-    argmax of `decode`. A PSNR listed twice or whose noise variance
-    overflows is refused before anything is drawn.
+    argmax of `decode`. Pairs that differ in power or repr_dim, a PSNR listed
+    twice or one whose noise variance overflows are refused before anything
+    is drawn.
 
-    Every noisy PSNR of a trial shares one draw: common random numbers, as in
-    the Taylor check. Trial t draws unit-variance noise (and, under Rayleigh,
-    its h) once from its own generator, derived from the seed by ("sweep",
-    family, 0, t) (the 0 keeps one-PSNR sweeps on the streams they have
-    always used), and each PSNR scales it to its own variance. A row
-    therefore depends only on (seed, family, PSNR, trials), not on the other
-    PSNRs of the grid or their order, and the rows' errors are correlated,
-    which sharpens comparisons across PSNRs. `paired_compare` passes both
-    models the same seed, so they see the same draws too. A grid whose every
-    PSNR is noise-free draws nothing.
+    Every noisy PSNR of a trial, and every pair, reads one draw: common random
+    numbers, as in the Taylor check. Trial t draws unit-variance noise (and,
+    under Rayleigh, its h) once from its own generator, derived from the seed by
+    ("sweep", family, 0, t) (the 0 keeps one-PSNR sweeps on the streams they
+    have always used), and each PSNR scales it to its own variance. A pair's
+    rows therefore depend only on (pair, seed, family, PSNR, trials), not on the
+    other PSNRs of the grid, their order or the other pairs, and the rows'
+    errors are correlated, which sharpens comparisons across PSNRs and pairs.
+    A grid whose every PSNR is noise-free draws nothing.
 
     The trials run in blocks of about SWEEP_BLOCK_ROWS rows on the pool's
     `threads` workers (default: one per CPU, see `_map_cells`), under the
     caller's numpy error policy. A block draws its trials' noise in one call
     on a generator holding their streams, which gives every trial the values
-    of its own generator. Per PSNR it decodes the block as one [trials, rows,
-    k] stack, with one KL and one argmax, and releases the noisy copy and the
-    posteriors before the next PSNR; the noise goes when the block ends. The
-    stack keeps each trial's bits: its weight products are one BLAS product
-    per trial (a [trials * rows, k] batch would take another BLAS path and
-    other bits), and the rest works entry by entry or row by row. The blocks'
-    wrong counts and per-trial KL sums are folded here in block order, so
-    each PSNR adds its trials' KL in trial order and the result is identical
-    for any thread count.
+    of its own generator. Per pair and PSNR it decodes the block as one
+    [trials, rows, k] stack, with one KL and one argmax, and releases the
+    noisy copy before the KL and the posteriors before the next decode; the
+    noise goes when the block ends. The stack keeps each trial's bits: its
+    weight products are one BLAS product per trial (a [trials * rows, k] batch
+    would take another BLAS path and other bits), and the rest works entry by
+    entry or row by row. The blocks' wrong counts and per-trial KL sums are
+    folded here in block order, so each PSNR adds its trials' KL in trial
+    order and the result is identical for any thread count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    shared = {(encoder.power, encoder.repr_dim) for encoder, _ in models}
+    if len(shared) != 1:
+        raise ValueError(f"the model pairs of one sweep must share power and repr_dim, "
+                         f"got {sorted(shared)}")
     grid = [float(p) for p in psnr_grid]
     if len(set(grid)) != len(grid):
         raise ValueError(f"duplicate sweep cell in PSNR grid {grid}")
-    sigma2_grid = _sigma2_grid(grid, encoder.power)
-    z = encoder.encode(dataset.features)
-    p_clean = decoder.decode(z)
+    [(power, _)] = shared
+    sigma2_grid = _sigma2_grid(grid, power)
+    codes = [encoder.encode(dataset.features) for encoder, _ in models]
+    clean = [decoder.decode(z) for z, (_, decoder) in zip(codes, models)]
     labels = dataset.labels
-    clean_error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
     levels = [sigma2 for sigma2 in sigma2_grid if sigma2 != 0.0]
     block_trials = max(1, SWEEP_BLOCK_ROWS // len(labels))
     blocks = -(-trials // block_trials) if levels else 0
@@ -138,33 +142,38 @@ def error_sweep(encoder: EncoderModel, decoder: DecoderModel, dataset,
     def evaluate_block(index):
         rng = CounterRng([derive_seed(seed, "sweep", family, 0, t) for t in
                           range(index * block_trials, min((index + 1) * block_trials, trials))])
-        unit = channel_noise(z.shape, 1.0, family, rng)
-        counts = []
-        for sigma2 in levels:
-            z_hat = unit * math.sqrt(sigma2)
-            z_hat += z      # in place; noise + z and z + noise are the same bits
-            q = decoder.decode(z_hat)
-            del z_hat
-            counts.append((int(np.sum(np.argmax(q, axis=-1) != labels)),
-                           _kl_rows(p_clean, q).sum(axis=-1)))
-            del q           # before the next level, so its buffers can reuse these chunks
+        unit = channel_noise(codes[0].shape, 1.0, family, rng)
+        counts = []         # per pair, then per noisy PSNR
+        for z, p_clean, (_, decoder) in zip(codes, clean, models):
+            for sigma2 in levels:
+                z_hat = unit * math.sqrt(sigma2)
+                z_hat += z      # in place; noise + z and z + noise are the same bits
+                q = decoder.decode(z_hat)
+                del z_hat
+                counts.append((int(np.sum(np.argmax(q, axis=-1) != labels)),
+                               _kl_rows(p_clean, q).sum(axis=-1)))
+                del q           # before the next decode, so its buffers can reuse these chunks
         return counts
 
-    wrong, kl_sum = [0] * len(levels), [0.0] * len(levels)
+    wrong, kl_sum = [0] * len(models) * len(levels), [0.0] * len(models) * len(levels)
     for block in _map_cells(evaluate_block, blocks, threads):
-        for level, (block_wrong, trial_kl) in enumerate(block):
-            wrong[level] += block_wrong
+        for cell, (block_wrong, trial_kl) in enumerate(block):
+            wrong[cell] += block_wrong
             for value in trial_kl:
-                kl_sum[level] += float(value)
+                kl_sum[cell] += float(value)
     draws = trials * len(labels)
-    rows, noisy = [], iter(zip(wrong, kl_sum))
-    for psnr_db, sigma2 in zip(grid, sigma2_grid):
-        if sigma2 == 0.0:
-            rows.append(SweepRow(psnr_db, family, clean_error, 0.0))
-        else:
-            level_wrong, level_kl = next(noisy)
-            rows.append(SweepRow(psnr_db, family, level_wrong / draws, level_kl / draws))
-    return rows
+    sweeps, noisy = [], iter(zip(wrong, kl_sum))
+    for p_clean in clean:
+        clean_error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
+        rows = []
+        for psnr_db, sigma2 in zip(grid, sigma2_grid):
+            if sigma2 == 0.0:
+                rows.append(SweepRow(psnr_db, family, clean_error, 0.0))
+            else:
+                level_wrong, level_kl = next(noisy)
+                rows.append(SweepRow(psnr_db, family, level_wrong / draws, level_kl / draws))
+        sweeps.append(rows)
+    return sweeps
 
 
 class TaylorRow(NamedTuple):
@@ -204,22 +213,36 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
     draws per point of z, every level evaluated on the same draws.
 
     The draws come in blocks of TAYLOR_BLOCK_ROWS // n draws of the n points (the
-    last block takes the rest). Block b is unit-variance noise from its own
-    generator, derived from the seed by ("taylor", "block", b), and `_kl_block`
-    scales it to every level. The pool's `threads` workers (default: one per CPU,
-    see `_map_cells`) run the blocks under the caller's numpy error policy; each
-    returns its per-level moments, which are merged here in block order as they
-    arrive, so the result is identical for any thread count and only arrays of n
-    values are kept, however many draws there are.
+    last block takes the rest). Block b is one unit-variance `channel_noise`
+    request from its own generator, derived from the seed by ("taylor", "block",
+    b). Each level scales it into a new array, noise * sqrt(sigma2) + z, decoded
+    as one [draws * n, k] batch, and releases the noisy copy before the KL and
+    the posteriors before the next level; the noise goes when the block ends. The
+    pool's `threads` workers (default: one per CPU, see `_map_cells`) run the
+    blocks under the caller's numpy error policy; each returns its per-level
+    moments, which are merged here in block order as they arrive, so the result
+    is identical for any thread count and only arrays of n values are kept,
+    however many draws there are.
     """
     p = decoder.decode(z)
-    draws_per_block = max(1, TAYLOR_BLOCK_ROWS // max(len(z), 1))
+    n, k = z.shape
+    draws_per_block = max(1, TAYLOR_BLOCK_ROWS // max(n, 1))
     blocks = -(-samples // draws_per_block) if levels else 0
 
     def evaluate_block(index):
         take = min(draws_per_block, samples - index * draws_per_block)
         rng = CounterRng(derive_seed(seed, "taylor", "block", index))
-        return [_point_moments(kl) for kl in _kl_block(decoder, z, p, levels, take, rng)]
+        noise = channel_noise((take, n, k), 1.0, "awgn", rng)
+        moments = []
+        for sigma2 in levels:
+            z_hat = noise * math.sqrt(sigma2)
+            z_hat += z      # in place; noise + z and z + noise are the same bits
+            q = decoder.decode(z_hat.reshape(take * n, k))
+            del z_hat
+            kl = _kl_rows(p, q.reshape(take, n, -1))
+            del q           # before the next level, so its buffers can reuse these chunks
+            moments.append(_point_moments(kl))
+        return moments
 
     moments = [(0, 0.0, 0.0)] * len(levels)
     for block in _map_cells(evaluate_block, blocks, threads):
@@ -382,11 +405,9 @@ class CompareRow(NamedTuple):
 def paired_compare(encoder_a, decoder_a, encoder_b, decoder_b, dataset,
                    psnr_grid, family: str, trials: int, seed: int,
                    threads: int | None = None) -> list[CompareRow]:
-    """Shared-seed paired sweep of two model pairs; per-PSNR error deltas."""
-    sweep_a = error_sweep(encoder_a, decoder_a, dataset, psnr_grid, family,
-                          trials, seed, threads=threads)
-    sweep_b = error_sweep(encoder_b, decoder_b, dataset, psnr_grid, family,
-                          trials, seed, threads=threads)
+    """Paired sweep of two model pairs on the same draws; per-PSNR error deltas."""
+    sweep_a, sweep_b = error_sweep([(encoder_a, decoder_a), (encoder_b, decoder_b)], dataset,
+                                   psnr_grid, family, trials, seed, threads=threads)
     rows = []
     for ra, rb in zip(sweep_a, sweep_b):
         delta = ra.error_rate - rb.error_rate

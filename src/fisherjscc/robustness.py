@@ -1,4 +1,4 @@
-"""Posterior-robustness quantities: Fisher-information trace and sampled KL.
+"""Posterior-robustness math: the Fisher-information trace and the row-wise KL.
 
 The central object is the Fisher information matrix of the decoder posterior
 at a representation z,
@@ -8,7 +8,9 @@ at a representation z,
 whose trace, scaled by half the channel noise variance, approximates the
 expected KL divergence between the noise-free posterior q(.|z) and the noisy
 posterior q(.|z_hat) to second order. That scaled trace is the closed-form
-training penalty; the Monte-Carlo expected KL here is its independent check.
+training penalty. Its independent check, the Monte-Carlo expected KL, samples
+channel noise in `experiments`, which reads the KL from `_kl_rows`; nothing
+here draws noise.
 
 The trace has a closed form for the decoder family the package builds (relu
 hidden layers, a log-softmax head), computed in NumPy by `_ClosedForm` from
@@ -21,15 +23,10 @@ same closed form as a value.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator
-
 import numpy as np
 
 from . import autodiff as ad
-from .channel import channel_noise
 from .models import DecoderModel, _class_sum, _mlp_backprop
-from .rng import CounterRng
 
 KL_LOG_CLAMP = 1e-12
 TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
@@ -126,32 +123,3 @@ def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
     for start in range(0, z_batch.shape[0], TRACE_CHUNK):
         total += float(_ClosedForm(decoder, z_batch[start:start + TRACE_CHUNK]).trace.sum())
     return total / z_batch.shape[0]
-
-
-def _kl_block(decoder: DecoderModel, z_batch: np.ndarray, p: np.ndarray, sigma2_grid,
-              draws: int, rng: CounterRng) -> Iterator[np.ndarray]:
-    """KL(q(.|z_i) || q(.|z_i + sqrt(sigma2) n)) for `draws` unit-variance AWGN draws n
-    per point, shared by every sigma2 of the grid: yields one [draws, n] array per sigma2,
-    in grid order. p is decoder.decode(z_batch).
-
-    A Rayleigh row conditioned on its h is the same quantity at sigma2 / |h|^2.
-
-    The block is one `channel_noise` request, whatever the grid's length. Each sigma2
-    scales it into a new array, noise * sqrt(sigma2) + z, decoded in one call, so a
-    sigma2's values do not depend on which other sigma2 share the block. Its noisy copy
-    and posteriors are released before its KL rows are yielded, and the KL rows once the
-    caller asks for the next sigma2; the noise goes when the generator ends. A worker
-    thus holds one block's noise and one sigma2's buffers, and nothing here grows with
-    the draws or the grid.
-    """
-    n, k = z_batch.shape
-    noise = channel_noise((draws, n, k), 1.0, "awgn", rng)
-    for sigma2 in sigma2_grid:
-        z_hat = noise * math.sqrt(sigma2)
-        z_hat += z_batch      # in place; noise + z and z + noise are the same bits
-        q = decoder.decode(z_hat.reshape(draws * n, k))
-        del z_hat
-        kl = _kl_rows(p, q.reshape(draws, n, -1))
-        del q                 # before the next sigma2, so its buffers can reuse these chunks
-        yield kl
-        del kl                # the caller has folded it

@@ -157,8 +157,8 @@ def test_criterion_4_low_psnr_robustness_trend(trend_pairs):
         errors = {}
         for lam in (0.0, TREND_LAMBDA):
             encoder, decoder, test_set = trend_pairs[(seed, lam)]
-            sweep = error_sweep(encoder, decoder, test_set, [5.0], "awgn",
-                                trials=20, seed=derive_seed(seed, "awgn-sweep"))
+            [sweep] = error_sweep([(encoder, decoder)], test_set, [5.0], "awgn",
+                                  trials=20, seed=derive_seed(seed, "awgn-sweep"))
             errors[lam] = sweep[0].error_rate
         wins += errors[TREND_LAMBDA] < errors[0.0]
         details.append(f"{errors[0.0]:.4f}->{errors[TREND_LAMBDA]:.4f}")
@@ -177,8 +177,8 @@ def test_criterion_5_rayleigh_transfer_trend(trend_pairs):
         sweeps = {}
         for lam in (0.0, TREND_LAMBDA):
             encoder, decoder, test_set = trend_pairs[(seed, lam)]
-            sweeps[lam] = error_sweep(encoder, decoder, test_set, grid, "rayleigh",
-                                      trials=20, seed=derive_seed(seed, "ray-sweep"))
+            [sweeps[lam]] = error_sweep([(encoder, decoder)], test_set, grid, "rayleigh",
+                                        trials=20, seed=derive_seed(seed, "ray-sweep"))
         all_better = all(
             sweeps[TREND_LAMBDA][i].error_rate < sweeps[0.0][i].error_rate
             for i in range(len(grid)))

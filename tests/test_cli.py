@@ -1062,6 +1062,65 @@ class TestCompareCommand:
         assert inputs["checkpoint_a"] != inputs["checkpoint_b"]
 
 
+class TestTestSetShape:
+    """Every checkpoint an evaluation reads must take the test split's features and
+    predict its classes; otherwise the run exits 2 naming the mismatch, before any
+    output directory is made."""
+
+    @pytest.fixture()
+    def splits(self, tmp_path):
+        """(data dir, raw checkpoint trained on it) for rings of 3 and 5 classes and
+        3-dimensional blobs of 3 classes: one with the others' features, one not."""
+        made = {}
+        for name, kind, classes, extra in (("rings3", "rings", 3, ""), ("rings5", "rings", 5, ""),
+                                           ("blobs3", "blobs", 3, "\ndim = 3")):
+            config, data, model = (tmp_path / f"{name}.ini", tmp_path / f"{name}_data",
+                                   tmp_path / f"{name}_model")
+            for out, command in ((data, "gen-data"), (model, "train")):
+                write_config(config, out, data, kind=kind, classes=classes, epochs=1)
+                config.write_text(config.read_text().replace(
+                    "spread = 0.15", f"spread = 0.15\nnormalize = false{extra}"))
+                assert main([command, "--config", str(config)]) == EXIT_OK
+            made[name] = (data, model / "checkpoint.json")
+        return made
+
+    @pytest.mark.parametrize("kind", ["sweep", "posterior-map"])
+    @pytest.mark.parametrize("model, data, message", [
+        ("rings3", "rings5", "holds 5 classes, the checkpoint's decoder predicts 3"),
+        ("rings5", "rings3", "holds 3 classes, the checkpoint's decoder predicts 5"),
+    ], ids=["fewer-classes-than-the-split", "more-classes-than-the-split"])
+    def test_eval_refuses_another_class_count(self, tmp_path, splits, capsys, kind, model,
+                                              data, message):
+        """The map's sample is the split's last, whose label a 3-class decoder lacks."""
+        data_dir, checkpoint = splits[data][0], splits[model][1]
+        config, out = tmp_path / "eval.ini", tmp_path / "eval_out"
+        last = 40 * int(data[-1]) - 1
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint = {checkpoint}\nsample_index = {last}")
+        config.write_text(config.read_text().replace("kind = sweep", f"kind = {kind}"))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("wrong", ["checkpoint_a", "checkpoint_b"])
+    @pytest.mark.parametrize("model, message", [
+        ("rings5", "holds 3 classes, the {}'s decoder predicts 5"),
+        ("blobs3", "holds 2 features, the {}'s encoder takes 3"),
+    ], ids=["classes", "features"])
+    def test_compare_checks_both_checkpoints(self, tmp_path, splits, capsys, wrong, model,
+                                             message):
+        data_dir, right = splits["rings3"]
+        checkpoints = {"checkpoint_a": right, "checkpoint_b": right, wrong: splits[model][1]}
+        config, out = tmp_path / "cmp.ini", tmp_path / "cmp_out"
+        write_config(config, out, data_dir, extra="\n".join(
+            f"{key} = {path}" for key, path in checkpoints.items()))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config)]) == EXIT_CONFIG
+        assert message.format(wrong) in capsys.readouterr().err
+        assert not out.exists()
+
+
 def unlisted_files(out: Path) -> list[str]:
     """Files in out that its manifest does not list: every file when it has none."""
     manifest = out / "manifest.json"

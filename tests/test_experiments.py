@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc import experiments, robustness
+from fisherjscc import experiments
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
@@ -35,6 +35,18 @@ def trained_pair():
     return encoder, decoder, ds, test_set
 
 
+@pytest.fixture(scope="module")
+def other_pair():
+    """A second (encoder, decoder) of `trained_pair`'s shapes, trained with the penalty
+    from other seeds."""
+    ds = make_rings(3, 100, noise=0.15, seed=derive_seed(901, "data"))
+    encoder = EncoderModel(2, 6, power=1.0, hidden=(32,), seed=derive_seed(901, "enc"))
+    decoder = DecoderModel(6, 3, hidden=(32,), seed=derive_seed(901, "dec"))
+    train(TrainConfig(lam=0.5, epochs=10, batch_size=32, seed=901,
+                      psnr=FixedPsnr(15.0)), ds, encoder, decoder)
+    return encoder, decoder
+
+
 def uniform_pair(seed: int = 0):
     """Encoder plus a decoder pinned at the uniform posterior."""
     encoder = EncoderModel(2, 4, power=1.0, hidden=(8,), seed=seed)
@@ -47,8 +59,8 @@ def uniform_pair(seed: int = 0):
 class TestErrorSweep:
     def test_noiseless_equals_deterministic_error(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
-        result = error_sweep(encoder, decoder, test_set, [float("inf")], "awgn",
-                             trials=7, seed=1)
+        [result] = error_sweep([(encoder, decoder)], test_set, [float("inf")], "awgn",
+                               trials=7, seed=1)
         z = encoder.encode(test_set.features)
         exact = float(np.mean(np.argmax(decoder.decode(z), axis=1) != test_set.labels))
         assert result[0].error_rate == exact
@@ -65,7 +77,8 @@ class TestErrorSweep:
             decoder = DecoderModel(6, 3, hidden=(32,), seed=derive_seed(seed, "dec"))
             train(TrainConfig(lam=0.0, epochs=25, batch_size=32, seed=seed,
                               psnr=FixedPsnr(15.0)), ds, encoder, decoder)
-            result = error_sweep(encoder, decoder, ds, grid, "awgn", trials=10, seed=seed)
+            [result] = error_sweep([(encoder, decoder)], ds, grid, "awgn", trials=10,
+                                   seed=seed)
             errors = [row.error_rate for row in result]
             if spearman(grid, errors) < 0.0:
                 wins += 1
@@ -76,13 +89,13 @@ class TestErrorSweep:
         on balanced data, and about that under any noise level."""
         encoder, decoder = uniform_pair()
         ds = make_rings(4, 150, noise=0.1, seed=41)  # 600 samples, T=20 -> 12000 draws
-        result = error_sweep(encoder, decoder, ds, [10.0], "awgn", trials=20, seed=2)
+        [result] = error_sweep([(encoder, decoder)], ds, [10.0], "awgn", trials=20, seed=2)
         assert abs(result[0].error_rate - 0.75) <= 0.02
 
     def test_deterministic_given_seed(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
-        a = error_sweep(encoder, decoder, test_set, [5.0, 15.0], "awgn", trials=5, seed=9)
-        b = error_sweep(encoder, decoder, test_set, [5.0, 15.0], "awgn", trials=5, seed=9)
+        a = error_sweep([(encoder, decoder)], test_set, [5.0, 15.0], "awgn", trials=5, seed=9)
+        b = error_sweep([(encoder, decoder)], test_set, [5.0, 15.0], "awgn", trials=5, seed=9)
         assert a == b
 
     def test_duplicate_cells_rejected(self, trained_pair, monkeypatch):
@@ -92,8 +105,44 @@ class TestErrorSweep:
         monkeypatch.setattr(encoder, "encode", lambda x: calls.append("encode"))
         monkeypatch.setattr(decoder, "decode", lambda z: calls.append("decode"))
         with pytest.raises(ValueError, match="duplicate sweep cell"):
-            error_sweep(encoder, decoder, test_set, [10.0, 10.0], "awgn", trials=3, seed=1)
+            error_sweep([(encoder, decoder)], test_set, [10.0, 10.0], "awgn", trials=3,
+                        seed=1)
         assert calls == []
+
+    @pytest.mark.parametrize("repr_dim, power", [(4, 1.0), (6, 2.0)],
+                             ids=["repr_dim", "power"])
+    def test_pairs_that_cannot_share_a_draw_rejected(self, trained_pair, repr_dim, power):
+        """One draw serves every pair, so the pairs must agree on its shape and scale."""
+        encoder, decoder, _, test_set = trained_pair
+        other = (EncoderModel(2, repr_dim, power=power, hidden=(8,), seed=5),
+                 DecoderModel(repr_dim, 3, hidden=(8,), seed=5))
+        with pytest.raises(ValueError, match="must share power and repr_dim"):
+            error_sweep([(encoder, decoder), other], test_set, [10.0], "awgn", trials=3,
+                        seed=1)
+
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_every_pair_reads_one_draw(self, trained_pair, other_pair, monkeypatch, family):
+        """600 rows and 13 trials make three blocks: a one-pair sweep, a two-pair sweep
+        and a compare each make three noise requests."""
+        encoder, decoder, _, _ = trained_pair
+        test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
+        draw, requests = experiments.channel_noise, []
+
+        def noise(*args):
+            requests.append(args[0])
+            return draw(*args)
+
+        monkeypatch.setattr(experiments, "channel_noise", noise)
+        grid = [5.0, float("inf"), 15.0]
+        counts = []
+        for pairs in ([(encoder, decoder)], [(encoder, decoder), other_pair]):
+            del requests[:]
+            error_sweep(pairs, test_set, grid, family, 13, seed=21, threads=1)
+            counts.append(len(requests))
+        del requests[:]
+        paired_compare(encoder, decoder, *other_pair, test_set, grid, family, 13, seed=21,
+                       threads=1)
+        assert counts + [len(requests)] == [3, 3, 3]
 
     def test_overflowing_psnr_rejected_before_any_cell(self, trained_pair, monkeypatch):
         """A PSNR whose noise variance overflows is refused, naming the grid, before
@@ -103,13 +152,14 @@ class TestErrorSweep:
         monkeypatch.setattr(encoder, "encode", lambda x: calls.append("encode"))
         monkeypatch.setattr(decoder, "decode", lambda z: calls.append("decode"))
         with pytest.raises(ValueError, match="psnr_grid: PSNR -4000.0 dB"):
-            error_sweep(encoder, decoder, test_set, [5.0, -4000.0], "awgn", trials=3, seed=1)
+            error_sweep([(encoder, decoder)], test_set, [5.0, -4000.0], "awgn", trials=3,
+                        seed=1)
         assert calls == []
 
     def test_rayleigh_family_runs(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
-        result = error_sweep(encoder, decoder, test_set, [10.0], "rayleigh",
-                             trials=5, seed=3)
+        [result] = error_sweep([(encoder, decoder)], test_set, [10.0], "rayleigh",
+                               trials=5, seed=3)
         assert 0.0 <= result[0].error_rate <= 1.0
 
     def test_thread_count_does_not_change_results(self, trained_pair):
@@ -117,9 +167,9 @@ class TestErrorSweep:
         blocks of 13, 13 and 4 trials, and threads=2 equals threads=1."""
         encoder, decoder, _, test_set = trained_pair
         grid = [5.0, 10.0, 15.0, 20.0]
-        serial = error_sweep(encoder, decoder, test_set, grid, "awgn",
+        serial = error_sweep([(encoder, decoder)], test_set, grid, "awgn",
                              trials=30, seed=17, threads=1)
-        threaded = error_sweep(encoder, decoder, test_set, grid, "awgn",
+        threaded = error_sweep([(encoder, decoder)], test_set, grid, "awgn",
                                trials=30, seed=17, threads=2)
         assert serial == threaded
 
@@ -128,7 +178,8 @@ class TestErrorSweep:
         """Every PSNR of a trial shares its draw, so the 15 dB row is the same alone,
         after another PSNR, and in a reordered grid with a noise-free cell."""
         encoder, decoder, _, test_set = trained_pair
-        rows = [error_sweep(encoder, decoder, test_set, grid, family, trials=15, seed=19)
+        rows = [error_sweep([(encoder, decoder)], test_set, grid, family, trials=15,
+                            seed=19)[0]
                 for grid in ([15.0], [5.0, 15.0], [25.0, float("inf"), 15.0, 5.0])]
         alone, joined, reordered = ([row for row in sweep if row.psnr_db == 15.0]
                                     for sweep in rows)
@@ -137,24 +188,28 @@ class TestErrorSweep:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     @pytest.mark.parametrize("trials", [1, 6, 13])
-    def test_trial_blocks_equal_the_per_trial_loop(self, trained_pair, trials, family,
-                                                   threads):
-        """600 rows make blocks of 6 trials, so 13 trials end on a block of one."""
+    def test_trial_blocks_equal_the_per_trial_loop(self, trained_pair, other_pair, trials,
+                                                   family, threads):
+        """600 rows make blocks of 6 trials, so 13 trials end on a block of one. The
+        oracle's rows are also the second pair's of a two-pair sweep."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
         assert SWEEP_BLOCK_ROWS // len(test_set) == 6
         grid = [5.0, float("inf"), 15.0]
-        assert (error_sweep(encoder, decoder, test_set, grid, family, trials, seed=21,
-                            threads=threads)
-                == error_sweep_per_trial(encoder, decoder, test_set, grid, family, trials, 21))
+        oracle = error_sweep_per_trial(encoder, decoder, test_set, grid, family, trials, 21)
+        assert error_sweep([(encoder, decoder)], test_set, grid, family, trials, seed=21,
+                           threads=threads) == [oracle]
+        _, second = error_sweep([other_pair, (encoder, decoder)], test_set, grid, family,
+                                trials, seed=21, threads=threads)
+        assert second == oracle
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_more_rows_than_a_block_draw_one_trial_per_call(self, trained_pair, family):
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 1366, noise=0.15, seed=derive_seed(900, "data"), split="test")
         assert len(test_set) > SWEEP_BLOCK_ROWS
-        assert (error_sweep(encoder, decoder, test_set, [10.0], family, 3, seed=22)
-                == error_sweep_per_trial(encoder, decoder, test_set, [10.0], family, 3, 22))
+        assert (error_sweep([(encoder, decoder)], test_set, [10.0], family, 3, seed=22)
+                == [error_sweep_per_trial(encoder, decoder, test_set, [10.0], family, 3, 22)])
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_decode_per_noise_block(self, trained_pair, monkeypatch, family):
@@ -169,7 +224,7 @@ class TestErrorSweep:
             return decode(z)
 
         monkeypatch.setattr(decoder, "decode", counted)
-        error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
+        error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
         assert shapes == [(600, 6), *[(6, 600, 6)] * 4, *[(1, 600, 6)] * 2]
 
@@ -179,10 +234,9 @@ class TestErrorSweep:
         a block, its noise or any PSNR's posteriors, is alive when the next is drawn."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
-        live = live_at_each_draw(experiments)
-        error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
+        error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
-        assert live == [0] * 2
+        assert live_at_each_draw == [0] * 2
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_level_is_live_at_each_decode(self, trained_pair, monkeypatch, family):
@@ -203,7 +257,7 @@ class TestErrorSweep:
             return q
 
         monkeypatch.setattr(decoder, "decode", counted)
-        error_sweep(encoder, decoder, test_set, [5.0, float("inf"), 15.0], family, 13,
+        error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
         assert live == [0] * 6
 
@@ -219,13 +273,13 @@ class TestErrorSweep:
         decoder.params["W1"].data[:] = [[1e300, -1e300]]
         ds = make_rings(2, 20, noise=0.1, seed=5)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            error_sweep(encoder, decoder, ds, [0.0], "awgn", trials=5, seed=6,
+            error_sweep([(encoder, decoder)], ds, [0.0], "awgn", trials=5, seed=6,
                         threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_builds_no_tensor(self, trained_pair, tensors_built_by, threads):
         encoder, decoder, _, test_set = trained_pair
-        assert tensors_built_by(error_sweep, encoder, decoder, test_set,
+        assert tensors_built_by(error_sweep, [(encoder, decoder)], test_set,
                                 [float("inf"), 10.0], "rayleigh", trials=2, seed=3,
                                 threads=threads) == 0
 
@@ -297,7 +351,7 @@ class TestWorkerCount:
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
         grid = [5.0, 15.0, 25.0]
         sigma2_grid = [psnr_to_sigma2(p, 1.0) for p in grid]
-        runs = [(error_sweep, (encoder, decoder, test_set, grid, "rayleigh", 13, 31)),
+        runs = [(error_sweep, ([(encoder, decoder)], test_set, grid, "rayleigh", 13, 31)),
                 (taylor_validation, (encoder, decoder, ds.features[:40], sigma2_grid, 1_000,
                                      32)),
                 (paired_compare, (encoder, decoder, encoder, decoder, test_set, grid, "awgn",
@@ -373,7 +427,7 @@ class TestTaylorValidation:
         [draws, 40, k], one per block, whatever the grid's length; each level decodes
         each block in one call, after the one clean decode."""
         encoder, decoder, ds, _ = trained_pair
-        draw, requests = robustness.channel_noise, []
+        draw, requests = experiments.channel_noise, []
         decode, decoded = decoder.decode, []
 
         def noise(shape, sigma2, family, rng):
@@ -384,7 +438,7 @@ class TestTaylorValidation:
             decoded.append(len(z_rows))
             return decode(z_rows)
 
-        monkeypatch.setattr(robustness, "channel_noise", noise)
+        monkeypatch.setattr(experiments, "channel_noise", noise)
         monkeypatch.setattr(decoder, "decode", recording_decode)
         grid = [psnr_to_sigma2(p, 1.0) for p in (25.0, 20.0, 15.0, 10.0)[:levels]]
         taylor_validation(encoder, decoder, ds.features[:40], grid, samples=1_000, seed=11,
@@ -447,9 +501,9 @@ class TestTaylorValidation:
 
     def test_no_kl_block_is_live_at_the_next_draw(self, trained_pair, monkeypatch):
         """256 points x 600 draws make nine blocks of 64 draws and one of 24; the block
-        function and the fold both drop a block's KL rows before the next is drawn."""
+        task and the fold both drop a block's KL rows before the next is drawn."""
         encoder, decoder, ds, _ = trained_pair
-        draw, kl_rows = robustness.channel_noise, robustness._kl_rows
+        draw, kl_rows = experiments.channel_noise, experiments._kl_rows
         block, live = [], []
 
         def noise(*args, **kwargs):
@@ -463,8 +517,8 @@ class TestTaylorValidation:
             block.append(weakref.ref(rows))
             return rows
 
-        monkeypatch.setattr(robustness, "channel_noise", noise)
-        monkeypatch.setattr(robustness, "_kl_rows", kl)
+        monkeypatch.setattr(experiments, "channel_noise", noise)
+        monkeypatch.setattr(experiments, "_kl_rows", kl)
         taylor_validation(encoder, decoder, ds.features[:256], [psnr_to_sigma2(20.0, 1.0)],
                           600, seed=14, threads=1)
         assert live == [0] * 9
@@ -654,6 +708,22 @@ class TestPairedCompare:
         assert len(rows) == 2
         assert all(r.delta == 0.0 and r.sign == "tie" for r in rows)
 
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_each_column_is_its_models_own_sweep(self, trained_pair, other_pair, family):
+        """Two different models on one draw: each column, and each pair's rows of the
+        two-pair sweep, equal that model's one-pair sweep."""
+        encoder, decoder, _, test_set = trained_pair
+        grid = [5.0, float("inf"), 15.0, 25.0]
+        [alone_a] = error_sweep([(encoder, decoder)], test_set, grid, family, 13, seed=23)
+        [alone_b] = error_sweep([other_pair], test_set, grid, family, 13, seed=23)
+        assert error_sweep([(encoder, decoder), other_pair], test_set, grid, family, 13,
+                           seed=23) == [alone_a, alone_b]
+        rows = paired_compare(encoder, decoder, *other_pair, test_set, grid, family, 13,
+                              seed=23)
+        assert np.array_equal([r.error_a for r in rows], [r.error_rate for r in alone_a])
+        assert np.array_equal([r.error_b for r in rows], [r.error_rate for r in alone_b])
+        assert any(r.delta != 0.0 for r in rows)
+
     def test_row_count_matches_grid(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
         rows = paired_compare(encoder, decoder, encoder, decoder, test_set,
@@ -664,13 +734,13 @@ class TestPairedCompare:
 class TestSweepCsv:
     def test_schema_header_and_determinism(self, trained_pair, tmp_path):
         encoder, decoder, _, test_set = trained_pair
-        result = error_sweep(encoder, decoder, test_set, [5.0, 10.0], "awgn",
-                             trials=3, seed=13)
+        [result] = error_sweep([(encoder, decoder)], test_set, [5.0, 10.0], "awgn",
+                               trials=3, seed=13)
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(path_a, SWEEP_SCHEMA, SweepRow._fields, result)
         write_csv(path_b, SWEEP_SCHEMA, SweepRow._fields,
-                  error_sweep(encoder, decoder, test_set, [5.0, 10.0], "awgn",
-                              trials=3, seed=13))
+                  error_sweep([(encoder, decoder)], test_set, [5.0, 10.0], "awgn",
+                              trials=3, seed=13)[0])
         assert path_a.read_bytes() == path_b.read_bytes()
         assert path_a.read_text().splitlines()[:2] == [
             "# schema=fisherjscc.sweep.v3",

@@ -1,8 +1,8 @@
 """Source hygiene: every name a package module imports is used in that module,
 every public module-level function and class, and every public method of a
 module-level class, is used by the package, only `data` imports `csv`, only
-`channel` and `data` draw normals (`.normals(`), and only
-`train` calls `backward`.
+`channel` and `data` draw normals (`.normals(`), only `train` and
+`experiments` call `channel_noise`, and only `train` calls `backward`.
 
 No linter is a declared dependency, so this reads the source with the
 standard library's `ast`. An import counts as used when its name appears as
@@ -13,7 +13,9 @@ own definition, and so does a public method: API that only tests call
 belongs in the tests. The CSV artifact format (schema line, header, float
 cells) is `data.write_csv`'s alone, so no other module needs the `csv`
 module. Channel noise has one implementation, `channel.channel_noise`, so
-outside `data`'s seeded datasets no module draws normals but `channel`. A
+outside `data`'s seeded datasets no module draws normals but `channel`; and
+it has two callers, `train` for the training step's block and `experiments`
+for every Monte-Carlo block, so the math in `robustness` draws nothing. A
 training step runs one backward pass, in `train`; the models and the Fisher
 trace are nodes with closed-form gradients, so no other module needs a
 backward pass of its own. In `cli`, an artifact reaches disk only through
@@ -127,6 +129,14 @@ def calls_normals(source: str) -> bool:
     """Whether the source calls a `normals` attribute, as in `rng.normals(n)`."""
     return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "normals"
+               for node in ast.walk(ast.parse(source)))
+
+
+def calls_channel_noise(source: str) -> bool:
+    """Whether the source calls `channel_noise`, as a name or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and (isinstance(node.func, ast.Attribute) and node.func.attr == "channel_noise"
+                    or isinstance(node.func, ast.Name) and node.func.id == "channel_noise")
                for node in ast.walk(ast.parse(source)))
 
 
@@ -274,6 +284,21 @@ def test_checker_flags_a_normals_call():
     assert calls_normals("def f(seed):\n    return CounterRng(seed).normals(3) * 2.0\n")
     assert not calls_normals("def normals(self, n):\n    return n\n")
     assert not calls_normals("draw = rng.normals\ntext = 'rng.normals(3)'\nnormals(3)\n")
+
+
+def test_only_train_and_experiments_call_channel_noise():
+    assert [path.name for path in MODULES if path.stem not in ("train", "experiments")
+            and calls_channel_noise(path.read_text(encoding="utf-8"))] == []
+
+
+def test_checker_flags_a_channel_noise_call():
+    assert calls_channel_noise("noise = channel_noise((2, 3), 1.0, 'awgn', rng)\n")
+    assert calls_channel_noise("def f(rng):\n"
+                               "    return channel.channel_noise((4,), 0.1, 'awgn', rng)\n")
+    assert not calls_channel_noise("def channel_noise(shape, sigma2, family, rng):\n"
+                                   "    return shape\n")
+    assert not calls_channel_noise("draw = channel_noise\ntext = 'channel_noise(x)'\n"
+                                   "channel_noises(1)\n")
 
 
 def test_only_train_calls_backward():

@@ -10,8 +10,8 @@ from fisherjscc import autodiff as ad
 from fisherjscc import experiments, robustness
 from fisherjscc.experiments import taylor_validation
 from fisherjscc.models import DecoderModel, EncoderModel, _class_sum
-from fisherjscc.robustness import _kl_block, _kl_rows, fisher_trace_node
-from fisherjscc.rng import CounterRng, derive_seed
+from fisherjscc.robustness import _kl_rows, fisher_trace_node
+from fisherjscc.rng import CounterRng
 
 from _oracles import (backward, expected_kl_rows_serial, finite_diff_grad, finite_diff_hessian,
                       fisher_matrix, fisher_trace, kl_reference, max_rel_err, mul,
@@ -25,16 +25,19 @@ def kl(p, q) -> float:
 
 
 def kl_table(decoder, z, sigma2, samples, seed) -> np.ndarray:
-    """The [n, samples] table of `_kl_block`'s draws at one sigma2 in `taylor_validation`'s
-    layout: blocks of TAYLOR_BLOCK_ROWS // n draws, block b from the generator of
-    derive_seed(seed, "taylor", "block", b), stacked in order."""
-    p = decoder.decode(z)
-    draws_per_block = max(1, experiments.TAYLOR_BLOCK_ROWS // len(z))
-    blocks = []
-    for block, done in enumerate(range(0, samples, draws_per_block)):
-        rng = CounterRng(derive_seed(seed, "taylor", "block", block))
-        [kl] = _kl_block(decoder, z, p, [sigma2], min(draws_per_block, samples - done), rng)
-        blocks.append(kl)
+    """The [n, samples] KL table of `taylor_validation`'s draws at one sigma2: the
+    `_kl_rows` output of each block of a threads=1 `_kl_moments` run, copied before the
+    fold consumes it, stacked in block order."""
+    blocks, kl_rows = [], experiments._kl_rows
+
+    def recorded(p, q):
+        kl = kl_rows(p, q)
+        blocks.append(kl.copy())
+        return kl
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_kl_rows", recorded)
+        experiments._kl_moments(decoder, z, [sigma2], samples, seed, threads=1)
     return np.concatenate(blocks).T
 
 
@@ -402,7 +405,8 @@ class TestSlicedKl:
         (2, 200, None), (256, 2_000, None), (300, 700, None), (3, 25, 1),
     ], ids=["one-block", "uneven-last-block", "n-does-not-divide-slice", "one-draw-per-block"])
     def test_equals_whole_block_decode(self, monkeypatch, n, samples, block_rows):
-        """`_kl_block` in `taylor_validation`'s layout gives the serial oracle's bits."""
+        """The Taylor blocks' KL in `taylor_validation`'s layout gives the serial
+        oracle's bits."""
         if block_rows is not None:
             monkeypatch.setattr(experiments, "TAYLOR_BLOCK_ROWS", block_rows)
         decoder = random_decoder(47)
@@ -417,15 +421,14 @@ class TestSlicedKl:
         noise levels; nothing of a block is alive when the next is drawn."""
         encoder, decoder = EncoderModel(2, 4, power=1.0, seed=59), random_decoder(59)
         features = CounterRng(60).normals(256 * 2).reshape(256, 2)
-        live = live_at_each_draw(robustness)
         taylor_validation(encoder, decoder, features, [0.05, 0.1], 600, seed=61, threads=1)
-        assert live == [0] * 9
+        assert live_at_each_draw == [0] * 9
 
     def test_overflow_in_a_cell_reaches_the_caller(self, monkeypatch):
         def overflowing_noise(shape, sigma2, family, rng):
             return np.full(shape, 1e300) * 1e300
 
-        monkeypatch.setattr(robustness, "channel_noise", overflowing_noise)
+        monkeypatch.setattr(experiments, "channel_noise", overflowing_noise)
         encoder, decoder = EncoderModel(2, 4, power=1.0, seed=50), random_decoder(50)
         features = CounterRng(51).normals(16).reshape(8, 2)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
