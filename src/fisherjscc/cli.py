@@ -31,9 +31,8 @@ from . import __version__, experiments
 from .channel import FAMILIES, psnr_to_sigma2
 from .data import (DataError, Dataset, Normalizer, load_table, make_blobs, make_rings,
                    save_table, write_csv)
-from .experiments import (COMPARE_SCHEMA, POSTERIOR_HEADER, POSTERIOR_SCHEMA, REGTRACK_HEADER,
-                          REGTRACK_SCHEMA, SWEEP_SCHEMA, TAYLOR_SCHEMA, CompareRow, SweepRow,
-                          TaylorRow)
+from .experiments import (COMPARE_SCHEMA, POSTERIOR_HEADER, POSTERIOR_SCHEMA, SWEEP_SCHEMA,
+                          TAYLOR_SCHEMA, CompareRow, SweepRow, TaylorRow)
 from .models import DecoderModel, EncoderModel, load_checkpoint, save_checkpoint
 from .rng import derive_seed
 from .train import (TRAINLOG_HEADER, TRAINLOG_SCHEMA, FixedPsnr, TrainConfig,
@@ -176,7 +175,7 @@ _SCHEMA = {
         "checkpoint_every": (_int_at_least(0), 0),     # 0: only the final checkpoint
     },
     "experiment": {
-        "kind": (_choice(("sweep", "taylor", "reg-track", "posterior-map")), "sweep"),
+        "kind": (_choice(("sweep", "taylor", "posterior-map")), "sweep"),
         "checkpoint": (str, ""),
         "checkpoint_a": (str, ""),
         "checkpoint_b": (str, ""),
@@ -300,7 +299,8 @@ def _manifest_digests(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (ValueError, OSError) as exc:    # not JSON or not UTF-8; missing, or a directory
+    except (ValueError, OSError, RecursionError) as exc:
+        # not JSON, not UTF-8 or nested too deep to parse; missing, or a directory
         raise DataError(f"unreadable manifest {path}: {exc}") from None
     digests = manifest.get("output_digests") if isinstance(manifest, dict) else None
     if not isinstance(digests, dict):
@@ -403,7 +403,7 @@ def _load_checkpoint_checked(path, config: dict):
         normalizer = Normalizer.from_dict(normalizer_doc) if normalizer_doc else None
         if normalizer and normalizer.mean.shape + normalizer.std.shape != (encoder.input_dim,) * 2:
             raise ValueError(f"its normalizer does not have {encoder.input_dim} features")
-    except (ValueError, OSError) as exc:     # OSError: a directory, say
+    except (ValueError, OSError, RecursionError) as exc:    # a directory; JSON nested too deep
         raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
     model = config["model"]
     declared = {
@@ -600,10 +600,6 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                                                  section["mc_samples"], eval_seed,
                                                  threads=threads)
             name, schema, header = "taylor.csv", TAYLOR_SCHEMA, TaylorRow._fields
-        elif kind == "reg-track":
-            rows = experiments.regularizer_track(encoder, decoder, section["psnr_grid"],
-                                                 test_set)
-            name, schema, header = "regtrack.csv", REGTRACK_SCHEMA, REGTRACK_HEADER
         else:  # posterior-map
             psnr_db = config["channel"]["psnr_db"]
             sigma2 = _noise_variance(psnr_db, encoder.power, "[channel] psnr_db")

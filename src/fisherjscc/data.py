@@ -165,7 +165,7 @@ def load_table(path, delimiter: str = ",", has_header: bool = False,
                     continue
                 if row:
                     rows.append(row)
-    except (OSError, UnicodeDecodeError) as exc:    # a directory, say, or not UTF-8
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # a directory; not UTF-8; a huge cell
         raise DataError(f"{path}: unreadable: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file contains no data rows")

@@ -29,7 +29,6 @@ from .robustness import _kl_rows, mean_fisher_trace
 
 SWEEP_SCHEMA = "fisherjscc.sweep.v3"
 TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
-REGTRACK_SCHEMA = "fisherjscc.regtrack.v2"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
 SWEEP_BLOCK_ROWS = 4096     # rows of noise per channel_noise call in an error_sweep block
@@ -41,13 +40,6 @@ class SweepRow(NamedTuple):
     family: str
     error_rate: float
     mean_expected_kl: float
-
-
-def _sigma2_grid(psnr_grid, power: float) -> list[float]:
-    try:
-        return [psnr_to_sigma2(p, power) for p in psnr_grid]
-    except ValueError as exc:
-        raise ValueError(f"psnr_grid: {exc}") from None
 
 
 def _map_cells(fn, count: int, threads: int | None) -> Iterator:
@@ -131,7 +123,10 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
     if len(set(grid)) != len(grid):
         raise ValueError(f"duplicate sweep cell in PSNR grid {grid}")
     [(power, _)] = shared
-    sigma2_grid = _sigma2_grid(grid, power)
+    try:
+        sigma2_grid = [psnr_to_sigma2(p, power) for p in grid]
+    except ValueError as exc:
+        raise ValueError(f"psnr_grid: {exc}") from None
     codes = [encoder.encode(dataset.features) for encoder, _ in models]
     clean = [decoder.decode(z) for z, (_, decoder) in zip(codes, models)]
     labels = dataset.labels
@@ -301,21 +296,6 @@ def taylor_validation(encoder: EncoderModel, decoder: DecoderModel, features,
         rows.append(TaylorRow(float(sigma2), kl_mean, kl_stderr, reg, ratio,
                               abs(kl_mean - reg)))
     return rows
-
-
-REGTRACK_HEADER = ("psnr_db", "sigma2", "mean_trace", "mean_regularizer")
-
-
-def regularizer_track(encoder: EncoderModel, decoder: DecoderModel, psnr_grid,
-                      dataset) -> list[tuple]:
-    """Mean penalty of the model per test noise level.
-
-    Rows follow REGTRACK_HEADER; the penalty is exactly linear in sigma2.
-    """
-    sigma2_grid = _sigma2_grid(psnr_grid, encoder.power)
-    mean_trace = mean_fisher_trace(decoder, encoder.encode(dataset.features))
-    return [(float(psnr_db), sigma2, mean_trace, 0.5 * sigma2 * mean_trace)
-            for psnr_db, sigma2 in zip(psnr_grid, sigma2_grid)]
 
 
 def top_two_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -320,6 +320,31 @@ def load_checkpoint(path):
         if not _is_int(section.get("seed")):
             raise ValueError(f"{name}.seed must be an integer, got {section.get('seed')!r}")
 
+    # Every stored parameter is checked against the shapes the declared sizes imply
+    # before any model is built, so the sizes cannot make the constructors allocate
+    # (and draw) more than the file holds.
+    stored = []
+    for section in sections:
+        sizes = section["sizes"]
+        shapes = {}
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            shapes[f"W{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+        if set(section["params"]) != set(shapes):
+            raise ValueError("parameter names do not match the declared sizes")
+        values = {}
+        for name, shape in shapes.items():
+            entry = section["params"][name]
+            try:
+                value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed parameter {name!r}: {exc}") from None
+            if value.shape != shape:
+                raise ValueError(f"shape mismatch for parameter {name!r}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"non-finite values in parameter {name!r}")
+            values[name] = value
+        stored.append(values)
+
     enc_doc, dec_doc = sections
     enc_sizes = enc_doc["sizes"]
     encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], power,
@@ -327,18 +352,7 @@ def load_checkpoint(path):
     dec_sizes = dec_doc["sizes"]
     decoder = DecoderModel(dec_sizes[0], dec_sizes[-1],
                            hidden=dec_sizes[1:-1], seed=dec_doc["seed"])
-    for model, section in ((encoder, enc_doc), (decoder, dec_doc)):
-        if set(section["params"]) != set(model.params):
-            raise ValueError("parameter names do not match the declared sizes")
+    for model, values in zip((encoder, decoder), stored):
         for name, tensor in model.params.items():
-            entry = section["params"][name]
-            try:
-                value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"malformed parameter {name!r}: {exc}") from None
-            if value.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for parameter {name!r}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"non-finite values in parameter {name!r}")
-            tensor.data = value
+            tensor.data = values[name]
     return encoder, decoder, doc.get("normalizer"), doc.get("meta", {})

@@ -15,6 +15,7 @@ from fisherjscc import cli
 from fisherjscc.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                             load_config, main)
 from fisherjscc.models import DecoderModel
+from fisherjscc.rng import CounterRng
 
 
 def sha256(path) -> str:
@@ -233,7 +234,8 @@ class TestGenData:
         assert "FISHERJSCC_UNRELATED" not in changed["variables"]
         assert manifests[0]["output_digests"] == manifests[1]["output_digests"]
 
-    @pytest.mark.parametrize("defect", ["not-json", "no-digests", "directory", "missing"])
+    @pytest.mark.parametrize("defect", ["not-json", "no-digests", "directory", "missing",
+                                        "nested"])
     def test_verify_bad_manifest_is_a_data_error(self, tmp_path, capsys, defect):
         config = tmp_path / "run.ini"
         out = tmp_path / "data"
@@ -243,6 +245,8 @@ class TestGenData:
         manifest.unlink()
         if defect == "directory":
             manifest.mkdir()
+        elif defect == "nested":      # deeper than the parser's recursion limit
+            manifest.write_text('{"a":' * 50_000 + "1" + "}" * 50_000, encoding="utf-8")
         elif defect != "missing":
             manifest.write_text("{not json" if defect == "not-json" else "{}", encoding="utf-8")
         capsys.readouterr()
@@ -319,7 +323,7 @@ class TestTrainCommand:
         write_config(config, tmp_path / "out", tmp_path / "missing")
         assert main(["train", "--config", str(config)]) == EXIT_DATA
 
-    @pytest.mark.parametrize("defect", ["directory", "not_utf8", "one_column"])
+    @pytest.mark.parametrize("defect", ["directory", "not_utf8", "one_column", "huge_cell"])
     def test_unreadable_data_file_is_a_data_error(self, tmp_path, data_dir, capsys, defect):
         train_csv = data_dir / "train.csv"
         train_csv.unlink()
@@ -327,6 +331,8 @@ class TestTrainCommand:
             train_csv.mkdir()
         elif defect == "not_utf8":
             train_csv.write_bytes(b"\xff\xfe1.0,2.0,a\n")
+        elif defect == "huge_cell":     # past the csv module's field size limit
+            train_csv.write_text("1.0,2.0," + "a" * 140_000 + "\n")
         else:       # no feature column
             train_csv.write_text("a\nb\n")
         config = tmp_path / "train.ini"
@@ -406,21 +412,6 @@ class TestEvalCommand:
         row = read_table(out / "sweep.csv")[0]
         assert row["psnr_db"] == "inf" and row["mean_expected_kl"] == "0.0"
 
-    def test_reg_track_writes_one_row_per_psnr(self, tmp_path, data_dir, checkpoint):
-        config = tmp_path / "eval.ini"
-        out = tmp_path / "regtrack"
-        write_config(config, out, data_dir, extra=f"checkpoint = {checkpoint}")
-        config.write_text(config.read_text().replace("kind = sweep", "kind = reg-track")
-                          .replace("psnr_grid = 5,15", "psnr_grid = 25,10,inf"))
-        assert main(["eval", "--config", str(config)]) == EXIT_OK
-        lines = (out / "regtrack.csv").read_text().splitlines()
-        assert lines[:2] == ["# schema=fisherjscc.regtrack.v2",
-                             "psnr_db,sigma2,mean_trace,mean_regularizer"]
-        assert [row["psnr_db"] for row in read_table(out / "regtrack.csv")] == [
-            "25.0", "10.0", "inf"]
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["output_digests"] == {"regtrack.csv": sha256(out / "regtrack.csv")}
-
     def test_architecture_mismatch_reports_fields(self, tmp_path, data_dir,
                                                   checkpoint, capsys):
         config = tmp_path / "eval.ini"
@@ -456,7 +447,8 @@ class TestEvalCommand:
                                         "power_null", "power_text", "encoder_list",
                                         "sizes_null", "shape_text", "normalizer_list",
                                         "directory", "std_zero", "std_negative", "std_nan",
-                                        "mean_nan", "missing", "version", "seed_text"])
+                                        "mean_nan", "missing", "version", "seed_text",
+                                        "nested"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -497,6 +489,8 @@ class TestEvalCommand:
         bad = tmp_path / "bad_checkpoint.json"
         if defect == "directory":
             bad.mkdir()
+        elif defect == "nested":      # deeper than the parser's recursion limit
+            bad.write_text("[" * 100_000 + "]" * 100_000)
         elif defect != "missing":
             bad.write_text(json.dumps(doc))
         config = tmp_path / "eval.ini"
@@ -506,6 +500,30 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_checkpoint_sizes_are_checked_before_any_draw(self, tmp_path, data_dir,
+                                                         checkpoint, capsys, monkeypatch):
+        """Sizes declaring a 3000-wide layer over 16-wide parameters are refused before a
+        model is built, so no initialization is drawn at the declared size."""
+        doc = json.loads(checkpoint.read_text())
+        doc["encoder"]["sizes"][1] = 3000
+        bad = tmp_path / "wide_checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        config = tmp_path / "eval.ini"
+        out = tmp_path / "eval_wide"
+        write_config(config, out, data_dir, extra=f"checkpoint = {bad}")
+        words = []
+        uniforms = CounterRng.uniforms
+
+        def spy(rng, n):
+            words.append(n)
+            return uniforms(rng, n)
+
+        monkeypatch.setattr(CounterRng, "uniforms", spy)
+        assert main(["eval", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "shape mismatch" in err and "Traceback" not in err
+        assert words == [] and not out.exists()
 
     @pytest.mark.parametrize("command, edits, fragment", [
         ("gen-data", [("kind = rings", "kind = ringz")], "[data] kind"),
@@ -517,6 +535,7 @@ class TestEvalCommand:
         ("train", [("family = awgn", "family = rayleigh"), ("lambda = 0.0", "lambda = 0.5")],
          "Rayleigh"),
         ("eval", [("kind = sweep", "kind = sweeep")], "[experiment] kind"),
+        ("eval", [("kind = sweep", "kind = reg-track")], "[experiment] kind"),
         ("eval", [("family = awgn", "family = rician")], "[channel] family"),
         ("compare", [("family = awgn", "family = rician")], "[channel] family"),
         ("validate-approx", [("family = awgn", "family = rician")], "[channel] family"),
@@ -589,8 +608,6 @@ class TestEvalCommand:
         ("posterior-map", [("sample_limit = 8", "sample_limit = 8\nextent_std = -1")],
          "[experiment] extent_std"),
         ("eval", [("psnr_grid = 5,15", "psnr_grid =")], "[experiment] psnr_grid"),
-        ("eval", [("kind = sweep", "kind = reg-track"), ("psnr_grid = 5,15", "psnr_grid =")],
-         "[experiment] psnr_grid"),
         ("compare", [("psnr_grid = 5,15", "psnr_grid = ,")], "[experiment] psnr_grid"),
         ("validate-approx", [("sample_limit = 8", "sample_limit = 8\ntaylor_psnr_grid =")],
          "[experiment] taylor_psnr_grid"),
@@ -603,8 +620,6 @@ class TestEvalCommand:
         ("compare", [("psnr_grid = 5,15", "psnr_grid = -4000,5")], "[experiment] psnr_grid"),
         ("validate-approx", [("sample_limit = 8", "sample_limit = 8\ntaylor_psnr_grid = -4000")],
          "[experiment] taylor_psnr_grid"),
-        ("eval", [("kind = sweep", "kind = reg-track"), ("psnr_grid = 5,15", "psnr_grid = -4000")],
-         "[experiment] psnr_grid"),
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = -4000")], "[channel] psnr_db"),
         ("posterior-map", [("psnr_db = 15.0", "psnr_db = inf")], "[channel] psnr_db"),
         ("gen-data", [("kind = rings", "kind = table")], "config error: [data] kind=table"),
@@ -617,7 +632,8 @@ class TestEvalCommand:
         ("train", [("\ndir = ", "\ndir =\n# ")], "[data] dir"),
         ("eval", [("\ncheckpoint = ", "\ncheckpoint =\n# ")], "[experiment] checkpoint"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
-            "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-family",
+            "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-kind-reg-track",
+            "eval-family",
             "compare-family", "validate-approx-family", "validate-approx-rayleigh",
             "duplicate-key", "duplicate-section", "no-section-header",
             "validate-approx-mc_samples", "validate-approx-sample_limit",
@@ -637,11 +653,11 @@ class TestEvalCommand:
             "train-psnr_high-inf", "eval-psnr_grid-nan", "compare-psnr_grid-nan",
             "validate-approx-taylor_psnr_grid-nan", "posterior-map-extent_std-nan",
             "posterior-map-extent_std-zero", "posterior-map-extent_std-negative",
-            "eval-psnr_grid-empty", "reg-track-psnr_grid-empty", "compare-psnr_grid-empty",
+            "eval-psnr_grid-empty", "compare-psnr_grid-empty",
             "validate-approx-taylor_psnr_grid-empty",
             "posterior-map-psnr_db-nan", "train-psnr_db-overflow", "train-psnr_low-overflow",
             "eval-psnr_grid-overflow", "compare-psnr_grid-overflow",
-            "validate-approx-taylor_psnr_grid-overflow", "reg-track-psnr_grid-overflow",
+            "validate-approx-taylor_psnr_grid-overflow",
             "posterior-map-psnr_db-overflow", "posterior-map-psnr_db-inf",
             "gen-data-table-without-files", "gen-data-delimiter-empty",
             "gen-data-delimiter-two-characters", "gen-data-table-semicolon-without-files",

@@ -13,11 +13,12 @@ from fisherjscc import experiments
 from fisherjscc.channel import psnr_to_sigma2
 from fisherjscc.data import make_rings
 from fisherjscc.data import write_csv
-from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, REGTRACK_HEADER,
-                                    SWEEP_BLOCK_ROWS, SWEEP_SCHEMA, SweepRow, error_sweep,
-                                    paired_compare, posterior_grid, posterior_rows,
-                                    regularizer_track, taylor_validation, top_two_components)
+from fisherjscc.experiments import (POSTERIOR_HEADER, POSTERIOR_SCHEMA, SWEEP_BLOCK_ROWS,
+                                    SWEEP_SCHEMA, SweepRow, error_sweep, paired_compare,
+                                    posterior_grid, posterior_rows, taylor_validation,
+                                    top_two_components)
 from fisherjscc.models import DecoderModel, EncoderModel
+from fisherjscc.robustness import mean_fisher_trace
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
 
@@ -541,23 +542,19 @@ class TestTaylorValidation:
         assert many - few <= 2**20, (few, many)
 
 
-def track(*args) -> list[dict]:
-    """`regularizer_track`'s rows keyed by REGTRACK_HEADER."""
-    return [dict(zip(REGTRACK_HEADER, row, strict=True)) for row in regularizer_track(*args)]
-
-
 class TestRegularizerTrack:
+    """The penalty sigma2/2 Tr(I) per noise level, as `taylor_validation` reports it
+    in mean_regularizer, and the trace it weighs after training."""
+
     def test_penalty_linear_in_sigma2(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
-        a, b = track(encoder, decoder, [20.0, 10.0], test_set)
-        assert (b["mean_regularizer"] / a["mean_regularizer"]
-                == pytest.approx(b["sigma2"] / a["sigma2"], rel=1e-12))
-
-    def test_zero_weight_decoder_zero_everywhere(self):
-        encoder, decoder = uniform_pair()
-        ds = make_rings(4, 20, noise=0.1, seed=43)
-        assert all(row["mean_regularizer"] == 0.0
-                   for row in track(encoder, decoder, [20.0, 5.0], ds))
+        grid = [psnr_to_sigma2(p, 1.0) for p in (20.0, 10.0)]
+        a, b = taylor_validation(encoder, decoder, test_set.features, grid, samples=20, seed=3)
+        trace = mean_fisher_trace(decoder, encoder.encode(test_set.features))
+        assert [a.mean_regularizer, b.mean_regularizer] == [0.5 * a.sigma2 * trace,
+                                                            0.5 * b.sigma2 * trace]
+        assert (b.mean_regularizer / a.mean_regularizer
+                == pytest.approx(b.sigma2 / a.sigma2, rel=1e-12))
 
     def test_regularized_twin_has_lower_trace(self):
         """Shared-seed training with/without penalty: penalty reduces Tr(I)."""
@@ -571,7 +568,7 @@ class TestRegularizerTrack:
             train(TrainConfig(lam=lam, epochs=25, batch_size=32, seed=seed,
                               psnr=FixedPsnr(20.0), omit_sigma2=(lam > 0)),
                   ds, encoder, decoder)
-            traces[lam] = track(encoder, decoder, [10.0], ds)[0]["mean_trace"]
+            traces[lam] = mean_fisher_trace(decoder, encoder.encode(ds.features))
         assert traces[0.5] < traces[0.0]
 
 

@@ -353,7 +353,7 @@ def test_readme_names_every_schema_and_no_other():
     schemas = set().union(*(schema_constants(path.read_text(encoding="utf-8"))
                             for path in MODULES))
     assert {schema.split(".")[1] for schema in schemas} == {
-        "sweep", "taylor", "regtrack", "posterior", "compare", "trainlog"}
+        "sweep", "taylor", "posterior", "compare", "trainlog"}
     assert set(SCHEMA_NAME.findall(README.read_text(encoding="utf-8"))) == schemas
 
 
