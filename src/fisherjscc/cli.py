@@ -357,28 +357,26 @@ def _generate_datasets(config: dict, seed: int) -> tuple[Dataset, Dataset]:
     else:  # table
         if not section["train_file"] or not section["test_file"]:
             raise ConfigError("[data] kind=table requires train_file and test_file")
-        train_set = load_table(section["train_file"], delimiter=section["delimiter"],
-                               has_header=section["has_header"])
-        test_set = load_table(section["test_file"], delimiter=section["delimiter"],
-                              has_header=section["has_header"],
-                              label_map={n: i for i, n in enumerate(train_set.label_names)})
+        train_set, test_set = _read_splits(section["train_file"], section["test_file"],
+                                           delimiter=section["delimiter"],
+                                           has_header=section["has_header"])
     return train_set, test_set
 
 
-def _load_datasets_from_dir(config: dict) -> tuple[Dataset, Dataset]:
-    """The raw train and test splits; the test labels use the train split's label map."""
+def _read_splits(train_path, test_path, **table) -> tuple[Dataset, Dataset]:
+    """The train table, then the test table under the train split's label map; `table`
+    holds `load_table`'s delimiter and header options."""
+    train_set = load_table(train_path, **table)
+    return train_set, load_table(
+        test_path, label_map={n: i for i, n in enumerate(train_set.label_names)}, **table)
+
+
+def _split_files(config: dict) -> dict[str, Path]:
+    """gen-data's train.csv and test.csv in [data] dir, keyed by file name."""
     data_dir = config["data"]["dir"]
     if not data_dir:
         raise ConfigError("[data] dir must point at a gen-data output directory")
-    train_path = Path(data_dir) / "train.csv"
-    test_path = Path(data_dir) / "test.csv"
-    for path in (train_path, test_path):
-        if not path.exists():
-            raise DataError(f"dataset file missing: {path}")
-    train_set = load_table(train_path)
-    test_set = load_table(
-        test_path, label_map={n: i for i, n in enumerate(train_set.label_names)})
-    return train_set, test_set
+    return {name: Path(data_dir) / name for name in ("train.csv", "test.csv")}
 
 
 def _build_models(config: dict, input_dim: int, num_classes: int, seed: int):
@@ -393,51 +391,50 @@ def _build_models(config: dict, input_dim: int, num_classes: int, seed: int):
     return encoder, decoder
 
 
-def _load_checkpoint_checked(path, config: dict):
-    if not path:
-        raise ConfigError("[experiment] checkpoint path is required")
-    if not Path(path).exists():
-        raise DataError(f"checkpoint not found: {path}")
-    try:
-        encoder, decoder, normalizer_doc, meta = load_checkpoint(path)
-        normalizer = Normalizer.from_dict(normalizer_doc) if normalizer_doc else None
-        if normalizer and normalizer.mean.shape + normalizer.std.shape != (encoder.input_dim,) * 2:
-            raise ValueError(f"its normalizer does not have {encoder.input_dim} features")
-    except (ValueError, OSError, RecursionError) as exc:    # a directory; JSON nested too deep
-        raise DataError(f"unreadable checkpoint {path}: {exc}") from exc
-    model = config["model"]
-    declared = {
-        "repr_dim": model["repr_dim"],
-        "power": model["power"],
-        "encoder_hidden": list(model["encoder_hidden"]),
-        "decoder_hidden": list(model["decoder_hidden"]),
-    }
-    actual = {
-        "repr_dim": encoder.repr_dim,
-        "power": encoder.power,
-        "encoder_hidden": list(encoder.sizes[1:-1]),
-        "decoder_hidden": list(decoder.sizes[1:-1]),
-    }
-    diffs = {key: (declared[key], actual[key])
-             for key in declared if declared[key] != actual[key]}
-    if diffs:
-        detail = ", ".join(f"{k}: config={c!r} checkpoint={a!r}" for k, (c, a) in diffs.items())
-        raise ConfigError(f"checkpoint architecture does not match [model] config: {detail}")
-    return encoder, decoder, normalizer, meta
+def _evaluation_inputs(config: dict, keys: tuple[str, ...]):
+    """What an evaluation reads: the (encoder, decoder) pair of each `[experiment]`
+    checkpoint key in `keys`, the test split under their one normalizer (raw features
+    where it is None; never a refit), and the manifest's inputs, role -> path.
 
-
-def _test_set_for(config: dict, checkpoints: dict, normalizer: Normalizer | None):
-    """The test split under the normalizer (raw when None), never a refit; each of the
-    `checkpoints`, key -> (encoder, decoder), must fit its features and classes."""
-    _, test_set = _load_datasets_from_dir(config)
-    for key, (encoder, decoder) in checkpoints.items():
+    A checkpoint that is unreadable is a data error; one whose architecture differs
+    from [model], that does not take the split's features or predict its classes, or
+    whose normalizer differs from the others' is a config error; each names its key.
+    """
+    section, model = config["experiment"], config["model"]
+    pairs, normalizers = [], []
+    for key in keys:
+        path = section[key]
+        if not path:
+            raise ConfigError(f"[experiment] {key} path is required")
+        try:
+            encoder, decoder, normalizer = load_checkpoint(path)
+        except (ValueError, OSError, RecursionError) as exc:    # a directory; JSON nested too deep
+            raise DataError(f"[experiment] {key}: unreadable checkpoint {path}: {exc}") from exc
+        actual = {"repr_dim": encoder.repr_dim, "power": encoder.power,
+                  "encoder_hidden": list(encoder.sizes[1:-1]),
+                  "decoder_hidden": list(decoder.sizes[1:-1])}
+        detail = ", ".join(f"{k}: config={model[k]!r} checkpoint={value!r}"
+                           for k, value in actual.items() if model[k] != value)
+        if detail:
+            raise ConfigError(f"[experiment] {key}: its architecture does not match [model] "
+                              f"config: {detail}")
+        pairs.append((encoder, decoder))
+        normalizers.append(normalizer and normalizer.to_dict())
+    if any(doc != normalizers[0] for doc in normalizers):
+        raise ConfigError(f"{' and '.join(keys)} normalize their inputs differently, "
+                          f"so no one test set feeds both")
+    files = _split_files(config)
+    _, test_set = _read_splits(*files.values())
+    for key, (encoder, decoder) in zip(keys, pairs):
         if test_set.dim != encoder.input_dim:
             raise ConfigError(f"[data] dir holds {test_set.dim} features, the {key}'s "
                               f"encoder takes {encoder.input_dim}")
         if test_set.num_classes != decoder.num_classes:
             raise ConfigError(f"[data] dir holds {test_set.num_classes} classes, the {key}'s "
                               f"decoder predicts {decoder.num_classes}")
-    return normalizer.apply(test_set) if normalizer else test_set
+    if normalizer:      # the last checkpoint's, which every other shares
+        test_set = normalizer.apply(test_set)
+    return pairs, test_set, {**{key: section[key] for key in keys}, **files}
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +525,8 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     out_dir = _check_out(config["run"]["out"], force)
     train_config = _train_config_from(config, seed)
     _check_step_block(config, config["data"]["classes"])
-    train_set, _ = _load_datasets_from_dir(config)
+    inputs = _split_files(config)
+    train_set, _ = _read_splits(*inputs.values())
     _check_step_block(config, train_set.num_classes)     # a table's classes can differ
     normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
     train_set = normalizer.apply(train_set) if normalizer else train_set
@@ -537,7 +535,6 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     section, key = (("channel", "psnr_db") if config["train"]["psnr_mode"] == "fixed"
                     else ("train", "psnr_low"))
     _noise_variance(config[section][key], encoder.power, f"[{section}] {key}")
-    inputs = {name: Path(config["data"]["dir"]) / name for name in ("train.csv", "test.csv")}
     every = config["train"]["checkpoint_every"]
     snapshots = {}  # checkpoint name -> (encoder, decoder, epochs), written when training ends
 
@@ -554,8 +551,7 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
             Path.write_text, data=json.dumps(exc.snapshot, indent=1) + "\n")})
         raise
     snapshots["checkpoint.json"] = (encoder, decoder, train_config.epochs)
-    normalizer_doc = normalizer.to_dict() if normalizer else None
-    writers = {name: partial(save_checkpoint, encoder=e, decoder=d, normalizer=normalizer_doc,
+    writers = {name: partial(save_checkpoint, encoder=e, decoder=d, normalizer=normalizer,
                              meta={"seed": seed, "epochs": epochs})
                for name, (e, d, epochs) in snapshots.items()}
     writers["trainlog.csv"] = partial(
@@ -581,15 +577,14 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
                           f"got {family!r}: the unconditional fading KL has no finite "
                           f"penalty to compare with")
     out_dir = _check_out(config["run"]["out"], force)
-    encoder, decoder, normalizer, _ = _load_checkpoint_checked(section["checkpoint"], config)
-    test_set = _test_set_for(config, {"checkpoint": (encoder, decoder)}, normalizer)
+    pairs, test_set, inputs = _evaluation_inputs(config, ("checkpoint",))
+    [(encoder, decoder)] = pairs
     eval_seed = derive_seed(seed, "eval")
 
     try:
         if kind == "sweep":
-            [rows] = experiments.error_sweep([(encoder, decoder)], test_set,
-                                             section["psnr_grid"], family, section["trials"],
-                                             eval_seed, threads=threads)
+            [rows] = experiments.error_sweep(pairs, test_set, section["psnr_grid"], family,
+                                             section["trials"], eval_seed, threads=threads)
             name, schema, header = "sweep.csv", SWEEP_SCHEMA, SweepRow._fields
         elif kind == "taylor":
             limit = min(section["sample_limit"], len(test_set))
@@ -615,7 +610,7 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
     except ValueError as exc:
         raise ConfigError(f"[experiment] {exc}") from exc
 
-    _publish(out_dir, f"eval:{kind}", config, seed, {"checkpoint": section["checkpoint"]},
+    _publish(out_dir, f"eval:{kind}", config, seed, inputs,
              {name: partial(write_csv, schema=schema, header=header, rows=rows)})
     print(f"wrote {out_dir / name}")
     return EXIT_OK
@@ -624,22 +619,15 @@ def cmd_eval(config: dict, seed: int, force: bool, kind_override: str | None = N
 def cmd_compare(config: dict, seed: int, force: bool, threads: int | None = None) -> int:
     section = config["experiment"]
     out_dir = _check_out(config["run"]["out"], force)
-    encoder_a, decoder_a, norm_a, _ = _load_checkpoint_checked(section["checkpoint_a"], config)
-    encoder_b, decoder_b, norm_b, _ = _load_checkpoint_checked(section["checkpoint_b"], config)
-    if (norm_a and norm_a.to_dict()) != (norm_b and norm_b.to_dict()):
-        raise ConfigError("checkpoint_a and checkpoint_b normalize their inputs differently, "
-                          "so no one test set feeds both")
-    test_set = _test_set_for(config, {"checkpoint_a": (encoder_a, decoder_a),
-                                      "checkpoint_b": (encoder_b, decoder_b)}, norm_a)
+    [pair_a, pair_b], test_set, inputs = _evaluation_inputs(config,
+                                                            ("checkpoint_a", "checkpoint_b"))
     try:
-        rows = experiments.paired_compare(encoder_a, decoder_a, encoder_b, decoder_b,
-                                          test_set, section["psnr_grid"],
+        rows = experiments.paired_compare(*pair_a, *pair_b, test_set, section["psnr_grid"],
                                           config["channel"]["family"],
                                           section["trials"], derive_seed(seed, "compare"),
                                           threads=threads)
     except ValueError as exc:
         raise ConfigError(f"[experiment] {exc}") from exc
-    inputs = {key: section[key] for key in ("checkpoint_a", "checkpoint_b")}
     _publish(out_dir, "compare", config, seed, inputs, {"compare.csv": partial(
         write_csv, schema=COMPARE_SCHEMA, header=CompareRow._fields, rows=rows)})
     signs = [r.sign for r in rows]

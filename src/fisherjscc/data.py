@@ -119,7 +119,7 @@ class Normalizer:
         try:
             mean = np.array(doc["mean"], dtype=np.float64)
             std = np.array(doc["std"], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:  # an int too large for a float
             raise ValueError(f"malformed normalizer: {exc!r}") from None
         if not np.isfinite(mean).all():
             raise ValueError("normalizer mean has a non-finite entry")

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
 from . import autodiff as ad
+from .data import Normalizer
 from .rng import CounterRng, derive_seed
 
 CHECKPOINT_FORMAT = "fisherjscc-checkpoint"
@@ -255,8 +257,9 @@ class DecoderModel:
 
 
 def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
-                    normalizer: dict | None = None, meta: dict | None = None) -> None:
-    """Write both models to a versioned JSON document that round-trips bitwise.
+                    normalizer: Normalizer | None = None, meta: dict | None = None) -> None:
+    """Write both models and the normalizer (null for raw features) to a versioned JSON
+    document that round-trips bitwise.
 
     Floats are serialized with shortest-round-trip repr, so load after save
     reproduces every parameter bit for bit.
@@ -267,19 +270,12 @@ def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
         "power": encoder.power,
         "repr_dim": encoder.repr_dim,
         "num_classes": decoder.num_classes,
-        "encoder": {
-            "sizes": list(encoder.sizes),
-            "seed": encoder.seed,
-            "params": {n: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-                       for n, t in encoder.params.items()},
-        },
-        "decoder": {
-            "sizes": list(decoder.sizes),
-            "seed": decoder.seed,
-            "params": {n: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-                       for n, t in decoder.params.items()},
-        },
-        "normalizer": normalizer,
+        **{name: {"sizes": list(model.sizes),
+                  "seed": model.seed,
+                  "params": {n: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+                             for n, t in model.params.items()}}
+           for name, model in (("encoder", encoder), ("decoder", decoder))},
+        "normalizer": None if normalizer is None else normalizer.to_dict(),
         "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -292,13 +288,15 @@ def _is_int(value) -> bool:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (encoder, decoder, normalizer_dict, meta).
+    """Read a checkpoint; returns (encoder, decoder, normalizer), the normalizer None
+    only where the file holds null: raw features.
 
     Raises ValueError for a document that is not a checkpoint of this version,
     whose power is not a finite number, whose model sections do not hold
     integer sizes and seed and a params object, whose parameter names or
-    shapes differ from those its declared sizes build, or that holds a
-    malformed or non-finite parameter.
+    shapes differ from those its declared sizes build, that holds a malformed
+    or non-finite parameter or a normalizer that `Normalizer.from_dict` refuses
+    or of another width than the encoder's input, or a number too large for a float.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -307,7 +305,8 @@ def load_checkpoint(path):
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     power = doc.get("power")
-    if isinstance(power, bool) or not isinstance(power, (int, float)) or not math.isfinite(power):
+    # Compared exactly, so NaN, inf and an integer too large for a float all fail.
+    if not (_is_int(power) or isinstance(power, float)) or not abs(power) <= sys.float_info.max:
         raise ValueError(f"power must be a finite number, got {power!r}")
     sections = [doc.get("encoder"), doc.get("decoder")]
     for name, section in zip(("encoder", "decoder"), sections):
@@ -336,7 +335,7 @@ def load_checkpoint(path):
             entry = section["params"][name]
             try:
                 value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"malformed parameter {name!r}: {exc}") from None
             if value.shape != shape:
                 raise ValueError(f"shape mismatch for parameter {name!r}")
@@ -346,13 +345,17 @@ def load_checkpoint(path):
         stored.append(values)
 
     enc_doc, dec_doc = sections
-    enc_sizes = enc_doc["sizes"]
+    enc_sizes, dec_sizes = enc_doc["sizes"], dec_doc["sizes"]
+    normalizer = doc.get("normalizer")
+    if normalizer is not None:
+        normalizer = Normalizer.from_dict(normalizer)
+        if normalizer.mean.shape + normalizer.std.shape != (enc_sizes[0],) * 2:
+            raise ValueError(f"the normalizer does not have {enc_sizes[0]} features")
     encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], power,
                            hidden=enc_sizes[1:-1], seed=enc_doc["seed"])
-    dec_sizes = dec_doc["sizes"]
     decoder = DecoderModel(dec_sizes[0], dec_sizes[-1],
                            hidden=dec_sizes[1:-1], seed=dec_doc["seed"])
     for model, values in zip((encoder, decoder), stored):
         for name, tensor in model.params.items():
             tensor.data = values[name]
-    return encoder, decoder, doc.get("normalizer"), doc.get("meta", {})
+    return encoder, decoder, normalizer

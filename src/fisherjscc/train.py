@@ -52,6 +52,7 @@ TRAINLOG_SCHEMA = "fisherjscc.trainlog.v1"
 # The trainlog's columns, EpochStats fields. Wall time stays on the in-memory
 # stats only: a measured duration would give identical runs different bytes.
 TRAINLOG_HEADER = ("epoch", "cross_entropy", "fisher_penalty", "accuracy")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8    # adam_step's: Adam's textbook settings
 
 
 @dataclass(frozen=True)
@@ -181,31 +182,30 @@ class AdamState:
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> AdamState:
     """One bias-corrected Adam update of the parameter vector theta; updates theta,
     state.m and state.v in place and returns state.
 
-    Each element sees the textbook order of operations, beta1*m + (1-beta1)*g,
-    beta2*v + ((1-beta2)*g)*g and theta - (lr*m_hat)/(sqrt(v_hat)+eps), in
+    Each element sees the textbook order of operations, BETA1*m + (1-BETA1)*g,
+    BETA2*v + ((1-BETA2)*g)*g and theta - (lr*m_hat)/(sqrt(v_hat)+EPS), in
     whole-vector operations with two temporaries.
     """
     if grad.shape != theta.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
     state.t += 1
-    correction1 = 1.0 - beta1**state.t
-    correction2 = 1.0 - beta2**state.t
+    correction1 = 1.0 - BETA1**state.t
+    correction2 = 1.0 - BETA2**state.t
     m, v = state.m, state.v
-    scratch = np.multiply(grad, 1.0 - beta1)
-    m *= beta1
+    scratch = np.multiply(grad, 1.0 - BETA1)
+    m *= BETA1
     m += scratch
-    np.multiply(grad, 1.0 - beta2, out=scratch)
+    np.multiply(grad, 1.0 - BETA2, out=scratch)
     scratch *= grad
-    v *= beta2
+    v *= BETA2
     v += scratch
     np.divide(v, correction2, out=scratch)          # v_hat
     np.sqrt(scratch, out=scratch)
-    scratch += eps
+    scratch += EPS
     update = np.divide(m, correction1)              # m_hat
     update *= lr
     update /= scratch

@@ -448,7 +448,9 @@ class TestEvalCommand:
                                         "sizes_null", "shape_text", "normalizer_list",
                                         "directory", "std_zero", "std_negative", "std_nan",
                                         "mean_nan", "missing", "version", "seed_text",
-                                        "nested"])
+                                        "nested", "power_huge_int", "weight_huge_int",
+                                        "mean_huge_int", "normalizer_false",
+                                        "normalizer_empty_object"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -486,6 +488,14 @@ class TestEvalCommand:
             doc["version"] = 2
         elif defect == "seed_text":
             doc["encoder"]["seed"] = "7"
+        elif defect == "power_huge_int":        # an integer too large for a float
+            doc["power"] = 10**400
+        elif defect == "weight_huge_int":
+            doc["encoder"]["params"]["W0"]["data"][0] = 10**400
+        elif defect == "mean_huge_int":
+            doc["normalizer"]["mean"][0] = 10**400
+        elif defect in ("normalizer_false", "normalizer_empty_object"):  # only null is raw
+            doc["normalizer"] = False if defect == "normalizer_false" else {}
         bad = tmp_path / "bad_checkpoint.json"
         if defect == "directory":
             bad.mkdir()
@@ -631,6 +641,8 @@ class TestEvalCommand:
         ("train", [("spread = 0.15", "spread = 0.15\nnormalize = maybe")], "[data] normalize"),
         ("train", [("\ndir = ", "\ndir =\n# ")], "[data] dir"),
         ("eval", [("\ncheckpoint = ", "\ncheckpoint =\n# ")], "[experiment] checkpoint"),
+        ("compare", [("\ncheckpoint_a = ", "\ncheckpoint_a =\n# ")], "[experiment] checkpoint_a"),
+        ("compare", [("\ncheckpoint_b = ", "\ncheckpoint_b =\n# ")], "[experiment] checkpoint_b"),
     ], ids=["gen-data-kind", "train-family", "train-psnr_mode", "train-lambda",
             "train-noise_draws", "train-rayleigh-penalty", "eval-kind", "eval-kind-reg-track",
             "eval-family",
@@ -662,7 +674,8 @@ class TestEvalCommand:
             "gen-data-table-without-files", "gen-data-delimiter-empty",
             "gen-data-delimiter-two-characters", "gen-data-table-semicolon-without-files",
             "config-file-missing", "train-normalize-not-a-boolean", "train-data-dir-empty",
-            "eval-checkpoint-empty"])
+            "eval-checkpoint-empty", "compare-checkpoint_a-empty",
+            "compare-checkpoint_b-empty"])
     def test_bad_config_is_a_config_error(self, tmp_path, data_dir, checkpoint, capsys,
                                           command, edits, fragment):
         """Exit 2 before any output directory exists, without a traceback; edits None
@@ -779,6 +792,24 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "config error" in err and "normalize" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_compare_bad_checkpoint_b_is_a_data_error(self, tmp_path, data_dir, checkpoint,
+                                                      capsys):
+        """A normalizer of false in checkpoint_b is malformed, not raw features: exit 3
+        naming the key, not the differing-normalizers config error."""
+        doc = json.loads(checkpoint.read_text())
+        doc["normalizer"] = False
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text(json.dumps(doc))
+        config = tmp_path / "cmp.ini"
+        out = tmp_path / "cmp_out"
+        write_config(config, out, data_dir,
+                     extra=f"checkpoint_a = {checkpoint}\ncheckpoint_b = {bad}")
+        capsys.readouterr()
+        assert main(["compare", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "[experiment] checkpoint_b" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_threads_flag_preserves_bytes(self, tmp_path, data_dir, checkpoint, monkeypatch):
         """--threads 1, 2 and the default, here one worker per task of four CPUs: 40 points
@@ -1074,7 +1105,9 @@ class TestCompareCommand:
                      extra=f"checkpoint_a = {ckpt_a}\ncheckpoint_b = {ckpt_b}")
         assert main(["compare", "--config", str(config)]) == EXIT_OK
         inputs = json.loads((out / "manifest.json").read_text())["input_digests"]
-        assert inputs == {"checkpoint_a": sha256(ckpt_a), "checkpoint_b": sha256(ckpt_b)}
+        assert inputs == {"checkpoint_a": sha256(ckpt_a), "checkpoint_b": sha256(ckpt_b),
+                          "train.csv": sha256(data_dir / "train.csv"),
+                          "test.csv": sha256(data_dir / "test.csv")}
         assert inputs["checkpoint_a"] != inputs["checkpoint_b"]
 
 

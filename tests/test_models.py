@@ -1,12 +1,15 @@
 """Encoder/decoder contracts: power bound, posterior validity, checkpoints."""
 
+import copy
+import json
 import math
+import reprlib
 
 import numpy as np
 import pytest
 
 from fisherjscc import autodiff as ad
-from fisherjscc.data import make_rings
+from fisherjscc.data import Normalizer, make_rings
 from fisherjscc.models import (FOLD_CLASSES, DecoderModel, EncoderModel, _class_max,
                                _class_sum, load_checkpoint, save_checkpoint)
 from fisherjscc.rng import CounterRng
@@ -405,14 +408,14 @@ class TestCheckpoint:
             for name, tensor in model.params.items():
                 tensor.data += CounterRng(99).normals(tensor.data.size).reshape(tensor.data.shape)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, encoder, decoder,
-                        normalizer={"mean": [0.25], "std": [1.75]},
-                        meta={"seed": 21})
-        enc2, dec2, norm, meta = load_checkpoint(path)
+        normalizer = Normalizer(mean=np.full(5, 0.25), std=np.full(5, 1.75))
+        save_checkpoint(path, encoder, decoder, normalizer=normalizer, meta={"seed": 21})
+        enc2, dec2, norm = load_checkpoint(path)
+        meta = json.loads(path.read_text())["meta"]
         assert enc2.sizes == encoder.sizes and dec2.sizes == decoder.sizes
         assert enc2.power == encoder.power
         assert meta["seed"] == 21
-        assert norm == {"mean": [0.25], "std": [1.75]}
+        assert norm.to_dict() == normalizer.to_dict()
         for original, loaded in ((encoder, enc2), (decoder, dec2)):
             for name, tensor in original.params.items():
                 np.testing.assert_array_equal(loaded.params[name].data, tensor.data)
@@ -428,7 +431,44 @@ class TestCheckpoint:
         decoder = DecoderModel(4, 3, seed=31)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, encoder, decoder)
-        enc2, dec2, _, _ = load_checkpoint(path)
+        enc2, dec2, _ = load_checkpoint(path)
         x = CounterRng(12).normals(30).reshape(10, 3)
         np.testing.assert_array_equal(decoder.decode(encoder.encode(x)),
                                       dec2.decode(enc2.encode(x)))
+
+    def test_every_value_replaced_by_a_fault_loads_or_is_a_value_error(self, tmp_path):
+        """Each value of a valid checkpoint's JSON, containers and leaves, is replaced
+        in turn by each fault; the load returns or raises ValueError, never another
+        exception (10**400 is an integer too large for a float)."""
+        encoder = EncoderModel(2, 2, power=1.0, hidden=(2,), seed=3)
+        decoder = DecoderModel(2, 2, hidden=(), seed=4)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, encoder, decoder, meta={"seed": 3})
+        doc = json.loads(path.read_text())
+        doc["normalizer"] = {"mean": [0.0, 0.5], "std": [1.0, 2.0]}
+
+        def places(node, where=()):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, child in items:
+                yield (*where, key)
+                yield from places(child, (*where, key))
+
+        escaped, loads = [], 0
+        for where in places(doc):
+            for fault in (None, "x", True, 10**400, -1, 0, [], {}, 1e308):
+                bad = copy.deepcopy(doc)
+                parent = bad
+                for key in where[:-1]:
+                    parent = parent[key]
+                parent[where[-1]] = fault
+                path.write_text(json.dumps(bad))
+                loads += 1
+                try:
+                    load_checkpoint(path)
+                except ValueError:
+                    pass
+                except Exception as exc:    # noqa: BLE001 - any other class is the defect
+                    escaped.append(f"{'/'.join(map(str, where))} = {reprlib.repr(fault)}: "
+                                   f"{exc!r}")
+        assert loads > 400 and escaped == []
