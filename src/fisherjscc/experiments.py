@@ -32,7 +32,8 @@ TAYLOR_SCHEMA = "fisherjscc.taylor.v1"
 POSTERIOR_SCHEMA = "fisherjscc.posterior.v1"
 COMPARE_SCHEMA = "fisherjscc.compare.v1"
 SWEEP_BLOCK_ROWS = 4096     # rows of noise per channel_noise call in an error_sweep block
-TAYLOR_BLOCK_ROWS = 16384   # rows per block of shared Taylor draws, each decoded in one call
+TAYLOR_BLOCK_ROWS = 16384   # rows per block of shared Taylor draws: one noise request
+TAYLOR_CHUNK_COLUMNS = 4096  # draws x points per decode of a Taylor block, in column layout
 
 
 class SweepRow(NamedTuple):
@@ -210,32 +211,43 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
     The draws come in blocks of TAYLOR_BLOCK_ROWS // n draws of the n points (the
     last block takes the rest). Block b is one unit-variance `channel_noise`
     request from its own generator, derived from the seed by ("taylor", "block",
-    b). Each level scales it into a new array, noise * sqrt(sigma2) + z, decoded
-    as one [draws * n, k] batch, and releases the noisy copy before the KL and
-    the posteriors before the next level; the noise goes when the block ends. The
-    pool's `threads` workers (default: one per CPU, see `_map_cells`) run the
-    blocks under the caller's numpy error policy; each returns its per-level
-    moments, which are merged here in block order as they arrive, so the result
-    is identical for any thread count and only arrays of n values are kept,
-    however many draws there are.
+    b), transposed once to [k, draws, n]. Each level runs over the block in chunks
+    of whole draws, about TAYLOR_CHUNK_COLUMNS draws x points each (the draws are
+    split evenly, so no chunk is one column unless the block is): it scales the
+    chunk into a new array, noise * sqrt(sigma2) + z, decodes it in column layout
+    (see `DecoderModel.decode`) and writes the chunk's KL into the level's
+    [draws, n] array, releasing the noisy copy before the KL and the posteriors
+    before the next chunk; the noise goes when the block ends. So no
+    [draws * n, width] activation is ever alive, only a chunk's. The pool's
+    `threads` workers (default: one per CPU, see `_map_cells`) run the blocks
+    under the caller's numpy error policy; each returns its per-level moments,
+    which are merged here in block order as they arrive, so the result is
+    identical for any thread count and only arrays of n values are kept, however
+    many draws there are.
     """
     p = decoder.decode(z)
     n, k = z.shape
     draws_per_block = max(1, TAYLOR_BLOCK_ROWS // max(n, 1))
+    draws_per_chunk = max(1, TAYLOR_CHUNK_COLUMNS // max(n, 1))
     blocks = -(-samples // draws_per_block) if levels else 0
+    z_columns = z.T[:, None, :]
 
     def evaluate_block(index):
         take = min(draws_per_block, samples - index * draws_per_block)
         rng = CounterRng(derive_seed(seed, "taylor", "block", index))
-        noise = channel_noise((take, n, k), 1.0, "awgn", rng)
+        noise = channel_noise((take, n, k), 1.0, "awgn", rng).transpose(2, 0, 1).copy()
+        chunks = -(-take // draws_per_chunk)
+        bounds = [chunk * take // chunks for chunk in range(chunks + 1)]
         moments = []
         for sigma2 in levels:
-            z_hat = noise * math.sqrt(sigma2)
-            z_hat += z      # in place; noise + z and z + noise are the same bits
-            q = decoder.decode(z_hat.reshape(take * n, k))
-            del z_hat
-            kl = _kl_rows(p, q.reshape(take, n, -1))
-            del q           # before the next level, so its buffers can reuse these chunks
+            kl = np.empty((take, n))
+            for start, stop in zip(bounds, bounds[1:]):
+                z_hat = noise[:, start:stop] * math.sqrt(sigma2)
+                z_hat += z_columns      # in place; noise + z and z + noise are the same bits
+                q = decoder.decode(z_hat.reshape(k, -1).T)
+                del z_hat
+                kl[start:stop] = _kl_rows(p, q.reshape(stop - start, n, -1))
+                del q       # before the next chunk, so its buffers can reuse these chunks
             moments.append(_point_moments(kl))
         return moments
 

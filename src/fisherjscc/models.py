@@ -7,7 +7,9 @@ The decoder maps a (possibly noise-corrupted) representation to a
 categorical posterior over classes.
 
 Each model has one forward, in NumPy (`_mlp_values`). Evaluation reads its
-values (`encode`, `decode`) and builds no graph. Training reads each model as
+values (`encode`, `decode`) and builds no graph; `decode` runs the decoder's
+forward in column layout instead (`_log_posterior_columns`) for a batch given
+as the transpose of its [k, b] columns. Training reads each model as
 one `autodiff.Tensor` node (`forward_node`, `log_posterior_all`) whose value
 comes from the same forward, kept layer by layer, and whose gradients come
 from one MLP backprop (`_mlp_backprop`) behind the model's head:
@@ -41,15 +43,25 @@ def _power_sqrt_floor(power: float) -> float:
     return s
 
 
-def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
-    """Glorot-uniform weights W{i} and zero biases b{i}, drawn from a labeled substream.
-
-    The order W0, b0, W1, b1, ... is that of `_mlp_backprop`'s gradients.
-    """
+def _param_shapes(sizes, prefix: str) -> dict[str, tuple]:
+    """The shape of each parameter of an MLP of layer widths `sizes`: W{i} is
+    (fan_in, fan_out) and b{i} (fan_out,), in the order W0, b0, W1, b1, ... of
+    `_mlp_backprop`'s gradients. ValueError for a width below 1."""
     if min(sizes) < 1:
         raise ValueError(f"{prefix} layer widths must be >= 1, got {list(sizes)}")
-    params = {}
+    shapes = {}
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        shapes[f"W{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+    return shapes
+
+
+def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
+    """Glorot-uniform weights W{i} and zero biases b{i}, drawn from a labeled substream,
+    in the order of `_param_shapes`."""
+    shapes = _param_shapes(sizes, prefix)
+    params = {}
+    for i in range(len(sizes) - 1):
+        fan_in, fan_out = shapes[f"W{i}"]
         rng = CounterRng(derive_seed(seed, prefix, "layer", i))
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = (rng.uniforms(fan_in * fan_out) * 2.0 - 1.0) * limit
@@ -100,15 +112,17 @@ FOLD_CLASSES = 8     # fewer columns than this are reduced by folding them; see 
 
 
 def _class_max(a: np.ndarray) -> np.ndarray:
-    """a.max(axis=-1), bit for bit: the columns folded with np.maximum, left to right.
+    """a.max(axis=-1) of a row-major copy of a, bit for bit: the columns folded with
+    np.maximum, left to right.
 
     NumPy's reduction over a short last axis costs about 25 times the fold on
     a [16384, 3] block. From FOLD_CLASSES columns on NumPy reduces each row in
     SIMD blocks, which can break a tie between -0.0 and 0.0 the other way, so
-    the reduction is NumPy's own there.
+    the reduction is NumPy's own there, over rows made contiguous: on a strided
+    last axis, such as a transposed [C, b] block's, NumPy folds instead.
     """
     if a.shape[-1] >= FOLD_CLASSES:
-        return a.max(axis=-1)
+        return np.ascontiguousarray(a).max(axis=-1)
     out = a[..., 0].copy()
     for c in range(1, a.shape[-1]):
         np.maximum(out, a[..., c], out=out)
@@ -116,15 +130,17 @@ def _class_max(a: np.ndarray) -> np.ndarray:
 
 
 def _class_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1), bit for bit: 0.0 plus the columns added left to right.
+    """a.sum(axis=-1) of a row-major copy of a, bit for bit: 0.0 plus the columns added
+    left to right.
 
     That is NumPy's own order for rows of fewer than FOLD_CLASSES entries (the
     0.0 start turns a sum of -0.0s into 0.0, as NumPy's does); from there on
-    NumPy adds in pairwise blocks, so the sum is NumPy's own. The fold costs
-    about a ninth of NumPy's reduction on a [16384, 3] block.
+    NumPy adds in pairwise blocks, so the sum is NumPy's own, over rows made
+    contiguous: on a strided last axis NumPy adds left to right instead. The
+    fold costs about a ninth of NumPy's reduction on a [16384, 3] block.
     """
     if a.shape[-1] >= FOLD_CLASSES:
-        return a.sum(axis=-1)
+        return np.ascontiguousarray(a).sum(axis=-1)
     out = a[..., 0] + 0.0
     for c in range(1, a.shape[-1]):
         out += a[..., c]
@@ -155,17 +171,27 @@ def _batch_values(x, width: int, expects: str, stacks: bool = False) -> np.ndarr
     return ad.check_finite(h.reshape(_batch_shape(h.shape, width, expects, stacks)))
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """The log-softmax of logits over the last axis, in place: logits itself, checked
+    finite, for finite logits more than the largest double apart overflow the shift."""
+    logits -= _class_max(logits)[..., None]
+    logits -= np.log(_class_sum(np.exp(logits)))[..., None]
+    return ad.check_finite(logits)
+
+
 class EncoderModel:
     """Deterministic encoder x -> z with max_i z_i^2 <= power by construction."""
 
     def __init__(self, input_dim: int, repr_dim: int, power: float,
-                 hidden=(64, 64), seed: int = 0):
+                 hidden=(64, 64), seed: int = 0, *, _params: dict | None = None):
         if power <= 0.0:
             raise ValueError("power budget must be positive")
         self.sizes = (int(input_dim), *(int(h) for h in hidden), int(repr_dim))
         self.power = float(power)
         self.seed = int(seed)
-        self.params = _init_params(self.sizes, self.seed, "encoder")
+        if _params is None:     # `load_checkpoint` passes the stored ones: nothing is drawn
+            _params = _init_params(self.sizes, self.seed, "encoder")
+        self.params = _params
         self._scale = _power_sqrt_floor(self.power)
 
     @property
@@ -206,12 +232,15 @@ class EncoderModel:
 class DecoderModel:
     """Categorical decoder z -> q(y|z) via an MLP head and row-wise softmax."""
 
-    def __init__(self, repr_dim: int, num_classes: int, hidden=(64,), seed: int = 1):
+    def __init__(self, repr_dim: int, num_classes: int, hidden=(64,), seed: int = 1, *,
+                 _params: dict | None = None):
         if num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         self.sizes = (int(repr_dim), *(int(h) for h in hidden), int(num_classes))
         self.seed = int(seed)
-        self.params = _init_params(self.sizes, self.seed, "decoder")
+        if _params is None:     # `load_checkpoint` passes the stored ones: nothing is drawn
+            _params = _init_params(self.sizes, self.seed, "decoder")
+        self.params = _params
 
     @property
     def repr_dim(self) -> int:
@@ -233,17 +262,28 @@ class DecoderModel:
 
         return ad.Tensor(log_q, (z, *self.params.values()), gradients)
 
-    def _log_posterior(self, z, layers: list | None = None,
-                       stacks: bool = False) -> np.ndarray:
-        """log q(y|z) for every class, [b, C] (or [T, b, C] for a stack, see
-        `_batch_shape`), built without a graph; given a list `layers`, each layer's
-        input and weight are kept there (see `_mlp_values`)."""
-        h = _batch_values(z, self.repr_dim, "decoder expects representations", stacks)
-        logits = _mlp_values(self.params, h, len(self.sizes) - 1, layers)
-        logits -= _class_max(logits)[..., None]
-        logits -= np.log(_class_sum(np.exp(logits)))[..., None]
-        # Finite logits more than the largest double apart overflow the shift.
-        return ad.check_finite(logits)
+    def _log_posterior(self, z, layers: list | None = None) -> np.ndarray:
+        """log q(y|z) for every class, [b, C], built without a graph; given a list
+        `layers`, each layer's input and weight are kept there (see `_mlp_values`)."""
+        h = _batch_values(z, self.repr_dim, "decoder expects representations")
+        return _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1, layers))
+
+    def _log_posterior_columns(self, columns: np.ndarray) -> np.ndarray:
+        """log q(y|z) of each column z of a finite [k, b] array, as the [b, C] transpose
+        of a [C, b] array: `_log_posterior`'s forward in column layout.
+
+        Each affine layer is W.T @ a plus b[:, None], checked finite, relu in
+        place between them, so one [width, b] buffer per layer is alive; the
+        log-softmax folds the class rows.
+        """
+        a = columns
+        for i in range(len(self.sizes) - 1):
+            a = self.params[f"W{i}"].data.T @ a
+            a += self.params[f"b{i}"].data[:, None]
+            ad.check_finite(a)
+            if i < len(self.sizes) - 2:
+                np.maximum(a, 0.0, out=a)
+        return _log_softmax(a.T)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Posterior rows (each sums to 1); argmax ties resolve to the lowest index.
@@ -251,8 +291,19 @@ class DecoderModel:
         z is a vector, a batch [b, k] or a stack [T, b, k] of batches; a stack's
         slice t is decode(z[t]) bit for bit: each weight product is one BLAS
         product per slice, and the rest works entry by entry or row by row.
+
+        A batch given as the transpose of a row-major [k, b] array, one column per
+        representation, is decoded in that layout (`_log_posterior_columns`), and
+        its posteriors are the transpose of a [C, b] array; one representation
+        takes the row-major path. As a row-major product's bits can depend on its
+        row count, a column product's can depend on its column count (README,
+        "Memory").
         """
-        log_q = self._log_posterior(z, stacks=True)
+        h = _batch_values(z, self.repr_dim, "decoder expects representations", stacks=True)
+        if h.ndim == 2 and h.flags.f_contiguous and not h.flags.c_contiguous:
+            log_q = self._log_posterior_columns(h.T)
+        else:
+            log_q = _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1))
         return np.exp(log_q, out=log_q)
 
 
@@ -294,9 +345,11 @@ def load_checkpoint(path):
     Raises ValueError for a document that is not a checkpoint of this version,
     whose power is not a finite number, whose model sections do not hold
     integer sizes and seed and a params object, whose parameter names or
-    shapes differ from those its declared sizes build, that holds a malformed
-    or non-finite parameter or a normalizer that `Normalizer.from_dict` refuses
-    or of another width than the encoder's input, or a number too large for a float.
+    shapes differ from those its declared sizes build, whose decoder does not take
+    the encoder's representations, that holds a malformed or non-finite parameter
+    or a normalizer that `Normalizer.from_dict` refuses or of another width than the
+    encoder's input, or a number too large for a float. The models hold the stored
+    parameters; no initialization is drawn.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -319,43 +372,40 @@ def load_checkpoint(path):
         if not _is_int(section.get("seed")):
             raise ValueError(f"{name}.seed must be an integer, got {section.get('seed')!r}")
 
-    # Every stored parameter is checked against the shapes the declared sizes imply
-    # before any model is built, so the sizes cannot make the constructors allocate
-    # (and draw) more than the file holds.
+    # Every stored parameter is checked against the shapes the declared sizes imply,
+    # and the models are built from the stored arrays, so the sizes cannot make the
+    # constructors allocate (or draw) more than the file holds.
     stored = []
-    for section in sections:
-        sizes = section["sizes"]
-        shapes = {}
-        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            shapes[f"W{i}"], shapes[f"b{i}"] = (fan_in, fan_out), (fan_out,)
+    for name, section in zip(("encoder", "decoder"), sections):
+        shapes = _param_shapes(section["sizes"], name)
         if set(section["params"]) != set(shapes):
             raise ValueError("parameter names do not match the declared sizes")
-        values = {}
-        for name, shape in shapes.items():
-            entry = section["params"][name]
+        params = {}
+        for param, shape in shapes.items():
+            entry = section["params"][param]
             try:
                 value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"malformed parameter {name!r}: {exc}") from None
+                raise ValueError(f"malformed parameter {param!r}: {exc}") from None
             if value.shape != shape:
-                raise ValueError(f"shape mismatch for parameter {name!r}")
+                raise ValueError(f"shape mismatch for parameter {param!r}")
             if not np.isfinite(value).all():
-                raise ValueError(f"non-finite values in parameter {name!r}")
-            values[name] = value
-        stored.append(values)
+                raise ValueError(f"non-finite values in parameter {param!r}")
+            params[param] = ad.Tensor(value)
+        stored.append(params)
 
     enc_doc, dec_doc = sections
     enc_sizes, dec_sizes = enc_doc["sizes"], dec_doc["sizes"]
+    if dec_sizes[0] != enc_sizes[-1]:
+        raise ValueError(f"the decoder takes representations of dimension {dec_sizes[0]}, "
+                         f"the encoder makes {enc_sizes[-1]}")
     normalizer = doc.get("normalizer")
     if normalizer is not None:
         normalizer = Normalizer.from_dict(normalizer)
         if normalizer.mean.shape + normalizer.std.shape != (enc_sizes[0],) * 2:
             raise ValueError(f"the normalizer does not have {enc_sizes[0]} features")
-    encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], power,
-                           hidden=enc_sizes[1:-1], seed=enc_doc["seed"])
-    decoder = DecoderModel(dec_sizes[0], dec_sizes[-1],
-                           hidden=dec_sizes[1:-1], seed=dec_doc["seed"])
-    for model, values in zip((encoder, decoder), stored):
-        for name, tensor in model.params.items():
-            tensor.data = values[name]
+    encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], power, hidden=enc_sizes[1:-1],
+                           seed=enc_doc["seed"], _params=stored[0])
+    decoder = DecoderModel(dec_sizes[0], dec_sizes[-1], hidden=dec_sizes[1:-1],
+                           seed=dec_doc["seed"], _params=stored[1])
     return encoder, decoder, normalizer

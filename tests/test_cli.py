@@ -450,7 +450,7 @@ class TestEvalCommand:
                                         "mean_nan", "missing", "version", "seed_text",
                                         "nested", "power_huge_int", "weight_huge_int",
                                         "mean_huge_int", "normalizer_false",
-                                        "normalizer_empty_object"])
+                                        "normalizer_empty_object", "decoder_width"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -496,6 +496,12 @@ class TestEvalCommand:
             doc["normalizer"]["mean"][0] = 10**400
         elif defect in ("normalizer_false", "normalizer_empty_object"):  # only null is raw
             doc["normalizer"] = False if defect == "normalizer_false" else {}
+        elif defect == "decoder_width":     # consistent in itself, one wider than z
+            decoder = doc["decoder"]
+            decoder["sizes"][0] += 1
+            entry = decoder["params"]["W0"]
+            entry["data"] += [0.0] * entry["shape"][1]
+            entry["shape"][0] += 1
         bad = tmp_path / "bad_checkpoint.json"
         if defect == "directory":
             bad.mkdir()

@@ -425,8 +425,9 @@ class TestTaylorValidation:
     @pytest.mark.parametrize("levels", [1, 4])
     def test_one_noise_request_per_block(self, trained_pair, monkeypatch, levels):
         """40 points x 1,000 draws are three blocks: three unit-variance requests of
-        [draws, 40, k], one per block, whatever the grid's length; each level decodes
-        each block in one call, after the one clean decode."""
+        [draws, 40, k], one per block, whatever the grid's length; after the one clean
+        decode, each level decodes each block in chunks of whole draws of at most 4,096
+        columns, split evenly: 409 draws as 81 + 4 x 82, and 182 as 2 x 91."""
         encoder, decoder, ds, _ = trained_pair
         draw, requests = experiments.channel_noise, []
         decode, decoded = decoder.decode, []
@@ -447,7 +448,8 @@ class TestTaylorValidation:
         k = encoder.repr_dim
         assert requests == [((409, 40, k), 1.0, "awgn"), ((409, 40, k), 1.0, "awgn"),
                             ((182, 40, k), 1.0, "awgn")]
-        assert decoded == [40] + [409 * 40] * levels * 2 + [182 * 40] * levels
+        chunks = [81, 82, 82, 82, 82] * levels * 2 + [91, 91] * levels
+        assert decoded == [40] + [draws * 40 for draws in chunks]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
@@ -540,6 +542,21 @@ class TestTaylorValidation:
 
         few, many = peak(2_000), peak(10_000)
         assert many - few <= 2**20, (few, many)
+
+
+    def test_cell_peak_memory(self):
+        """One 256-point cell of an 8-64-3 decoder at 2,000 draws and one level peaks
+        under 6 MiB (tracemalloc): a block-wide [16384, 64] hidden layer is 8 MiB."""
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(16,), seed=3)
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=4)
+        features = CounterRng(5).normals(256 * 2).reshape(256, 2)
+        tracemalloc.start()
+        try:
+            taylor_validation(encoder, decoder, features, [0.01], 2_000, seed=6, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
 
 class TestRegularizerTrack:

@@ -167,6 +167,16 @@ class TestClassReductions:
         assert _class_max(a).tobytes() == a.max(axis=-1).tobytes()
         assert _class_sum(a).tobytes() == a.sum(axis=-1).tobytes()
 
+    @pytest.mark.parametrize("classes", REDUCTION_CLASSES)
+    @pytest.mark.parametrize("rows", [7, 600])
+    def test_bytes_of_numpys_max_and_sum_on_a_transposed_block(self, rows, classes):
+        """The [b, C] transpose of a [C, b] block, as the column-layout decode makes it,
+        reduces to the bytes of the row-major block's NumPy reductions."""
+        a = class_block((rows, classes), seed=rows * 100 + classes + 1)
+        columns = np.ascontiguousarray(a.T).T
+        assert _class_max(columns).tobytes() == a.max(axis=-1).tobytes()
+        assert _class_sum(columns).tobytes() == a.sum(axis=-1).tobytes()
+
     def test_ties_of_signed_zeros_are_covered(self):
         a = class_block((600, 3), seed=1)
         negative_zero = (a == 0.0) & np.signbit(a)
@@ -268,6 +278,36 @@ class TestTapeFreeForward:
         stack *= 2.0
         assert (decoder.decode(stack).tobytes()
                 == np.stack([decoder.decode(s) for s in stack]).tobytes())
+
+    @pytest.mark.parametrize("columns", [2, 7, 4096])
+    @pytest.mark.parametrize("classes", [3, 9, 65])
+    def test_columns_are_the_bytes_of_a_large_batch(self, classes, columns):
+        """The Taylor check's shapes, an 8-wide representation and a 64-wide hidden
+        layer: a batch given as the transpose of its [8, b] columns decodes to the
+        bytes of the same rows in a 16,384-row batch, as the [b, C] transpose of a
+        [C, b] array, at column counts below 1,954 or multiples of 8 (README,
+        "Memory")."""
+        decoder = DecoderModel(8, classes, hidden=(64,), seed=62 + classes)
+        rows = CounterRng(columns).normals(16384 * 8).reshape(16384, 8) * 2.0
+        q = decoder.decode(np.ascontiguousarray(rows[:columns].T).T)
+        assert q.shape == (columns, classes) and q.T.flags.c_contiguous
+        assert q.tobytes() == decoder.decode(rows)[:columns].tobytes()
+
+    def test_columns_are_checked_finite(self):
+        """An overflowing layer, and finite logits 2e308 apart, in column layout."""
+        decoder = DecoderModel(4, 3, hidden=(8,), seed=56)
+        for tensor in decoder.params.values():
+            tensor.data *= 1e200
+        z = np.ascontiguousarray(CounterRng(57).normals(8).reshape(4, 2)).T
+        spread = DecoderModel(2, 2, hidden=(), seed=60)
+        spread.params["W0"].data[:] = np.eye(2)
+        spread.params["b0"].data[:] = 0.0
+        z_spread = np.array([[1e308, 0.0], [-1e308, 0.0]]).T
+        for model, columns in ((decoder, z), (spread, z_spread)):
+            assert not columns.flags.c_contiguous
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
+                                                          match="non-finite"):
+                model.decode(columns)
 
     def test_builds_no_tensor(self, tensors_built_by):
         encoder = EncoderModel(3, 4, power=1.0, seed=53)
@@ -435,6 +475,30 @@ class TestCheckpoint:
         x = CounterRng(12).normals(30).reshape(10, 3)
         np.testing.assert_array_equal(decoder.decode(encoder.encode(x)),
                                       dec2.decode(enc2.encode(x)))
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        """The models are built from the stored arrays: no Glorot word is drawn."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, EncoderModel(3, 4, power=1.0, seed=30), DecoderModel(4, 3, seed=31))
+        words, uniforms = [], CounterRng.uniforms
+
+        def spy(rng, n):
+            words.append(n)
+            return uniforms(rng, n)
+
+        monkeypatch.setattr(CounterRng, "uniforms", spy)
+        encoder, decoder, _ = load_checkpoint(path)
+        assert words == []
+        assert [name for name in encoder.params] == ["W0", "b0", "W1", "b1", "W2", "b2"]
+        assert [name for name in decoder.params] == ["W0", "b0", "W1", "b1"]
+
+    def test_decoder_must_take_the_encoders_representations(self, tmp_path):
+        """A decoder 5 wide over an encoder of 4 outputs, each model consistent in itself."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, EncoderModel(3, 4, power=1.0, seed=30), DecoderModel(5, 3, seed=31))
+        with pytest.raises(ValueError, match="the decoder takes representations of "
+                                             "dimension 5, the encoder makes 4"):
+            load_checkpoint(path)
 
     def test_every_value_replaced_by_a_fault_loads_or_is_a_value_error(self, tmp_path):
         """Each value of a valid checkpoint's JSON, containers and leaves, is replaced

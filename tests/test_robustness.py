@@ -9,7 +9,7 @@ import pytest
 from fisherjscc import autodiff as ad
 from fisherjscc import experiments, robustness
 from fisherjscc.experiments import taylor_validation
-from fisherjscc.models import DecoderModel, EncoderModel, _class_sum
+from fisherjscc.models import FOLD_CLASSES, DecoderModel, EncoderModel, _class_sum
 from fisherjscc.robustness import _kl_rows, fisher_trace_node
 from fisherjscc.rng import CounterRng
 
@@ -451,6 +451,40 @@ class TestSlicedKl:
         with pytest.raises(RuntimeError, match="decode failed"):
             taylor_validation(encoder, decoder, features, [0.05, 0.1], 5_000, seed=55, threads=2)
         assert threading.active_count() == before
+
+
+class TestChunkedKl:
+    """Each Taylor block decoded in column layout, in chunks of whole draws."""
+
+    @pytest.mark.parametrize("n, samples, classes, hidden", [
+        (1, 16_385, 3, (8,)), (1, 4_097, 3, (8,)), (5_000, 7, 3, (8,)), (300, 700, 9, (8,)),
+        (40, 700, 65, (64,)),
+    ], ids=["last-block-one-column", "no-one-column-chunk", "n-wider-than-a-chunk",
+            "9-classes", "65-classes"])
+    def test_equals_the_serial_oracle(self, n, samples, classes, hidden):
+        """One point's last block is one draw, one column (a gemv, as the oracle's one
+        row is); its block of 4,097 draws is two chunks of about 2,048, not 4,096 and a
+        gemv of one; a chunk of one draw of 5,000 points is wider than 4,096 columns;
+        from FOLD_CLASSES classes on, the class reductions are NumPy's."""
+        assert experiments.TAYLOR_CHUNK_COLUMNS < 5_000 and FOLD_CLASSES <= 9
+        decoder = random_decoder(71 + classes, classes=classes, hidden=hidden)
+        z = CounterRng(71).normals(n * 4).reshape(n, 4)
+        table = kl_table(decoder, z, 0.05, samples, 72)
+        assert table.tobytes() == expected_kl_rows_serial(decoder, z, 0.05, samples,
+                                                          72).tobytes()
+
+    def test_table_does_not_depend_on_the_chunk_width(self, monkeypatch):
+        """Chunks of one draw (40 columns), the default and the whole block give one
+        table: 40 points x 1,000 draws, blocks of 409, 409 and 182 draws. Every chunk
+        of 40 points is a multiple of 8 columns wide; on NumPy's OpenBLAS some other
+        column counts do not keep a wider product's bits (README, "Memory")."""
+        decoder = random_decoder(73, hidden=(64,))
+        z = CounterRng(74).normals(40 * 4).reshape(40, 4)
+        tables = []
+        for columns in (40, experiments.TAYLOR_CHUNK_COLUMNS, experiments.TAYLOR_BLOCK_ROWS):
+            monkeypatch.setattr(experiments, "TAYLOR_CHUNK_COLUMNS", columns)
+            tables.append(kl_table(decoder, z, 0.05, 1_000, 75).tobytes())
+        assert tables[0] == tables[1] == tables[2]
 
 
 class TestCovariancePenalty:
