@@ -526,10 +526,10 @@ def _check_map_grid(resolution: int, decoder: DecoderModel) -> None:
 def cmd_train(config: dict, seed: int, force: bool) -> int:
     out_dir = _check_out(config["run"]["out"], force)
     train_config = _train_config_from(config, seed)
-    _check_step_block(config, config["data"]["classes"])
+    _check_step_block(config, 2)    # the fewest classes a split holds; it is not read yet
     inputs = _split_files(config)
     train_set, _ = _read_splits(*inputs.values())
-    _check_step_block(config, train_set.num_classes)     # a table's classes can differ
+    _check_step_block(config, train_set.num_classes)
     normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
     train_set = normalizer.apply(train_set) if normalizer else train_set
     encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)
@@ -538,12 +538,12 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
                     else ("train", "psnr_low"))
     _noise_variance(config[section][key], encoder.power, f"[{section}] {key}")
     every = config["train"]["checkpoint_every"]
-    snapshots = {}  # checkpoint name -> (encoder, decoder, epochs), written when training ends
+    snapshots = {}  # checkpoint name -> (encoder, decoder), written when training ends
 
     def on_epoch(stats) -> None:
         done = stats.epoch + 1
         if every and done % every == 0:
-            snapshots[f"checkpoint_epoch{done:04d}.json"] = copy.deepcopy((encoder, decoder, done))
+            snapshots[f"checkpoint_epoch{done:04d}.json"] = copy.deepcopy((encoder, decoder))
 
     try:
         stats = train(train_config, train_set, encoder, decoder, on_epoch=on_epoch)
@@ -552,10 +552,9 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
         _publish(out_dir, "train", config, seed, inputs, {"divergence.json": partial(
             Path.write_text, data=json.dumps(exc.snapshot, indent=1) + "\n")})
         raise
-    snapshots["checkpoint.json"] = (encoder, decoder, train_config.epochs)
-    writers = {name: partial(save_checkpoint, encoder=e, decoder=d, normalizer=normalizer,
-                             meta={"seed": seed, "epochs": epochs})
-               for name, (e, d, epochs) in snapshots.items()}
+    snapshots["checkpoint.json"] = (encoder, decoder)
+    writers = {name: partial(save_checkpoint, encoder=e, decoder=d, normalizer=normalizer)
+               for name, (e, d) in snapshots.items()}
     writers["trainlog.csv"] = partial(
         write_csv, schema=TRAINLOG_SCHEMA, header=TRAINLOG_HEADER,
         rows=[[getattr(s, column) for column in TRAINLOG_HEADER] for s in stats])

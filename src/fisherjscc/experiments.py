@@ -215,9 +215,9 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
     of whole draws, about TAYLOR_CHUNK_COLUMNS draws x points each (the draws are
     split evenly, so no chunk is one column unless the block is): it scales the
     chunk into a new array, noise * sqrt(sigma2) + z, decodes it in column layout
-    (see `DecoderModel.decode`) and writes the chunk's KL into the level's
-    [draws, n] array, releasing the noisy copy before the KL and the posteriors
-    before the next chunk; the noise goes when the block ends. So no
+    (`DecoderModel._log_posterior_columns`) and writes the chunk's KL into the
+    level's [draws, n] array, releasing the noisy copy before the KL and the
+    posteriors before the next chunk; the noise goes when the block ends. So no
     [draws * n, width] activation is ever alive, only a chunk's. The pool's
     `threads` workers (default: one per CPU, see `_map_cells`) run the blocks
     under the caller's numpy error policy; each returns its per-level moments,
@@ -244,8 +244,9 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
             for start, stop in zip(bounds, bounds[1:]):
                 z_hat = noise[:, start:stop] * math.sqrt(sigma2)
                 z_hat += z_columns      # in place; noise + z and z + noise are the same bits
-                q = decoder.decode(z_hat.reshape(k, -1).T)
+                q = decoder._log_posterior_columns(z_hat.reshape(k, -1))
                 del z_hat
+                np.exp(q, out=q)
                 kl[start:stop] = _kl_rows(p, q.reshape(stop - start, n, -1))
                 del q       # before the next chunk, so its buffers can reuse these chunks
             moments.append(_point_moments(kl))

@@ -7,9 +7,7 @@ The decoder maps a (possibly noise-corrupted) representation to a
 categorical posterior over classes.
 
 Each model has one forward, in NumPy (`_mlp_values`). Evaluation reads its
-values (`encode`, `decode`) and builds no graph; `decode` runs the decoder's
-forward in column layout instead (`_log_posterior_columns`) for a batch given
-as the transpose of its [k, b] columns. Training reads each model as
+values (`encode`, `decode`) and builds no graph. Training reads each model as
 one `autodiff.Tensor` node (`forward_node`, `log_posterior_all`) whose value
 comes from the same forward, kept layer by layer, and whose gradients come
 from one MLP backprop (`_mlp_backprop`) behind the model's head:
@@ -32,7 +30,7 @@ from .data import Normalizer
 from .rng import CounterRng, derive_seed
 
 CHECKPOINT_FORMAT = "fisherjscc-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _power_sqrt_floor(power: float) -> float:
@@ -165,10 +163,12 @@ def _batch_shape(shape: tuple, width: int, expects: str, stacks: bool = False) -
 
 
 def _batch_values(x, width: int, expects: str, stacks: bool = False) -> np.ndarray:
-    """x as a finite float64 [b, width] array (or [T, b, width], see `_batch_shape`),
-    without a graph."""
+    """x as a finite row-major float64 [b, width] array (or [T, b, width], see
+    `_batch_shape`), without a graph. Row-major, because a product's bits can
+    depend on its operand's memory order."""
     h = np.asarray(x, dtype=np.float64)
-    return ad.check_finite(h.reshape(_batch_shape(h.shape, width, expects, stacks)))
+    return ad.check_finite(np.ascontiguousarray(h.reshape(_batch_shape(h.shape, width,
+                                                                       expects, stacks))))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -188,9 +188,8 @@ class EncoderModel:
             raise ValueError("power budget must be positive")
         self.sizes = (int(input_dim), *(int(h) for h in hidden), int(repr_dim))
         self.power = float(power)
-        self.seed = int(seed)
         if _params is None:     # `load_checkpoint` passes the stored ones: nothing is drawn
-            _params = _init_params(self.sizes, self.seed, "encoder")
+            _params = _init_params(self.sizes, int(seed), "encoder")
         self.params = _params
         self._scale = _power_sqrt_floor(self.power)
 
@@ -237,9 +236,8 @@ class DecoderModel:
         if num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         self.sizes = (int(repr_dim), *(int(h) for h in hidden), int(num_classes))
-        self.seed = int(seed)
         if _params is None:     # `load_checkpoint` passes the stored ones: nothing is drawn
-            _params = _init_params(self.sizes, self.seed, "decoder")
+            _params = _init_params(self.sizes, int(seed), "decoder")
         self.params = _params
 
     @property
@@ -269,14 +267,16 @@ class DecoderModel:
         return _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1, layers))
 
     def _log_posterior_columns(self, columns: np.ndarray) -> np.ndarray:
-        """log q(y|z) of each column z of a finite [k, b] array, as the [b, C] transpose
-        of a [C, b] array: `_log_posterior`'s forward in column layout.
+        """log q(y|z) of each column z of a [k, b] array, checked finite, as the [b, C]
+        transpose of a [C, b] array: `_log_posterior`'s forward in column layout.
 
         Each affine layer is W.T @ a plus b[:, None], checked finite, relu in
         place between them, so one [width, b] buffer per layer is alive; the
-        log-softmax folds the class rows.
+        log-softmax folds the class rows. As a row-major product's bits can
+        depend on its row count, a column product's can depend on its column
+        count (README, "Memory").
         """
-        a = columns
+        a = ad.check_finite(columns)
         for i in range(len(self.sizes) - 1):
             a = self.params[f"W{i}"].data.T @ a
             a += self.params[f"b{i}"].data[:, None]
@@ -291,26 +291,17 @@ class DecoderModel:
         z is a vector, a batch [b, k] or a stack [T, b, k] of batches; a stack's
         slice t is decode(z[t]) bit for bit: each weight product is one BLAS
         product per slice, and the rest works entry by entry or row by row.
-
-        A batch given as the transpose of a row-major [k, b] array, one column per
-        representation, is decoded in that layout (`_log_posterior_columns`), and
-        its posteriors are the transpose of a [C, b] array; one representation
-        takes the row-major path. As a row-major product's bits can depend on its
-        row count, a column product's can depend on its column count (README,
-        "Memory").
         """
         h = _batch_values(z, self.repr_dim, "decoder expects representations", stacks=True)
-        if h.ndim == 2 and h.flags.f_contiguous and not h.flags.c_contiguous:
-            log_q = self._log_posterior_columns(h.T)
-        else:
-            log_q = _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1))
+        log_q = _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1))
         return np.exp(log_q, out=log_q)
 
 
 def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
-                    normalizer: Normalizer | None = None, meta: dict | None = None) -> None:
+                    normalizer: Normalizer | None = None) -> None:
     """Write both models and the normalizer (null for raw features) to a versioned JSON
-    document that round-trips bitwise.
+    document that round-trips bitwise: per model its layer widths `sizes` and its
+    parameters as one flat list, in `_param_shapes` order.
 
     Floats are serialized with shortest-round-trip repr, so load after save
     reproduces every parameter bit for bit.
@@ -319,15 +310,11 @@ def save_checkpoint(path, encoder: EncoderModel, decoder: DecoderModel,
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "power": encoder.power,
-        "repr_dim": encoder.repr_dim,
-        "num_classes": decoder.num_classes,
         **{name: {"sizes": list(model.sizes),
-                  "seed": model.seed,
-                  "params": {n: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
-                             for n, t in model.params.items()}}
+                  "params": np.concatenate([t.data for t in model.params.values()],
+                                           axis=None).tolist()}
            for name, model in (("encoder", encoder), ("decoder", decoder))},
         "normalizer": None if normalizer is None else normalizer.to_dict(),
-        "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -342,70 +329,68 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (encoder, decoder, normalizer), the normalizer None
     only where the file holds null: raw features.
 
-    Raises ValueError for a document that is not a checkpoint of this version,
-    whose power is not a finite number, whose model sections do not hold
-    integer sizes and seed and a params object, whose parameter names or
-    shapes differ from those its declared sizes build, whose decoder does not take
-    the encoder's representations, that holds a malformed or non-finite parameter
-    or a normalizer that `Normalizer.from_dict` refuses or of another width than the
-    encoder's input, or a number too large for a float. The models hold the stored
-    parameters; no initialization is drawn.
+    Raises ValueError for a document that is not a checkpoint of this version
+    (an older one asks to re-train), that lacks a key, whose power is not a finite
+    number, whose model sections do not hold integer sizes and a params list of
+    as many numbers as those sizes imply, all finite and each fitting a float,
+    whose decoder does not take the encoder's representations, or whose normalizer
+    `Normalizer.from_dict` refuses or has another width than the encoder's input.
+    The models' parameters are views of the stored lists; no initialization is
+    drawn, and nothing is allocated at the declared sizes.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a checkpoint file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; this "
+                         f"release reads version {CHECKPOINT_VERSION}: re-train the model")
     power = doc.get("power")
     # Compared exactly, so NaN, inf and an integer too large for a float all fail.
     if not (_is_int(power) or isinstance(power, float)) or not abs(power) <= sys.float_info.max:
         raise ValueError(f"power must be a finite number, got {power!r}")
-    sections = [doc.get("encoder"), doc.get("decoder")]
-    for name, section in zip(("encoder", "decoder"), sections):
-        if not (isinstance(section, dict) and isinstance(section.get("params"), dict)):
-            raise ValueError(f"{name} must be an object with a params object")
-        sizes = section.get("sizes")
-        if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_int, sizes))):
+    if "normalizer" not in doc:
+        raise ValueError("the checkpoint has no normalizer key (null for raw features)")
+    sizes, stored = [], []
+    for name in ("encoder", "decoder"):
+        section = doc.get(name)
+        if not isinstance(section, dict):
+            raise ValueError(f"{name} must be an object with sizes and params")
+        widths = section.get("sizes")
+        if not (isinstance(widths, list) and len(widths) >= 2 and all(map(_is_int, widths))):
             raise ValueError(f"{name}.sizes must be a list of at least two integers, "
-                             f"got {sizes!r}")
-        if not _is_int(section.get("seed")):
-            raise ValueError(f"{name}.seed must be an integer, got {section.get('seed')!r}")
+                             f"got {widths!r}")
+        # The count is integer arithmetic on the sizes, so a file declaring huge layers
+        # is refused here without an allocation at the declared sizes.
+        shapes = _param_shapes(widths, name)
+        counts = [math.prod(shape) for shape in shapes.values()]
+        count = sum(counts)
+        data = section.get("params")
+        if not (isinstance(data, list) and len(data) == count):
+            raise ValueError(f"{name}.params must be a list of the {count} numbers its "
+                             f"sizes imply")
+        try:
+            flat = np.array(data, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed {name}.params: {exc}") from None
+        if flat.shape != (count,) or not np.isfinite(flat).all():
+            raise ValueError(f"{name}.params must hold {count} finite numbers")
+        parts = np.split(flat, np.cumsum(counts[:-1]))
+        stored.append({param: ad.Tensor(part.reshape(shape))
+                       for (param, shape), part in zip(shapes.items(), parts)})
+        sizes.append(widths)
 
-    # Every stored parameter is checked against the shapes the declared sizes imply,
-    # and the models are built from the stored arrays, so the sizes cannot make the
-    # constructors allocate (or draw) more than the file holds.
-    stored = []
-    for name, section in zip(("encoder", "decoder"), sections):
-        shapes = _param_shapes(section["sizes"], name)
-        if set(section["params"]) != set(shapes):
-            raise ValueError("parameter names do not match the declared sizes")
-        params = {}
-        for param, shape in shapes.items():
-            entry = section["params"][param]
-            try:
-                value = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"malformed parameter {param!r}: {exc}") from None
-            if value.shape != shape:
-                raise ValueError(f"shape mismatch for parameter {param!r}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"non-finite values in parameter {param!r}")
-            params[param] = ad.Tensor(value)
-        stored.append(params)
-
-    enc_doc, dec_doc = sections
-    enc_sizes, dec_sizes = enc_doc["sizes"], dec_doc["sizes"]
+    enc_sizes, dec_sizes = sizes
     if dec_sizes[0] != enc_sizes[-1]:
         raise ValueError(f"the decoder takes representations of dimension {dec_sizes[0]}, "
                          f"the encoder makes {enc_sizes[-1]}")
-    normalizer = doc.get("normalizer")
+    normalizer = doc["normalizer"]
     if normalizer is not None:
         normalizer = Normalizer.from_dict(normalizer)
         if normalizer.mean.shape + normalizer.std.shape != (enc_sizes[0],) * 2:
             raise ValueError(f"the normalizer does not have {enc_sizes[0]} features")
     encoder = EncoderModel(enc_sizes[0], enc_sizes[-1], power, hidden=enc_sizes[1:-1],
-                           seed=enc_doc["seed"], _params=stored[0])
+                           _params=stored[0])
     decoder = DecoderModel(dec_sizes[0], dec_sizes[-1], hidden=dec_sizes[1:-1],
-                           seed=dec_doc["seed"], _params=stored[1])
+                           _params=stored[1])
     return encoder, decoder, normalizer

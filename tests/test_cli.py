@@ -14,7 +14,7 @@ import pytest
 from fisherjscc import cli
 from fisherjscc.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ConfigError,
                             load_config, main)
-from fisherjscc.models import DecoderModel
+from fisherjscc.models import DecoderModel, load_checkpoint
 from fisherjscc.rng import CounterRng
 
 
@@ -431,8 +431,7 @@ class TestEvalCommand:
         assert main(["train", "--config", str(config)]) == EXIT_OK
         # Zero every decoder parameter so the posterior is exactly uniform.
         doc = json.loads((model_out / "checkpoint.json").read_text())
-        for entry in doc["decoder"]["params"].values():
-            entry["data"] = [0.0] * len(entry["data"])
+        doc["decoder"]["params"] = [0.0] * len(doc["decoder"]["params"])
         (model_out / "checkpoint.json").write_text(json.dumps(doc))
         eval_config = tmp_path / "eval.ini"
         out = tmp_path / "eval3"
@@ -445,9 +444,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize("defect", ["nan_weight", "wrong_format", "normalizer_width",
                                         "shape_mismatch", "missing_param", "not_an_object",
                                         "power_null", "power_text", "encoder_list",
-                                        "sizes_null", "shape_text", "normalizer_list",
+                                        "sizes_null", "params_length", "normalizer_list",
                                         "directory", "std_zero", "std_negative", "std_nan",
-                                        "mean_nan", "missing", "version", "seed_text",
+                                        "mean_nan", "missing", "version", "version_1",
                                         "nested", "power_huge_int", "weight_huge_int",
                                         "mean_huge_int", "normalizer_false",
                                         "normalizer_empty_object", "decoder_width"])
@@ -462,20 +461,18 @@ class TestEvalCommand:
             doc["encoder"] = [1]
         elif defect == "sizes_null":
             doc["encoder"]["sizes"] = None
-        elif defect == "shape_text":
-            doc["decoder"]["params"]["b0"]["shape"] = "q"
+        elif defect == "params_length":
+            doc["decoder"]["params"].append(0.0)
         elif defect == "normalizer_list":
             doc["normalizer"] = [1]
         elif defect == "nan_weight":
-            doc["decoder"]["params"]["W0"]["data"][0] = float("nan")
+            doc["decoder"]["params"][0] = float("nan")
         elif defect == "normalizer_width":
             doc["normalizer"]["mean"].append(0.0)
-        elif defect == "shape_mismatch":
-            entry = doc["decoder"]["params"]["b0"]
-            entry["data"].append(0.0)
-            entry["shape"] = [len(entry["data"])]
-        elif defect == "missing_param":
-            del doc["encoder"]["params"]["b1"]
+        elif defect == "shape_mismatch":     # one class more than the parameters hold
+            doc["decoder"]["sizes"][-1] += 1
+        elif defect == "missing_param":     # the last bias's values gone
+            del doc["encoder"]["params"][-doc["encoder"]["sizes"][-1]:]
         elif defect == "wrong_format":
             doc["format"] = "something-else"
         elif defect in ("std_zero", "std_negative"):
@@ -484,24 +481,21 @@ class TestEvalCommand:
             doc["normalizer"]["std"][0] = float("nan")
         elif defect == "mean_nan":
             doc["normalizer"]["mean"][0] = float("nan")
-        elif defect == "version":
-            doc["version"] = 2
-        elif defect == "seed_text":
-            doc["encoder"]["seed"] = "7"
+        elif defect in ("version", "version_1"):
+            doc["version"] = 3 if defect == "version" else 1
         elif defect == "power_huge_int":        # an integer too large for a float
             doc["power"] = 10**400
         elif defect == "weight_huge_int":
-            doc["encoder"]["params"]["W0"]["data"][0] = 10**400
+            doc["encoder"]["params"][0] = 10**400
         elif defect == "mean_huge_int":
             doc["normalizer"]["mean"][0] = 10**400
         elif defect in ("normalizer_false", "normalizer_empty_object"):  # only null is raw
             doc["normalizer"] = False if defect == "normalizer_false" else {}
         elif defect == "decoder_width":     # consistent in itself, one wider than z
             decoder = doc["decoder"]
+            end_of_w0 = decoder["sizes"][0] * decoder["sizes"][1]
+            decoder["params"][end_of_w0:end_of_w0] = [0.0] * decoder["sizes"][1]
             decoder["sizes"][0] += 1
-            entry = decoder["params"]["W0"]
-            entry["data"] += [0.0] * entry["shape"][1]
-            entry["shape"][0] += 1
         bad = tmp_path / "bad_checkpoint.json"
         if defect == "directory":
             bad.mkdir()
@@ -515,7 +509,31 @@ class TestEvalCommand:
         assert main(["eval", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "Traceback" not in err
+        assert ("re-train" in err) == defect.startswith("version")
         assert not out.exists()
+
+    def test_every_key_of_the_file_is_read(self, tmp_path, data_dir, checkpoint, capsys):
+        """The file holds what the loader needs and nothing more: deleting any top-level
+        key, or any key of a model section, is a ValueError, and exit 3 with no traceback
+        and no output directory. A null normalizer means raw features; a missing one is
+        a fault."""
+        doc = json.loads(checkpoint.read_text())
+        assert set(doc) == {"format", "version", "power", "encoder", "decoder", "normalizer"}
+        assert set(doc["encoder"]) == set(doc["decoder"]) == {"sizes", "params"}
+        bad, config = tmp_path / "bad_checkpoint.json", tmp_path / "eval.ini"
+        for section, key in [(None, key) for key in doc] + [
+                (name, key) for name in ("encoder", "decoder") for key in doc[name]]:
+            broken = json.loads(checkpoint.read_text())
+            del (broken if section is None else broken[section])[key]
+            bad.write_text(json.dumps(broken))
+            with pytest.raises(ValueError):
+                load_checkpoint(bad)
+            out = tmp_path / f"eval_{section}_{key}"
+            write_config(config, out, data_dir, extra=f"checkpoint = {bad}")
+            capsys.readouterr()
+            assert main(["eval", "--config", str(config)]) == EXIT_DATA, (section, key)
+            err = capsys.readouterr().err
+            assert "data error" in err and "Traceback" not in err and not out.exists()
 
     def test_checkpoint_sizes_are_checked_before_any_draw(self, tmp_path, data_dir,
                                                          checkpoint, capsys, monkeypatch):
@@ -538,7 +556,7 @@ class TestEvalCommand:
         monkeypatch.setattr(CounterRng, "uniforms", spy)
         assert main(["eval", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "shape mismatch" in err and "Traceback" not in err
+        assert "numbers its sizes imply" in err and "Traceback" not in err
         assert words == [] and not out.exists()
 
     @pytest.mark.parametrize("command, edits, fragment", [
@@ -969,14 +987,20 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "[train] noise_draws" in err and "Traceback" not in err and not out.exists()
 
+    def test_step_budget_ignores_the_data_classes_key(self, tmp_path, data_dir):
+        """train reads its classes from the split, never [data] classes: 200,000,000 there
+        refuses nothing when the generated split holds 3."""
+        config = tmp_path / "train.ini"
+        write_config(config, tmp_path / "out", data_dir, classes=200_000_000, epochs=0)
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["eval", "eval --threads 2", "compare",
                                          "validate-approx", "posterior-map"])
     def test_overflow_is_a_numerical_abort(self, tmp_path, data_dir, checkpoint, capsys,
                                            command):
         """Finite but huge decoder weights overflow: exit 4, no warning, no output."""
         doc = json.loads(checkpoint.read_text())
-        for entry in doc["decoder"]["params"].values():
-            entry["data"] = [value * 1e200 for value in entry["data"]]
+        doc["decoder"]["params"] = [value * 1e200 for value in doc["decoder"]["params"]]
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps(doc))
         config = tmp_path / "eval.ini"

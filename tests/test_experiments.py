@@ -426,11 +426,12 @@ class TestTaylorValidation:
     def test_one_noise_request_per_block(self, trained_pair, monkeypatch, levels):
         """40 points x 1,000 draws are three blocks: three unit-variance requests of
         [draws, 40, k], one per block, whatever the grid's length; after the one clean
-        decode, each level decodes each block in chunks of whole draws of at most 4,096
-        columns, split evenly: 409 draws as 81 + 4 x 82, and 182 as 2 x 91."""
+        decode, each level runs the column forward over each block in chunks of whole
+        draws of at most 4,096 columns, split evenly: 409 draws as 81 + 4 x 82, and 182
+        as 2 x 91."""
         encoder, decoder, ds, _ = trained_pair
         draw, requests = experiments.channel_noise, []
-        decode, decoded = decoder.decode, []
+        decode, columns, decoded = decoder.decode, decoder._log_posterior_columns, []
 
         def noise(shape, sigma2, family, rng):
             requests.append((shape, sigma2, family))
@@ -440,8 +441,13 @@ class TestTaylorValidation:
             decoded.append(len(z_rows))
             return decode(z_rows)
 
+        def recording_columns(z_columns):
+            decoded.append(z_columns.shape[1])
+            return columns(z_columns)
+
         monkeypatch.setattr(experiments, "channel_noise", noise)
         monkeypatch.setattr(decoder, "decode", recording_decode)
+        monkeypatch.setattr(decoder, "_log_posterior_columns", recording_columns)
         grid = [psnr_to_sigma2(p, 1.0) for p in (25.0, 20.0, 15.0, 10.0)[:levels]]
         taylor_validation(encoder, decoder, ds.features[:40], grid, samples=1_000, seed=11,
                           threads=1)

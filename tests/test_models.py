@@ -283,31 +283,40 @@ class TestTapeFreeForward:
     @pytest.mark.parametrize("classes", [3, 9, 65])
     def test_columns_are_the_bytes_of_a_large_batch(self, classes, columns):
         """The Taylor check's shapes, an 8-wide representation and a 64-wide hidden
-        layer: a batch given as the transpose of its [8, b] columns decodes to the
-        bytes of the same rows in a 16,384-row batch, as the [b, C] transpose of a
-        [C, b] array, at column counts below 1,954 or multiples of 8 (README,
-        "Memory")."""
+        layer: the column forward of [8, b] columns gives, as the [b, C] transpose of a
+        [C, b] array, the log-posteriors of the same rows in a 16,384-row batch, at
+        column counts below 1,954 or multiples of 8 (README, "Memory")."""
         decoder = DecoderModel(8, classes, hidden=(64,), seed=62 + classes)
         rows = CounterRng(columns).normals(16384 * 8).reshape(16384, 8) * 2.0
-        q = decoder.decode(np.ascontiguousarray(rows[:columns].T).T)
-        assert q.shape == (columns, classes) and q.T.flags.c_contiguous
-        assert q.tobytes() == decoder.decode(rows)[:columns].tobytes()
+        log_q = decoder._log_posterior_columns(np.ascontiguousarray(rows[:columns].T))
+        assert log_q.shape == (columns, classes) and log_q.T.flags.c_contiguous
+        assert log_q.tobytes() == decoder._log_posterior(rows)[:columns].tobytes()
 
     def test_columns_are_checked_finite(self):
-        """An overflowing layer, and finite logits 2e308 apart, in column layout."""
+        """A non-finite input, an overflowing layer, and finite logits 2e308 apart, in
+        column layout."""
         decoder = DecoderModel(4, 3, hidden=(8,), seed=56)
-        for tensor in decoder.params.values():
+        z = CounterRng(57).normals(8).reshape(4, 2)
+        z_nan = z.copy()
+        z_nan[1, 1] = np.nan
+        huge = copy.deepcopy(decoder)
+        for tensor in huge.params.values():
             tensor.data *= 1e200
-        z = np.ascontiguousarray(CounterRng(57).normals(8).reshape(4, 2)).T
         spread = DecoderModel(2, 2, hidden=(), seed=60)
         spread.params["W0"].data[:] = np.eye(2)
         spread.params["b0"].data[:] = 0.0
-        z_spread = np.array([[1e308, 0.0], [-1e308, 0.0]]).T
-        for model, columns in ((decoder, z), (spread, z_spread)):
-            assert not columns.flags.c_contiguous
+        z_spread = np.array([[1e308, 0.0], [-1e308, 0.0]])
+        for model, columns in ((decoder, z_nan), (huge, z), (spread, z_spread)):
             with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                           match="non-finite"):
-                model.decode(columns)
+                model._log_posterior_columns(columns)
+
+    @pytest.mark.parametrize("rows", [7, 600])
+    def test_memory_order_does_not_change_the_bits(self, rows):
+        """decode takes the row-major path whatever the memory order of its batch."""
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=63)
+        z = CounterRng(rows).normals(rows * 8).reshape(rows, 8) * 2.0
+        assert np.array_equal(decoder.decode(z), decoder.decode(np.asfortranarray(z)))
 
     def test_builds_no_tensor(self, tensors_built_by):
         encoder = EncoderModel(3, 4, power=1.0, seed=53)
@@ -449,12 +458,10 @@ class TestCheckpoint:
                 tensor.data += CounterRng(99).normals(tensor.data.size).reshape(tensor.data.shape)
         path = tmp_path / "ckpt.json"
         normalizer = Normalizer(mean=np.full(5, 0.25), std=np.full(5, 1.75))
-        save_checkpoint(path, encoder, decoder, normalizer=normalizer, meta={"seed": 21})
+        save_checkpoint(path, encoder, decoder, normalizer=normalizer)
         enc2, dec2, norm = load_checkpoint(path)
-        meta = json.loads(path.read_text())["meta"]
         assert enc2.sizes == encoder.sizes and dec2.sizes == decoder.sizes
         assert enc2.power == encoder.power
-        assert meta["seed"] == 21
         assert norm.to_dict() == normalizer.to_dict()
         for original, loaded in ((encoder, enc2), (decoder, dec2)):
             for name, tensor in original.params.items():
@@ -505,9 +512,9 @@ class TestCheckpoint:
         in turn by each fault; the load returns or raises ValueError, never another
         exception (10**400 is an integer too large for a float)."""
         encoder = EncoderModel(2, 2, power=1.0, hidden=(2,), seed=3)
-        decoder = DecoderModel(2, 2, hidden=(), seed=4)
+        decoder = DecoderModel(2, 2, hidden=(2,), seed=4)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, encoder, decoder, meta={"seed": 3})
+        save_checkpoint(path, encoder, decoder)
         doc = json.loads(path.read_text())
         doc["normalizer"] = {"mean": [0.0, 0.5], "std": [1.0, 2.0]}
 

@@ -435,18 +435,19 @@ class TestSlicedKl:
             taylor_validation(encoder, decoder, features, [0.05, 0.1], 50, seed=52, threads=2)
 
     def test_failed_decode_in_a_cell_leaves_no_thread_behind(self, monkeypatch):
-        """8 points x 5,000 draws are three blocks on two workers; the third decode fails."""
+        """8 points x 5,000 draws are three blocks on two workers; the third chunk's
+        decode fails."""
         encoder, decoder = EncoderModel(2, 4, power=1.0, seed=53), random_decoder(53)
         features = CounterRng(54).normals(16).reshape(8, 2)
-        decode, calls = decoder.decode, []
+        decode, calls = decoder._log_posterior_columns, []
 
-        def failing_decode(z_rows):
-            calls.append(len(z_rows))
+        def failing_decode(z_columns):
+            calls.append(z_columns.shape[1])
             if len(calls) > 2:
                 raise RuntimeError("decode failed")
-            return decode(z_rows)
+            return decode(z_columns)
 
-        monkeypatch.setattr(decoder, "decode", failing_decode)
+        monkeypatch.setattr(decoder, "_log_posterior_columns", failing_decode)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="decode failed"):
             taylor_validation(encoder, decoder, features, [0.05, 0.1], 5_000, seed=55, threads=2)
