@@ -51,9 +51,10 @@ EXIT_NUMERIC = 4
 # experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR and model pair, with one
 # pair's noisy copy and posteriors at one PSNR at a time, and a taylor worker one block of
 # experiments.TAYLOR_BLOCK_ROWS draws shared by every noise level, with one level's
-# noisy copy, activations and posteriors of a chunk of about
-# experiments.TAYLOR_CHUNK_COLUMNS draws x points at a time, and the block's KL and the
-# per-point moments of each level; their time is linear in them.
+# noisy copy and posteriors of a chunk of about experiments.TAYLOR_CHUNK_COLUMNS draws x
+# points at a time, that chunk's activations in slices of at most models.SLICE_COLUMNS
+# columns, and the block's KL and the per-point moments of each level; their time is
+# linear in them.
 FLOAT_BUDGET = 2**27
 
 logger = logging.getLogger("fisherjscc")

@@ -114,19 +114,30 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Normalizer":
-        """ValueError unless doc is an object whose "mean" reads as a finite float array
-        and whose "std" reads as a finite float array of entries > 0."""
-        try:
-            mean = np.array(doc["mean"], dtype=np.float64)
-            std = np.array(doc["std"], dtype=np.float64)
-        except (KeyError, TypeError, OverflowError) as exc:  # an int too large for a float
-            raise ValueError(f"malformed normalizer: {exc!r}") from None
-        if not np.isfinite(mean).all():
-            raise ValueError("normalizer mean has a non-finite entry")
-        # isfinite first: a NaN never reaches the comparison.
-        if not (np.isfinite(std).all() and (std > 0.0).all()):
-            raise ValueError("normalizer std has an entry that is not finite and > 0")
+        """ValueError unless doc is an object whose "mean" and "std" are lists of finite
+        JSON numbers (`number_array`), every std entry > 0."""
+        if not (isinstance(doc, dict) and "mean" in doc and "std" in doc):
+            raise ValueError("malformed normalizer: not an object with mean and std")
+        mean = number_array(doc["mean"], "normalizer mean")
+        std = number_array(doc["std"], "normalizer std")
+        if not (std > 0.0).all():
+            raise ValueError("normalizer std has an entry that is not > 0")
         return cls(mean=mean, std=std)
+
+
+def number_array(values, name: str) -> np.ndarray:
+    """A list of JSON numbers as a finite float64 array. ValueError, naming `name`, for
+    anything else: an entry that is a bool, a string or a container (NumPy would read
+    true and "0.25" as numbers), a non-finite entry, or an integer too large for a float."""
+    if not (isinstance(values, list) and {type(v) for v in values} <= {int, float}):
+        raise ValueError(f"{name} must be a list of numbers")
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} has an integer too large for a float") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return array
 
 
 def save_table(dataset: Dataset, path) -> None:

@@ -211,14 +211,17 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
     The draws come in blocks of TAYLOR_BLOCK_ROWS // n draws of the n points (the
     last block takes the rest). Block b is one unit-variance `channel_noise`
     request from its own generator, derived from the seed by ("taylor", "block",
-    b), transposed once to [k, draws, n]. Each level runs over the block in chunks
-    of whole draws, about TAYLOR_CHUNK_COLUMNS draws x points each (the draws are
-    split evenly, so no chunk is one column unless the block is): it scales the
-    chunk into a new array, noise * sqrt(sigma2) + z, decodes it in column layout
-    (`DecoderModel._log_posterior_columns`) and writes the chunk's KL into the
-    level's [draws, n] array, releasing the noisy copy before the KL and the
-    posteriors before the next chunk; the noise goes when the block ends. So no
-    [draws * n, width] activation is ever alive, only a chunk's. The pool's
+    b), kept in the [draws, n, k] layout it comes in. Each level runs over the
+    block in chunks of whole draws, about TAYLOR_CHUNK_COLUMNS draws x points each
+    (the draws are split evenly, so no chunk is one column unless the block is):
+    it writes the chunk's noise * sqrt(sigma2) feature-major into a new [k, draws,
+    n] array, adds z, decodes it in column layout
+    (`DecoderModel._log_posterior_columns`, in slices of at most
+    `models.SLICE_COLUMNS` columns) and writes the chunk's KL into the level's
+    [draws, n] array, releasing the noisy copy before the KL and the posteriors
+    before the next chunk; the noise goes when the block ends. So no block-wide
+    copy of the noise and no [draws * n, width] activation is ever alive, only a
+    chunk's copy and a slice's activations. The pool's
     `threads` workers (default: one per CPU, see `_map_cells`) run the blocks
     under the caller's numpy error policy; each returns its per-level moments,
     which are merged here in block order as they arrive, so the result is
@@ -235,14 +238,15 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
     def evaluate_block(index):
         take = min(draws_per_block, samples - index * draws_per_block)
         rng = CounterRng(derive_seed(seed, "taylor", "block", index))
-        noise = channel_noise((take, n, k), 1.0, "awgn", rng).transpose(2, 0, 1).copy()
+        noise = channel_noise((take, n, k), 1.0, "awgn", rng)
         chunks = -(-take // draws_per_chunk)
         bounds = [chunk * take // chunks for chunk in range(chunks + 1)]
         moments = []
         for sigma2 in levels:
             kl = np.empty((take, n))
             for start, stop in zip(bounds, bounds[1:]):
-                z_hat = noise[:, start:stop] * math.sqrt(sigma2)
+                z_hat = np.multiply(noise[start:stop].transpose(2, 0, 1), math.sqrt(sigma2),
+                                    out=np.empty((k, stop - start, n)))
                 z_hat += z_columns      # in place; noise + z and z + noise are the same bits
                 q = decoder._log_posterior_columns(z_hat.reshape(k, -1))
                 del z_hat

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import autodiff as ad
-from .data import Normalizer
+from .data import Normalizer, number_array
 from .rng import CounterRng, derive_seed
 
 CHECKPOINT_FORMAT = "fisherjscc-checkpoint"
@@ -179,6 +179,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return ad.check_finite(logits)
 
 
+SLICE_COLUMNS = 1024     # widest column product of `DecoderModel._log_posterior_columns`
+
+
+def _column_slices(columns: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest slices of at most SLICE_COLUMNS columns that cover
+    `columns`, of about equal width, every slice but the last a multiple of 8 wide: so
+    no slice is one column (a gemv, with other bits) unless `columns` is 1."""
+    slices = max(1, -(-columns // SLICE_COLUMNS))
+    bounds = [8 * -(-(i * columns) // (8 * slices)) for i in range(slices)] + [columns]
+    return list(zip(bounds, bounds[1:]))
+
+
 class EncoderModel:
     """Deterministic encoder x -> z with max_i z_i^2 <= power by construction."""
 
@@ -270,20 +282,29 @@ class DecoderModel:
         """log q(y|z) of each column z of a [k, b] array, checked finite, as the [b, C]
         transpose of a [C, b] array: `_log_posterior`'s forward in column layout.
 
-        Each affine layer is W.T @ a plus b[:, None], checked finite, relu in
-        place between them, so one [width, b] buffer per layer is alive; the
-        log-softmax folds the class rows. As a row-major product's bits can
-        depend on its row count, a column product's can depend on its column
-        count (README, "Memory").
+        The hidden layers run over column slices of at most SLICE_COLUMNS
+        (`_column_slices`): each is W.T @ a plus b[:, None], checked finite,
+        relu in place, so one [width, slice] buffer per layer is alive. Each
+        slice's last product goes into one [C, b] array, which takes the last
+        bias and the finite check once, and whose transpose the log-softmax
+        takes. As a row-major product's bits can depend on its row count, a
+        column product's can depend on its column count (README, "Memory"); with
+        the slices capped, the Taylor table of an 8-64-3 decoder does not depend
+        on the chunk width.
         """
-        a = ad.check_finite(columns)
-        for i in range(len(self.sizes) - 1):
-            a = self.params[f"W{i}"].data.T @ a
-            a += self.params[f"b{i}"].data[:, None]
-            ad.check_finite(a)
-            if i < len(self.sizes) - 2:
-                np.maximum(a, 0.0, out=a)
-        return _log_softmax(a.T)
+        ad.check_finite(columns)
+        *hidden, last = range(len(self.sizes) - 1)
+        logits = np.empty((self.num_classes, columns.shape[1]))
+        for start, stop in _column_slices(columns.shape[1]):
+            a = columns[:, start:stop]
+            for i in hidden:
+                a = self.params[f"W{i}"].data.T @ a
+                a += self.params[f"b{i}"].data[:, None]
+                np.maximum(ad.check_finite(a), 0.0, out=a)
+            np.matmul(self.params[f"W{last}"].data.T, a, out=logits[:, start:stop])
+        del a       # the last slice's activations, before the log-softmax's temporaries
+        logits += self.params[f"b{last}"].data[:, None]
+        return _log_softmax(ad.check_finite(logits).T)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Posterior rows (each sums to 1); argmax ties resolve to the lowest index.
@@ -332,8 +353,9 @@ def load_checkpoint(path):
     Raises ValueError for a document that is not a checkpoint of this version
     (an older one asks to re-train), that lacks a key, whose power is not a finite
     number, whose model sections do not hold integer sizes and a params list of
-    as many numbers as those sizes imply, all finite and each fitting a float,
-    whose decoder does not take the encoder's representations, or whose normalizer
+    as many JSON numbers as those sizes imply (a bool or a numeric string is not
+    one), all finite and each fitting a float (`data.number_array`), whose decoder
+    does not take the encoder's representations, or whose normalizer
     `Normalizer.from_dict` refuses or has another width than the encoder's input.
     The models' parameters are views of the stored lists; no initialization is
     drawn, and nothing is allocated at the declared sizes.
@@ -369,13 +391,7 @@ def load_checkpoint(path):
         if not (isinstance(data, list) and len(data) == count):
             raise ValueError(f"{name}.params must be a list of the {count} numbers its "
                              f"sizes imply")
-        try:
-            flat = np.array(data, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed {name}.params: {exc}") from None
-        if flat.shape != (count,) or not np.isfinite(flat).all():
-            raise ValueError(f"{name}.params must hold {count} finite numbers")
-        parts = np.split(flat, np.cumsum(counts[:-1]))
+        parts = np.split(number_array(data, f"{name}.params"), np.cumsum(counts[:-1]))
         stored.append({param: ad.Tensor(part.reshape(shape))
                        for (param, shape), part in zip(shapes.items(), parts)})
         sizes.append(widths)

@@ -449,7 +449,8 @@ class TestEvalCommand:
                                         "mean_nan", "missing", "version", "version_1",
                                         "nested", "power_huge_int", "weight_huge_int",
                                         "mean_huge_int", "normalizer_false",
-                                        "normalizer_empty_object", "decoder_width"])
+                                        "normalizer_empty_object", "decoder_width",
+                                        "weight_true", "weight_text", "std_text"])
     def test_bad_checkpoint_is_a_data_error(self, tmp_path, data_dir, checkpoint,
                                             capsys, defect):
         doc = json.loads(checkpoint.read_text())
@@ -489,6 +490,10 @@ class TestEvalCommand:
             doc["encoder"]["params"][0] = 10**400
         elif defect == "mean_huge_int":
             doc["normalizer"]["mean"][0] = 10**400
+        elif defect in ("weight_true", "weight_text"):  # NumPy would read both as numbers
+            doc["encoder"]["params"][0] = True if defect == "weight_true" else "0.25"
+        elif defect == "std_text":
+            doc["normalizer"]["std"][0] = "2.5"
         elif defect in ("normalizer_false", "normalizer_empty_object"):  # only null is raw
             doc["normalizer"] = False if defect == "normalizer_false" else {}
         elif defect == "decoder_width":     # consistent in itself, one wider than z

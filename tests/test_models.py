@@ -10,8 +10,9 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc.data import Normalizer, make_rings
-from fisherjscc.models import (FOLD_CLASSES, DecoderModel, EncoderModel, _class_max,
-                               _class_sum, load_checkpoint, save_checkpoint)
+from fisherjscc.models import (FOLD_CLASSES, SLICE_COLUMNS, DecoderModel, EncoderModel,
+                               _class_max, _class_sum, _column_slices, load_checkpoint,
+                               save_checkpoint)
 from fisherjscc.rng import CounterRng
 from fisherjscc.robustness import _ClosedForm
 
@@ -279,18 +280,36 @@ class TestTapeFreeForward:
         assert (decoder.decode(stack).tobytes()
                 == np.stack([decoder.decode(s) for s in stack]).tobytes())
 
-    @pytest.mark.parametrize("columns", [2, 7, 4096])
-    @pytest.mark.parametrize("classes", [3, 9, 65])
+    @pytest.mark.parametrize("classes, columns", [
+        *((classes, columns) for classes in (3, 9) for columns in (2, 7, 2001, 2049, 4096)),
+        (65, 2), (65, 7), (65, 4096),
+    ])
     def test_columns_are_the_bytes_of_a_large_batch(self, classes, columns):
         """The Taylor check's shapes, an 8-wide representation and a 64-wide hidden
         layer: the column forward of [8, b] columns gives, as the [b, C] transpose of a
-        [C, b] array, the log-posteriors of the same rows in a 16,384-row batch, at
-        column counts below 1,954 or multiples of 8 (README, "Memory")."""
+        [C, b] array, the log-posteriors of the same rows in a 16,384-row batch. It runs
+        in slices of at most 1,024 columns, so 2,001 and 2,049 columns keep the bits too,
+        where one product of that many columns would not (README, "Memory"). At 65
+        classes the [65, 64] @ [64, b] product keeps them only at some widths."""
         decoder = DecoderModel(8, classes, hidden=(64,), seed=62 + classes)
         rows = CounterRng(columns).normals(16384 * 8).reshape(16384, 8) * 2.0
         log_q = decoder._log_posterior_columns(np.ascontiguousarray(rows[:columns].T))
         assert log_q.shape == (columns, classes) and log_q.T.flags.c_contiguous
         assert log_q.tobytes() == decoder._log_posterior(rows)[:columns].tobytes()
+
+    def test_column_slices(self):
+        """The fewest slices of at most SLICE_COLUMNS columns, every one but the last a
+        multiple of 8 wide, none of one column unless the input is: 2,049 columns are
+        688 + 680 + 681, not 1,024 + 1,024 + 1."""
+        assert _column_slices(2_049) == [(0, 688), (688, 1_368), (1_368, 2_049)]
+        for columns in [*range(1, 3 * SLICE_COLUMNS), 16_384, 130_049, 200_001]:
+            slices = _column_slices(columns)
+            widths = [stop - start for start, stop in slices]
+            assert slices[0][0] == 0 and slices[-1][1] == columns, columns
+            assert all(a[1] == b[0] for a, b in zip(slices, slices[1:])), columns
+            assert len(slices) == -(-columns // SLICE_COLUMNS), columns
+            assert max(widths) <= SLICE_COLUMNS and min(widths) >= min(columns, 2), columns
+            assert all(width % 8 == 0 for width in widths[:-1]), columns
 
     def test_columns_are_checked_finite(self):
         """A non-finite input, an overflowing layer, and finite logits 2e308 apart, in
@@ -505,6 +524,26 @@ class TestCheckpoint:
         save_checkpoint(path, EncoderModel(3, 4, power=1.0, seed=30), DecoderModel(5, 3, seed=31))
         with pytest.raises(ValueError, match="the decoder takes representations of "
                                              "dimension 5, the encoder makes 4"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, index, fault", [
+        ("encoder", 0, True), ("encoder", 1, "0.25"), ("decoder", 0, False),
+        ("mean", 0, "0"), ("std", 0, "2.5"), ("std", 1, True),
+    ])
+    def test_only_json_numbers_load(self, tmp_path, section, index, fault):
+        """A parameter or normalizer entry that is not a JSON number is refused, though
+        NumPy would read true, false and "0.25" as numbers."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, EncoderModel(2, 2, power=1.0, hidden=(2,), seed=3),
+                        DecoderModel(2, 2, hidden=(2,), seed=4),
+                        normalizer=Normalizer(mean=np.zeros(2), std=np.ones(2)))
+        doc = json.loads(path.read_text())
+        entries = (doc[section]["params"] if section in ("encoder", "decoder")
+                   else doc["normalizer"][section])
+        entries[index] = fault
+        path.write_text(json.dumps(doc))
+        name = f"{section}.params" if section in ("encoder", "decoder") else f"normalizer {section}"
+        with pytest.raises(ValueError, match=f"{name} must be a list of numbers"):
             load_checkpoint(path)
 
     def test_every_value_replaced_by_a_fault_loads_or_is_a_value_error(self, tmp_path):

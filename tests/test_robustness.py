@@ -475,17 +475,24 @@ class TestChunkedKl:
                                                           72).tobytes()
 
     def test_table_does_not_depend_on_the_chunk_width(self, monkeypatch):
-        """Chunks of one draw (40 columns), the default and the whole block give one
-        table: 40 points x 1,000 draws, blocks of 409, 409 and 182 draws. Every chunk
-        of 40 points is a multiple of 8 columns wide; on NumPy's OpenBLAS some other
-        column counts do not keep a wider product's bits (README, "Memory")."""
-        decoder = random_decoder(73, hidden=(64,))
-        z = CounterRng(74).normals(40 * 4).reshape(40, 4)
-        tables = []
-        for columns in (40, experiments.TAYLOR_CHUNK_COLUMNS, experiments.TAYLOR_BLOCK_ROWS):
-            monkeypatch.setattr(experiments, "TAYLOR_CHUNK_COLUMNS", columns)
-            tables.append(kl_table(decoder, z, 0.05, 1_000, 75).tobytes())
-        assert tables[0] == tables[1] == tables[2]
+        """Chunks of one draw, the default and the whole block give one table. 40 points
+        x 1,000 draws are blocks of 409, 409 and 182 draws, every chunk a multiple of 8
+        columns wide. On an 8-wide representation with a 64-wide hidden layer, full
+        blocks of 300 points split into default chunks of 3,000 and 3,300 columns, and
+        of 129 points into 3,225 and 3,354: on NumPy's OpenBLAS one product of such a
+        width does not keep a wider product's bits (README, "Memory"), a product of at
+        most 1,024 columns does."""
+        cases = [(random_decoder(73, hidden=(64,)), 40, 1_000),
+                 (DecoderModel(8, 3, hidden=(64,), seed=73), 300, 60),
+                 (DecoderModel(8, 3, hidden=(64,), seed=73), 129, 130)]
+        widths = (40, experiments.TAYLOR_CHUNK_COLUMNS, experiments.TAYLOR_BLOCK_ROWS)
+        for decoder, n, samples in cases:
+            z = CounterRng(74).normals(n * decoder.repr_dim).reshape(n, decoder.repr_dim)
+            tables = []
+            for columns in widths:
+                monkeypatch.setattr(experiments, "TAYLOR_CHUNK_COLUMNS", columns)
+                tables.append(kl_table(decoder, z, 0.05, samples, 75).tobytes())
+            assert tables[0] == tables[1] == tables[2], n
 
 
 class TestCovariancePenalty:
