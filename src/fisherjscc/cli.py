@@ -45,8 +45,10 @@ EXIT_NUMERIC = 4
 
 # Floats one array of a run may hold; 2^27 float64 values are 1 GiB. A training step's
 # noise, noisy copies of z and decoder activations are noise_draws x batch_size rows of
-# one of repr_dim, the decoder's hidden widths and the classes; a posterior map decodes
-# resolution^2 points; a generated split is classes x per_class rows of its features.
+# one of repr_dim, the decoder's hidden widths and the classes; a weight matrix is
+# fan_in x fan_out, and the penalty's Jacobian arrays are about batch_size x repr_dim x
+# a decoder width (`_check_model_arrays`); a posterior map decodes resolution^2 points;
+# a generated split is classes x per_class rows of its features.
 # trials and mc_samples have no bound: a sweep worker holds one block of about
 # experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR and model pair, with one
 # pair's noisy copy and posteriors at one PSNR at a time, and a taylor worker one block of
@@ -517,6 +519,29 @@ def _check_step_block(config: dict, classes: int) -> None:
                   "a step's block (noise_draws x batch_size x the widest decoder layer)")
 
 
+def _check_model_arrays(config: dict, input_dim: int, classes: int) -> None:
+    """Refuse a [model] width whose array passes FLOAT_BUDGET floats, before any weight
+    is drawn: each weight matrix (fan_in x fan_out) of either model, and with [train]
+    lambda > 0 the closed-form Fisher trace's (`robustness._ClosedForm`) first-layers
+    product (h0 x repr_dim x the next width) and Jacobian (batch_size x repr_dim x the
+    widest decoder width past h0). Each names the key of its widest [model] width."""
+    model, section = config["model"], config["train"]
+    k = (model["repr_dim"], "repr_dim")
+    encoder = [(input_dim, None), *((w, "encoder_hidden") for w in model["encoder_hidden"]), k]
+    decoder = [k, *((w, "decoder_hidden") for w in model["decoder_hidden"]), (classes, None)]
+    arrays = [(f"the {name}'s W{i}", pair) for name, widths in (("encoder", encoder),
+                                                                 ("decoder", decoder))
+              for i, pair in enumerate(zip(widths, widths[1:]))]
+    if section["lambda"] > 0.0:
+        if len(decoder) > 2:
+            arrays.append(("the Fisher trace's first-layers product", [*decoder[1:3], k]))
+        arrays.append(("the Fisher trace's Jacobian", [(section["batch_size"], None), k, max(
+            decoder[2:] or decoder[1:], key=lambda width: width[0])]))
+    for holder, factors in arrays:
+        _, key = max((f for f in factors if f[1]), key=lambda width: width[0])
+        _check_budget(math.prod(w for w, _ in factors), f"[model] {key}", model[key], holder)
+
+
 def _check_map_grid(resolution: int, decoder: DecoderModel) -> None:
     """Refuse an [experiment] resolution whose map passes FLOAT_BUDGET floats: resolution^2
     points through the widest of repr_dim, the decoder's hidden widths and its classes."""
@@ -531,6 +556,7 @@ def cmd_train(config: dict, seed: int, force: bool) -> int:
     inputs = _split_files(config)
     train_set, _ = _read_splits(*inputs.values())
     _check_step_block(config, train_set.num_classes)
+    _check_model_arrays(config, train_set.dim, train_set.num_classes)
     normalizer = Normalizer.fit(train_set) if config["data"]["normalize"] else None
     train_set = normalizer.apply(train_set) if normalizer else train_set
     encoder, decoder = _build_models(config, train_set.dim, train_set.num_classes, seed)

@@ -85,10 +85,10 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
     each (encoder, decoder) pair of the sequence `models`: one list of rows per pair.
 
     The same draws also feed the per-sample KL between the noise-free and
-    noisy posteriors, reported as mean_expected_kl. A prediction is the
-    argmax of `decode`. Pairs that differ in power or repr_dim, a PSNR listed
-    twice or one whose noise variance overflows are refused before anything
-    is drawn.
+    noisy posteriors, reported as mean_expected_kl. It and the predictions
+    (argmax) are read from log-posteriors. Pairs that differ in power or repr_dim,
+    a PSNR listed twice or one whose noise variance overflows are refused before
+    anything is drawn.
 
     Every noisy PSNR of a trial, and every pair, reads one draw: common random
     numbers, as in the Taylor check. Trial t draws unit-variance noise (and,
@@ -105,14 +105,15 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
     caller's numpy error policy. A block draws its trials' noise in one call
     on a generator holding their streams, which gives every trial the values
     of its own generator. Per pair and PSNR it decodes the block as one
-    [trials, rows, k] stack, with one KL and one argmax, and releases the
-    noisy copy before the KL and the posteriors before the next decode; the
-    noise goes when the block ends. The stack keeps each trial's bits: its
-    weight products are one BLAS product per trial (a [trials * rows, k] batch
-    would take another BLAS path and other bits), and the rest works entry by
-    entry or row by row. The blocks' wrong counts and per-trial KL sums are
-    folded here in block order, so each PSNR adds its trials' KL in trial
-    order and the result is identical for any thread count.
+    [trials, rows, k] stack, with one argmax and then one KL, which overwrites
+    the log-posteriors (`_kl_rows`), and releases the noisy copy before the KL
+    and the posteriors before the next decode; the noise goes when the block
+    ends. The stack keeps each trial's bits: its weight products are one BLAS
+    product per trial (a [trials * rows, k] batch would take another BLAS path
+    and other bits), and the rest works entry by entry or row by row. The
+    blocks' wrong counts and per-trial KL sums are folded here in block order,
+    so each PSNR adds its trials' KL in trial order and the result is
+    identical for any thread count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -129,7 +130,7 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
     except ValueError as exc:
         raise ValueError(f"psnr_grid: {exc}") from None
     codes = [encoder.encode(dataset.features) for encoder, _ in models]
-    clean = [decoder.decode(z) for z, (_, decoder) in zip(codes, models)]
+    clean = [decoder._log_posterior(z) for z, (_, decoder) in zip(codes, models)]
     labels = dataset.labels
     levels = [sigma2 for sigma2 in sigma2_grid if sigma2 != 0.0]
     block_trials = max(1, SWEEP_BLOCK_ROWS // len(labels))
@@ -140,15 +141,15 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
                           range(index * block_trials, min((index + 1) * block_trials, trials))])
         unit = channel_noise(codes[0].shape, 1.0, family, rng)
         counts = []         # per pair, then per noisy PSNR
-        for z, p_clean, (_, decoder) in zip(codes, clean, models):
+        for z, log_p_clean, (_, decoder) in zip(codes, clean, models):
             for sigma2 in levels:
                 z_hat = unit * math.sqrt(sigma2)
                 z_hat += z      # in place; noise + z and z + noise are the same bits
-                q = decoder.decode(z_hat)
+                log_q = decoder._log_posterior(z_hat)
                 del z_hat
-                counts.append((int(np.sum(np.argmax(q, axis=-1) != labels)),
-                               _kl_rows(p_clean, q).sum(axis=-1)))
-                del q           # before the next decode, so its buffers can reuse these chunks
+                counts.append((int(np.sum(np.argmax(log_q, axis=-1) != labels)),
+                               _kl_rows(log_p_clean, log_q).sum(axis=-1)))
+                del log_q       # before the next decode, so its buffers can reuse these chunks
         return counts
 
     wrong, kl_sum = [0] * len(models) * len(levels), [0.0] * len(models) * len(levels)
@@ -159,8 +160,8 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
                 kl_sum[cell] += float(value)
     draws = trials * len(labels)
     sweeps, noisy = [], iter(zip(wrong, kl_sum))
-    for p_clean in clean:
-        clean_error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
+    for log_p_clean in clean:
+        clean_error = float(np.mean(np.argmax(log_p_clean, axis=1) != labels))
         rows = []
         for psnr_db, sigma2 in zip(grid, sigma2_grid):
             if sigma2 == 0.0:
@@ -217,18 +218,18 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
     it writes the chunk's noise * sqrt(sigma2) feature-major into a new [k, draws,
     n] array, adds z, decodes it in column layout
     (`DecoderModel._log_posterior_columns`, in slices of at most
-    `models.SLICE_COLUMNS` columns) and writes the chunk's KL into the level's
-    [draws, n] array, releasing the noisy copy before the KL and the posteriors
-    before the next chunk; the noise goes when the block ends. So no block-wide
-    copy of the noise and no [draws * n, width] activation is ever alive, only a
-    chunk's copy and a slice's activations. The pool's
-    `threads` workers (default: one per CPU, see `_map_cells`) run the blocks
-    under the caller's numpy error policy; each returns its per-level moments,
-    which are merged here in block order as they arrive, so the result is
+    `models.SLICE_COLUMNS` columns) and writes the chunk's KL, from the
+    log-posteriors, into the level's [draws, n] array, releasing the noisy copy
+    before the KL and the posteriors before the next chunk; the noise goes when
+    the block ends. So no block-wide copy of the noise and no [draws * n, width]
+    activation is ever alive, only a chunk's copy and a slice's activations. The
+    pool's `threads` workers (default: one per CPU, see `_map_cells`) run the
+    blocks under the caller's numpy error policy; each returns its per-level
+    moments, which are merged here in block order as they arrive, so the result is
     identical for any thread count and only arrays of n values are kept, however
     many draws there are.
     """
-    p = decoder.decode(z)
+    log_p = decoder._log_posterior(z)
     n, k = z.shape
     draws_per_block = max(1, TAYLOR_BLOCK_ROWS // max(n, 1))
     draws_per_chunk = max(1, TAYLOR_CHUNK_COLUMNS // max(n, 1))
@@ -248,11 +249,10 @@ def _kl_moments(decoder: DecoderModel, z: np.ndarray, levels, samples: int, seed
                 z_hat = np.multiply(noise[start:stop].transpose(2, 0, 1), math.sqrt(sigma2),
                                     out=np.empty((k, stop - start, n)))
                 z_hat += z_columns      # in place; noise + z and z + noise are the same bits
-                q = decoder._log_posterior_columns(z_hat.reshape(k, -1))
+                log_q = decoder._log_posterior_columns(z_hat.reshape(k, -1))
                 del z_hat
-                np.exp(q, out=q)
-                kl[start:stop] = _kl_rows(p, q.reshape(stop - start, n, -1))
-                del q       # before the next chunk, so its buffers can reuse these chunks
+                kl[start:stop] = _kl_rows(log_p, log_q.reshape(stop - start, n, -1))
+                del log_q   # before the next chunk, so its buffers can reuse these chunks
             moments.append(_point_moments(kl))
         return moments
 

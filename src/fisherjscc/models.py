@@ -273,9 +273,10 @@ class DecoderModel:
         return ad.Tensor(log_q, (z, *self.params.values()), gradients)
 
     def _log_posterior(self, z, layers: list | None = None) -> np.ndarray:
-        """log q(y|z) for every class, [b, C], built without a graph; given a list
-        `layers`, each layer's input and weight are kept there (see `_mlp_values`)."""
-        h = _batch_values(z, self.repr_dim, "decoder expects representations")
+        """log q(y|z) for every class, [b, C], or [T, b, C] for a stack as `decode` takes,
+        built without a graph; given a list `layers`, each layer's input and weight are
+        kept there (see `_mlp_values`), and a stack is refused."""
+        h = _batch_values(z, self.repr_dim, "decoder expects representations", layers is None)
         return _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1, layers))
 
     def _log_posterior_columns(self, columns: np.ndarray) -> np.ndarray:
@@ -313,8 +314,7 @@ class DecoderModel:
         slice t is decode(z[t]) bit for bit: each weight product is one BLAS
         product per slice, and the rest works entry by entry or row by row.
         """
-        h = _batch_values(z, self.repr_dim, "decoder expects representations", stacks=True)
-        log_q = _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1))
+        log_q = self._log_posterior(z)
         return np.exp(log_q, out=log_q)
 
 

@@ -28,15 +28,14 @@ import numpy as np
 from . import autodiff as ad
 from .models import DecoderModel, _class_sum, _mlp_backprop
 
-KL_LOG_CLAMP = 1e-12
 TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) along the last axis, p broadcast against q; entries below 1e-12 are
-    clamped inside the logs, so a zero p entry gives a zero term (0 * log 0 is 0)."""
-    q = np.maximum(q, KL_LOG_CLAMP)
-    return _class_sum(p * (np.log(np.maximum(p, KL_LOG_CLAMP)) - np.log(q)))
+def _kl_rows(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """KL(p || q) along the last axis from log-posteriors, log_p broadcast against log_q,
+    which it overwrites; every log is finite (`_log_softmax`), so p = 0 gives a 0 term."""
+    np.subtract(log_p, log_q, out=log_q)
+    return _class_sum(np.multiply(np.exp(log_p), log_q, out=log_q))
 
 
 class _ClosedForm:

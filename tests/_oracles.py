@@ -430,13 +430,13 @@ def max_rel_err(analytic: np.ndarray, reference: np.ndarray,
     return float(np.max(np.abs(analytic - reference) / denom))
 
 
-def kl_reference(p, q, clamp: float = 1e-12) -> float:
-    """KL divergence by exactly-rounded summation (math.fsum)."""
-    terms = []
-    for pi, qi in zip(p, q):
-        if pi > 0.0:
-            terms.append(pi * (math.log(pi) - math.log(max(qi, clamp))))
-    return math.fsum(terms)
+def kl_reference(log_p, log_q) -> float:
+    """The sum of p (log p - log q) over every entry of log_q, log_p broadcast against it,
+    by exactly-rounded summation (math.fsum) of terms taken one by one in Python."""
+    log_p, log_q = np.broadcast_arrays(np.asarray(log_p, dtype=np.float64),
+                                       np.asarray(log_q, dtype=np.float64))
+    return math.fsum(math.exp(a) * (a - b) for a, b in zip(log_p.ravel().tolist(),
+                                                          log_q.ravel().tolist()))
 
 
 def softmax_reference(logits, dps: int = 50) -> np.ndarray:
@@ -533,15 +533,15 @@ def expected_kl_rows_serial(decoder, z_batch, sigma2, samples, seed) -> np.ndarr
     from fisherjscc.rng import CounterRng, derive_seed
 
     n, k = z_batch.shape
-    p = decoder.decode(z_batch)
+    log_p = decoder._log_posterior(z_batch)
     out = np.empty((n, samples))
     draws_per_block = max(1, experiments.TAYLOR_BLOCK_ROWS // max(n, 1))
     for block, done in enumerate(range(0, samples, draws_per_block)):
         take = min(draws_per_block, samples - done)
         rng = CounterRng(derive_seed(seed, "taylor", "block", block))
         z_hat = rng.normals(take * n * k).reshape(take, n, k) * math.sqrt(sigma2) + z_batch
-        q = decoder.decode(z_hat.reshape(take * n, k)).reshape(take, n, -1)
-        out[:, done:done + take] = robustness._kl_rows(p, q).T
+        log_q = decoder._log_posterior(z_hat.reshape(take * n, k)).reshape(take, n, -1)
+        out[:, done:done + take] = robustness._kl_rows(log_p, log_q).T
     return out
 
 
@@ -560,14 +560,15 @@ def normals_two_calls(rng, n: int) -> np.ndarray:
 def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, seed):
     """`experiments.error_sweep` as a serial loop over trials and PSNRs: each trial
     builds its own single-stream generator and draws one unit-variance noise block,
-    which every noisy PSNR scales to its variance and decodes on its own."""
+    which every noisy PSNR scales to its variance and decodes to log-posteriors on
+    its own."""
     from fisherjscc.channel import channel_noise, psnr_to_sigma2
     from fisherjscc.experiments import SweepRow
     from fisherjscc.robustness import _kl_rows
     from fisherjscc.rng import CounterRng, derive_seed
 
     z = encoder.encode(dataset.features)
-    p_clean = decoder.decode(z)
+    log_p_clean = decoder._log_posterior(z)
     labels = dataset.labels
     sigma2_grid = [psnr_to_sigma2(psnr_db, encoder.power) for psnr_db in psnr_grid]
     wrong = [0] * len(sigma2_grid)
@@ -577,18 +578,35 @@ def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, 
                              CounterRng(derive_seed(seed, "sweep", family, 0, t)))
         for i, sigma2 in enumerate(sigma2_grid):
             if sigma2 != 0.0:
-                q = decoder.decode(z + unit * math.sqrt(sigma2))
-                wrong[i] += int(np.sum(np.argmax(q, axis=1) != labels))
-                kl_sum[i] += float(_kl_rows(p_clean, q).sum())
+                log_q = decoder._log_posterior(z + unit * math.sqrt(sigma2))
+                wrong[i] += int(np.sum(np.argmax(log_q, axis=1) != labels))
+                kl_sum[i] += float(_kl_rows(log_p_clean, log_q).sum())
     rows = []
     for psnr_db, sigma2, level_wrong, level_kl in zip(psnr_grid, sigma2_grid, wrong, kl_sum):
         if sigma2 == 0.0:
-            error = float(np.mean(np.argmax(p_clean, axis=1) != labels))
+            error = float(np.mean(np.argmax(log_p_clean, axis=1) != labels))
             rows.append(SweepRow(float(psnr_db), family, error, 0.0))
         else:
             rows.append(SweepRow(float(psnr_db), family, level_wrong / (trials * len(labels)),
                                  level_kl / (trials * len(labels))))
     return rows
+
+
+def sweep_kl_reference(encoder, decoder, dataset, psnr_db, family, trials, seed):
+    """`experiments.error_sweep`'s mean_expected_kl at one noisy PSNR, from each trial's
+    own generator as in `error_sweep_per_trial`, with every term p (log p - log q) of
+    every draw summed by `kl_reference` and the log-posteriors read from
+    `_log_posterior`; and the smallest log q of the draws."""
+    from fisherjscc.channel import channel_noise, psnr_to_sigma2
+    from fisherjscc.rng import CounterRng, derive_seed
+
+    z = encoder.encode(dataset.features)
+    log_p = decoder._log_posterior(z)
+    scale = math.sqrt(psnr_to_sigma2(psnr_db, encoder.power))
+    log_q = np.stack([decoder._log_posterior(z + scale * channel_noise(
+        z.shape, 1.0, family, CounterRng(derive_seed(seed, "sweep", family, 0, t))))
+        for t in range(trials)])
+    return kl_reference(log_p, log_q) / (trials * len(z)), float(log_q.min())
 
 
 class PerParameterAdam:

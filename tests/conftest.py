@@ -42,7 +42,7 @@ def live_at_each_draw(monkeypatch):
     """Spy on experiments.channel_noise and experiments._kl_rows, the sweep's and the
     Taylor check's draws and KL, and return a list that gets, at every draw after the
     first, how many arrays of the previous block are still alive: the memory of its
-    noise and of each posterior buffer passed to `_kl_rows`."""
+    noise and of each log-posterior buffer passed to `_kl_rows`."""
     block, live = [], []
     draw, kl_rows = experiments.channel_noise, experiments._kl_rows
 
@@ -54,9 +54,9 @@ def live_at_each_draw(monkeypatch):
         block.append(weakref.ref(_owner(z_hat)))
         return z_hat
 
-    def kl(p, q):
-        block.append(weakref.ref(_owner(q)))
-        return kl_rows(p, q)
+    def kl(log_p, log_q):
+        block.append(weakref.ref(_owner(log_q)))
+        return kl_rows(log_p, log_q)
 
     monkeypatch.setattr(experiments, "channel_noise", noise)
     monkeypatch.setattr(experiments, "_kl_rows", kl)

@@ -971,6 +971,24 @@ class TestEvalCommand:
         assert ("[train] noise_draws" in err) == (code == EXIT_CONFIG)
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("widths, holder", [
+        ("99999999999", "the encoder's W0"), ("16,99999999999", "the encoder's W1"),
+    ], ids=["first-layer", "second-layer"])
+    def test_a_weight_matrix_past_the_budget_refused_up_front(self, tmp_path, data_dir,
+                                                              capsys, widths, holder):
+        """A hidden width of 10^11 makes a weight matrix of 10^11 or more floats: a config
+        error naming the key, before any weight is drawn or the output made."""
+        config = tmp_path / "train.ini"
+        out = tmp_path / "out"
+        write_config(config, out, data_dir)
+        config.write_text(config.read_text().replace("encoder_hidden = 16",
+                                                     f"encoder_hidden = {widths}"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"[model] encoder_hidden = [{widths.replace(',', ', ')}]: {holder}" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_step_budget_counts_a_tables_classes(self, tmp_path, capsys):
         """A table's class count is known once it is read: 65 classes widen the block
         past the budget that [data] classes = 3 left room in, a config error before
@@ -1107,6 +1125,38 @@ class TestSizeBudget:
         cli._check_map_grid(resolution, decoder)
         with pytest.raises(ConfigError, match=rf"\[experiment\] resolution = {resolution + 1}:"):
             cli._check_map_grid(resolution + 1, decoder)
+
+
+    @pytest.mark.parametrize("lam, repr_dim, encoder_hidden, decoder_hidden, classes, past, "
+                             "key, holder", [
+        (0.0, 8, [2**13, 2**14], [16], 3, {"encoder_hidden": [2**13, 2**14 + 1]},
+         "encoder_hidden", "the encoder's W1"),
+        (0.5, 8, [16], [2**12, 2**12], 3, {"decoder_hidden": [2**12, 2**12 + 1]},
+         "decoder_hidden", "the Fisher trace's first-layers product"),
+        (0.5, 8, [16], [4, 2**18], 3, {"decoder_hidden": [4, 2**18 + 1]},
+         "decoder_hidden", "the Fisher trace's Jacobian"),
+        (0.5, 2**10, [16], [], 2**11, {"classes": 2**11 + 1},
+         "repr_dim", "the Fisher trace's Jacobian"),
+    ], ids=["weight-matrix", "trace-product", "trace-jacobian", "trace-jacobian-no-hidden"])
+    def test_model_arrays_at_the_budget(self, lam, repr_dim, encoder_hidden, decoder_hidden,
+                                        classes, past, key, holder):
+        """Each array is 2^27 floats at the first widths and one width step past the budget
+        at the second: a weight matrix fan_in x fan_out; with lambda > 0 the trace's
+        h0 x repr_dim x h1 product and its batch_size (64) x repr_dim x widest-width
+        Jacobian, the classes where the decoder has no hidden layer."""
+        def check(lam, classes, **model):
+            config = {"model": {"repr_dim": repr_dim, "encoder_hidden": encoder_hidden,
+                                "decoder_hidden": decoder_hidden, **model},
+                      "train": {"lambda": lam, "batch_size": 64}}
+            cli._check_model_arrays(config, 2, classes)
+
+        check(lam, classes)
+        classes_past = past.get("classes", classes)
+        widths = {name: value for name, value in past.items() if name != "classes"}
+        with pytest.raises(ConfigError, match=rf"\[model\] {key} = .*: {holder} would hold"):
+            check(lam, classes_past, **widths)
+        if lam:
+            check(0.0, classes_past, **widths)
 
 
 class TestCompareCommand:

@@ -1,5 +1,6 @@
 """Evaluation harness: sweeps, approximation tables, maps, eigensolver."""
 
+import copy
 import math
 import os
 import tracemalloc
@@ -22,7 +23,8 @@ from fisherjscc.robustness import mean_fisher_trace
 from fisherjscc.rng import CounterRng, derive_seed
 from fisherjscc.train import FixedPsnr, TrainConfig, train
 
-from _oracles import error_sweep_per_trial, expected_kl_rows_serial, spearman
+from _oracles import (error_sweep_per_trial, expected_kl_rows_serial, spearman,
+                      sweep_kl_reference)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +106,7 @@ class TestErrorSweep:
         encoder, decoder, _, test_set = trained_pair
         calls = []
         monkeypatch.setattr(encoder, "encode", lambda x: calls.append("encode"))
-        monkeypatch.setattr(decoder, "decode", lambda z: calls.append("decode"))
+        monkeypatch.setattr(decoder, "_log_posterior", lambda z: calls.append("decode"))
         with pytest.raises(ValueError, match="duplicate sweep cell"):
             error_sweep([(encoder, decoder)], test_set, [10.0, 10.0], "awgn", trials=3,
                         seed=1)
@@ -151,11 +153,26 @@ class TestErrorSweep:
         encoder, decoder, _, test_set = trained_pair
         calls = []
         monkeypatch.setattr(encoder, "encode", lambda x: calls.append("encode"))
-        monkeypatch.setattr(decoder, "decode", lambda z: calls.append("decode"))
+        monkeypatch.setattr(decoder, "_log_posterior", lambda z: calls.append("decode"))
         with pytest.raises(ValueError, match="psnr_grid: PSNR -4000.0 dB"):
             error_sweep([(encoder, decoder)], test_set, [5.0, -4000.0], "awgn", trials=3,
                         seed=1)
         assert calls == []
+
+    def test_rayleigh_kl_is_not_capped(self, trained_pair):
+        """A decoder with its logits doubled puts deep Rayleigh fades far below
+        log 1e-12 = -27.6; the sweep's KL is still the exactly summed oracle's."""
+        encoder, decoder, _, test_set = trained_pair
+        sharp = copy.deepcopy(decoder)
+        for name in ("W1", "b1"):
+            sharp.params[name].data *= 2.0
+        [rows] = error_sweep([(encoder, sharp)], test_set, [10.0, 20.0], "rayleigh", 5,
+                             seed=31)
+        for row in rows:
+            expected, lowest = sweep_kl_reference(encoder, sharp, test_set, row.psnr_db,
+                                                  "rayleigh", 5, 31)
+            assert lowest < math.log(1e-12)
+            assert row.mean_expected_kl == pytest.approx(expected, rel=1e-12)
 
     def test_rayleigh_family_runs(self, trained_pair):
         encoder, decoder, _, test_set = trained_pair
@@ -218,13 +235,13 @@ class TestErrorSweep:
         take one decode, and each block one decode of its whole stack per noisy PSNR."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
-        shapes, decode = [], decoder.decode
+        shapes, decode = [], decoder._log_posterior
 
         def counted(z):
             shapes.append(np.shape(z))
             return decode(z)
 
-        monkeypatch.setattr(decoder, "decode", counted)
+        monkeypatch.setattr(decoder, "_log_posterior", counted)
         error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
         assert shapes == [(600, 6), *[(6, 600, 6)] * 4, *[(1, 600, 6)] * 2]
@@ -245,7 +262,7 @@ class TestErrorSweep:
         posteriors are alive when the next stack is decoded, in its block or the next."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
-        earlier, live, decode = [], [], decoder.decode
+        earlier, live, decode = [], [], decoder._log_posterior
 
         def counted(z):
             q = decode(z)
@@ -257,7 +274,7 @@ class TestErrorSweep:
                 earlier.append(weakref.ref(owner))
             return q
 
-        monkeypatch.setattr(decoder, "decode", counted)
+        monkeypatch.setattr(decoder, "_log_posterior", counted)
         error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
         assert live == [0] * 6
@@ -425,28 +442,28 @@ class TestTaylorValidation:
     @pytest.mark.parametrize("levels", [1, 4])
     def test_one_noise_request_per_block(self, trained_pair, monkeypatch, levels):
         """40 points x 1,000 draws are three blocks: three unit-variance requests of
-        [draws, 40, k], one per block, whatever the grid's length; after the one clean
-        decode, each level runs the column forward over each block in chunks of whole
-        draws of at most 4,096 columns, split evenly: 409 draws as 81 + 4 x 82, and 182
-        as 2 x 91."""
+        [draws, 40, k], one per block, whatever the grid's length; after the penalty's
+        forward and the one clean decode, each level runs the column forward over each
+        block in chunks of whole draws of at most 4,096 columns, split evenly: 409 draws
+        as 81 + 4 x 82, and 182 as 2 x 91."""
         encoder, decoder, ds, _ = trained_pair
         draw, requests = experiments.channel_noise, []
-        decode, columns, decoded = decoder.decode, decoder._log_posterior_columns, []
+        decode, columns, decoded = decoder._log_posterior, decoder._log_posterior_columns, []
 
         def noise(shape, sigma2, family, rng):
             requests.append((shape, sigma2, family))
             return draw(shape, sigma2, family, rng)
 
-        def recording_decode(z_rows):
+        def recording_decode(z_rows, layers=None):
             decoded.append(len(z_rows))
-            return decode(z_rows)
+            return decode(z_rows, layers)
 
         def recording_columns(z_columns):
             decoded.append(z_columns.shape[1])
             return columns(z_columns)
 
         monkeypatch.setattr(experiments, "channel_noise", noise)
-        monkeypatch.setattr(decoder, "decode", recording_decode)
+        monkeypatch.setattr(decoder, "_log_posterior", recording_decode)
         monkeypatch.setattr(decoder, "_log_posterior_columns", recording_columns)
         grid = [psnr_to_sigma2(p, 1.0) for p in (25.0, 20.0, 15.0, 10.0)[:levels]]
         taylor_validation(encoder, decoder, ds.features[:40], grid, samples=1_000, seed=11,
@@ -455,7 +472,7 @@ class TestTaylorValidation:
         assert requests == [((409, 40, k), 1.0, "awgn"), ((409, 40, k), 1.0, "awgn"),
                             ((182, 40, k), 1.0, "awgn")]
         chunks = [81, 82, 82, 82, 82] * levels * 2 + [91, 91] * levels
-        assert decoded == [40] + [draws * 40 for draws in chunks]
+        assert decoded == [40, 40] + [draws * 40 for draws in chunks]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pool_cells_follow_the_callers_error_policy(self, threads):
@@ -521,8 +538,8 @@ class TestTaylorValidation:
                 block.clear()
             return draw(*args, **kwargs)
 
-        def kl(p, q):
-            rows = kl_rows(p, q)
+        def kl(log_p, log_q):
+            rows = kl_rows(log_p, log_q)
             block.append(weakref.ref(rows))
             return rows
 

@@ -272,13 +272,14 @@ class TestTapeFreeForward:
     @pytest.mark.parametrize("hidden", [(), (64,)], ids=["depth-1", "depth-2"])
     def test_stack_is_the_bytes_of_its_slices(self, hidden, classes, trials):
         """The sweep's noise blocks: trials x 600 rows of an 8-wide representation, on
-        both sides of FOLD_CLASSES."""
+        both sides of FOLD_CLASSES, through `decode` and the log-posteriors the sweep
+        reads."""
         assert 3 < FOLD_CLASSES <= 9
         decoder = DecoderModel(8, classes, hidden=hidden, seed=60 + classes)
         stack = CounterRng(trials + classes).normals(trials * 600 * 8).reshape(trials, 600, 8)
         stack *= 2.0
-        assert (decoder.decode(stack).tobytes()
-                == np.stack([decoder.decode(s) for s in stack]).tobytes())
+        for forward in (decoder.decode, decoder._log_posterior):
+            assert forward(stack).tobytes() == np.stack([forward(s) for s in stack]).tobytes()
 
     @pytest.mark.parametrize("classes, columns", [
         *((classes, columns) for classes in (3, 9) for columns in (2, 7, 2001, 2049, 4096)),

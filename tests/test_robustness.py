@@ -19,9 +19,11 @@ from _oracles import (backward, expected_kl_rows_serial, finite_diff_grad, finit
                       weighted_sum)
 
 
-def kl(p, q) -> float:
-    """KL(p || q) of two distributions through the program's row-wise `_kl_rows`."""
-    return float(_kl_rows(np.array([p], dtype=np.float64), np.array([q], dtype=np.float64))[0])
+def kl(log_p, log_q) -> float:
+    """KL(p || q) of two distributions, from their logs, through the program's row-wise
+    `_kl_rows`."""
+    return float(_kl_rows(np.array([log_p], dtype=np.float64),
+                          np.array([log_q], dtype=np.float64))[0])
 
 
 def kl_table(decoder, z, sigma2, samples, seed) -> np.ndarray:
@@ -30,8 +32,8 @@ def kl_table(decoder, z, sigma2, samples, seed) -> np.ndarray:
     fold consumes it, stacked in block order."""
     blocks, kl_rows = [], experiments._kl_rows
 
-    def recorded(p, q):
-        kl = kl_rows(p, q)
+    def recorded(log_p, log_q):
+        kl = kl_rows(log_p, log_q)
         blocks.append(kl.copy())
         return kl
 
@@ -52,50 +54,51 @@ def random_decoder(seed: int, repr_dim: int = 4, classes: int = 3,
 
 class TestKlRows:
     def test_identical_distributions_zero(self):
-        assert kl([0.3, 0.7], [0.3, 0.7]) == 0.0
+        assert kl(np.log([0.3, 0.7]), np.log([0.3, 0.7])) == 0.0
 
     def test_point_mass_vs_uniform(self):
-        assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2.0), rel=1e-15)
+        """exp(-800) underflows to 0, so the second class gives a zero term."""
+        assert kl([0.0, -800.0], np.log([0.5, 0.5])) == pytest.approx(math.log(2.0),
+                                                                      rel=1e-15)
 
     def test_matches_fsum_reference(self):
         rng = CounterRng(61)
         for _ in range(25):
             p = rng.uniforms(5) + 1e-3
-            p /= p.sum()
             q = rng.uniforms(5) + 1e-3
-            q /= q.sum()
-            assert kl(p, q) == pytest.approx(kl_reference(p, q), rel=1e-13)
+            log_p, log_q = np.log(p / p.sum()), np.log(q / q.sum())
+            assert kl(log_p, log_q) == pytest.approx(kl_reference(log_p, log_q), rel=1e-13)
 
-    def test_zero_mass_entries_clamped(self):
-        value = kl([0.5, 0.5, 0.0], [0.5, 0.0, 0.5])
-        assert value == pytest.approx(0.5 * (math.log(0.5) - math.log(1e-12)), rel=1e-12)
+    def test_a_far_tail_of_q_gives_its_exact_term(self):
+        """log q = -50, far below log 1e-12 = -27.6: the term is 0.5 * (log 0.5 + 50),
+        not capped."""
+        log_q = [math.log1p(-math.exp(-50.0)), -50.0]
+        value = kl(np.log([0.5, 0.5]), log_q)
+        expected = 0.5 * (math.log(0.5) - log_q[0]) + 0.5 * (math.log(0.5) + 50.0)
+        assert value == pytest.approx(expected, rel=1e-15)
+        assert value == pytest.approx(kl_reference(np.log([0.5, 0.5]), log_q), rel=1e-15)
 
     def test_nonnegative_on_posteriors(self):
         decoder = random_decoder(3)
         rng = CounterRng(83)
         for _ in range(50):
-            p = decoder.decode(rng.normals(4))[0]
-            q = decoder.decode(rng.normals(4))[0]
-            assert kl(p, q) >= 0.0
+            log_p = decoder._log_posterior(rng.normals(4))[0]
+            log_q = decoder._log_posterior(rng.normals(4))[0]
+            assert kl(log_p, log_q) >= 0.0
 
     @pytest.mark.parametrize("classes", [3, 9, 65])
     def test_zero_p_entries_need_no_mask(self, classes):
-        """With exact zeros in p, the unmasked terms give the masked form's values:
-        log(max(p, 1e-12)) is finite, so a zero p entry already gives a zero term."""
+        """With entries of p that underflow to 0 (log p down to -800), the unmasked terms
+        give the masked form's values: every log is finite, so such an entry already
+        gives a zero term."""
         rng = CounterRng(84 + classes)
-        p = rng.uniforms(40 * classes).reshape(40, classes)
-        p[p < 0.4] = 0.0
-        p[:, 0] += 1e-3              # no row is all zeros
-        p /= p.sum(axis=1, keepdims=True)
-        q = rng.uniforms(40 * classes).reshape(40, classes)
-        q[q < 0.2] = 0.0
-        q[:, 1] += 1e-3
-        q /= q.sum(axis=1, keepdims=True)
-        q[:5] = p[:5]                # rows whose KL is exactly zero
-        clamped = np.maximum(q, robustness.KL_LOG_CLAMP)
-        masked = _class_sum(np.where(p > 0.0, p * (np.log(np.maximum(p, robustness.KL_LOG_CLAMP))
-                                                   - np.log(clamped)), 0.0))
-        unmasked = _kl_rows(p, q)
+        log_p = rng.uniforms(40 * classes).reshape(40, classes) * -800.0
+        log_p[:, 0] = -0.5           # no row is all underflow
+        log_q = rng.uniforms(40 * classes).reshape(40, classes) * -800.0
+        log_q[:5] = log_p[:5]        # rows whose KL is exactly zero
+        p = np.exp(log_p)
+        masked = _class_sum(np.where(p > 0.0, p * (log_p - log_q), 0.0))
+        unmasked = _kl_rows(log_p, log_q)
         assert (p == 0.0).any() and not unmasked[:5].any()
         assert np.array_equal(unmasked, masked)
         assert np.array_equal(np.signbit(unmasked), np.signbit(masked))
@@ -342,10 +345,10 @@ class TestFisherMatrix:
         """Finite-difference Hessian of KL(q(.|z) || q(.|z_hat)) at z_hat = z."""
         decoder = random_decoder(18, spread=0.5)
         z = CounterRng(19).normals(4) * 0.5
-        p = decoder.decode(z)[0]
+        log_p = decoder._log_posterior(z)[0]
 
         def kl_at(z_hat):
-            return kl(p, decoder.decode(z_hat)[0])
+            return kl(log_p, decoder._log_posterior(z_hat)[0])
 
         hessian = finite_diff_hessian(kl_at, z.copy(), step=1e-4)
         matrix = fisher_matrix(decoder, z)
@@ -358,11 +361,11 @@ class TestFirstOrderIdentity:
         for seed in range(10):
             decoder = random_decoder(seed + 40, spread=0.6)
             z = CounterRng(seed + 400).normals(4) * 0.7
-            p = decoder.decode(z)[0]
+            log_p = decoder._log_posterior(z)[0]
             point = z.copy()
 
             def kl_value():
-                return kl(p, decoder.decode(point)[0])
+                return kl(log_p, decoder._log_posterior(point)[0])
 
             gradient = finite_diff_grad(kl_value, point, step=1e-5)
             assert np.max(np.abs(gradient)) <= 1e-6
@@ -511,9 +514,9 @@ class TestCovariancePenalty:
         raw = rng.normals(16).reshape(4, 4)
         cov = 1e-4 * (raw @ raw.T + 0.5 * np.eye(4))
         chol = np.linalg.cholesky(cov)
-        p = decoder.decode(z)[0]
+        log_p = decoder._log_posterior(z)[0]
         draws = rng.normals(4 * 20_000).reshape(20_000, 4) @ chol.T
-        kls = np.array([kl(p, decoder.decode(z + d)[0]) for d in draws[:20_000]])
+        kls = np.array([kl(log_p, decoder._log_posterior(z + d)[0]) for d in draws[:20_000]])
         predicted = 0.5 * np.trace(fisher_matrix(decoder, z) @ cov)
         stderr = kls.std(ddof=1) / np.sqrt(len(kls))
         assert abs(kls.mean() - predicted) <= max(4.0 * stderr, 0.05 * predicted)
