@@ -4,21 +4,15 @@ Each node holds its float64 value, its parents and one function from the
 upstream gradient array to every parent's gradient array, computed in NumPy.
 `backward` calls each function once and returns arrays, so a graph is
 differentiated once, not twice; the tests' twice-differentiable reference
-tape is in `tests/_oracles.py`. Every node checks its value on construction
-and `backward` checks every gradient it has summed: a NaN or an infinity
-raises FloatingPointError where it appears.
+tape is in `tests/_oracles.py`. The tape is bookkeeping only: it checks no
+value. The code that computes a node's value checks it finite (`models`,
+`robustness`), and `train` checks a step's loss and gradient vector once,
+before Adam.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def check_finite(values: np.ndarray) -> np.ndarray:
-    """values itself; FloatingPointError if it holds a NaN or an infinity."""
-    if not np.isfinite(values).all():
-        raise FloatingPointError("non-finite value entered the computation graph")
-    return values
 
 
 class Tensor:
@@ -33,7 +27,7 @@ class Tensor:
     __slots__ = ("data", "_parents", "_gradients", "__weakref__")
 
     def __init__(self, data, parents=(), gradients=None):
-        self.data = check_finite(np.asarray(data, dtype=np.float64))
+        self.data = np.asarray(data, dtype=np.float64)
         self._parents = tuple(parents)
         self._gradients = gradients
 
@@ -64,7 +58,7 @@ def backward(root: Tensor, wrt) -> dict[Tensor, np.ndarray]:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
     grads = {id(root): np.ones_like(root.data)}
     for node in reversed(_topological_order(root)):
-        g = check_finite(grads[id(node)])   # complete: every child has been done
+        g = grads[id(node)]     # complete: every child has been done
         if node._parents:
             for parent, d in zip(node._parents, node._gradients(g)):
                 d = d.reshape(parent.data.shape)

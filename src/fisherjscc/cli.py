@@ -476,12 +476,7 @@ def cmd_gen_data(config: dict, seed: int, force: bool, verify: bool) -> int:
 
     out_dir = _check_out(config["run"]["out"], force)
     _check_generated_splits(config["data"])
-    try:
-        train_set, test_set = _generate_datasets(config, seed)
-    except DataError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[data] {exc}") from exc
+    train_set, test_set = _generate_datasets(config, seed)
     section = config["data"]
     inputs = ({key: section[key] for key in ("train_file", "test_file")}
               if section["kind"] == "table" else {})

@@ -14,7 +14,9 @@ from one MLP backprop (`_mlp_backprop`) behind the model's head:
 sqrt(P) * tanh for the encoder, log-softmax for the decoder. `robustness`
 reads the decoder's kept forward for the Fisher trace. Every product runs in
 the order of the tests' reference tape, so the gradients are that
-reference's bits.
+reference's bits. The forward checks its input, each affine output and the
+log-posteriors finite where it makes them (`check_finite`, which
+`robustness` and `train` import from here); the tape checks no value.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from .rng import CounterRng, derive_seed
 
 CHECKPOINT_FORMAT = "fisherjscc-checkpoint"
 CHECKPOINT_VERSION = 2
+
+
+def check_finite(values: np.ndarray) -> np.ndarray:
+    """values itself; FloatingPointError if it holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError("computed a non-finite value (a NaN or an infinity)")
+    return values
 
 
 def _power_sqrt_floor(power: float) -> float:
@@ -83,7 +92,7 @@ def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int,
             layers.append((h, weight))
         h = h @ weight
         h += params[f"b{i}"].data
-        ad.check_finite(h)
+        check_finite(h)
         if i < n_layers - 1:
             np.maximum(h, 0.0, out=h)
     return h
@@ -167,8 +176,8 @@ def _batch_values(x, width: int, expects: str, stacks: bool = False) -> np.ndarr
     `_batch_shape`), without a graph. Row-major, because a product's bits can
     depend on its operand's memory order."""
     h = np.asarray(x, dtype=np.float64)
-    return ad.check_finite(np.ascontiguousarray(h.reshape(_batch_shape(h.shape, width,
-                                                                       expects, stacks))))
+    shape = _batch_shape(h.shape, width, expects, stacks)
+    return check_finite(np.ascontiguousarray(h.reshape(shape)))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -176,7 +185,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     finite, for finite logits more than the largest double apart overflow the shift."""
     logits -= _class_max(logits)[..., None]
     logits -= np.log(_class_sum(np.exp(logits)))[..., None]
-    return ad.check_finite(logits)
+    return check_finite(logits)
 
 
 SLICE_COLUMNS = 1024     # widest column product of `DecoderModel._log_posterior_columns`
@@ -293,7 +302,7 @@ class DecoderModel:
         the slices capped, the Taylor table of an 8-64-3 decoder does not depend
         on the chunk width.
         """
-        ad.check_finite(columns)
+        check_finite(columns)
         *hidden, last = range(len(self.sizes) - 1)
         logits = np.empty((self.num_classes, columns.shape[1]))
         for start, stop in _column_slices(columns.shape[1]):
@@ -301,11 +310,11 @@ class DecoderModel:
             for i in hidden:
                 a = self.params[f"W{i}"].data.T @ a
                 a += self.params[f"b{i}"].data[:, None]
-                np.maximum(ad.check_finite(a), 0.0, out=a)
+                np.maximum(check_finite(a), 0.0, out=a)
             np.matmul(self.params[f"W{last}"].data.T, a, out=logits[:, start:stop])
         del a       # the last slice's activations, before the log-softmax's temporaries
         logits += self.params[f"b{last}"].data[:, None]
-        return _log_softmax(ad.check_finite(logits).T)
+        return _log_softmax(check_finite(logits).T)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Posterior rows (each sums to 1); argmax ties resolve to the lowest index.

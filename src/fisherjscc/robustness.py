@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .models import DecoderModel, _class_sum, _mlp_backprop
+from .models import DecoderModel, _class_sum, _mlp_backprop, check_finite
 
 TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
 
@@ -80,7 +80,7 @@ class _ClosedForm:
         delta = jac - np.take_along_axis(jac, top, axis=2)
         self.diff = delta - delta @ self.q[:, :, None]              # D, [b, k, C]
         self.norms = np.einsum("bkc,bkc->bc", self.diff, self.diff)
-        self.trace = ad.check_finite(np.einsum("bc,bc->b", self.q, self.norms))
+        self.trace = check_finite(np.einsum("bc,bc->b", self.q, self.norms))
 
     def gradients(self, weight: np.ndarray) -> list[np.ndarray]:
         """d(sum_i weight_i Tr(I(z_i))) for z, then W0, b0, W1, b1, ..."""

@@ -27,10 +27,12 @@ run; each parameter's array is a view of its slice. A step concatenates the
 leaf gradients once, in the same order, and `adam_step` updates the vector
 and its moments with whole-vector operations.
 
-Every node value and every summed gradient is checked finite, and a training
-step runs with numpy's overflow, divide and invalid errors raised, so a step
-that turns non-finite raises FloatingPointError; `train` reports it as a
-TrainDivergenceError with the step's epoch, batch and sigma2 (CLI exit 4).
+Each forward value is checked finite where `models` and `robustness` compute
+it, and a step checks its loss and its concatenated gradient vector once,
+before `adam_step`; it runs with numpy's overflow, divide and invalid errors
+raised. So a step that turns non-finite raises FloatingPointError, and
+`train` reports it as a TrainDivergenceError with the step's epoch, batch and
+sigma2 (CLI exit 4) before any parameter changes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .channel import FAMILIES, channel_noise, psnr_to_sigma2
-from .models import DecoderModel, EncoderModel
+from .models import DecoderModel, EncoderModel, check_finite
 from .rng import CounterRng, derive_seed
 from .robustness import fisher_trace_node
 
@@ -137,8 +139,6 @@ def regularized_loss(features: np.ndarray, labels: np.ndarray,
     decoder pass; draw l fills rows l*b .. (l+1)*b - 1. `train` passes
     coeff = lambda * sigma2 / 2, or lambda under the fixed-PSNR simplification.
     """
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be nonnegative")
     if noise_draws < 1:
         raise ValueError("noise_draws must be >= 1")
     z = encoder.forward_node(features)
@@ -215,7 +215,8 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
 
 def _accuracy(encoder: EncoderModel, decoder: DecoderModel,
               features: np.ndarray, labels: np.ndarray) -> float:
-    """Share of rows whose most probable class is the label, the sweep's rule."""
+    """Share of rows whose most probable class (the argmax of `decode`'s posterior
+    row, ties to the lowest index) is the label."""
     predictions = np.argmax(decoder.decode(encoder.encode(features)), axis=1)
     return float(np.mean(predictions == labels))
 
@@ -227,9 +228,10 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
     Returns the stats of each epoch in order; the models are updated in place.
     `on_epoch`, if given, is called with each epoch's stats once that epoch's
     updates are done, so it sees the models as they stand after the epoch.
-    A non-finite value anywhere in a step (a node's or a gradient's
-    FloatingPointError, or numpy's for an overflow) aborts with a TrainDivergenceError carrying the
-    epoch, batch and sigma2 of that step.
+    A non-finite value anywhere in a step (a forward value, the loss or the
+    gradient vector, each checked finite, or numpy's FloatingPointError for an
+    overflow) aborts with a TrainDivergenceError carrying the epoch, batch and
+    sigma2 of that step, before Adam updates any parameter.
     """
     features, labels = dataset.features, dataset.labels
     if len(features) == 0:
@@ -267,8 +269,10 @@ def train(config: TrainConfig, dataset, encoder: EncoderModel, decoder: DecoderM
                     parts = regularized_loss(features[idx], labels[idx], encoder, decoder,
                                              sigma2, coeff, config.noise_draws,
                                              noise_rng, family=config.family)
+                    check_finite(parts.total.data)
                     grad_map = ad.backward(parts.total, leaves)
-                    grad = np.concatenate([grad_map[leaf] for leaf in leaves], axis=None)
+                    grad = check_finite(np.concatenate([grad_map[leaf] for leaf in leaves],
+                                                       axis=None))
                     adam_step(theta, grad, state, config.learning_rate)
             except FloatingPointError as exc:
                 raise TrainDivergenceError(

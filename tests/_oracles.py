@@ -41,6 +41,7 @@ import weakref
 import numpy as np
 
 from fisherjscc import autodiff as ad
+from fisherjscc.models import check_finite
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ class Tensor:
     __slots__ = ("data", "_parents", "_vjps", "__weakref__")
 
     def __init__(self, data, parents=(), vjps=()):
-        self.data = ad.check_finite(np.asarray(data, dtype=np.float64))
+        self.data = check_finite(np.asarray(data, dtype=np.float64))
         self._parents = parents
         self._vjps = vjps
 

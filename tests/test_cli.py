@@ -950,6 +950,23 @@ class TestEvalCommand:
         snapshot = json.loads((out / "divergence.json").read_text())
         assert (snapshot["epoch"], snapshot["batch"]) == (0, 1)
 
+    def test_a_nan_loss_with_finite_gradients_is_a_numerical_abort(
+            self, tmp_path, data_dir, capsys, nan_in_second_step):
+        """A NaN loss in training's second step whose gradients are finite: exit 4 with
+        the step's snapshot and no traceback, caught by the loss check alone."""
+        config = tmp_path / "train.ini"
+        out = tmp_path / "planted"
+        write_config(config, out, data_dir, epochs=1, lam=0.3)
+        nan_in_second_step("loss")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and "Traceback" not in err
+        snapshot = json.loads((out / "divergence.json").read_text())
+        assert (snapshot["epoch"], snapshot["batch"]) == (0, 1)
+        assert sorted(path.name for path in out.iterdir()) == ["divergence.json",
+                                                               "manifest.json"]
+
     @pytest.mark.parametrize("draws, code", [(32768, EXIT_DATA), (32769, EXIT_CONFIG),
                                              (999999999, EXIT_CONFIG)])
     def test_noise_draws_past_the_step_budget_refused_up_front(self, tmp_path, capsys,

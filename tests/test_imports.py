@@ -2,7 +2,8 @@
 every public module-level function and class, and every public method of a
 module-level class, is used by the package, only `data` imports `csv`, only
 `channel` and `data` draw normals (`.normals(`), only `train` and
-`experiments` call `channel_noise`, and only `train` calls `backward`.
+`experiments` call `channel_noise`, only `train` calls `backward`, and
+`autodiff` makes no finite check.
 
 No linter is a declared dependency, so this reads the source with the
 standard library's `ast`. An import counts as used when its name appears as
@@ -18,11 +19,13 @@ it has two callers, `train` for the training step's block and `experiments`
 for every Monte-Carlo block, so the math in `robustness` draws nothing. A
 training step runs one backward pass, in `train`; the models and the Fisher
 trace are nodes with closed-form gradients, so no other module needs a
-backward pass of its own. In `cli`, an artifact reaches disk only through
-`_publish`, which stages each file and renames it in before the manifest:
-no other code there creates a directory, renames a file, calls an artifact
-writer or opens a file in a write mode; commands hand `_publish` the
-writers, uncalled.
+backward pass of its own. The tape is bookkeeping only: a value is checked
+finite by the code that computes it, and a step's loss and gradient vector by
+`train`, so `autodiff` calls neither `check_finite` nor `isfinite`. In `cli`,
+an artifact reaches disk only through `_publish`, which stages each file and
+renames it in before the manifest: no other code there creates a directory,
+renames a file, calls an artifact writer or opens a file in a write mode;
+commands hand `_publish` the writers, uncalled.
 
 The README names each CSV table's schema string (`fisherjscc.<table>.vN`),
 and names no other: the set it names equals the set of the package's
@@ -145,6 +148,16 @@ def calls_backward(source: str) -> bool:
     return any(isinstance(node, ast.Call)
                and (isinstance(node.func, ast.Attribute) and node.func.attr == "backward"
                     or isinstance(node.func, ast.Name) and node.func.id == "backward")
+               for node in ast.walk(ast.parse(source)))
+
+
+def calls_finite_check(source: str) -> bool:
+    """Whether the source calls `check_finite` or `isfinite`, as a name or as an
+    attribute like `np.isfinite`."""
+    names = ("check_finite", "isfinite")
+    return any(isinstance(node, ast.Call)
+               and (isinstance(node.func, ast.Attribute) and node.func.attr in names
+                    or isinstance(node.func, ast.Name) and node.func.id in names)
                for node in ast.walk(ast.parse(source)))
 
 
@@ -312,6 +325,20 @@ def test_checker_flags_a_backward_call():
     assert calls_backward("def f(t):\n    return autodiff.backward(t, [t])\n")
     assert not calls_backward("def backward(root, wrt):\n    return {}\n")
     assert not calls_backward("step = ad.backward\ntext = 'ad.backward(x)'\nbackwards(1)\n")
+
+
+def test_autodiff_makes_no_finite_check():
+    assert not calls_finite_check((PACKAGE_DIR / "autodiff.py").read_text(encoding="utf-8"))
+
+
+def test_checker_flags_a_finite_check():
+    assert calls_finite_check("self.data = check_finite(np.asarray(data))\n")
+    assert calls_finite_check("def f(g):\n    return models.check_finite(g)\n")
+    assert calls_finite_check("if not np.isfinite(values).all():\n    raise ValueError\n")
+    assert calls_finite_check("from math import isfinite\nok = isfinite(x)\n")
+    assert not calls_finite_check("def check_finite(values):\n    return values\n")
+    assert not calls_finite_check("check = np.isfinite\ntext = 'check_finite(x)'\n"
+                                  "isfinite_all(1)\n")
 
 
 def test_only_publish_writes_in_cli():

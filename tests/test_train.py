@@ -214,7 +214,7 @@ class TestRegularizedLoss:
 
     def test_negative_sigma2_rejected(self):
         encoder, decoder = small_models(12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
             regularized_loss(np.ones((1, 3)), np.array([0]), encoder, decoder,
                              sigma2=-0.1, coeff=0.0, noise_draws=1, rng=CounterRng(0))
 
@@ -352,6 +352,34 @@ class TestTrainLoop:
         assert (info.value.snapshot["epoch"], info.value.snapshot["batch"]) == (0, 1)
         for model in (encoder, decoder):
             assert all(np.isfinite(t.data).all() for t in model.params.values())
+
+    @pytest.mark.parametrize("site", ["encoder-layer", "log-posteriors", "trace",
+                                      "z_hat-gradient", "decoder-gradient", "trace-gradient",
+                                      "encoder-gradient", "loss"])
+    def test_a_nan_planted_in_the_second_step_stops_it_before_adam(
+            self, site, nan_in_second_step, monkeypatch):
+        """A NaN at any site of a penalized step's forward, gradients or loss ends the run
+        as TrainDivergenceError at that step (batch 1), with every parameter finite and
+        as the first step's Adam update left it."""
+        updated, step = [], train_module.adam_step
+
+        def recorded(theta, grad, state, lr):
+            state = step(theta, grad, state, lr)
+            updated.append(theta.copy())
+            return state
+
+        monkeypatch.setattr(train_module, "adam_step", recorded)
+        nan_in_second_step(site)
+        ds = make_blobs(3, 20, dim=3, spread=0.3, seed=31)
+        encoder, decoder = small_models(32)
+        with pytest.raises(TrainDivergenceError) as info:
+            train(TrainConfig(lam=0.3, epochs=1, batch_size=16, seed=33), ds, encoder, decoder)
+        assert (info.value.snapshot["epoch"], info.value.snapshot["batch"]) == (0, 1)
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        theta = np.concatenate([t.data for model in (encoder, decoder)
+                                for t in model.params.values()], axis=None)
+        assert len(updated) == 1 and np.isfinite(theta).all()
+        assert np.array_equal(theta, updated[0])
 
     def test_shuffle_covers_dataset_exactly(self):
         """Each epoch's batches form a seeded permutation of the dataset."""
