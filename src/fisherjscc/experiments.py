@@ -108,7 +108,9 @@ def error_sweep(models, dataset, psnr_grid, family: str, trials: int, seed: int,
     [trials, rows, k] stack, with one argmax and then one KL, which overwrites
     the log-posteriors (`_kl_rows`), and releases the noisy copy before the KL
     and the posteriors before the next decode; the noise goes when the block
-    ends. The stack keeps each trial's bits: its weight products are one BLAS
+    ends. The decoder runs the stack in groups of whole trials of at most
+    `models.STACK_ROWS` rows, so a worker's activations are one group's, not the
+    block's. The stack keeps each trial's bits: its weight products are one BLAS
     product per trial (a [trials * rows, k] batch would take another BLAS path
     and other bits), and the rest works entry by entry or row by row. The
     blocks' wrong counts and per-trial KL sums are folded here in block order,

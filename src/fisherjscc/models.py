@@ -77,6 +77,9 @@ def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
     return params
 
 
+STACK_ROWS = 2048     # most rows of a [T, b, k] stack that `_mlp_values` runs at once
+
+
 def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int,
                 layers: list | None = None) -> np.ndarray:
     """Affine layers with relu between them, none after the last; the last affine output.
@@ -85,7 +88,18 @@ def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int,
     [rows, width] buffer per layer is alive. Each affine output is checked
     finite; relu cannot make it non-finite. Given a list `layers`, each
     layer's (input, weight) pair is appended to it for `_mlp_backprop`.
+
+    A [T, b, k] stack runs in groups of whole batches, each of at most
+    STACK_ROWS rows and at least one batch, whose last affine outputs are joined
+    into one [T, b, C] array; so the hidden buffers hold one group's rows, not
+    the stack's. A group is still a stack: one BLAS product per batch, which
+    keeps each batch's bits.
     """
+    if h.ndim == 3:
+        group = max(1, STACK_ROWS // max(h.shape[1], 1))
+        if len(h) > group:
+            return np.concatenate([_mlp_values(params, h[start:start + group], n_layers)
+                                   for start in range(0, len(h), group)])
     for i in range(n_layers):
         weight = params[f"W{i}"].data
         if layers is not None:
@@ -158,9 +172,10 @@ def _batch_shape(shape: tuple, width: int, expects: str, stacks: bool = False) -
     """[b, width] for a width-vector or a batch of them, and with `stacks` also
     [T, b, width] for a stack of T batches, kept as it is; ValueError otherwise.
 
-    A stack is a batch's worth of rows per slice: `_mlp_values` multiplies it by
-    each weight with one BLAS product per slice, so every slice gets the bits of
-    its own batch.
+    A stack is a batch's worth of rows per slice: `_mlp_values` runs it in groups
+    of whole slices of at most STACK_ROWS rows and multiplies each group by each
+    weight with one BLAS product per slice, so every slice gets the bits of its
+    own batch.
     """
     if len(shape) == 1:
         shape = (1, shape[0])
@@ -320,8 +335,9 @@ class DecoderModel:
         """Posterior rows (each sums to 1); argmax ties resolve to the lowest index.
 
         z is a vector, a batch [b, k] or a stack [T, b, k] of batches; a stack's
-        slice t is decode(z[t]) bit for bit: each weight product is one BLAS
-        product per slice, and the rest works entry by entry or row by row.
+        slice t is decode(z[t]) bit for bit: the layers run over groups of whole
+        slices of at most STACK_ROWS rows (`_mlp_values`), each weight product is
+        one BLAS product per slice, and the rest works entry by entry or row by row.
         """
         log_q = self._log_posterior(z)
         return np.exp(log_q, out=log_q)

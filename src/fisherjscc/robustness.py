@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .models import DecoderModel, _class_sum, _mlp_backprop, check_finite
+from .models import DecoderModel, _batch_values, _class_sum, _mlp_backprop, check_finite
 
 TRACE_CHUNK = 512           # representations per closed-form block in mean_fisher_trace
 
@@ -116,8 +116,11 @@ def fisher_trace_node(decoder: DecoderModel, z_node: ad.Tensor) -> ad.Tensor:
 
 
 def mean_fisher_trace(decoder: DecoderModel, z_batch: np.ndarray) -> float:
-    """Mean Tr(I(z_i)) over a batch of representations."""
-    z_batch = np.asarray(z_batch, dtype=np.float64)
+    """Mean Tr(I(z_i)) over a batch [b, k] of representations; a k-vector is a batch of
+    one, as `decode` takes it. ValueError for an empty batch, which has no mean."""
+    z_batch = _batch_values(z_batch, decoder.repr_dim, "decoder expects representations")
+    if not len(z_batch):
+        raise ValueError("the mean Fisher trace needs at least one representation, got none")
     total = 0.0
     for start in range(0, z_batch.shape[0], TRACE_CHUNK):
         total += float(_ClosedForm(decoder, z_batch[start:start + TRACE_CHUNK]).trace.sum())

@@ -301,6 +301,23 @@ class TestErrorSweep:
                                 [float("inf"), 10.0], "rayleigh", trials=2, seed=3,
                                 threads=threads) == 0
 
+    def test_sweep_block_peak_memory(self):
+        """A one-level sweep of 600 rows on an 8-64-3 decoder peaks under 2 MiB
+        (tracemalloc): a block of 6 trials decoded as one stack holds a [6, 600, 64]
+        hidden layer, 1.8 MiB, where a group of at most STACK_ROWS rows holds 0.9 MiB."""
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(16,), seed=3)
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=4)
+        dataset = make_rings(3, 200, noise=0.15, seed=7)
+        assert len(dataset.labels) == 600 and SWEEP_BLOCK_ROWS // 600 == 6
+        tracemalloc.start()
+        try:
+            error_sweep([(encoder, decoder)], dataset, [10.0], "rayleigh", 6, seed=5,
+                        threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
 
 class TestWorkerCount:
     @pytest.fixture

@@ -10,9 +10,9 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc.data import Normalizer, make_rings
-from fisherjscc.models import (FOLD_CLASSES, SLICE_COLUMNS, DecoderModel, EncoderModel,
-                               _class_max, _class_sum, _column_slices, load_checkpoint,
-                               save_checkpoint)
+from fisherjscc.models import (FOLD_CLASSES, SLICE_COLUMNS, STACK_ROWS, DecoderModel,
+                               EncoderModel, _class_max, _class_sum, _column_slices,
+                               load_checkpoint, save_checkpoint)
 from fisherjscc.rng import CounterRng
 from fisherjscc.robustness import _ClosedForm
 
@@ -267,16 +267,19 @@ class TestTapeFreeForward:
         with pytest.raises(ValueError, match="decoder expects representations of dimension 4"):
             decoder.decode(np.zeros((2, 5, 3)))
 
-    @pytest.mark.parametrize("trials", [6, 1], ids=["sweep-block", "last-block"])
+    @pytest.mark.parametrize("trials, rows", [(6, 600), (1, 600), (7, 600), (2, 2_100)],
+                             ids=["sweep-block", "last-block", "three-groups", "wide-batches"])
     @pytest.mark.parametrize("classes", [3, 9, 65])
     @pytest.mark.parametrize("hidden", [(), (64,)], ids=["depth-1", "depth-2"])
-    def test_stack_is_the_bytes_of_its_slices(self, hidden, classes, trials):
-        """The sweep's noise blocks: trials x 600 rows of an 8-wide representation, on
-        both sides of FOLD_CLASSES, through `decode` and the log-posteriors the sweep
-        reads."""
-        assert 3 < FOLD_CLASSES <= 9
+    def test_stack_is_the_bytes_of_its_slices(self, hidden, classes, trials, rows):
+        """The sweep's noise blocks: trials x rows of an 8-wide representation, on both
+        sides of FOLD_CLASSES, through `decode` and the log-posteriors the sweep reads.
+        The forward runs a stack in groups of whole batches of at most STACK_ROWS rows:
+        7 x 600 rows are groups of 3, 3 and 1 batches, and a batch of 2,100 rows, wider
+        than STACK_ROWS, is a group of its own."""
+        assert 3 < FOLD_CLASSES <= 9 and 3 * 600 <= STACK_ROWS < 4 * 600
         decoder = DecoderModel(8, classes, hidden=hidden, seed=60 + classes)
-        stack = CounterRng(trials + classes).normals(trials * 600 * 8).reshape(trials, 600, 8)
+        stack = CounterRng(trials + classes).normals(trials * rows * 8).reshape(trials, rows, 8)
         stack *= 2.0
         for forward in (decoder.decode, decoder._log_posterior):
             assert forward(stack).tobytes() == np.stack([forward(s) for s in stack]).tobytes()

@@ -309,6 +309,28 @@ class TestClosedFormNode:
         assert robustness.mean_fisher_trace(decoder, z) == pytest.approx(expected, rel=1e-12)
         assert tensors_built_by(robustness.mean_fisher_trace, decoder, z) == 0
 
+    def test_mean_trace_of_a_vector_is_a_batch_of_one(self):
+        """A k-vector is one representation, as `decode` takes it: its mean trace is its
+        trace, not that trace over k."""
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=4)
+        z = CounterRng(1).normals(8)
+        assert robustness.mean_fisher_trace(decoder, z) == robustness.mean_fisher_trace(
+            decoder, z[None]) == pytest.approx(fisher_trace(decoder, z), rel=1e-12)
+
+    def test_no_points_are_refused_before_a_draw(self, monkeypatch):
+        """An empty batch has no mean trace, and a Taylor check of no points no rows."""
+        def draw(*args, **kwargs):
+            raise AssertionError("drew noise")
+
+        monkeypatch.setattr(experiments, "channel_noise", draw)
+        decoder = DecoderModel(8, 3, hidden=(64,), seed=4)
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(16,), seed=3)
+        refused = "needs at least one representation"
+        with pytest.raises(ValueError, match=refused):
+            robustness.mean_fisher_trace(decoder, np.zeros((0, 8)))
+        with pytest.raises(ValueError, match=refused):
+            taylor_validation(encoder, decoder, np.zeros((0, 2)), [0.01], 20, seed=5)
+
     def test_non_finite_values_raise(self):
         """An overflowing layer, and finite logits 2e308 apart, as the tape's checks catch them."""
         decoder = random_decoder(79)
