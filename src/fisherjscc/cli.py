@@ -50,12 +50,12 @@ EXIT_NUMERIC = 4
 # a decoder width (`_check_model_arrays`); a posterior map decodes resolution^2 points;
 # a generated split is classes x per_class rows of its features.
 # trials and mc_samples have no bound: a sweep worker holds one block of about
-# experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR and model pair, with one
-# pair's noisy copy and posteriors at one PSNR at a time, and a taylor worker one block of
-# experiments.TAYLOR_BLOCK_ROWS draws shared by every noise level, with one level's
-# noisy copy and posteriors of a chunk of about experiments.TAYLOR_CHUNK_COLUMNS draws x
-# points at a time, that chunk's activations in slices of at most models.SLICE_COLUMNS
-# columns, and the block's KL and the per-point moments of each level; their time is
+# experiments.SWEEP_BLOCK_ROWS rows of noise shared by every PSNR and model pair, and a
+# taylor worker one block of experiments.TAYLOR_BLOCK_ROWS draws shared by every noise
+# level, with the block's KL and the per-point moments of each level. At one pair and
+# level at a time, a sweep worker decodes its whole block and a taylor worker a chunk of
+# about experiments.TAYLOR_CHUNK_COLUMNS draws x points: a noisy copy, its posteriors,
+# and activations in column slices of at most models.SLICE_COLUMNS. Their time is
 # linear in them.
 FLOAT_BUDGET = 2**27
 

@@ -7,16 +7,18 @@ The decoder maps a (possibly noise-corrupted) representation to a
 categorical posterior over classes.
 
 Each model has one forward, in NumPy (`_mlp_values`). Evaluation reads its
-values (`encode`, `decode`) and builds no graph. Training reads each model as
-one `autodiff.Tensor` node (`forward_node`, `log_posterior_all`) whose value
+values (`encode`, `decode`) and builds no graph; the Monte-Carlo checks
+decode their noisy draws in column layout
+(`DecoderModel._log_posterior_columns`). Training reads each model as one
+`autodiff.Tensor` node (`forward_node`, `log_posterior_all`) whose value
 comes from the same forward, kept layer by layer, and whose gradients come
-from one MLP backprop (`_mlp_backprop`) behind the model's head:
-sqrt(P) * tanh for the encoder, log-softmax for the decoder. `robustness`
-reads the decoder's kept forward for the Fisher trace. Every product runs in
-the order of the tests' reference tape, so the gradients are that
-reference's bits. The forward checks its input, each affine output and the
-log-posteriors finite where it makes them (`check_finite`, which
-`robustness` and `train` import from here); the tape checks no value.
+from one MLP backprop (`_mlp_backprop`) behind the model's head: sqrt(P) *
+tanh for the encoder, log-softmax for the decoder. `robustness` reads the
+decoder's kept forward for the Fisher trace. Every product runs in the order
+of the tests' reference tape, so the gradients are that reference's bits. The
+forward checks its input, each affine output and the log-posteriors finite
+where it makes them (`check_finite`, which `robustness` and `train` import
+from here); the tape checks no value.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ def _init_params(sizes, seed: int, prefix: str) -> dict[str, ad.Tensor]:
     return params
 
 
-STACK_ROWS = 2048     # most rows of a [T, b, k] stack that `_mlp_values` runs at once
-
-
 def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int,
                 layers: list | None = None) -> np.ndarray:
     """Affine layers with relu between them, none after the last; the last affine output.
@@ -88,18 +87,7 @@ def _mlp_values(params: dict[str, ad.Tensor], h: np.ndarray, n_layers: int,
     [rows, width] buffer per layer is alive. Each affine output is checked
     finite; relu cannot make it non-finite. Given a list `layers`, each
     layer's (input, weight) pair is appended to it for `_mlp_backprop`.
-
-    A [T, b, k] stack runs in groups of whole batches, each of at most
-    STACK_ROWS rows and at least one batch, whose last affine outputs are joined
-    into one [T, b, C] array; so the hidden buffers hold one group's rows, not
-    the stack's. A group is still a stack: one BLAS product per batch, which
-    keeps each batch's bits.
     """
-    if h.ndim == 3:
-        group = max(1, STACK_ROWS // max(h.shape[1], 1))
-        if len(h) > group:
-            return np.concatenate([_mlp_values(params, h[start:start + group], n_layers)
-                                   for start in range(0, len(h), group)])
     for i in range(n_layers):
         weight = params[f"W{i}"].data
         if layers is not None:
@@ -168,30 +156,17 @@ def _class_sum(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_shape(shape: tuple, width: int, expects: str, stacks: bool = False) -> tuple:
-    """[b, width] for a width-vector or a batch of them, and with `stacks` also
-    [T, b, width] for a stack of T batches, kept as it is; ValueError otherwise.
-
-    A stack is a batch's worth of rows per slice: `_mlp_values` runs it in groups
-    of whole slices of at most STACK_ROWS rows and multiplies each group by each
-    weight with one BLAS product per slice, so every slice gets the bits of its
-    own batch.
-    """
-    if len(shape) == 1:
-        shape = (1, shape[0])
-    if not (len(shape) == 2 or stacks and len(shape) == 3):
+def _batch_values(x, width: int, expects: str) -> np.ndarray:
+    """x as a finite row-major float64 [b, width] array, a width-vector as one row,
+    without a graph; ValueError for another shape. Row-major, because a product's bits
+    can depend on its operand's memory order. The Monte-Carlo checks' noisy blocks are
+    decoded in column layout instead (`DecoderModel._log_posterior_columns`)."""
+    h = np.asarray(x, dtype=np.float64)
+    shape = (1, *h.shape) if h.ndim == 1 else h.shape
+    if len(shape) != 2:
         raise ValueError(f"expected a vector or a batch of vectors, got shape {shape}")
     if shape[-1] != width:
         raise ValueError(f"{expects} of dimension {width}, got {shape[-1]}")
-    return shape
-
-
-def _batch_values(x, width: int, expects: str, stacks: bool = False) -> np.ndarray:
-    """x as a finite row-major float64 [b, width] array (or [T, b, width], see
-    `_batch_shape`), without a graph. Row-major, because a product's bits can
-    depend on its operand's memory order."""
-    h = np.asarray(x, dtype=np.float64)
-    shape = _batch_shape(h.shape, width, expects, stacks)
     return check_finite(np.ascontiguousarray(h.reshape(shape)))
 
 
@@ -297,10 +272,9 @@ class DecoderModel:
         return ad.Tensor(log_q, (z, *self.params.values()), gradients)
 
     def _log_posterior(self, z, layers: list | None = None) -> np.ndarray:
-        """log q(y|z) for every class, [b, C], or [T, b, C] for a stack as `decode` takes,
-        built without a graph; given a list `layers`, each layer's input and weight are
-        kept there (see `_mlp_values`), and a stack is refused."""
-        h = _batch_values(z, self.repr_dim, "decoder expects representations", layers is None)
+        """log q(y|z) for every class, [b, C], built without a graph; given a list
+        `layers`, each layer's input and weight are kept there (see `_mlp_values`)."""
+        h = _batch_values(z, self.repr_dim, "decoder expects representations")
         return _log_softmax(_mlp_values(self.params, h, len(self.sizes) - 1, layers))
 
     def _log_posterior_columns(self, columns: np.ndarray) -> np.ndarray:
@@ -315,7 +289,8 @@ class DecoderModel:
         takes. As a row-major product's bits can depend on its row count, a
         column product's can depend on its column count (README, "Memory"); with
         the slices capped, the Taylor table of an 8-64-3 decoder does not depend
-        on the chunk width.
+        on the chunk width. The slices of a sweep block span its trials, so at some
+        shapes a trial's bits are not those of the trial decoded alone.
         """
         check_finite(columns)
         *hidden, last = range(len(self.sizes) - 1)
@@ -332,13 +307,9 @@ class DecoderModel:
         return _log_softmax(check_finite(logits).T)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
-        """Posterior rows (each sums to 1); argmax ties resolve to the lowest index.
-
-        z is a vector, a batch [b, k] or a stack [T, b, k] of batches; a stack's
-        slice t is decode(z[t]) bit for bit: the layers run over groups of whole
-        slices of at most STACK_ROWS rows (`_mlp_values`), each weight product is
-        one BLAS product per slice, and the rest works entry by entry or row by row.
-        """
+        """Posterior rows (each sums to 1) of a vector or a batch [b, k]; argmax ties
+        resolve to the lowest index. A [T, b, k] stack is refused, as `encode` refuses
+        one."""
         log_q = self._log_posterior(z)
         return np.exp(log_q, out=log_q)
 

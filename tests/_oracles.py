@@ -558,11 +558,17 @@ def normals_two_calls(rng, n: int) -> np.ndarray:
     return out[..., :n]
 
 
+def log_posterior_alone(decoder, z_hat) -> np.ndarray:
+    """The [n, C] log-posteriors of one trial's [n, k] noisy copy, decoded on its own in
+    column layout, as `experiments.error_sweep` decodes its blocks."""
+    return decoder._log_posterior_columns(np.ascontiguousarray(z_hat.T))
+
+
 def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, seed):
     """`experiments.error_sweep` as a serial loop over trials and PSNRs: each trial
     builds its own single-stream generator and draws one unit-variance noise block,
     which every noisy PSNR scales to its variance and decodes to log-posteriors on
-    its own."""
+    its own (`log_posterior_alone`)."""
     from fisherjscc.channel import channel_noise, psnr_to_sigma2
     from fisherjscc.experiments import SweepRow
     from fisherjscc.robustness import _kl_rows
@@ -579,7 +585,7 @@ def error_sweep_per_trial(encoder, decoder, dataset, psnr_grid, family, trials, 
                              CounterRng(derive_seed(seed, "sweep", family, 0, t)))
         for i, sigma2 in enumerate(sigma2_grid):
             if sigma2 != 0.0:
-                log_q = decoder._log_posterior(z + unit * math.sqrt(sigma2))
+                log_q = log_posterior_alone(decoder, z + unit * math.sqrt(sigma2))
                 wrong[i] += int(np.sum(np.argmax(log_q, axis=1) != labels))
                 kl_sum[i] += float(_kl_rows(log_p_clean, log_q).sum())
     rows = []
@@ -597,14 +603,14 @@ def sweep_kl_reference(encoder, decoder, dataset, psnr_db, family, trials, seed)
     """`experiments.error_sweep`'s mean_expected_kl at one noisy PSNR, from each trial's
     own generator as in `error_sweep_per_trial`, with every term p (log p - log q) of
     every draw summed by `kl_reference` and the log-posteriors read from
-    `_log_posterior`; and the smallest log q of the draws."""
+    `log_posterior_alone`; and the smallest log q of the draws."""
     from fisherjscc.channel import channel_noise, psnr_to_sigma2
     from fisherjscc.rng import CounterRng, derive_seed
 
     z = encoder.encode(dataset.features)
     log_p = decoder._log_posterior(z)
     scale = math.sqrt(psnr_to_sigma2(psnr_db, encoder.power))
-    log_q = np.stack([decoder._log_posterior(z + scale * channel_noise(
+    log_q = np.stack([log_posterior_alone(decoder, z + scale * channel_noise(
         z.shape, 1.0, family, CounterRng(derive_seed(seed, "sweep", family, 0, t))))
         for t in range(trials)])
     return kl_reference(log_p, log_q) / (trials * len(z)), float(log_q.min())

@@ -221,6 +221,28 @@ class TestErrorSweep:
                                 trials, seed=21, threads=threads)
         assert second == oracle
 
+    @pytest.mark.parametrize("classes", [3, 65])
+    @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
+    def test_rows_do_not_depend_on_threads_pairs_or_grid(self, family, classes):
+        """585 rows, not a multiple of 8, make blocks of 7 trials whose column slices
+        span trial boundaries, on an 8-64-32-C decoder; at 65 classes a trial's bits
+        differ from the same trial decoded alone. A pair's rows are still the same at 1
+        and 2 threads, alone and as the second pair of two, and in a reordered grid."""
+        test_set = make_rings(3, 195, noise=0.15, seed=derive_seed(901, "data"), split="test")
+        assert len(test_set) == 585 and SWEEP_BLOCK_ROWS // len(test_set) == 7
+        encoder = EncoderModel(2, 8, power=1.0, hidden=(16,), seed=derive_seed(901, "enc"))
+        pair = (encoder, DecoderModel(8, classes, hidden=(64, 32), seed=derive_seed(901, "dec")))
+        other = (encoder, DecoderModel(8, classes, hidden=(16,), seed=derive_seed(902, "dec")))
+
+        def rows(pairs, grid, threads):
+            sweep = error_sweep(pairs, test_set, grid, family, 15, seed=23, threads=threads)
+            return sorted(sweep[-1])
+
+        reference = rows([pair], [5.0, 15.0, float("inf")], 1)
+        assert rows([pair], [5.0, 15.0, float("inf")], 2) == reference
+        assert rows([other, pair], [5.0, 15.0, float("inf")], 2) == reference
+        assert rows([pair], [float("inf"), 15.0, 5.0], 1) == reference
+
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_more_rows_than_a_block_draw_one_trial_per_call(self, trained_pair, family):
         encoder, decoder, _, _ = trained_pair
@@ -231,20 +253,20 @@ class TestErrorSweep:
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_decode_per_noise_block(self, trained_pair, monkeypatch, family):
-        """600 rows and 13 trials make blocks of 6, 6 and 1 trials. The clean posteriors
-        take one decode, and each block one decode of its whole stack per noisy PSNR."""
+        """600 rows and 13 trials make blocks of 6, 6 and 1 trials. Each block takes one
+        column decode of its whole [k, trials * rows] noisy copy per noisy PSNR."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
-        shapes, decode = [], decoder._log_posterior
+        shapes, decode = [], decoder._log_posterior_columns
 
-        def counted(z):
-            shapes.append(np.shape(z))
-            return decode(z)
+        def counted(columns):
+            shapes.append(columns.shape)
+            return decode(columns)
 
-        monkeypatch.setattr(decoder, "_log_posterior", counted)
+        monkeypatch.setattr(decoder, "_log_posterior_columns", counted)
         error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
-        assert shapes == [(600, 6), *[(6, 600, 6)] * 4, *[(1, 600, 6)] * 2]
+        assert shapes == [*[(6, 3600)] * 4, *[(6, 600)] * 2]
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_block_is_live_at_each_draw(self, trained_pair, live_at_each_draw, family):
@@ -258,23 +280,22 @@ class TestErrorSweep:
 
     @pytest.mark.parametrize("family", ["awgn", "rayleigh"])
     def test_one_level_is_live_at_each_decode(self, trained_pair, monkeypatch, family):
-        """Each block decodes its stack at both noisy PSNRs in turn: no earlier noisy
-        posteriors are alive when the next stack is decoded, in its block or the next."""
+        """Each block decodes its noisy copy at both noisy PSNRs in turn: no earlier noisy
+        posteriors are alive when the next copy is decoded, in its block or the next."""
         encoder, decoder, _, _ = trained_pair
         test_set = make_rings(3, 200, noise=0.15, seed=derive_seed(900, "data"), split="test")
-        earlier, live, decode = [], [], decoder._log_posterior
+        earlier, live, decode = [], [], experiments._noisy_log_posteriors
 
-        def counted(z):
-            q = decode(z)
-            if np.ndim(z) == 3:
-                live.append(sum(ref() is not None for ref in earlier))
-                owner = q
-                while owner.base is not None:
-                    owner = owner.base
-                earlier.append(weakref.ref(owner))
+        def counted(*args):
+            live.append(sum(ref() is not None for ref in earlier))
+            q = decode(*args)
+            owner = q
+            while owner.base is not None:
+                owner = owner.base
+            earlier.append(weakref.ref(owner))
             return q
 
-        monkeypatch.setattr(decoder, "_log_posterior", counted)
+        monkeypatch.setattr(experiments, "_noisy_log_posteriors", counted)
         error_sweep([(encoder, decoder)], test_set, [5.0, float("inf"), 15.0], family, 13,
                     seed=21, threads=1)
         assert live == [0] * 6
@@ -303,8 +324,9 @@ class TestErrorSweep:
 
     def test_sweep_block_peak_memory(self):
         """A one-level sweep of 600 rows on an 8-64-3 decoder peaks under 2 MiB
-        (tracemalloc): a block of 6 trials decoded as one stack holds a [6, 600, 64]
-        hidden layer, 1.8 MiB, where a group of at most STACK_ROWS rows holds 0.9 MiB."""
+        (tracemalloc): a block of 6 trials decoded in column layout holds the 64-wide
+        hidden layer of one slice of at most 1,024 columns, 0.5 MiB, where the whole
+        block's would be 1.8 MiB."""
         encoder = EncoderModel(2, 8, power=1.0, hidden=(16,), seed=3)
         decoder = DecoderModel(8, 3, hidden=(64,), seed=4)
         dataset = make_rings(3, 200, noise=0.15, seed=7)

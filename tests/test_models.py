@@ -10,15 +10,15 @@ import pytest
 
 from fisherjscc import autodiff as ad
 from fisherjscc.data import Normalizer, make_rings
-from fisherjscc.models import (FOLD_CLASSES, SLICE_COLUMNS, STACK_ROWS, DecoderModel,
-                               EncoderModel, _class_max, _class_sum, _column_slices,
-                               load_checkpoint, save_checkpoint)
+from fisherjscc.models import (FOLD_CLASSES, SLICE_COLUMNS, DecoderModel, EncoderModel,
+                               _class_max, _class_sum, _column_slices, load_checkpoint,
+                               save_checkpoint)
 from fisherjscc.rng import CounterRng
 from fisherjscc.robustness import _ClosedForm
 
 from _oracles import (backward, decoder_tape, encoder_tape, finite_diff_grad,
-                      log_posterior_by_axis, max_rel_err, mul, softmax_reference, sum_all,
-                      weighted_sum)
+                      log_posterior_alone, log_posterior_by_axis, max_rel_err, mul,
+                      softmax_reference, sum_all, weighted_sum)
 from test_robustness import STACKED_SHAPES, random_decoder
 
 
@@ -240,23 +240,19 @@ class TestTapeFreeForward:
         assert np.array_equal(x, x_before) and np.array_equal(z, z_before)
 
     def test_shape_errors_match_the_tape(self):
-        """A wrong width, a 4-D input and a scalar are refused by both with one message.
-        A stack of batches is decode's alone: the tape refuses it, and decode gives
-        each slice's bytes."""
+        """A wrong width, a [T, b, k] stack of batches, a 4-D input and a scalar are
+        refused by both with one message."""
         decoder = DecoderModel(4, 3, seed=52)
-        for bad in (np.zeros((2, 5)), np.zeros((1, 1, 2, 4)), np.float64(1.0)):
+        for bad in (np.zeros((2, 5)), np.zeros((1, 2, 4)), np.zeros((1, 1, 2, 4)),
+                    np.float64(1.0)):
             with pytest.raises(ValueError) as tape_error:
                 decoder.log_posterior_all(ad.Tensor(bad))
             with pytest.raises(ValueError) as plain_error:
                 decoder.decode(bad)
             assert str(plain_error.value) == str(tape_error.value)
-        stack = np.zeros((1, 2, 4))
-        with pytest.raises(ValueError, match="expected a vector or a batch of vectors"):
-            decoder.log_posterior_all(ad.Tensor(stack))
-        assert decoder.decode(stack).tobytes() == decoder.decode(stack[0])[None].tobytes()
 
-    def test_only_decode_takes_a_stack(self):
-        """encode and the closed-form trace refuse a [T, b, k] stack as they always did."""
+    def test_no_forward_takes_a_stack(self):
+        """encode, the closed-form trace and decode refuse a [T, b, k] stack alike."""
         encoder = EncoderModel(3, 4, power=1.0, seed=45)
         decoder = DecoderModel(4, 3, seed=52)
         refused = "expected a vector or a batch of vectors, got shape"
@@ -264,25 +260,30 @@ class TestTapeFreeForward:
             encoder.encode(np.zeros((2, 5, 3)))
         with pytest.raises(ValueError, match=rf"{refused} \(2, 5, 4\)"):
             _ClosedForm(decoder, np.zeros((2, 5, 4)))
-        with pytest.raises(ValueError, match="decoder expects representations of dimension 4"):
-            decoder.decode(np.zeros((2, 5, 3)))
+        with pytest.raises(ValueError, match=rf"{refused} \(2, 5, 4\)"):
+            decoder.decode(np.zeros((2, 5, 4)))
 
-    @pytest.mark.parametrize("trials, rows", [(6, 600), (1, 600), (7, 600), (2, 2_100)],
-                             ids=["sweep-block", "last-block", "three-groups", "wide-batches"])
+    @pytest.mark.parametrize("trials, rows", [(6, 600), (1, 600), (7, 600), (2, 2_000),
+                                              (20, 200)],
+                             ids=["sweep-block", "last-block", "three-groups", "wide-batches",
+                                  "narrow-trials"])
     @pytest.mark.parametrize("classes", [3, 9, 65])
     @pytest.mark.parametrize("hidden", [(), (64,)], ids=["depth-1", "depth-2"])
     def test_stack_is_the_bytes_of_its_slices(self, hidden, classes, trials, rows):
-        """The sweep's noise blocks: trials x rows of an 8-wide representation, on both
-        sides of FOLD_CLASSES, through `decode` and the log-posteriors the sweep reads.
-        The forward runs a stack in groups of whole batches of at most STACK_ROWS rows:
-        7 x 600 rows are groups of 3, 3 and 1 batches, and a batch of 2,100 rows, wider
-        than STACK_ROWS, is a group of its own."""
-        assert 3 < FOLD_CLASSES <= 9 and 3 * 600 <= STACK_ROWS < 4 * 600
+        """A sweep block of trials x rows of an 8-wide representation, on both sides of
+        FOLD_CLASSES, written feature-major and decoded as one [8, trials * rows] array
+        in column layout, as the sweep decodes it: each trial gets the log-posteriors of
+        that trial decoded alone. The block's column slices span trial boundaries (7 x
+        600 columns are five slices of 840), so this holds at these shapes, not at every
+        shape: at 65 classes, 7 x 585 and 3 x 1,365 columns give other bits."""
+        assert 3 < FOLD_CLASSES <= 9
         decoder = DecoderModel(8, classes, hidden=hidden, seed=60 + classes)
-        stack = CounterRng(trials + classes).normals(trials * rows * 8).reshape(trials, rows, 8)
-        stack *= 2.0
-        for forward in (decoder.decode, decoder._log_posterior):
-            assert forward(stack).tobytes() == np.stack([forward(s) for s in stack]).tobytes()
+        block = CounterRng(trials + classes).normals(trials * rows * 8).reshape(trials, rows, 8)
+        block *= 2.0
+        columns = np.ascontiguousarray(block.transpose(2, 0, 1)).reshape(8, -1)
+        log_q = decoder._log_posterior_columns(columns).reshape(trials, rows, -1)
+        alone = np.stack([log_posterior_alone(decoder, trial) for trial in block])
+        assert log_q.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("classes, columns", [
         *((classes, columns) for classes in (3, 9) for columns in (2, 7, 2001, 2049, 4096)),
